@@ -9,15 +9,18 @@ u = exp(Phi(t)^T y + Theta(t)) where Phi solves, componentwise,
     Phi_i' + (1/2) L_i Phi_i^2 + sum_j (M+N)_ij Phi_j + (Gamma/2q) Lambda_i = 0
 
 and Theta' + (w+c)^T Phi + (Gamma/2q) lambda0 = 0.  The boundary value
-Phi = H is anchored at t = 0 for the forward problem and at the horizon for
-the backward (fixed terminal utility) problem.  When M+N is diagonal each
+(Phi, Theta) = (H, h0) is anchored at t = 0 for the forward problem and at
+the horizon for the backward (fixed terminal utility) problem.  The numeric
+route integrates Theta as the (k+1)-th state of the same ODE as Phi, which it
+drives linearly.  When M+N is diagonal each
 component decouples into a scalar Riccati ODE with the explicit solution
 
     Phi_i(t) = (z_{+,i} - chi_i z_{-,i} e^{-sqrt(D_i) t})
                / (1 - chi_i e^{-sqrt(D_i) t}),
 
 z_{+/-,i} = (-(M+N)_ii +/- sqrt(D_i)) / L_i being the roots of the stationary
-quadratic and D_i = (M+N)_ii^2 - L_i (Gamma/q) Lambda_i its discriminant.
+quadratic and D_i = (M+N)_ii^2 - L_i (Gamma/q) Lambda_i its discriminant,
+and Theta follows from the exact logarithmic antiderivative of Phi.
 """
 from __future__ import annotations
 
@@ -145,12 +148,17 @@ class RiccatiSolution:
 
     ``Phi(t)`` accepts a scalar or 1-D array of times and returns shape (k,)
     or (len(t), k); ``Theta(t)`` mirrors that with scalars/1-D arrays.
+
+    ``solver`` holds the ODE solver's nfev, accepted steps, status and message
+    for the numeric route, None for the closed form.  ``fallback_reason`` is
+    set by ``solve_riccati`` to why the closed form did not apply, else None.
     """
 
     def __init__(self, spec: AffineSpec, rp: RiskParams, horizon: float,
                  direction: str, method: str,
                  phi_impl: Callable, theta_impl: Callable,
-                 components: Optional[Sequence[ClosedFormComponent]] = None):
+                 components: Optional[Sequence[ClosedFormComponent]] = None,
+                 solver: Optional[dict] = None):
         if direction not in (FORWARD, BACKWARD):
             raise ConfigError(f"direction must be '{FORWARD}' or '{BACKWARD}'")
         self.spec = spec
@@ -159,6 +167,8 @@ class RiccatiSolution:
         self.direction = direction
         self.method = method
         self.components = tuple(components) if components is not None else None
+        self.solver = solver
+        self.fallback_reason: Optional[str] = None
         self._phi_impl = phi_impl
         self._theta_impl = theta_impl
 
@@ -198,7 +208,8 @@ def _riccati_rhs(spec: AffineSpec, rp: RiskParams):
     lam_term = (rp.Gamma / (2.0 * rp.q)) * spec.Lambda
 
     def rhs(phi):
-        return -(0.5 * L * phi * phi + mn @ phi + lam_term)
+        # phi is one state (k,) or a stack of states (m, k).
+        return -(0.5 * L * phi * phi + phi @ mn.T + lam_term)
 
     return rhs
 
@@ -206,7 +217,8 @@ def _riccati_rhs(spec: AffineSpec, rp: RiskParams):
 def solve_riccati_numeric(spec: AffineSpec, rp: RiskParams, horizon: float,
                           direction: str = FORWARD) -> RiccatiSolution:
     """Adaptive Runge-Kutta (DOP853, rtol 1e-10) solution of the Riccati
-    system; Theta by adaptive Simpson quadrature of its defining integral.
+    system.  Theta is carried as the (k+1)-th state of the same solve, so
+    Phi and Theta both come from one dense-output evaluation.
 
     Raises
     ------
@@ -219,21 +231,26 @@ def solve_riccati_numeric(spec: AffineSpec, rp: RiskParams, horizon: float,
     if direction not in (FORWARD, BACKWARD):
         raise ConfigError(f"direction must be '{FORWARD}' or '{BACKWARD}'")
     rhs = _riccati_rhs(spec, rp)
+    k = spec.k
+    wc = spec.w + spec.c
+    lam0_term = (rp.Gamma / (2.0 * rp.q)) * spec.lambda0
     # Backward runs are integrated in time-to-go s = horizon - t, which flips
     # the sign of the right-hand side.
     sign = 1.0 if direction == FORWARD else -1.0
 
-    def odefun(_, phi):
-        return sign * rhs(phi)
+    def odefun(_, z):
+        phi = z[:k]
+        return sign * np.append(rhs(phi), -(wc @ phi + lam0_term))
 
-    def blow_up(_, phi):
-        return float(np.max(np.abs(phi))) - BLOW_UP_THRESHOLD
+    def blow_up(_, z):
+        return float(np.max(np.abs(z[:k]))) - BLOW_UP_THRESHOLD
 
     blow_up.terminal = True
     blow_up.direction = 1
 
-    sol = solve_ivp(odefun, (0.0, horizon), spec.H, method="DOP853",
-                    rtol=1e-10, atol=1e-12, dense_output=True, events=blow_up)
+    sol = solve_ivp(odefun, (0.0, horizon), np.append(spec.H, spec.h0),
+                    method="DOP853", rtol=1e-10, atol=1e-12, dense_output=True,
+                    events=blow_up)
     if sol.status == 1 and len(sol.t_events[0]):
         s_event = float(sol.t_events[0][0])
         t_event = s_event if direction == FORWARD else horizon - s_event
@@ -241,23 +258,19 @@ def solve_riccati_numeric(spec: AffineSpec, rp: RiskParams, horizon: float,
     if not sol.success:
         raise RiccatiBlowUpError(float(sol.t[-1]))
 
+    def state(t):
+        return sol.sol(t if direction == FORWARD else horizon - t)
+
     def phi_impl(t):
-        s = t if direction == FORWARD else horizon - t
-        return sol.sol(s).T
-
-    lam0_term = (rp.Gamma / (2.0 * rp.q)) * spec.lambda0
-    wc = spec.w + spec.c
-    anchor = 0.0 if direction == FORWARD else horizon
-
-    def theta_rate(t):
-        return float(wc @ phi_impl(np.array([t]))[0]) + lam0_term
+        return state(t)[:k].T
 
     def theta_impl(t):
-        return np.array([spec.h0 - _adaptive_simpson(theta_rate, anchor, float(ti))
-                         for ti in t])
+        return state(t)[k]
 
+    solver = {"nfev": int(sol.nfev), "steps": len(sol.t) - 1,
+              "status": int(sol.status), "message": sol.message}
     return RiccatiSolution(spec, rp, horizon, direction, "numeric",
-                           phi_impl, theta_impl)
+                           phi_impl, theta_impl, solver=solver)
 
 
 def solve_riccati_closed_form(spec: AffineSpec, rp: RiskParams, horizon: float,
@@ -355,11 +368,14 @@ def solve_riccati_closed_form(spec: AffineSpec, rp: RiskParams, horizon: float,
 
 def solve_riccati(spec: AffineSpec, rp: RiskParams, horizon: float,
                   direction: str = FORWARD) -> RiccatiSolution:
-    """Closed form when applicable, numeric otherwise."""
+    """Closed form when applicable, numeric otherwise; the fallback records
+    why the closed form did not apply in ``fallback_reason``."""
     try:
         return solve_riccati_closed_form(spec, rp, horizon, direction)
-    except ClosedFormInapplicableError:
-        return solve_riccati_numeric(spec, rp, horizon, direction)
+    except ClosedFormInapplicableError as exc:
+        sol = solve_riccati_numeric(spec, rp, horizon, direction)
+        sol.fallback_reason = str(exc)
+        return sol
 
 
 def riccati_residual(sol: RiccatiSolution, times=None, fd_step: float = 1e-6):
@@ -371,27 +387,31 @@ def riccati_residual(sol: RiccatiSolution, times=None, fd_step: float = 1e-6):
     spec, rp = sol.spec, sol.rp
     if times is None:
         times = np.linspace(0.0, sol.horizon, 100)
-    times = np.asarray(times, dtype=float)
+    t = np.atleast_1d(np.asarray(times, dtype=float))
+    h = fd_step
     rhs = _riccati_rhs(spec, rp)
     lam0_term = (rp.Gamma / (2.0 * rp.q)) * spec.lambda0
     wc = spec.w + spec.c
 
-    def ddt(f, t, h):
-        # Central stencil inside, second-order one-sided at the ends.
-        if t - h >= 0.0 and t + h <= sol.horizon:
-            return (f(t + h) - f(t - h)) / (2.0 * h)
-        if t + 2 * h <= sol.horizon:
-            return (-3.0 * f(t) + 4.0 * f(t + h) - f(t + 2 * h)) / (2.0 * h)
-        return (3.0 * f(t) - 4.0 * f(t - h) + f(t - 2 * h)) / (2.0 * h)
+    # Stencil rows: central inside, second-order one-sided forward and
+    # backward at the ends.  Each time gets three nodes t + h * offset.
+    offsets = np.array([[-1.0, 1.0, 0.0], [0.0, 1.0, 2.0], [0.0, -1.0, -2.0]])
+    weights = np.array([[-1.0, 1.0, 0.0], [-3.0, 4.0, -1.0], [3.0, -4.0, 1.0]])
+    row = np.where((t - h >= 0.0) & (t + h <= sol.horizon), 0,
+                   np.where(t + 2 * h <= sol.horizon, 1, 2))
+    nodes = t[:, None] + h * offsets[row]
+    weights = weights[row]
 
-    max_phi = max_theta = 0.0
-    for t in times:
-        dphi = ddt(sol.Phi, float(t), fd_step)
-        dth = ddt(sol.Theta, float(t), fd_step)
-        phi_t = sol.Phi(float(t))
-        max_phi = max(max_phi, float(np.max(np.abs(dphi - rhs(phi_t)))))
-        max_theta = max(max_theta, abs(dth + float(wc @ phi_t) + lam0_term))
-    return max_phi, max_theta
+    dphi = dth = 0.0
+    for j in range(3):
+        dphi = dphi + weights[:, j, None] * sol.Phi(nodes[:, j])
+        dth = dth + weights[:, j] * sol.Theta(nodes[:, j])
+    dphi, dth = dphi / (2.0 * h), dth / (2.0 * h)
+
+    phi_t = sol.Phi(t)
+    res_phi = np.abs(dphi - rhs(phi_t))
+    res_theta = np.abs(dth + phi_t @ wc + lam0_term)
+    return float(np.max(res_phi)), float(np.max(res_theta))
 
 
 # ---------------------------------------------------------------------------
@@ -508,34 +528,3 @@ def canonical_affine_market(M, w, L, Lambda, lambda0, H, rp: RiskParams,
         domain=Box(np.zeros(k), np.full(k, np.inf)),
     )
     return market, spec
-
-
-# ---------------------------------------------------------------------------
-# Quadrature helper
-# ---------------------------------------------------------------------------
-
-def _adaptive_simpson(f, a: float, b: float, tol: float = 1e-11,
-                      max_depth: int = 48) -> float:
-    """Recursive adaptive Simpson integral of f over [a, b] to abs tol."""
-    if a == b:
-        return 0.0
-    sign = 1.0
-    if b < a:
-        a, b, sign = b, a, -1.0
-
-    def simpson(lo, hi, flo, fmid, fhi):
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    def recurse(lo, hi, flo, fmid, fhi, whole, eps, depth):
-        mid = 0.5 * (lo + hi)
-        lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
-        flm, frm = f(lm), f(rm)
-        left = simpson(lo, mid, flo, flm, fmid)
-        right = simpson(mid, hi, fmid, frm, fhi)
-        if depth >= max_depth or abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(lo, mid, flo, flm, fmid, left, eps / 2.0, depth + 1)
-                + recurse(mid, hi, fmid, frm, fhi, right, eps / 2.0, depth + 1))
-
-    fa, fb, fm = f(a), f(b), f(0.5 * (a + b))
-    return sign * recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), tol, 0)

@@ -219,7 +219,8 @@ def cmd_affine(args) -> int:
         csv_path = _write_csv(out_dir, "riccati.csv", header,
                               np.column_stack([ts, phis, thetas]))
         table = {"method": sol.method, "direction": sol.direction,
-                 "horizon": sol.horizon, "components": sol.component_table()}
+                 "horizon": sol.horizon, "components": sol.component_table(),
+                 "solver": sol.solver, "fallback_reason": sol.fallback_reason}
         json_path = _write_json(out_dir, "riccati_components.json", table)
         print(f"method={sol.method} Phi(0)={phis[0]} Theta(0)={thetas[0]:.12g}")
         _manifest(args, [args.spec], [csv_path, json_path])
@@ -545,13 +546,14 @@ def main(argv=None) -> int:
         return _DISPATCH[args.group](args)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # LinAlgError subclasses ValueError, so it is caught before bad input.
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
     except (ConfigError, InsufficientSampleError, FileNotFoundError,
             json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

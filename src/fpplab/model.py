@@ -286,10 +286,6 @@ class Box:
         return Box(dec(data["lower"], -1), dec(data["upper"], +1))
 
 
-def nonneg_orthant(k: int) -> Box:
-    return Box(np.zeros(k), np.full(k, np.inf))
-
-
 # ---------------------------------------------------------------------------
 # Model specification
 # ---------------------------------------------------------------------------

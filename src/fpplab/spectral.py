@@ -335,14 +335,6 @@ def widder_evaluate(nu: SpectralMeasure, sel: EigenfunctionSelection,
     return float(coeff @ sel.values(y))
 
 
-def widder_batch(nu: SpectralMeasure, sel: EigenfunctionSelection,
-                 t: float, Y) -> np.ndarray:
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    coeff = nu.weights * np.exp(-nu.zetas * t)
-    return sel.batch(Y) @ coeff
-
-
 def fpp_from_measure(nu: SpectralMeasure, sel: EigenfunctionSelection,
                      rp: RiskParams, t: float, x, y):
     """gamma^gamma x^{1-gamma}/(1-gamma) * u(t, y)^q with u the mixture."""

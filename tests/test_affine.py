@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from fpplab.errors import (ClosedFormInapplicableError, ConfigError,
                            ExponentOverflowError, RiccatiBlowUpError)
@@ -84,6 +87,91 @@ def test_riccati_residual_invariant_both_methods(canonical_1f):
             res_phi, res_theta = riccati_residual(sol, np.linspace(0, 1, 100))
             assert res_phi <= 1e-8
             assert res_theta <= 1e-8
+
+
+def _coupled_spec(h0=0.3):
+    return _spec(k=2, M=[[-0.5, 0.1], [0.05, -0.8]], w=[0.4, 0.5],
+                 L=[0.2, 0.15], Lambda=[0.16, 0.09], lambda0=0.04,
+                 N=[[-0.1, 0.0], [0.0, 0.05]], c=[0.1, -0.2],
+                 H=[-0.3, 0.2], h0=h0)
+
+
+def _residual_per_time(sol, times, h):
+    # Reference: the stencils evaluated one time at a time.
+    rp, spec = sol.rp, sol.spec
+    lam0_term = (rp.Gamma / (2 * rp.q)) * spec.lambda0
+
+    def rhs(phi):
+        return -(0.5 * spec.L * phi ** 2 + spec.coupling() @ phi
+                 + (rp.Gamma / (2 * rp.q)) * spec.Lambda)
+
+    def ddt(f, t):
+        if t - h >= 0.0 and t + h <= sol.horizon:
+            return (f(t + h) - f(t - h)) / (2.0 * h)
+        if t + 2 * h <= sol.horizon:
+            return (-3.0 * f(t) + 4.0 * f(t + h) - f(t + 2 * h)) / (2.0 * h)
+        return (3.0 * f(t) - 4.0 * f(t - h) + f(t - 2 * h)) / (2.0 * h)
+
+    max_phi = max_theta = 0.0
+    for t in times:
+        phi_t = sol.Phi(float(t))
+        max_phi = max(max_phi, float(np.max(np.abs(ddt(sol.Phi, float(t)) - rhs(phi_t)))))
+        max_theta = max(max_theta, abs(ddt(sol.Theta, float(t))
+                                       + (spec.w + spec.c) @ phi_t + lam0_term))
+    return max_phi, max_theta
+
+
+def test_riccati_residual_matches_per_time_stencils(canonical_1f):
+    _, spec1, rp = canonical_1f
+    times = np.concatenate([np.linspace(0.0, 1.0, 100), [1e-7, 1.0 - 1e-7]])
+    for spec, solver in ((spec1, solve_riccati_closed_form),
+                         (_coupled_spec(), solve_riccati_numeric)):
+        for direction in (FORWARD, BACKWARD):
+            sol = solver(spec, rp, 1.0, direction)
+            got = riccati_residual(sol, times, fd_step=1e-6)
+            want = _residual_per_time(sol, times, 1e-6)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_numeric_matches_closed_form_random_diagonal(seed):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 3))
+    gamma = rng.uniform(0.3, 0.95) if rng.random() < 0.5 else rng.uniform(1.05, 6.0)
+    rp = RiskParams(gamma=gamma, p=rng.uniform(0.0, 1.0))
+    spec = _spec(k=k, M=np.diag(rng.uniform(-1.5, 0.3, k)),
+                 w=rng.uniform(0.0, 0.8, k), L=rng.uniform(0.1, 1.5, k),
+                 Lambda=rng.uniform(0.0, 0.8, k), lambda0=rng.uniform(0.0, 0.3),
+                 N=np.diag(rng.uniform(-0.3, 0.3, k)), c=rng.uniform(-0.3, 0.3, k),
+                 H=rng.uniform(-0.8, 0.8, k), h0=rng.uniform(-0.5, 0.5))
+    horizon = rng.uniform(0.2, 2.0)
+    ts = np.linspace(0.0, horizon, 41)
+    for direction in (FORWARD, BACKWARD):
+        try:
+            cf = solve_riccati_closed_form(spec, rp, horizon, direction)
+        except (ClosedFormInapplicableError, RiccatiBlowUpError):
+            assume(False)
+        # Keep clear of a pole just beyond the horizon.
+        assume(np.max(np.abs(cf.Phi(ts))) <= 10.0)
+        num = solve_riccati_numeric(spec, rp, horizon, direction)
+        assert np.max(np.abs(num.Phi(ts) - cf.Phi(ts))) <= 1e-8
+        assert np.max(np.abs(num.Theta(ts) - cf.Theta(ts))) <= 1e-8
+        assert abs(num.Theta(num.anchor_time) - spec.h0) <= 1e-12
+
+
+def test_numeric_theta_matches_independent_quadrature():
+    # Theta(t) = h0 - int_anchor^t ((w+c)^T Phi + (Gamma/2q) lambda0) ds,
+    # integrated by scipy's quad over the solver's own Phi.
+    rp = RiskParams(gamma=2.0, p=0.25)
+    spec = _coupled_spec()
+    lam0_term = (rp.Gamma / (2 * rp.q)) * spec.lambda0
+    for direction in (FORWARD, BACKWARD):
+        sol = solve_riccati_numeric(spec, rp, 1.0, direction)
+        rate = lambda s: (spec.w + spec.c) @ sol.Phi(s) + lam0_term  # noqa: E731
+        for t in (0.0, 0.3, 0.77, 1.0):
+            integral, _ = quad(rate, sol.anchor_time, t, epsabs=1e-13, epsrel=1e-13)
+            assert abs(sol.Theta(t) - (spec.h0 - integral)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +269,12 @@ def test_solve_riccati_falls_back_to_numeric():
     spec = _spec(k=2, M=[[-0.5, 0.1], [0.0, -0.5]], Lambda=[0.5, 0.5])
     sol = solve_riccati(spec, rp, 1.0, FORWARD)
     assert sol.method == "numeric"
+    assert "not diagonal" in sol.fallback_reason
+    assert sol.solver["nfev"] > 0 and sol.solver["steps"] > 0
+    assert sol.solver["status"] == 0
     sol_diag = solve_riccati(_spec(Lambda=[1.0]), rp, 1.0, FORWARD)
     assert sol_diag.method == "closed-form"
+    assert sol_diag.fallback_reason is None and sol_diag.solver is None
 
 
 # ---------------------------------------------------------------------------

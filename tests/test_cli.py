@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,6 +61,26 @@ def test_affine_solve_matches_closed_form(workdir):
     table = json.load(open(workdir / "o3" / "riccati_components.json"))
     assert table["method"] == "closed-form"
     assert len(table["components"]) == 1
+
+
+def test_affine_solve_records_solver_and_fallback(workdir):
+    coupled = affine.AffineSpec(M=[[-0.5, 0.1], [0.05, -0.8]], w=[0.4, 0.5],
+                                L=[0.2, 0.15], Lambda=[0.16, 0.09], lambda0=0.04,
+                                N=[[0.0, 0.0], [0.0, 0.0]], c=[0.0, 0.0],
+                                H=[-0.3, 0.2], h0=0.0)
+    with open(workdir / "coupled.json", "w") as fh:
+        json.dump(coupled.to_json(), fh)
+    for spec_file, out in (("coupled.json", "oc"), ("aspec.json", "od")):
+        assert main(["affine", "solve", "--spec", spec_file, "--gamma", "2.0",
+                     "--p", "0.25", "--horizon", "1.0", "--out", out]) == 0
+    table = json.load(open(workdir / "oc" / "riccati_components.json"))
+    assert table["method"] == "numeric"
+    assert "not diagonal" in table["fallback_reason"]
+    assert table["solver"]["nfev"] > 0 and table["solver"]["steps"] > 0
+    assert table["solver"]["status"] == 0 and table["solver"]["message"]
+    table = json.load(open(workdir / "od" / "riccati_components.json"))
+    assert table["method"] == "closed-form"
+    assert table["solver"] is None and table["fallback_reason"] is None
 
 
 def test_affine_portfolio(workdir):
@@ -179,6 +200,20 @@ def test_numerical_failure_exits_two(workdir):
     code = main(["affine", "solve", "--spec", "blow.json", "--gamma", "0.5",
                  "--p", "0.0", "--horizon", "3.0", "--method", "numeric"])
     assert code == 2
+
+
+def test_singular_sigma_exits_two(workdir, capsys):
+    # np.linalg.inv of a singular sigma^T sigma raises LinAlgError, a
+    # ValueError subclass; it is a numerical failure, not bad input.
+    from fpplab.model import ConstantField, ModelSpec
+    model = ModelSpec.load(workdir / "model.json")
+    replace(model, sigma=ConstantField(np.diag([1.0, 0.0]))).save(workdir / "singular.json")
+    code = main(["sim", "run", "--model", "singular.json", "--config", "simcfg.json",
+                 "--strategy", "affine-optimal", "--affine", "aspec.json",
+                 "--gamma", "2.0", "--p", "0.25", "--horizon", "0.5",
+                 "--y0", "1.0", "--out", "os"])
+    assert code == 2
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_help_lists_flags(workdir, capsys):
