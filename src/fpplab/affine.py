@@ -33,9 +33,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import (ClosedFormInapplicableError, ConfigError,
-                     ExponentOverflowError, RiccatiBlowUpError)
+                     ExponentOverflowError, IntegrationError, RiccatiBlowUpError)
 from .model import (AffineField, Box, ConstantField, ModelSpec, RiskParams,
-                    SqrtAffineField, SqrtDiagField)
+                    SqrtAffineField, SqrtDiagField, _sigma_pinv)
 
 BLOW_UP_THRESHOLD = 1e8
 _EXP_LIMIT = 700.0
@@ -225,6 +225,10 @@ def solve_riccati_numeric(spec: AffineSpec, rp: RiskParams, horizon: float,
     RiccatiBlowUpError
         If any |Phi_i| exceeds 1e8 before the horizon; the earliest blow-up
         time is reported.
+    IntegrationError
+        If the solver fails without a blow-up event (e.g. the step size
+        underflows); the message carries the solver's reason and the time t
+        the solve reached.
     """
     if horizon <= 0:
         raise ConfigError("horizon must be positive")
@@ -256,7 +260,10 @@ def solve_riccati_numeric(spec: AffineSpec, rp: RiskParams, horizon: float,
         t_event = s_event if direction == FORWARD else horizon - s_event
         raise RiccatiBlowUpError(t_event)
     if not sol.success:
-        raise RiccatiBlowUpError(float(sol.t[-1]))
+        s_fail = float(sol.t[-1])
+        t_fail = s_fail if direction == FORWARD else horizon - s_fail
+        raise IntegrationError(
+            f"Riccati integration failed at t={t_fail:.6g}: {sol.message}")
 
     def state(t):
         return sol.sol(t if direction == FORWARD else horizon - t)
@@ -466,22 +473,30 @@ def optimal_portfolio_affine(sol: RiccatiSolution, model_spec: ModelSpec,
     + q varsigma kappa Phi(t)] with sigma varsigma = rho (minimum norm).
 
     The gradient ratio grad_y u / u of the exponential-affine u equals Phi(t),
-    so the hedging demand is state-independent given t.
-    """
-    from .model import _pinv_and_rank  # shared SVD cutoff policy
+    so the hedging demand is state-independent given t.  ``y`` may be one
+    point (k,) or a stack (P, k); the result has shape (n,) or (P, n).
 
+    Raises
+    ------
+    SingularModelError
+        If sigma(y) has rank below n at some point.
+    """
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    sig = np.atleast_2d(model_spec.sigma(y))
-    pinv_sig, rank = _pinv_and_rank(sig)
-    if rank < model_spec.n:
-        from .errors import SingularModelError
-        raise SingularModelError(f"sigma(y) rank deficient at y={y}")
-    mu = np.atleast_1d(model_spec.mu(y))
-    myopic = np.linalg.solve(sig.T @ sig, mu)
-    varsigma = pinv_sig @ model_spec.rho              # (n, d_B)
-    kap = np.atleast_2d(model_spec.kappa(y))          # (d_B, k)
-    hedge = rp.q * varsigma @ (kap @ sol.Phi(t))
-    return (myopic + hedge) / rp.gamma
+    Y = np.atleast_2d(y)
+    sig, pinv_sig = _sigma_pinv(model_spec, Y)
+    mu = model_spec.mu.batch(Y)                                            # (P, n)
+    kap_phi = np.einsum("pbk,k->pb", model_spec.kappa.batch(Y), sol.Phi(t))  # (P, d_B)
+    varsigma = pinv_sig @ model_spec.rho
+    if sig.ndim == 2:
+        # Constant sigma: the normal matrix is inverted once for all points.
+        myopic = mu @ np.linalg.inv(sig.T @ sig).T
+        hedge = kap_phi @ varsigma.T
+    else:
+        normal = np.swapaxes(sig, 1, 2) @ sig                              # (P, n, n)
+        myopic = np.linalg.solve(normal, mu[:, :, None])[:, :, 0]
+        hedge = np.einsum("pnb,pb->pn", varsigma, kap_phi)
+    pi = (myopic + rp.q * hedge) / rp.gamma
+    return pi[0] if y.ndim == 1 else pi
 
 
 # ---------------------------------------------------------------------------

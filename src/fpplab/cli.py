@@ -261,8 +261,8 @@ def cmd_spectral(args) -> int:
             sel = spectral.EigenfunctionSelection.from_json(json.load(fh))
         ts = _parse_grid(args.t_grid)
         ys = [_parse_floats(v) for v in args.y.split(";")]
-        rows = [[t, *y, spectral.widder_evaluate(nu, sel, t, y)]
-                for t in ts for y in ys]
+        u = spectral.WidderFunction(nu, sel)
+        rows = [[t, *y, u(t, y)] for t in ts for y in ys]
         k = len(ys[0])
         header = "t," + ",".join(f"y{i}" for i in range(k)) + ",u"
         path = _write_csv(out_dir, "widder_values.csv", header, rows)

@@ -36,18 +36,17 @@ SV_CUTOFF = 1e-12
 class CoefficientField:
     """A function of the factor state y, vector- or matrix-valued.
 
-    Subclasses implement ``__call__`` for a single point of shape (k,) and
-    ``batch`` for a stack of points of shape (P, k).
+    Subclasses implement only ``batch``, which evaluates a stack of points of
+    shape (P, k); a single point of shape (k,) is its one-row view.
     """
 
     family: str = "abstract"
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self.batch(np.atleast_2d(y))[0]
 
     def batch(self, Y: np.ndarray) -> np.ndarray:
-        # Generic fallback; subclasses override with vectorized versions.
-        return np.stack([self(y) for y in np.atleast_2d(Y)])
+        raise NotImplementedError
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -73,9 +72,6 @@ class ConstantField(CoefficientField):
     def __init__(self, value):
         self.value = np.asarray(value, dtype=float)
 
-    def __call__(self, y):
-        return self.value
-
     def batch(self, Y):
         Y = np.atleast_2d(Y)
         return np.broadcast_to(self.value, (Y.shape[0],) + self.value.shape)
@@ -98,9 +94,6 @@ class AffineField(CoefficientField):
         self.offset = np.atleast_1d(np.asarray(offset, dtype=float))
         if self.matrix.shape[0] != self.offset.shape[0]:
             raise ConfigError("affine field: matrix rows must match offset length")
-
-    def __call__(self, y):
-        return self.matrix @ np.asarray(y, dtype=float) + self.offset
 
     def batch(self, Y):
         return np.atleast_2d(Y) @ self.matrix.T + self.offset
@@ -129,9 +122,6 @@ class SqrtAffineField(CoefficientField):
         if self.matrix.shape[0] != self.offset.shape[0]:
             raise ConfigError("sqrt_affine field: matrix rows must match offset length")
 
-    def __call__(self, y):
-        return np.sqrt(np.clip(self.matrix @ np.asarray(y, dtype=float) + self.offset, 0.0, None))
-
     def batch(self, Y):
         return np.sqrt(np.clip(np.atleast_2d(Y) @ self.matrix.T + self.offset, 0.0, None))
 
@@ -157,9 +147,6 @@ class SqrtDiagField(CoefficientField):
         self.scale = np.atleast_1d(np.asarray(scale, dtype=float))
         if np.any(self.scale <= 0):
             raise ConfigError("sqrt_diag field: scales must be positive")
-
-    def __call__(self, y):
-        return np.diag(np.sqrt(np.clip(self.scale * np.asarray(y, dtype=float), 0.0, None)))
 
     def batch(self, Y):
         Y = np.atleast_2d(Y)
@@ -197,9 +184,6 @@ class GridField(CoefficientField):
         self.out_shape = self.values.shape[k:]
         self._interp = RegularGridInterpolator(
             self.axes, self.values, method="linear", bounds_error=False, fill_value=None)
-
-    def __call__(self, y):
-        return np.asarray(self._interp(np.atleast_2d(y))[0]).reshape(self.out_shape)
 
     def batch(self, Y):
         return np.asarray(self._interp(np.atleast_2d(Y)))
@@ -412,7 +396,9 @@ class GeneratorCoefficients:
     b(y) = alpha + Gamma kappa^T rho^T lambda   (k drift)
     P(y) = (Gamma / 2q) lambda^T lambda  (scalar potential)
 
-    ``*_batch`` variants evaluate stacks of points with shape (P, k).
+    ``*_batch`` closures evaluate stacks of points with shape (P, k); those
+    built by ``generator_coefficients`` are the only implementation, and
+    ``a``, ``b``, ``P`` are their one-row views at a single point (k,).
     """
 
     k: int
@@ -428,64 +414,72 @@ class GeneratorCoefficients:
 # Operations
 # ---------------------------------------------------------------------------
 
-def _pinv_and_rank(mat: np.ndarray):
-    u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    cutoff = SV_CUTOFF * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
-    s_inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    return vt.T @ (s_inv[:, None] * u.T), rank
+def _one_row(batch: Callable) -> Callable:
+    """Single-point view y -> batch(y[None])[0] of a batched closure."""
+    return lambda y: batch(np.asarray(y, dtype=float).reshape(1, -1))[0]
 
 
-def sharpe_ratio(spec: ModelSpec, y) -> np.ndarray:
-    """Market price of risk lambda(y) = (sigma(y)^T)^- mu(y).
+def _pinv_and_rank(mats: np.ndarray):
+    """Pseudoinverse and rank of a matrix (r, c) or of each matrix in a stack
+    (P, r, c), both from one SVD with relative cutoff ``SV_CUTOFF``."""
+    u, s, vt = np.linalg.svd(mats, full_matrices=False)
+    keep = s > SV_CUTOFF * s[..., :1]
+    s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    pinv = vt.swapaxes(-1, -2) @ (s_inv[..., None] * u.swapaxes(-1, -2))
+    return pinv, keep.sum(axis=-1)
 
-    Uses the Moore-Penrose pseudoinverse (SVD, relative cutoff 1e-12); for
-    full-column-rank sigma this coincides with sigma (sigma^T sigma)^{-1} mu.
+
+def _sigma_pinv(spec: ModelSpec, Y: np.ndarray):
+    """sigma and its pseudoinverse sigma^- at the points Y (P, k).
+
+    A constant sigma is factored once and returned as (d_W, n), (n, d_W);
+    otherwise the stacks are (P, d_W, n), (P, n, d_W).
 
     Raises
     ------
     SingularModelError
-        If sigma(y) has rank below n.
+        If sigma(y) has rank below n at some point; the first is named.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    sig = np.atleast_2d(spec.sigma(y))
-    pinv_sig_t, rank = _pinv_and_rank(sig.T)
-    if rank < spec.n:
+    sig = spec.sigma.value if isinstance(spec.sigma, ConstantField) else spec.sigma.batch(Y)
+    pinv, rank = _pinv_and_rank(sig)
+    if rank.min() < spec.n:
+        rank = np.broadcast_to(rank, Y.shape[:1])
+        i = int(np.argmax(rank < spec.n))
         raise SingularModelError(
-            f"sigma(y) rank {rank} < n={spec.n} at y={np.array2string(y, precision=6)}")
-    return pinv_sig_t @ np.atleast_1d(spec.mu(y))
+            f"sigma(y) rank {rank[i]} < n={spec.n} at y={np.array2string(Y[i], precision=6)}")
+    return sig, pinv
+
+
+def sharpe_ratio(spec: ModelSpec, y) -> np.ndarray:
+    """Market price of risk lambda(y) at one point; the one-row view of
+    ``sharpe_ratio_batch``."""
+    return sharpe_ratio_batch(spec, np.asarray(y, dtype=float).reshape(1, -1))[0]
 
 
 def sharpe_ratio_batch(spec: ModelSpec, Y: np.ndarray) -> np.ndarray:
-    """Vectorized ``sharpe_ratio`` over points of shape (P, k)."""
+    """Market price of risk lambda(y) = (sigma(y)^T)^- mu(y) at points (P, k).
+
+    Uses the Moore-Penrose pseudoinverse (SVD, relative cutoff 1e-12); for
+    full-column-rank sigma this coincides with sigma (sigma^T sigma)^{-1} mu.
+    Returns shape (P, d_W).
+
+    Raises
+    ------
+    SingularModelError
+        If sigma(y) has rank below n at some point of Y.
+    """
     Y = np.atleast_2d(Y)
+    _, pinv = _sigma_pinv(spec, Y)
     mu = spec.mu.batch(Y)                      # (P, n)
-    if isinstance(spec.sigma, ConstantField):
-        pinv_sig_t, rank = _pinv_and_rank(spec.sigma.value.T)
-        if rank < spec.n:
-            raise SingularModelError("constant sigma is rank deficient")
-        return mu @ pinv_sig_t.T
-    sig = spec.sigma.batch(Y)                  # (P, d_W, n)
-    return np.einsum("pwn,pn->pw", np.linalg.pinv(np.swapaxes(sig, 1, 2), rcond=SV_CUTOFF), mu)
+    if pinv.ndim == 2:
+        return mu @ pinv                       # (P, n) @ (n, d_W)
+    return np.einsum("pnw,pn->pw", pinv, mu)
 
 
 def generator_coefficients(spec: ModelSpec, rp: RiskParams) -> GeneratorCoefficients:
     """Closures (a, b, P) of the linear operator attached to (spec, rp)."""
     Gamma, q = rp.Gamma, rp.q
     rho = spec.rho
-
-    def a(y):
-        kap = np.atleast_2d(spec.kappa(y))
-        return kap.T @ kap
-
-    def b(y):
-        kap = np.atleast_2d(spec.kappa(y))
-        lam = sharpe_ratio(spec, y)
-        return np.atleast_1d(spec.alpha(y)) + Gamma * kap.T @ (rho.T @ lam)
-
-    def P(y):
-        lam = sharpe_ratio(spec, y)
-        return (Gamma / (2.0 * q)) * float(lam @ lam)
 
     def a_batch(Y):
         kap = spec.kappa.batch(Y)
@@ -500,8 +494,9 @@ def generator_coefficients(spec: ModelSpec, rp: RiskParams) -> GeneratorCoeffici
         lam = sharpe_ratio_batch(spec, Y)
         return (Gamma / (2.0 * q)) * np.einsum("pw,pw->p", lam, lam)
 
-    return GeneratorCoefficients(k=spec.k, a=a, b=b, P=P,
-                                 a_batch=a_batch, b_batch=b_batch, P_batch=P_batch)
+    return GeneratorCoefficients(k=spec.k, a=_one_row(a_batch), b=_one_row(b_batch),
+                                 P=_one_row(P_batch), a_batch=a_batch,
+                                 b_batch=b_batch, P_batch=P_batch)
 
 
 @dataclass(frozen=True)
@@ -561,35 +556,31 @@ def validate(spec: ModelSpec, grid: np.ndarray,
     checks.append(CheckResult("rho_singular_values", sv_excess <= 1e-12, sv_excess,
                               f"singular values in [{sv[-1]:.6g}, {sv[0]:.6g}]" if sv.size else ""))
 
-    worst_range = 0.0
-    worst_ell = np.inf
-    sup_a = sup_b = sup_P = 0.0
-    finite = True
+    sig = spec.sigma.batch(grid)                           # (P, d_W, n)
+    pinv, rank = _pinv_and_rank(sig)
+    range_res = np.linalg.norm(sig @ (pinv @ spec.rho) - spec.rho, axis=(1, 2))
+    worst_range = float(np.max(range_res))
+
     gen = generator_coefficients(spec, rp)
-    for y in grid:
-        sig = np.atleast_2d(spec.sigma(y))
-        pinv_sig, _ = _pinv_and_rank(sig)
-        res = np.linalg.norm(sig @ (pinv_sig @ spec.rho) - spec.rho)
-        worst_range = max(worst_range, float(res))
+    a = gen.a_batch(grid)                                  # (P, k, k)
+    worst_ell = float(np.min(np.linalg.eigvalsh(a)[:, 0]))
 
-        a_y = gen.a(y)
-        worst_ell = min(worst_ell, float(np.linalg.eigvalsh(a_y)[0]))
-
-        try:
-            b_y, P_y = gen.b(y), gen.P(y)
-        except SingularModelError:
-            finite = False
-            continue
-        sup_a = max(sup_a, float(np.max(np.abs(a_y))))
-        sup_b = max(sup_b, float(np.max(np.abs(b_y))))
-        sup_P = max(sup_P, abs(P_y))
-        if not (np.all(np.isfinite(a_y)) and np.all(np.isfinite(b_y)) and np.isfinite(P_y)):
-            finite = False
+    # b and P need lambda, which is undefined where sigma(y) has rank < n.
+    singular = rank < spec.n
+    ok = grid[~singular]
+    a, b, P = a[~singular], gen.b_batch(ok), gen.P_batch(ok)
+    sup_a, sup_b, sup_P = (float(np.max(np.abs(v), initial=0.0)) for v in (a, b, P))
+    finite = bool(not np.any(singular) and np.all(np.isfinite(a))
+                  and np.all(np.isfinite(b)) and np.all(np.isfinite(P)))
+    detail = f"sup|a|={sup_a:.6g}, sup|b|={sup_b:.6g}, sup|P|={sup_P:.6g}"
+    if np.any(singular):
+        first = grid[np.argmax(singular)]
+        detail += (f"; sigma(y) rank < n={spec.n} at {int(np.sum(singular))} of "
+                   f"{grid.shape[0]} points, first y={np.array2string(first, precision=6)}")
 
     checks.append(CheckResult("rho_range_condition", worst_range <= 1e-10, worst_range,
                               "max ||sigma sigma^- rho - rho|| over grid"))
     checks.append(CheckResult("ellipticity", worst_ell > 0.0, worst_ell,
                               "min eigenvalue of kappa^T kappa over grid"))
-    checks.append(CheckResult("boundedness", finite, max(sup_a, sup_b, sup_P),
-                              f"sup|a|={sup_a:.6g}, sup|b|={sup_b:.6g}, sup|P|={sup_P:.6g}"))
+    checks.append(CheckResult("boundedness", finite, max(sup_a, sup_b, sup_P), detail))
     return ValidationReport(tuple(checks))

@@ -25,6 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .affine import optimal_portfolio_affine
 from .errors import ConfigError, SimulationError
 from .model import (ConstantField, GeneratorCoefficients, ModelSpec,
                     RiskParams, sharpe_ratio_batch)
@@ -143,10 +144,10 @@ class CallableStrategy(Strategy):
 
 
 class AffineOptimalStrategy(Strategy):
-    """pi*(t, y) = (1/gamma) [(sigma^T sigma)^{-1} mu(y) + q varsigma kappa(y) Phi(t)].
+    """pi*(t, y) = (1/gamma) [(sigma^T sigma)^{-1} mu(y) + q varsigma kappa(y) Phi(t)],
+    evaluated by ``optimal_portfolio_affine`` on the stacked states.
 
-    Requires constant sigma (the canonical embedding); the myopic normal
-    matrix and varsigma = sigma^- rho are then precomputed.
+    Requires constant sigma (the canonical embedding).
     """
 
     name = "affine-optimal"
@@ -157,18 +158,10 @@ class AffineOptimalStrategy(Strategy):
         self.sol = sol
         self.model = model
         self.rp = rp
-        sig = model.sigma.value
-        self._normal_inv = np.linalg.inv(sig.T @ sig)
-        self._varsigma = np.linalg.pinv(sig) @ model.rho        # (n, d_B)
 
     def allocations(self, t, Y, X):
-        Y = np.atleast_2d(Y)
-        mu = self.model.mu.batch(Y)                             # (P, n)
-        myopic = mu @ self._normal_inv.T
-        kap = self.model.kappa.batch(Y)                         # (P, d_B, k)
-        phi = self.sol.Phi(float(t))
-        hedge = np.einsum("pbk,k->pb", kap, phi) @ self._varsigma.T
-        return (myopic + self.rp.q * hedge) / self.rp.gamma
+        return optimal_portfolio_affine(self.sol, self.model, self.rp, float(t),
+                                        np.atleast_2d(Y))
 
 
 class PerturbedStrategy(Strategy):
@@ -442,6 +435,8 @@ def feynman_kac_estimate(gen: GeneratorCoefficients, h: Callable, t: float,
     evaluation and never killed, the standard treatment for square-root-type
     diffusions whose continuous paths do not leave the closed orthant.
 
+    ``h`` maps a stack of states (P, k) to values (P,).
+
     Returns (estimate, standard_error).
     """
     if t <= 0:
@@ -453,15 +448,6 @@ def feynman_kac_estimate(gen: GeneratorCoefficients, h: Callable, t: float,
     n_steps = max(1, int(round(t / cfg.dt)))
     dt = t / n_steps
     sqdt = np.sqrt(dt)
-
-    def h_batch(Y):
-        try:
-            vals = np.asarray(h(Y), dtype=float)
-            if vals.shape == (Y.shape[0],):
-                return vals
-        except Exception:
-            pass
-        return np.array([float(h(row)) for row in Y])
 
     P_paths = cfg.n_paths
     total = np.empty(P_paths)
@@ -489,8 +475,11 @@ def feynman_kac_estimate(gen: GeneratorCoefficients, h: Callable, t: float,
                     Z = domain.reflect(Z)
         Zfinal = Z if domain is None or cfg.boundary_policy != "full-truncation" \
             else domain.clip(Z)
-        vals = np.where(alive, np.exp(log_weight) * h_batch(Zfinal), 0.0)
-        total[lo:hi] = vals
+        h_vals = np.asarray(h(Zfinal), dtype=float)
+        if h_vals.shape != (B_,):
+            raise ConfigError(f"h must map states (P, k) to values (P,); "
+                              f"got shape {h_vals.shape} for P={B_}")
+        total[lo:hi] = np.where(alive, np.exp(log_weight) * h_vals, 0.0)
 
     estimate = float(np.mean(total))
     stderr = float(np.std(total, ddof=1) / np.sqrt(P_paths)) if P_paths > 1 else np.inf

@@ -105,9 +105,6 @@ class ExpEigenfunction:
     def __call__(self, y):
         return float(np.exp(self.v @ (np.asarray(y, dtype=float) - self.y0)))
 
-    def batch(self, Y):
-        return np.exp((np.atleast_2d(Y) - self.y0) @ self.v)
-
     def value_grad_hess(self, y):
         val = self(y)
         return val, self.v * val, np.outer(self.v, self.v) * val
@@ -139,11 +136,6 @@ class ExpMixEigenfunction:
         d = float(np.atleast_1d(np.asarray(y, dtype=float))[0] - self.y0[0])
         a, b = self._terms(d)
         return float(a + b)
-
-    def batch(self, Y):
-        d = np.atleast_2d(Y)[:, 0] - self.y0[0]
-        a, b = self._terms(d)
-        return a + b
 
     def value_grad_hess(self, y):
         d = float(np.atleast_1d(np.asarray(y, dtype=float))[0] - self.y0[0])
@@ -197,9 +189,6 @@ class OdeEigenfunction:
     def __call__(self, y):
         return float(self._state(y)[0])
 
-    def batch(self, Y):
-        return np.array([self(y) for y in np.atleast_2d(Y)])
-
     def derivative(self, y):
         return float(self._state(y)[1])
 
@@ -239,9 +228,6 @@ class TabulatedEigenfunction:
     def __call__(self, y):
         return float(self.values[self._index(y)])
 
-    def batch(self, Y):
-        return np.array([self(y) for y in np.atleast_2d(Y)])
-
     def to_json(self):
         return {"kind": self.kind, "points": self.points.tolist(),
                 "values": self.values.tolist()}
@@ -267,10 +253,6 @@ class EigenfunctionSelection:
 
     def values(self, y) -> np.ndarray:
         return np.array([f(y) for f in self.functions])
-
-    def batch(self, Y) -> np.ndarray:
-        """(P, m) matrix of eigenfunction values at stacked states."""
-        return np.stack([f.batch(Y) for f in self.functions], axis=1)
 
     def normalization_residual(self) -> float:
         out = 0.0
@@ -324,29 +306,19 @@ class EigenfunctionSelection:
 # Mixture evaluation
 # ---------------------------------------------------------------------------
 
-def widder_evaluate(nu: SpectralMeasure, sel: EigenfunctionSelection,
-                    t: float, y) -> float:
-    """u(t, y) = sum_i w_i exp(-zeta_i t) psi_i(y) for t >= 0."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if sel.m != nu.m:
-        raise ConfigError("selection size does not match measure")
-    coeff = nu.weights * np.exp(-nu.zetas * t)
-    return float(coeff @ sel.values(y))
-
-
 def fpp_from_measure(nu: SpectralMeasure, sel: EigenfunctionSelection,
                      rp: RiskParams, t: float, x, y):
     """gamma^gamma x^{1-gamma}/(1-gamma) * u(t, y)^q with u the mixture."""
     from .affine import power_utility_prefactor
 
-    u = widder_evaluate(nu, sel, t, y)
+    u = WidderFunction(nu, sel)(t, y)
     out = power_utility_prefactor(rp, x) * u ** rp.q
     return float(out) if np.ndim(out) == 0 else out
 
 
 class WidderFunction:
-    """Callable u(t, y) with analytic derivatives delegated to eigenfunctions."""
+    """u(t, y) = sum_i w_i exp(-zeta_i t) psi_i(y) for t >= 0, with analytic
+    derivatives delegated to the eigenfunctions."""
 
     def __init__(self, nu: SpectralMeasure, sel: EigenfunctionSelection):
         if sel.m != nu.m:
@@ -358,6 +330,8 @@ class WidderFunction:
         return self.nu.weights * np.exp(-self.nu.zetas * t)
 
     def __call__(self, t, y):
+        if t < 0:
+            raise ValueError("t must be >= 0")
         return float(self._coeff(t) @ self.sel.values(y))
 
     def du_dt(self, t, y):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from fpplab.model import (Box, ConstantField, GeneratorCoefficients, ModelSpec,
-                          RiskParams)
+from fpplab.model import (Box, ConstantField, GeneratorCoefficients, GridField,
+                          ModelSpec, RiskParams)
 from fpplab import affine
 
 
@@ -25,6 +25,17 @@ def make_scalar_model(mu=0.06, sigma=0.2, alpha=0.0, kappa=1.0, rho=0.0):
         mu=ConstantField([mu]), sigma=ConstantField([[sigma]]),
         alpha=ConstantField([alpha]), kappa=ConstantField([[kappa]]),
         rho=np.array([[rho]]), domain=Box([-np.inf], [np.inf]))
+
+
+def make_rank_deficient_grid_model():
+    """Two stocks, one factor on [0, 2], tabulated sigma of full rank for
+    y < 1 and rank 1 for y >= 1 (its second row vanishes there)."""
+    sigma = np.array([np.eye(2), [[1.0, 1.0], [0.0, 0.0]], [[2.0, 2.0], [0.0, 0.0]]])
+    return ModelSpec(
+        n=2, k=1, d_W=2, d_B=1, d_Wperp=1,
+        mu=ConstantField([0.1, 0.1]), sigma=GridField([[0.0, 1.0, 2.0]], sigma),
+        alpha=ConstantField([0.0]), kappa=ConstantField([[0.1]]),
+        rho=np.zeros((2, 1)), domain=Box([0.0], [2.0]))
 
 
 @pytest.fixture

@@ -7,9 +7,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from fpplab import affine
 from fpplab.errors import (ClosedFormInapplicableError, ConfigError,
-                           ExponentOverflowError, RiccatiBlowUpError)
-from fpplab.model import RiskParams, sharpe_ratio
+                           ExponentOverflowError, IntegrationError,
+                           RiccatiBlowUpError)
+from fpplab.model import GridField, ModelSpec, RiskParams, sharpe_ratio
 from fpplab.affine import (AffineSpec, BACKWARD, FORWARD,
                            canonical_affine_market, evaluate_fpp,
                            evaluate_u_affine, optimal_portfolio_affine,
@@ -405,6 +407,60 @@ def test_portfolio_satisfies_sigma_pi_identity(canonical_1f):
         lam = sharpe_ratio(market, y)
         target = (lam + rp.q * market.rho @ (market.kappa(y) @ sol.Phi(t))) / rp.gamma
         assert np.max(np.abs(market.sigma(y) @ pi - target)) <= 1e-12
+
+
+def test_portfolio_on_a_stack_equals_per_point_calls_and_strategy(canonical_2f):
+    from fpplab.sim import AffineOptimalStrategy
+
+    market, spec, rp = canonical_2f
+    sol = solve_riccati_closed_form(spec, rp, 1.0, FORWARD)
+    Y = np.random.default_rng(3).uniform(0.1, 2.0, size=(6, 2))
+    stack = optimal_portfolio_affine(sol, market, rp, 0.4, Y)
+    assert stack.shape == (6, market.n)
+    for i, y in enumerate(Y):
+        np.testing.assert_allclose(stack[i], optimal_portfolio_affine(sol, market, rp, 0.4, y),
+                                   rtol=1e-13, atol=1e-15)
+    alloc = AffineOptimalStrategy(sol, market, rp).allocations(0.4, Y, np.ones(6))
+    np.testing.assert_array_equal(alloc, stack)
+
+
+def test_portfolio_with_y_dependent_sigma_matches_formula(canonical_1f):
+    # Oracle: (1/gamma)[(sigma^T sigma)^{-1} mu + q pinv(sigma) rho kappa Phi]
+    # point by point, for a tabulated full-rank sigma.
+    market, spec, rp = canonical_1f
+    axis = np.array([0.0, 1.0, 3.0])
+    sig_tab = np.eye(2) + axis[:, None, None] * np.array([[0.3, 0.1], [0.0, -0.1]])
+    varying = ModelSpec(n=2, k=1, d_W=2, d_B=1, d_Wperp=1, mu=market.mu,
+                        sigma=GridField([axis], sig_tab), alpha=market.alpha,
+                        kappa=market.kappa, rho=market.rho, domain=market.domain)
+    sol = solve_riccati_closed_form(spec, rp, 1.0, FORWARD)
+    Y = np.linspace(0.1, 2.5, 5).reshape(-1, 1)
+    stack = optimal_portfolio_affine(sol, varying, rp, 0.6, Y)
+    for i, y in enumerate(Y):
+        sig, mu, kap = varying.sigma(y), varying.mu(y), varying.kappa(y)
+        expected = (np.linalg.solve(sig.T @ sig, mu) + rp.q * np.linalg.pinv(sig)
+                    @ varying.rho @ kap @ sol.Phi(0.6)) / rp.gamma
+        np.testing.assert_allclose(stack[i], expected, rtol=1e-12, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# Solver failures
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("direction,t_reported", [(FORWARD, "0.3"), (BACKWARD, "0.7")])
+def test_numeric_solver_failure_is_integration_error(monkeypatch, direction, t_reported):
+    # A failed solve without a blow-up event (here: step size underflow after
+    # s = 0.3 of time-to-go) is not a blow-up; the time is reported in t.
+    from types import SimpleNamespace
+
+    def failed_solve(fun, t_span, y0, **kwargs):
+        return SimpleNamespace(status=-1, success=False, t=np.array([0.0, 0.3]),
+                               t_events=[np.array([])], message="step size too small",
+                               nfev=12, sol=None)
+
+    monkeypatch.setattr(affine, "solve_ivp", failed_solve)
+    with pytest.raises(IntegrationError, match=rf"t={t_reported}: step size too small"):
+        solve_riccati_numeric(_spec(), RiskParams(2.0, 0.0), 1.0, direction)
 
 
 # ---------------------------------------------------------------------------

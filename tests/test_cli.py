@@ -9,6 +9,8 @@ from fpplab.cli import main
 from fpplab.model import RiskParams
 from fpplab import affine
 
+from conftest import make_rank_deficient_grid_model
+
 
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
@@ -203,8 +205,8 @@ def test_numerical_failure_exits_two(workdir):
 
 
 def test_singular_sigma_exits_two(workdir, capsys):
-    # np.linalg.inv of a singular sigma^T sigma raises LinAlgError, a
-    # ValueError subclass; it is a numerical failure, not bad input.
+    # A rank-deficient sigma raises SingularModelError: a numerical failure,
+    # not bad input.
     from fpplab.model import ConstantField, ModelSpec
     model = ModelSpec.load(workdir / "model.json")
     replace(model, sigma=ConstantField(np.diag([1.0, 0.0]))).save(workdir / "singular.json")
@@ -214,6 +216,17 @@ def test_singular_sigma_exits_two(workdir, capsys):
                  "--y0", "1.0", "--out", "os"])
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_rank_deficient_grid_sigma_exits_two(workdir, capsys):
+    # The tabulated sigma has rank 1 for y >= 1; the run must not proceed on
+    # a pseudoinverse Sharpe ratio.
+    make_rank_deficient_grid_model().save(workdir / "rank1.json")
+    code = main(["sim", "run", "--model", "rank1.json", "--config", "simcfg.json",
+                 "--y0", "1.5", "--out", "or"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "y=[1.5]" in err
 
 
 def test_help_lists_flags(workdir, capsys):

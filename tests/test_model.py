@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fpplab.errors import ConfigError, SingularModelError
 from fpplab.model import (AffineField, Box, ConstantField, GridField, ModelSpec,
@@ -9,7 +10,7 @@ from fpplab.model import (AffineField, Box, ConstantField, GridField, ModelSpec,
                           generator_coefficients, sharpe_ratio,
                           sharpe_ratio_batch, validate)
 
-from conftest import make_scalar_model
+from conftest import make_rank_deficient_grid_model, make_scalar_model
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +87,17 @@ def test_sharpe_batch_matches_pointwise(canonical_1f):
     batch = sharpe_ratio_batch(market, Y)
     for i, y in enumerate(Y):
         np.testing.assert_allclose(batch[i], sharpe_ratio(market, y), atol=1e-14)
+
+
+def test_sharpe_batch_rank_deficient_grid_sigma_names_first_bad_point():
+    # sigma has rank 1 from y = 1 on; the pseudoinverse must not hide that.
+    model = make_rank_deficient_grid_model()
+    np.testing.assert_allclose(sharpe_ratio_batch(model, [[0.0], [0.5]]),
+                               [[0.1, 0.1], [0.1, 0.1 / 0.5 - 0.1]], atol=1e-14)
+    with pytest.raises(SingularModelError, match=r"rank 1 < n=2 at y=\[1.5\]"):
+        sharpe_ratio_batch(model, [[0.5], [1.5], [1.8]])
+    with pytest.raises(SingularModelError, match=r"y=\[1.2\]"):
+        sharpe_ratio(model, [1.2])
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +179,69 @@ def test_generator_batch_consistency(canonical_1f):
         assert P_b[i] == pytest.approx(gen.P(y), abs=1e-14)
 
 
+def _field_families():
+    """One field of each family over k = 2, keyed by family name."""
+    axes = [np.linspace(-1.0, 3.0, 4), np.linspace(-1.0, 3.0, 3)]
+    grid_vals = np.random.default_rng(5).normal(size=(4, 3, 2, 2))
+    fields = (ConstantField([[1.0, 0.2], [0.0, 0.5]]),
+              AffineField([[1.0, -2.0], [0.5, 0.0], [0.0, 0.3]], [0.1, -0.2, 0.0]),
+              SqrtAffineField([[0.3, 0.0], [0.0, 0.4]], [0.0, 0.01]),
+              SqrtDiagField([0.2, 0.5]),
+              GridField(axes, grid_vals))
+    return {f.family: f for f in fields}
+
+
+def _two_factor_market():
+    """y-dependent mu, sigma, alpha and kappa with correlated noise; sigma is
+    affine in y, tabulated on a grid (exact under multilinear interpolation)
+    and of full rank on [0, 3]^2."""
+    s0 = np.array([[1.0, 0.0], [0.0, 1.0], [0.1, 0.3]])
+    s1 = np.array([[0.5, 0.1], [0.0, -0.2], [0.1, 0.0]])
+    s2 = np.array([[0.0, 0.0], [0.3, 0.4], [0.0, 0.2]])
+    axis = np.array([0.0, 1.5, 3.0])
+    sigma = s0 + axis[:, None, None, None] * s1 + axis[None, :, None, None] * s2
+    return ModelSpec(
+        n=2, k=2, d_W=3, d_B=2, d_Wperp=2,
+        mu=SqrtAffineField([[0.2, 0.0], [0.0, 0.1]], [0.01, 0.02]),
+        sigma=GridField([axis, axis], sigma),
+        alpha=AffineField([[-0.5, 0.1], [0.0, -0.8]], [0.4, 0.5]),
+        kappa=SqrtDiagField([0.2, 0.15]),
+        rho=np.array([[0.3, 0.0], [0.0, 0.4], [0.1, 0.1]]),
+        domain=Box([0.0, 0.0], [np.inf, np.inf]))
+
+
+_POINTS = arrays(np.float64, st.tuples(st.integers(1, 6), st.just(2)),
+                 elements=st.floats(0.0, 3.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(Y=_POINTS)
+def test_scalar_call_is_batch_row_for_every_field_family(Y):
+    fields = _field_families()
+    assert set(fields) == {"constant", "affine", "sqrt_affine", "sqrt_diag", "grid"}
+    for field in fields.values():
+        batch = field.batch(Y)
+        for i, y in enumerate(Y):
+            np.testing.assert_allclose(field(y), batch[i], rtol=1e-14, atol=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(Y=_POINTS)
+def test_scalar_generator_is_batch_row(Y):
+    model = _two_factor_market()
+    gen = generator_coefficients(model, RiskParams(gamma=2.0, p=0.25))
+    a_b, b_b, P_b = gen.a_batch(Y), gen.b_batch(Y), gen.P_batch(Y)
+    lam_b = sharpe_ratio_batch(model, Y)
+    for i, y in enumerate(Y):
+        np.testing.assert_allclose(gen.a(y), a_b[i], rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(gen.b(y), b_b[i], rtol=1e-14, atol=1e-14)
+        assert gen.P(y) == pytest.approx(P_b[i], rel=1e-14, abs=1e-14)
+        np.testing.assert_allclose(sharpe_ratio(model, y), lam_b[i], rtol=1e-14, atol=1e-14)
+        # Oracle for lambda: least squares of sigma^T lam = mu.
+        oracle = np.linalg.lstsq(model.sigma(y).T, model.mu(y), rcond=None)[0]
+        np.testing.assert_allclose(lam_b[i], oracle, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
@@ -211,6 +286,18 @@ def test_validate_flags_ellipticity_failure():
         rho=np.zeros((1, 2)), domain=Box([-np.inf, -np.inf], [np.inf, np.inf]))
     report = validate(model, np.zeros((1, 2)))
     assert not report["ellipticity"].passed
+
+
+def test_validate_reports_rank_deficient_points():
+    model = make_rank_deficient_grid_model()
+    grid = np.linspace(0.2, 1.8, 5).reshape(-1, 1)     # 1.0, 1.4, 1.8 are singular
+    report = validate(model, grid)
+    check = report["boundedness"]
+    assert not check.passed
+    assert "rank < n=2 at 3 of 5 points, first y=[1.]" in check.detail
+    # The full-rank points are still measured.
+    assert check.worst == pytest.approx(0.01)
+    assert validate(model, grid[:2])["boundedness"].passed
 
 
 def test_validate_is_pure(canonical_1f):

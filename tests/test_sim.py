@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fpplab.errors import ConfigError, SimulationError
+from fpplab.errors import ConfigError, SimulationError, SingularModelError
 from fpplab.model import Box, ConstantField, ModelSpec, RiskParams
 from fpplab import affine
 from fpplab.sim import (AffineOptimalStrategy, CallableStrategy,
@@ -9,7 +9,7 @@ from fpplab.sim import (AffineOptimalStrategy, CallableStrategy,
                         SimulationConfig, Strategy, ZeroStrategy,
                         admissibility_check, feynman_kac_estimate, simulate)
 
-from conftest import make_heat_generator
+from conftest import make_heat_generator, make_rank_deficient_grid_model
 
 
 def _flat_market(mu=(0.0, 0.0), rho_val=0.4):
@@ -242,6 +242,27 @@ def test_feynman_kac_input_validation(heat_gen):
         feynman_kac_estimate(heat_gen, lambda Y: np.ones(len(Y)), 2.0, [0.0], cfg)
 
 
+def test_feynman_kac_rejects_h_of_wrong_shape(heat_gen):
+    cfg = SimulationConfig(dt=0.1, horizon=1.0, n_paths=50, seed=5)
+    with pytest.raises(ConfigError, match="shape"):
+        feynman_kac_estimate(heat_gen, lambda Y: np.ones((len(Y), 1)), 0.5, [0.0], cfg)
+    with pytest.raises(ConfigError, match="shape"):
+        feynman_kac_estimate(heat_gen, lambda Y: 1.0, 0.5, [0.0], cfg)
+
+
+def test_feynman_kac_propagates_errors_from_h(heat_gen):
+    cfg = SimulationConfig(dt=0.1, horizon=1.0, n_paths=50, seed=5)
+    calls = []
+
+    def h(Y):
+        calls.append(Y.shape)
+        raise ZeroDivisionError("h failed")
+
+    with pytest.raises(ZeroDivisionError, match="h failed"):
+        feynman_kac_estimate(heat_gen, h, 0.5, [0.0], cfg)
+    assert calls == [(50, 1)]    # one batched call, no per-row retry
+
+
 # ---------------------------------------------------------------------------
 # Admissibility
 # ---------------------------------------------------------------------------
@@ -323,3 +344,11 @@ def test_affine_optimal_requires_constant_sigma(canonical_1f):
         domain=market.domain)
     with pytest.raises(ConfigError):
         AffineOptimalStrategy(sol, varying, rp)
+
+
+def test_simulate_rejects_rank_deficient_grid_sigma():
+    model = make_rank_deficient_grid_model()
+    cfg = SimulationConfig(dt=0.1, horizon=0.5, n_paths=20, seed=1)
+    simulate(model, cfg, ZeroStrategy(model.n), y0=[0.5])   # full rank there
+    with pytest.raises(SingularModelError, match=r"y=\[1.5\]"):
+        simulate(model, cfg, ZeroStrategy(model.n), y0=[1.5])

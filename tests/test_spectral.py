@@ -14,7 +14,7 @@ from fpplab.spectral import (EigenfunctionSelection, ExpEigenfunction,
                              SpectralMeasure, WidderFunction,
                              fpp_from_measure, invert_laplace_discrete,
                              radial_ode_diagnostic, recover_selection,
-                             solve_eigenfunction_1d, widder_evaluate)
+                             solve_eigenfunction_1d)
 
 from conftest import make_heat_generator
 
@@ -51,7 +51,7 @@ def test_measure_json_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# widder_evaluate
+# WidderFunction evaluation
 # ---------------------------------------------------------------------------
 
 def test_single_zero_atom_constant_eigenfunction_gives_one():
@@ -60,7 +60,7 @@ def test_single_zero_atom_constant_eigenfunction_gives_one():
     sel = EigenfunctionSelection((ExpEigenfunction([0.0], y0),), y0)
     for t in (0.0, 0.7, 3.0):
         for y in ([-1.0], [0.0], [2.0]):
-            assert widder_evaluate(nu, sel, t, y) == pytest.approx(1.0, abs=1e-15)
+            assert WidderFunction(nu, sel)(t, y) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_heat_single_atom_solves_pde_to_high_accuracy():
@@ -72,7 +72,7 @@ def test_heat_single_atom_solves_pde_to_high_accuracy():
     sel = EigenfunctionSelection((ExpEigenfunction([1.0], y0),), y0)
 
     def u(t, y):
-        return widder_evaluate(nu, sel, t, [y])
+        return WidderFunction(nu, sel)(t, [y])
 
     h = 1e-3
     worst = 0.0
@@ -95,7 +95,7 @@ def test_mixture_at_time_zero_is_weighted_eigenfunction_sum():
         (ExpEigenfunction([0.5], y0), ExpEigenfunction([-0.2], y0)), y0)
     for y in ([0.0], [0.3], [1.2]):
         expected = 0.4 * sel.psi(0, y) + 1.1 * sel.psi(1, y)
-        assert widder_evaluate(nu, sel, 0.0, y) == pytest.approx(expected, rel=1e-14)
+        assert WidderFunction(nu, sel)(0.0, y) == pytest.approx(expected, rel=1e-14)
 
 
 def test_widder_rejects_negative_time():
@@ -103,7 +103,7 @@ def test_widder_rejects_negative_time():
     nu = SpectralMeasure([0.5], [1.0], y0)
     sel = EigenfunctionSelection((ExpEigenfunction([0.0], y0),), y0)
     with pytest.raises(ValueError):
-        widder_evaluate(nu, sel, -0.1, [0.0])
+        WidderFunction(nu, sel)(-0.1, [0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +318,7 @@ def _recovery_setup():
     t = np.linspace(0.0, 1.0, 41)
     series = {}
     for y in points:
-        u = np.array([widder_evaluate(nu, sel, tt, [y]) for tt in t])
+        u = np.array([WidderFunction(nu, sel)(tt, [y]) for tt in t])
         series[(y,)] = np.column_stack([t, u])
     return nu, sel, points, series
 
@@ -339,12 +339,12 @@ def test_recover_selection_single_atom_ratio_identity():
     t = np.linspace(0.0, 1.0, 41)
     series = {}
     for y in (0.7, 1.0, 1.6):
-        u = np.array([widder_evaluate(nu, sel, tt, [y]) for tt in t])
+        u = np.array([WidderFunction(nu, sel)(tt, [y]) for tt in t])
         series[(y,)] = np.column_stack([t, u])
     rec = recover_selection(series, nu)
     for y in (0.7, 1.0, 1.6):
-        u0_y = widder_evaluate(nu, sel, 0.0, [y])
-        u0_y0 = widder_evaluate(nu, sel, 0.0, y0)
+        u0_y = WidderFunction(nu, sel)(0.0, [y])
+        u0_y0 = WidderFunction(nu, sel)(0.0, y0)
         assert rec.psi(0, [y]) == pytest.approx(u0_y / u0_y0, rel=1e-10)
 
 
@@ -356,7 +356,7 @@ def test_recover_selection_constant_eigenfunctions():
     t = np.linspace(0.0, 1.0, 41)
     series = {}
     for y in (-0.5, 0.0, 0.5):
-        u = np.array([widder_evaluate(nu, sel, tt, [y]) for tt in t])
+        u = np.array([WidderFunction(nu, sel)(tt, [y]) for tt in t])
         series[(y,)] = np.column_stack([t, u])
     rec = recover_selection(series, nu)
     for y in (-0.5, 0.0, 0.5):
