@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -71,6 +72,13 @@ class ConstantField(CoefficientField):
 
     def __init__(self, value):
         self.value = np.asarray(value, dtype=float)
+
+    @cached_property
+    def pinv_and_rank(self):
+        """Read-only pseudoinverse and rank of ``value`` (one SVD on first use)."""
+        pinv, rank = _pinv_and_rank(self.value)
+        pinv.flags.writeable = False
+        return pinv, rank
 
     def batch(self, Y):
         Y = np.atleast_2d(Y)
@@ -432,16 +440,17 @@ def _pinv_and_rank(mats: np.ndarray):
 def _sigma_pinv(spec: ModelSpec, Y: np.ndarray):
     """sigma and its pseudoinverse sigma^- at the points Y (P, k).
 
-    A constant sigma is factored once and returned as (d_W, n), (n, d_W);
-    otherwise the stacks are (P, d_W, n), (P, n, d_W).
+    A constant sigma is factored once per field and returned as (d_W, n),
+    (n, d_W); otherwise the stacks are (P, d_W, n), (P, n, d_W).
 
     Raises
     ------
     SingularModelError
         If sigma(y) has rank below n at some point; the first is named.
     """
-    sig = spec.sigma.value if isinstance(spec.sigma, ConstantField) else spec.sigma.batch(Y)
-    pinv, rank = _pinv_and_rank(sig)
+    const = isinstance(spec.sigma, ConstantField)
+    sig = spec.sigma.value if const else spec.sigma.batch(Y)
+    pinv, rank = spec.sigma.pinv_and_rank if const else _pinv_and_rank(sig)
     if rank.min() < spec.n:
         rank = np.broadcast_to(rank, Y.shape[:1])
         i = int(np.argmax(rank < spec.n))
@@ -552,7 +561,7 @@ def validate(spec: ModelSpec, grid: np.ndarray,
     checks = []
 
     sv = np.linalg.svd(spec.rho, compute_uv=False)
-    sv_excess = float(max(sv[0] - 1.0, -sv[-1], 0.0)) if sv.size else 0.0
+    sv_excess = float(max(0.0, sv[0] - 1.0, -sv[-1])) if sv.size else 0.0
     checks.append(CheckResult("rho_singular_values", sv_excess <= 1e-12, sv_excess,
                               f"singular values in [{sv[-1]:.6g}, {sv[0]:.6g}]" if sv.size else ""))
 

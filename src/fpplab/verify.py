@@ -23,7 +23,8 @@ from scipy.stats import kurtosis
 
 from .errors import (ConcavityViolationError, ConfigError,
                      InsufficientSampleError, PositivityError)
-from .model import GeneratorCoefficients, ModelSpec, RiskParams, sharpe_ratio
+from .model import (GeneratorCoefficients, ModelSpec, RiskParams, sharpe_ratio,
+                    sharpe_ratio_batch)
 from .sim import PathBundle
 
 
@@ -31,53 +32,56 @@ from .sim import PathBundle
 # Finite-difference stencils
 # ---------------------------------------------------------------------------
 
-def _d1(f, x, h, order):
-    if order == 4:
-        return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)
-    return (f(x + h) - f(x - h)) / (2 * h)
+# Central stencils as (offsets, integer weights, divisor):
+# sum_j w_j f(c + o_j h) / (divisor h^n), summed in stencil order.  First and
+# second derivatives along one axis by order; mixed partials use the
+# second-order cross (an offset in each of two axes), which is never the
+# accuracy bottleneck of the residuals below.
+_D1 = {2: ((1, -1), (1, -1), 2), 4: ((2, 1, -1, -2), (-1, 8, -8, 1), 12)}
+_D2 = {2: ((1, 0, -1), (1, -2, 1), 1), 4: ((2, 1, 0, -1, -2), (-1, 16, -30, 16, -1), 12)}
+_CROSS = (((1, 1), (1, -1), (-1, 1), (-1, -1)), (1, -1, -1, 1), 4)
 
 
-def _d2(f, x, h, order):
-    if order == 4:
-        return (-f(x + 2 * h) + 16 * f(x + h) - 30 * f(x)
-                + 16 * f(x - h) - f(x - 2 * h)) / (12 * h * h)
-    return (f(x + h) - 2 * f(x) + f(x - h)) / (h * h)
+def _values(fn, n, *args):
+    """fn(*args) as n floats; a scalar result is broadcast."""
+    return np.broadcast_to(np.asarray(fn(*args), dtype=float), (n,))
 
 
-def _dmixed(f, x, y, hx, hy):
-    # Second-order cross stencil; sufficient because mixed terms are never
-    # the accuracy bottleneck of the residuals below.
-    return (f(x + hx, y + hy) - f(x + hx, y - hy)
-            - f(x - hx, y + hy) + f(x - hx, y - hy)) / (4 * hx * hy)
+def _fd_grid(f, T, Z, H, fd_step, order, it, point):
+    """[df/dt, f, grad f, Hess f] of f(t, z) on the rows (T[it], Z[point])
+    for points Z (P, d) with spatial steps H (P, d).  Each time costs one
+    call of f on the stacked (P * nodes, d) stencil nodes of every point and
+    one call on Z per time offset."""
+    if order not in _D1:
+        raise ConfigError(f"stencil order must be 2 or 4, got {order}")
+    P, d = Z.shape
+    E = np.eye(d, dtype=int)
+    columns = {(0,) * d: 0}                  # node displacement in steps -> column of F
 
+    def place(stencil, *axes):
+        offsets, weights, divisor = stencil
+        return weights, divisor, [columns.setdefault(tuple(np.ravel(o) @ E[list(axes)]),
+                                                     len(columns)) for o in offsets]
 
-def _grad_y(fy, y, h, order):
-    g = np.empty(len(y))
-    for i in range(len(y)):
-        def fi(v, i=i):
-            yp = np.array(y, dtype=float)
-            yp[i] = v
-            return fy(yp)
-        g[i] = _d1(fi, y[i], h, order)
-    return g
-
-
-def _hess_y(fy, y, h, order):
-    k = len(y)
-    H = np.empty((k, k))
-    for i in range(k):
-        def fi(v, i=i):
-            yp = np.array(y, dtype=float)
-            yp[i] = v
-            return fy(yp)
-        H[i, i] = _d2(fi, y[i], h, order)
-        for j in range(i + 1, k):
-            def fij(vi, vj, i=i, j=j):
-                yp = np.array(y, dtype=float)
-                yp[i], yp[j] = vi, vj
-                return fy(yp)
-            H[i, j] = H[j, i] = _dmixed(fij, y[i], y[j], h, h)
-    return H
+    first = [place(_D1[order], a) for a in range(d)]
+    second = {(a, b): place(_D2[order], a) if a == b else place(_CROSS, a, b)
+              for a in range(d) for b in range(a, d)}
+    disp = np.array(list(columns), dtype=float)                   # (nodes, d)
+    stack = (Z[:, None, :] + disp * H[:, None, :]).reshape(-1, d)
+    offsets, weights, divisor = _D1[order]
+    rows = []
+    for t in T:
+        F = _values(f, len(stack), t, stack).reshape(P, len(disp))
+        dt = sum(w * _values(f, P, t + o * fd_step, Z)
+                 for o, w in zip(offsets, weights)) / (divisor * fd_step)
+        grad = np.stack([sum(w * F[:, c] for w, c in zip(ws, cols)) / (div * H[:, a])
+                         for a, (ws, div, cols) in enumerate(first)], axis=1)
+        hess = np.empty((P, d, d))
+        for (a, b), (ws, div, cols) in second.items():
+            hess[:, a, b] = hess[:, b, a] = (sum(w * F[:, c] for w, c in zip(ws, cols))
+                                             / (div * H[:, a] * H[:, b]))
+        rows.append((dt, F[:, 0], grad, hess))
+    return [np.array(v)[it, point] for v in zip(*rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +120,15 @@ class DistortionReport:
     def to_json(self):
         return {"nonlinear": self.nonlinear.to_json(),
                 "linear": self.linear.to_json()}
+
+
+def _report(description, res, coords, fd_step, order, keep_table):
+    """Summary of the residuals ``res`` at the grid rows ``coords``."""
+    return ResidualReport(description=description,
+                          max_abs_residual=float(np.max(np.abs(res))),
+                          mean_abs_residual=float(np.mean(np.abs(res))),
+                          fd_step=fd_step, stencil_order=order, n_points=len(res),
+                          table=np.column_stack([coords, res]) if keep_table else None)
 
 
 @dataclass(frozen=True)
@@ -178,56 +191,42 @@ def hjb_residual(V: Callable, model: ModelSpec, rp: RiskParams,
     alpha . grad_y.  ``rp`` is accepted for interface uniformity; the
     equation itself does not involve the risk parameters.
 
+    ``V(t, x, y)`` gets a scalar t, x of shape (P,) and y of shape (P, k) and
+    returns shape (P,); a scalar return value is broadcast.  Each time costs
+    3 calls of V at order 2, 5 at order 4.  The x step is fd_step max(|x|, 1).
+    Table rows (t, x, *y, residual) run y outer, then t, then x.
+
     Raises
     ------
     ConcavityViolationError
-        If d2V/dx2 >= 0 at any grid point (V must be strictly concave in x).
+        At the first grid point, in table order, with d2V/dx2 >= 0.
     """
-    rows = []
-    worst = total = 0.0
-    count = 0
-    for y in np.atleast_2d(y_points):
-        kap = np.atleast_2d(model.kappa(y))
-        a_y = kap.T @ kap
-        alpha_y = np.atleast_1d(model.alpha(y))
-        lam = sharpe_ratio(model, y)
-        rho_kap = model.rho @ kap                       # (d_W, k)
-        for t in np.atleast_1d(t_vals):
-            for x in np.atleast_1d(x_vals):
-                hx = fd_step * max(abs(x), 1.0)
+    T = np.atleast_1d(np.asarray(t_vals, dtype=float))
+    X = np.atleast_1d(np.asarray(x_vals, dtype=float))
+    Y = np.atleast_2d(np.asarray(y_points, dtype=float))
+    # Spatial points z = (x, y), y outer and x inner; the x step scales with |x|.
+    Z = np.column_stack([np.tile(X, len(Y)), np.repeat(Y, len(X), axis=0)])
+    H = np.full(Z.shape, float(fd_step))
+    H[:, 0] *= np.maximum(np.abs(Z[:, 0]), 1.0)
+    iy, it, ix = np.indices((len(Y), len(T), len(X))).reshape(3, -1)
+    dVdt, _, grad, hess = _fd_grid(lambda t, z: V(t, z[:, 0], z[:, 1:]), T, Z, H,
+                                   fd_step, order, it, iy * len(X) + ix)
+    d2Vdx2 = hess[:, 0, 0]
+    bad = d2Vdx2 >= 0
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ConcavityViolationError(f"d2V/dx2 = {d2Vdx2[i]:.6g} >= 0 at "
+                                      f"(t={T[it[i]]}, x={X[ix[i]]}, y={Y[iy[i]]})")
 
-                dVdt = _d1(lambda s: V(s, x, y), t, fd_step, order)
-                dVdx = _d1(lambda v: V(t, v, y), x, hx, order)
-                d2Vdx2 = _d2(lambda v: V(t, v, y), x, hx, order)
-                if d2Vdx2 >= 0:
-                    raise ConcavityViolationError(
-                        f"d2V/dx2 = {d2Vdx2:.6g} >= 0 at (t={t}, x={x}, y={y})")
-                grad_y = _grad_y(lambda yy: V(t, x, yy), y, fd_step, order)
-                hess_y = _hess_y(lambda yy: V(t, x, yy), y, fd_step, order)
-                dx_grad_y = np.array([
-                    _dmixed(lambda v, yi, i=i: V(t, v, _subst(y, i, yi)),
-                            x, y[i], hx, fd_step)
-                    for i in range(len(y))])
-
-                gen_term = 0.5 * float(np.sum(a_y * hess_y)) + float(alpha_y @ grad_y)
-                vec = lam * dVdx + rho_kap @ dx_grad_y
-                res = dVdt + gen_term - 0.5 * float(vec @ vec) / d2Vdx2
-
-                worst = max(worst, abs(res))
-                total += abs(res)
-                count += 1
-                if keep_table:
-                    rows.append([t, x, *y, res])
-    return ResidualReport(description="wealth-factor PDE residual",
-                          max_abs_residual=worst, mean_abs_residual=total / count,
-                          fd_step=fd_step, stencil_order=order, n_points=count,
-                          table=np.array(rows) if keep_table else None)
-
-
-def _subst(y, i, v):
-    yp = np.array(y, dtype=float)
-    yp[i] = v
-    return yp
+    kap = model.kappa.batch(Y)                                     # (Ny, d_B, k)
+    a_y, rho_kap = np.einsum("pbi,pbj->pij", kap, kap)[iy], (model.rho @ kap)[iy]
+    alpha_y, lam = model.alpha.batch(Y)[iy], sharpe_ratio_batch(model, Y)[iy]
+    gen_term = 0.5 * np.einsum("rij,rij->r", a_y, hess[:, 1:, 1:]) \
+        + np.einsum("ri,ri->r", alpha_y, grad[:, 1:])
+    vec = lam * grad[:, :1] + np.einsum("rwk,rk->rw", rho_kap, hess[:, 0, 1:])
+    res = dVdt + gen_term - 0.5 * np.einsum("rw,rw->r", vec, vec) / d2Vdx2
+    return _report("wealth-factor PDE residual", res, np.column_stack([T[it], X[ix], Y[iy]]),
+                   fd_step, order, keep_table)
 
 
 # ---------------------------------------------------------------------------
@@ -246,68 +245,59 @@ def distortion_roundtrip(u: Callable, rp: RiskParams, gen: GeneratorCoefficients
 
     The correlation structure enters only through the scalar p.  If ``u``
     exposes ``du_dt`` / ``grad_y`` / ``hess_y``, exact derivatives are used
-    and ``fd_step`` is ignored; otherwise central differences apply.
+    and ``fd_step`` is ignored; they and u are called per point (t, y of
+    shape (k,)).  Otherwise central differences apply: ``u(t, y)`` gets a
+    scalar t and y of shape (P, k) and returns shape (P,), a scalar return
+    value being broadcast, 3 calls per time at order 2, 5 at order 4.  Table
+    rows (t, *y, residual) run y outer, then t.
 
     Raises
     ------
     PositivityError
-        If u <= 0 anywhere on the grid.
+        At the first grid point, in table order, with u <= 0.
     """
     q, Gamma, p = rp.q, rp.Gamma, rp.p
     exact = all(hasattr(u, name) for name in ("du_dt", "grad_y", "hess_y"))
+    T = np.atleast_1d(np.asarray(t_vals, dtype=float))
+    Y = np.atleast_2d(np.asarray(y_points, dtype=float))
+    iy, it = np.indices((len(Y), len(T))).reshape(2, -1)
 
-    rows_nl, rows_l = [], []
-    worst_nl = total_nl = worst_l = total_l = 0.0
-    count = 0
-    for y in np.atleast_2d(y_points):
-        a_y = np.atleast_2d(gen.a(y))
-        b_y = np.atleast_1d(gen.b(y))
-        P_y = float(gen.P(y))
-        for t in np.atleast_1d(t_vals):
-            u0 = u(t, y)
-            if u0 <= 0:
-                raise PositivityError(f"u(t={t}, y={y}) = {u0:.6g} <= 0")
-            if exact:
-                du_dt = u.du_dt(t, y)
-                grad_u = np.atleast_1d(u.grad_y(t, y))
-                hess_u = np.atleast_2d(u.hess_y(t, y))
-            else:
-                du_dt = _d1(lambda s: u(s, y), t, fd_step, order)
-                grad_u = _grad_y(lambda yy: u(t, yy), y, fd_step, order)
-                hess_u = _hess_y(lambda yy: u(t, yy), y, fd_step, order)
+    if exact:
+        pts = list(zip(T[it], Y[iy]))
 
-            res_l = du_dt + 0.5 * float(np.sum(a_y * hess_u)) \
-                + float(b_y @ grad_u) + P_y * u0
+        def each(fn, *shape):
+            return np.array([fn(t, y) for t, y in pts], dtype=float).reshape(len(pts), *shape)
 
-            # Chain rule for g = u^q keeps both residuals on the same grid.
-            g0 = u0 ** q
-            dg_dt = q * u0 ** (q - 1.0) * du_dt
-            grad_g = q * u0 ** (q - 1.0) * grad_u
-            hess_g = q * u0 ** (q - 1.0) * hess_u \
-                + q * (q - 1.0) * u0 ** (q - 2.0) * np.outer(grad_u, grad_u)
-            res_nl = dg_dt + 0.5 * float(np.sum(a_y * hess_g)) \
-                + float(b_y @ grad_g) + q * P_y * g0 \
-                + 0.5 * Gamma * p * float(grad_g @ a_y @ grad_g) / g0
+        k = Y.shape[1]
+        u0, du_dt, grad_u, hess_u = (each(u), each(u.du_dt), each(u.grad_y, k),
+                                     each(u.hess_y, k, k))
+    else:
+        du_dt, u0, grad_u, hess_u = _fd_grid(u, T, Y, np.full(Y.shape, float(fd_step)),
+                                             fd_step, order, it, iy)
+    bad = u0 <= 0
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise PositivityError(f"u(t={T[it[i]]}, y={Y[iy[i]]}) = {u0[i]:.6g} <= 0")
 
-            worst_l, total_l = max(worst_l, abs(res_l)), total_l + abs(res_l)
-            worst_nl, total_nl = max(worst_nl, abs(res_nl)), total_nl + abs(res_nl)
-            count += 1
-            if keep_table:
-                rows_l.append([t, *y, res_l])
-                rows_nl.append([t, *y, res_nl])
+    a_y, b_y, P_y = gen.a_batch(Y)[iy], gen.b_batch(Y)[iy], gen.P_batch(Y)[iy]
+    res_l = du_dt + 0.5 * np.einsum("rij,rij->r", a_y, hess_u) \
+        + np.einsum("ri,ri->r", b_y, grad_u) + P_y * u0
+
+    # Chain rule for g = u^q keeps both residuals on the same grid.
+    g0, slope, curv = u0 ** q, q * u0 ** (q - 1.0), q * (q - 1.0) * u0 ** (q - 2.0)
+    dg_dt, grad_g = slope * du_dt, slope[:, None] * grad_u
+    hess_g = slope[:, None, None] * hess_u \
+        + curv[:, None, None] * np.einsum("ri,rj->rij", grad_u, grad_u)
+    res_nl = dg_dt + 0.5 * np.einsum("rij,rij->r", a_y, hess_g) \
+        + np.einsum("ri,ri->r", b_y, grad_g) + q * P_y * g0 \
+        + 0.5 * Gamma * p * np.einsum("ri,rij,rj->r", grad_g, a_y, grad_g) / g0
 
     step_used = 0.0 if exact else fd_step
+    coords = np.column_stack([T[it], Y[iy]])
     return DistortionReport(
-        nonlinear=ResidualReport(
-            description="distorted non-linear PDE residual (g = u^q)",
-            max_abs_residual=worst_nl, mean_abs_residual=total_nl / count,
-            fd_step=step_used, stencil_order=order, n_points=count,
-            table=np.array(rows_nl) if keep_table else None),
-        linear=ResidualReport(
-            description="linear PDE residual (u)",
-            max_abs_residual=worst_l, mean_abs_residual=total_l / count,
-            fd_step=step_used, stencil_order=order, n_points=count,
-            table=np.array(rows_l) if keep_table else None))
+        nonlinear=_report("distorted non-linear PDE residual (g = u^q)", res_nl, coords,
+                          step_used, order, keep_table),
+        linear=_report("linear PDE residual (u)", res_l, coords, step_used, order, keep_table))
 
 
 # ---------------------------------------------------------------------------

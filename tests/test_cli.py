@@ -157,6 +157,15 @@ def test_verify_residual_subcommand(workdir):
     assert payload["max_abs_residual"] <= 1e-4
 
 
+def test_verify_residual_hjb_subcommand(workdir):
+    assert main(["verify", "residual", "--which", "hjb",
+                 "--model", "model.json", "--affine", "aspec.json",
+                 "--gamma", "2.0", "--p", "0.25", "--out", "o10h"]) == 0
+    payload = json.load(open(workdir / "o10h" / "residual_hjb.json"))
+    assert payload["n_points"] == 5 * 3 * 5
+    assert payload["max_abs_residual"] <= 1e-4
+
+
 def test_manifest_written_with_hashes(workdir):
     assert main(["eve", "project", "--in", "rho.csv", "--out", "o11"]) == 0
     manifest = json.load(open(workdir / "o11" / "manifest.json"))

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fpplab import model as model_module
 from fpplab.errors import ConfigError, SingularModelError
 from fpplab.model import (AffineField, Box, ConstantField, GridField, ModelSpec,
                           RiskParams, SqrtAffineField, SqrtDiagField,
@@ -98,6 +99,27 @@ def test_sharpe_batch_rank_deficient_grid_sigma_names_first_bad_point():
         sharpe_ratio_batch(model, [[0.5], [1.5], [1.8]])
     with pytest.raises(SingularModelError, match=r"y=\[1.2\]"):
         sharpe_ratio(model, [1.2])
+
+
+def test_constant_sigma_is_factored_once_per_field(monkeypatch):
+    rng = np.random.default_rng(3)
+    sig, mu = rng.normal(size=(3, 2)), rng.normal(size=2)
+    model = ModelSpec(
+        n=2, k=1, d_W=3, d_B=1, d_Wperp=1,
+        mu=ConstantField(mu), sigma=ConstantField(sig),
+        alpha=ConstantField([0.0]), kappa=ConstantField([[1.0]]),
+        rho=np.zeros((3, 1)), domain=Box([-np.inf], [np.inf]))
+    svds = []
+    factor = model_module._pinv_and_rank
+    monkeypatch.setattr(model_module, "_pinv_and_rank", lambda m: svds.append(m) or factor(m))
+    for Y in ([[0.0]], [[0.5], [1.0]], [[2.0]]):
+        np.testing.assert_allclose(sharpe_ratio_batch(model, Y),
+                                   np.tile(mu @ np.linalg.pinv(sig), (len(Y), 1)), atol=1e-14)
+    assert len(svds) == 1
+    pinv, rank = model.sigma.pinv_and_rank
+    np.testing.assert_allclose(pinv, np.linalg.pinv(sig), rtol=0, atol=1e-14)
+    assert rank == 2
+    assert not pinv.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +320,15 @@ def test_validate_reports_rank_deficient_points():
     # The full-rank points are still measured.
     assert check.worst == pytest.approx(0.01)
     assert validate(model, grid[:2])["boundedness"].passed
+
+
+def test_validate_reports_positive_zero_for_zero_rho():
+    # rho = 0 has singular values all 0: the excess is +0.0, never -0.0.
+    grid = np.linspace(0.2, 1.8, 5).reshape(-1, 1)
+    check = validate(make_rank_deficient_grid_model(), grid)["rho_singular_values"]
+    assert check.passed
+    assert check.worst == 0.0
+    assert not np.signbit(check.worst)
 
 
 def test_validate_is_pure(canonical_1f):

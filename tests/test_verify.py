@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from fpplab.errors import (ConcavityViolationError, InsufficientSampleError,
-                           PositivityError)
-from fpplab.model import RiskParams, generator_coefficients
+from fpplab.errors import (ConcavityViolationError, ConfigError,
+                           InsufficientSampleError, PositivityError)
+from fpplab.model import RiskParams, generator_coefficients, sharpe_ratio
 from fpplab import affine
 from fpplab.sim import (AffineOptimalStrategy, PerturbedStrategy,
                         SimulationConfig, ZeroStrategy, simulate)
@@ -56,7 +58,7 @@ def test_hjb_log_wealth_negative_control(canonical_1f):
     # V = log x is concave and increasing but solves a different equation:
     # the report must carry a non-trivial residual without raising.
     market, _, rp, _ = _affine_setup(canonical_1f)
-    report = hjb_residual(lambda t, x, y: math.log(x), market, rp,
+    report = hjb_residual(lambda t, x, y: np.log(x), market, rp,
                           [0.5], [1.0], [[1.0]])
     assert report.max_abs_residual > 1e-3
 
@@ -138,6 +140,205 @@ def test_distortion_rejects_nonpositive_u(heat_gen):
     rp = RiskParams(gamma=2.0, p=0.0)
     with pytest.raises(PositivityError):
         distortion_roundtrip(lambda t, y: -1.0, rp, heat_gen, [0.5], [[0.0]])
+
+
+def test_concavity_error_names_first_bad_point_in_table_order(canonical_1f):
+    # Convex at (t=0.2, y=1.5) for every x and at (t=0.8, y=0.5, x=2): in the
+    # documented order (y outer, then t, then x) the second comes first.
+    market, _, rp, _ = _affine_setup(canonical_1f)
+
+    def V(t, x, y):
+        convex = ((t < 0.5) & (y[:, 0] > 1.0)) | ((t > 0.5) & (y[:, 0] < 1.0) & (x > 1.5))
+        return np.where(convex, x ** 2, -x ** 2)
+
+    with pytest.raises(ConcavityViolationError, match=r"\(t=0\.8, x=2\.0, y=\[0\.5\]\)"):
+        hjb_residual(V, market, rp, [0.2, 0.8], [1.0, 2.0], [[0.5], [1.5]])
+
+
+class _ExactCandidate:
+    """Per-point candidate exposing exact (here zero) derivatives."""
+
+    def __init__(self, batched):
+        self.batched = batched
+
+    def __call__(self, t, y):
+        return float(self.batched(t, np.atleast_2d(y))[0])
+
+    def du_dt(self, t, y):
+        return 0.0
+
+    def grad_y(self, t, y):
+        return np.zeros(1)
+
+    def hess_y(self, t, y):
+        return np.zeros((1, 1))
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_positivity_error_names_first_bad_point_in_table_order(heat_gen, exact):
+    # Non-positive at (t=0.2, y=1.5) and (t=0.8, y=0.5): in the documented
+    # order (y outer, then t) the second comes first.
+    def u(t, y):
+        bad = ((t < 0.5) & (y[:, 0] > 1.0)) | ((t > 0.5) & (y[:, 0] < 1.0))
+        return np.where(bad, -1.0, 1.0)
+
+    rp = RiskParams(gamma=2.0, p=0.0)
+    with pytest.raises(PositivityError, match=r"u\(t=0\.8, y=\[0\.5\]\)"):
+        distortion_roundtrip(_ExactCandidate(u) if exact else u, rp, heat_gen,
+                             [0.2, 0.8], [[0.5], [1.5]])
+
+
+@pytest.mark.parametrize("order, calls_per_time", [(2, 3), (4, 5)])
+def test_candidate_calls_per_time_value(canonical_2f, order, calls_per_time):
+    market, spec, rp, sol = _affine_setup(canonical_2f)
+    calls = {"V": 0, "u": 0}
+
+    def V(t, x, y):
+        calls["V"] += 1
+        return affine.evaluate_fpp(sol, rp, t, x, y)
+
+    def u(t, y):
+        calls["u"] += 1
+        return affine.evaluate_u_affine(sol, t, y)
+
+    t_vals = [0.2, 0.5, 0.8]
+    grid = np.array([[0.5, 0.6], [0.9, 1.4], [1.3, 0.8], [1.6, 1.5]])
+    hjb_residual(V, market, rp, t_vals, [0.7, 1.3], grid, order=order)
+    distortion_roundtrip(u, rp, generator_coefficients(market, rp), t_vals, grid, order=order)
+    assert calls == {"V": len(t_vals) * calls_per_time, "u": len(t_vals) * calls_per_time}
+
+
+def test_stencil_order_must_be_two_or_four(canonical_1f, heat_gen):
+    market, _, rp, sol = _affine_setup(canonical_1f)
+    with pytest.raises(ConfigError, match="order must be 2 or 4"):
+        hjb_residual(lambda t, x, y: np.log(x), market, rp, [0.5], [1.0], [[1.0]], order=3)
+    with pytest.raises(ConfigError, match="order must be 2 or 4"):
+        distortion_roundtrip(lambda t, y: 1.0, rp, heat_gen, [0.5], [[0.0]], order=6)
+
+
+# Reference for the batched stencils: the per-point loop they replaced, one
+# candidate call per stencil node, the same formulas and the same row order.
+
+def _d1(f, x, h, order):
+    if order == 4:
+        return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)
+    return (f(x + h) - f(x - h)) / (2 * h)
+
+
+def _d2(f, x, h, order):
+    if order == 4:
+        return (-f(x + 2 * h) + 16 * f(x + h) - 30 * f(x)
+                + 16 * f(x - h) - f(x - 2 * h)) / (12 * h * h)
+    return (f(x + h) - 2 * f(x) + f(x - h)) / (h * h)
+
+
+def _dmixed(f, x, y, hx, hy):
+    return (f(x + hx, y + hy) - f(x + hx, y - hy)
+            - f(x - hx, y + hy) + f(x - hx, y - hy)) / (4 * hx * hy)
+
+
+def _subst(y, i, v):
+    yp = np.array(y, dtype=float)
+    yp[i] = v
+    return yp
+
+
+def _grad_y(fy, y, h, order):
+    return np.array([_d1(lambda v: fy(_subst(y, i, v)), y[i], h, order)
+                     for i in range(len(y))])
+
+
+def _hess_y(fy, y, h, order):
+    k = len(y)
+    H = np.empty((k, k))
+    for i in range(k):
+        H[i, i] = _d2(lambda v: fy(_subst(y, i, v)), y[i], h, order)
+        for j in range(i + 1, k):
+            H[i, j] = H[j, i] = _dmixed(lambda vi, vj: fy(_subst(_subst(y, i, vi), j, vj)),
+                                        y[i], y[j], h, h)
+    return H
+
+
+def _hjb_rows(V, model, t_vals, x_vals, y_points, h, order):
+    rows = []
+    for y in y_points:
+        kap = np.atleast_2d(model.kappa(y))
+        a_y, alpha_y = kap.T @ kap, np.atleast_1d(model.alpha(y))
+        lam, rho_kap = sharpe_ratio(model, y), model.rho @ kap
+        for t in t_vals:
+            for x in x_vals:
+                hx = h * max(abs(x), 1.0)
+                dVdt = _d1(lambda s: V(s, x, y), t, h, order)
+                dVdx = _d1(lambda v: V(t, v, y), x, hx, order)
+                d2Vdx2 = _d2(lambda v: V(t, v, y), x, hx, order)
+                grad_y = _grad_y(lambda yy: V(t, x, yy), y, h, order)
+                hess_y = _hess_y(lambda yy: V(t, x, yy), y, h, order)
+                dx_grad_y = np.array([_dmixed(lambda v, yi: V(t, v, _subst(y, i, yi)),
+                                              x, y[i], hx, h) for i in range(len(y))])
+                gen = 0.5 * np.sum(a_y * hess_y) + alpha_y @ grad_y
+                vec = lam * dVdx + rho_kap @ dx_grad_y
+                rows.append([t, x, *y, dVdt + gen - 0.5 * (vec @ vec) / d2Vdx2])
+    return np.array(rows)
+
+
+def _distortion_rows(u, rp, gen, t_vals, y_points, h, order):
+    q, linear, nonlinear = rp.q, [], []
+    for y in y_points:
+        a_y, b_y, P_y = gen.a(y), gen.b(y), gen.P(y)
+        for t in t_vals:
+            u0 = u(t, y)
+            du_dt = _d1(lambda s: u(s, y), t, h, order)
+            grad_u = _grad_y(lambda yy: u(t, yy), y, h, order)
+            hess_u = _hess_y(lambda yy: u(t, yy), y, h, order)
+            linear.append([t, *y, du_dt + 0.5 * np.sum(a_y * hess_u)
+                           + b_y @ grad_u + P_y * u0])
+            g0, slope = u0 ** q, q * u0 ** (q - 1.0)
+            grad_g = slope * grad_u
+            hess_g = slope * hess_u + q * (q - 1.0) * u0 ** (q - 2.0) * np.outer(grad_u, grad_u)
+            nonlinear.append([t, *y, slope * du_dt + 0.5 * np.sum(a_y * hess_g)
+                              + b_y @ grad_g + q * P_y * g0
+                              + 0.5 * rp.Gamma * rp.p * (grad_g @ a_y @ grad_g) / g0])
+    return np.array(linear), np.array(nonlinear)
+
+
+def _assert_report_matches(report, rows):
+    res = np.abs(rows[:, -1])
+    assert report.n_points == len(rows)
+    assert abs(report.max_abs_residual - res.max()) <= 1e-8
+    assert abs(report.mean_abs_residual - res.mean()) <= 1e-8
+    np.testing.assert_allclose(report.table, rows, rtol=0, atol=1e-8)
+
+
+# The market fixtures are never mutated, so sharing them across examples is safe.
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(k=st.sampled_from([1, 2]), order=st.sampled_from([2, 4]),
+       seed=st.integers(0, 10_000), n_t=st.integers(1, 3), n_x=st.integers(1, 3),
+       n_y=st.integers(1, 4))
+def test_batched_stencils_match_per_point_loop(canonical_1f, canonical_2f, k, order, seed,
+                                               n_t, n_x, n_y):
+    market, spec, rp, sol = _affine_setup(canonical_1f if k == 1 else canonical_2f)
+    rng = np.random.default_rng(seed)
+    t_vals = np.sort(rng.uniform(0.05, 0.95, n_t))
+    x_vals = rng.uniform(0.5, 3.0, n_x)
+    y_points = rng.uniform(0.3, 1.8, (n_y, k))
+
+    def V(t, x, y):
+        return affine.evaluate_fpp(sol, rp, t, x, y)
+
+    def u(t, y):
+        return affine.evaluate_u_affine(sol, t, y)
+
+    report = hjb_residual(V, market, rp, t_vals, x_vals, y_points, fd_step=1e-3,
+                          order=order, keep_table=True)
+    _assert_report_matches(report, _hjb_rows(V, market, t_vals, x_vals, y_points,
+                                             1e-3, order))
+    gen = generator_coefficients(market, rp)
+    report = distortion_roundtrip(u, rp, gen, t_vals, y_points, fd_step=1e-3,
+                                  order=order, keep_table=True)
+    linear, nonlinear = _distortion_rows(u, rp, gen, t_vals, y_points, 1e-3, order)
+    _assert_report_matches(report.linear, linear)
+    _assert_report_matches(report.nonlinear, nonlinear)
 
 
 # ---------------------------------------------------------------------------
