@@ -10,17 +10,26 @@ u = exp(Phi(t)^T y + Theta(t)) where Phi solves, componentwise,
 
 and Theta' + (w+c)^T Phi + (Gamma/2q) lambda0 = 0.  The boundary value
 (Phi, Theta) = (H, h0) is anchored at t = 0 for the forward problem and at
-the horizon for the backward (fixed terminal utility) problem.  The numeric
-route integrates Theta as the (k+1)-th state of the same ODE as Phi, which it
-drives linearly.  When M+N is diagonal each
-component decouples into a scalar Riccati ODE with the explicit solution
+the horizon for the backward (fixed terminal utility) problem.  Both solvers
+work in the time since the anchor, tau = t forward and tau = horizon - t
+backward; ``RiccatiSolution`` maps t to tau.  The numeric route integrates
+Theta as the (k+1)-th state of the same ODE as Phi, which it drives linearly.
 
-    Phi_i(t) = (z_{+,i} - chi_i z_{-,i} e^{-sqrt(D_i) t})
-               / (1 - chi_i e^{-sqrt(D_i) t}),
+When M+N is diagonal each component decouples into a scalar Riccati ODE.
+With D_i = (M+N)_ii^2 - L_i (Gamma/q) Lambda_i > 0 and the stationary roots
+z_{+/-,i} = (-(M+N)_ii +/- sqrt(D_i)) / L_i, let r = z_+ and s = +1 forward,
+r = z_- and s = -1 backward (r is the root that attracts in tau), and
+g = H - r, c = s L g / 2.  The deviation 1/(Phi - r) solves a linear ODE
+(Bernoulli), so with f(tau) = (1 - e^{-sqrt(D) tau}) / sqrt(D)
 
-z_{+/-,i} = (-(M+N)_ii +/- sqrt(D_i)) / L_i being the roots of the stationary
-quadratic and D_i = (M+N)_ii^2 - L_i (Gamma/q) Lambda_i its discriminant,
-and Theta follows from the exact logarithmic antiderivative of Phi.
+    Phi_i(tau) = r + g e^{-sqrt(D) tau} / (1 + c f(tau)),
+    int_0^tau Phi_i = r tau + s (2/L) log(1 + c f(tau)),
+
+and Theta = h0 - s ((Gamma/2q) lambda0 tau + (w+c)^T int_0^tau Phi).  f is
+evaluated through -expm1(-sqrt(D) tau), and sqrt(D) f tends to sqrt(D) tau
+as D -> 0, so the form stays accurate at small discriminants.  1 + c f
+vanishes only when c < -sqrt(D), at the pole
+tau* = -log(1 + sqrt(D)/c) / sqrt(D).
 """
 from __future__ import annotations
 
@@ -136,7 +145,18 @@ class ClosedFormComponent:
     D: float
     z_plus: float
     z_minus: float
-    chi: float
+
+
+def _clock(horizon: float, direction: str) -> Callable:
+    """Validate a run and return its map from t to the time since the anchor
+    tau (t forward, horizon - t backward).  The map is its own inverse."""
+    if horizon <= 0:
+        raise ConfigError("horizon must be positive")
+    if direction not in (FORWARD, BACKWARD):
+        raise ConfigError(f"direction must be '{FORWARD}' or '{BACKWARD}'")
+    if direction == FORWARD:
+        return lambda t: t
+    return lambda t: horizon - t
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +167,9 @@ class RiccatiSolution:
     """Immutable pair of callables (Phi, Theta) on [0, horizon].
 
     ``Phi(t)`` accepts a scalar or 1-D array of times and returns shape (k,)
-    or (len(t), k); ``Theta(t)`` mirrors that with scalars/1-D arrays.
+    or (len(t), k); ``Theta(t)`` mirrors that with scalars/1-D arrays.  The
+    solvers hand over ``phi_impl``/``theta_impl`` as functions of a 1-D array
+    of times tau since the anchor.
 
     ``solver`` holds the ODE solver's nfev, accepted steps, status and message
     for the numeric route, None for the closed form.  ``fallback_reason`` is
@@ -159,8 +181,7 @@ class RiccatiSolution:
                  phi_impl: Callable, theta_impl: Callable,
                  components: Optional[Sequence[ClosedFormComponent]] = None,
                  solver: Optional[dict] = None):
-        if direction not in (FORWARD, BACKWARD):
-            raise ConfigError(f"direction must be '{FORWARD}' or '{BACKWARD}'")
+        self._tau = _clock(horizon, direction)
         self.spec = spec
         self.rp = rp
         self.horizon = float(horizon)
@@ -172,33 +193,30 @@ class RiccatiSolution:
         self._phi_impl = phi_impl
         self._theta_impl = theta_impl
 
-    def _check_time(self, t):
+    def _since_anchor(self, t):
         t = np.asarray(t, dtype=float)
         if np.any(t < -1e-12) or np.any(t > self.horizon + 1e-12):
             raise ValueError(f"time outside solved horizon [0, {self.horizon}]")
-        return np.clip(t, 0.0, self.horizon)
+        return self._tau(np.clip(t, 0.0, self.horizon))
 
     def Phi(self, t):
-        t = self._check_time(t)
-        if t.ndim == 0:
-            return self._phi_impl(np.array([float(t)]))[0]
-        return self._phi_impl(t)
+        tau = self._since_anchor(t)
+        out = self._phi_impl(np.atleast_1d(tau))
+        return out[0] if tau.ndim == 0 else out
 
     def Theta(self, t):
-        t = self._check_time(t)
-        if t.ndim == 0:
-            return float(self._theta_impl(np.array([float(t)]))[0])
-        return self._theta_impl(t)
+        tau = self._since_anchor(t)
+        out = self._theta_impl(np.atleast_1d(tau))
+        return float(out[0]) if tau.ndim == 0 else out
 
     @property
     def anchor_time(self) -> float:
-        return 0.0 if self.direction == FORWARD else self.horizon
+        return self._tau(0.0)
 
     def component_table(self) -> list:
         if self.components is None:
             return []
-        return [{"component": i, "D": cf.D, "z_plus": cf.z_plus,
-                 "z_minus": cf.z_minus, "chi": cf.chi}
+        return [{"component": i, "D": cf.D, "z_plus": cf.z_plus, "z_minus": cf.z_minus}
                 for i, cf in enumerate(self.components)]
 
 
@@ -217,8 +235,8 @@ def _riccati_rhs(spec: AffineSpec, rp: RiskParams):
 def solve_riccati_numeric(spec: AffineSpec, rp: RiskParams, horizon: float,
                           direction: str = FORWARD) -> RiccatiSolution:
     """Adaptive Runge-Kutta (DOP853, rtol 1e-10) solution of the Riccati
-    system.  Theta is carried as the (k+1)-th state of the same solve, so
-    Phi and Theta both come from one dense-output evaluation.
+    system in tau.  Theta is carried as the (k+1)-th state of the same solve,
+    so Phi and Theta both come from one dense-output evaluation.
 
     Raises
     ------
@@ -230,16 +248,12 @@ def solve_riccati_numeric(spec: AffineSpec, rp: RiskParams, horizon: float,
         underflows); the message carries the solver's reason and the time t
         the solve reached.
     """
-    if horizon <= 0:
-        raise ConfigError("horizon must be positive")
-    if direction not in (FORWARD, BACKWARD):
-        raise ConfigError(f"direction must be '{FORWARD}' or '{BACKWARD}'")
+    to_t = _clock(horizon, direction)
     rhs = _riccati_rhs(spec, rp)
     k = spec.k
     wc = spec.w + spec.c
     lam0_term = (rp.Gamma / (2.0 * rp.q)) * spec.lambda0
-    # Backward runs are integrated in time-to-go s = horizon - t, which flips
-    # the sign of the right-hand side.
+    # d/dtau = -d/dt on backward runs.
     sign = 1.0 if direction == FORWARD else -1.0
 
     def odefun(_, z):
@@ -256,23 +270,16 @@ def solve_riccati_numeric(spec: AffineSpec, rp: RiskParams, horizon: float,
                     method="DOP853", rtol=1e-10, atol=1e-12, dense_output=True,
                     events=blow_up)
     if sol.status == 1 and len(sol.t_events[0]):
-        s_event = float(sol.t_events[0][0])
-        t_event = s_event if direction == FORWARD else horizon - s_event
-        raise RiccatiBlowUpError(t_event)
+        raise RiccatiBlowUpError(to_t(float(sol.t_events[0][0])))
     if not sol.success:
-        s_fail = float(sol.t[-1])
-        t_fail = s_fail if direction == FORWARD else horizon - s_fail
         raise IntegrationError(
-            f"Riccati integration failed at t={t_fail:.6g}: {sol.message}")
+            f"Riccati integration failed at t={to_t(float(sol.t[-1])):.6g}: {sol.message}")
 
-    def state(t):
-        return sol.sol(t if direction == FORWARD else horizon - t)
+    def phi_impl(tau):
+        return sol.sol(tau)[:k].T
 
-    def phi_impl(t):
-        return state(t)[:k].T
-
-    def theta_impl(t):
-        return state(t)[k]
+    def theta_impl(tau):
+        return sol.sol(tau)[k]
 
     solver = {"nfev": int(sol.nfev), "steps": len(sol.t) - 1,
               "status": int(sol.status), "message": sol.message}
@@ -282,93 +289,67 @@ def solve_riccati_numeric(spec: AffineSpec, rp: RiskParams, horizon: float,
 
 def solve_riccati_closed_form(spec: AffineSpec, rp: RiskParams, horizon: float,
                               direction: str = FORWARD) -> RiccatiSolution:
-    """Explicit solution for diagonal coupling M+N with positive discriminants.
-
-    chi_i = (z_{+,i} - H_i) / (z_{-,i} - H_i) anchors Phi_i at H_i at time 0;
-    the backward run anchors at the horizon, which multiplies chi_i by
-    exp(sqrt(D_i) * horizon).  Theta uses the exact logarithmic antiderivative
-    of Phi plus the lambda0 term.
+    """Explicit solution for diagonal coupling M+N with positive discriminants,
+    in the Bernoulli form of the module docstring, evaluated for all
+    components at once.
 
     Raises
     ------
     ClosedFormInapplicableError
-        Non-diagonal coupling, some D_i <= 0, or H_i exactly equal to z_{-,i}.
+        Non-diagonal coupling or some D_i <= 0 (the first such component is
+        named).
     RiccatiBlowUpError
-        The explicit solution has a pole inside (0, horizon].
+        The explicit solution has a pole inside (0, horizon]; the earliest
+        pole over all components and its component are reported.
     """
-    if horizon <= 0:
-        raise ConfigError("horizon must be positive")
-    if direction not in (FORWARD, BACKWARD):
-        raise ConfigError(f"direction must be '{FORWARD}' or '{BACKWARD}'")
+    to_t = _clock(horizon, direction)
     if not spec.is_diagonal():
         raise ClosedFormInapplicableError("M+N is not diagonal")
 
-    k = spec.k
-    mn_diag = np.diag(spec.coupling())
-    ratio = rp.Gamma / rp.q
-    comps = []
-    for i in range(k):
-        disc = mn_diag[i] ** 2 - spec.L[i] * ratio * spec.Lambda[i]
-        if disc <= 0:
-            raise ClosedFormInapplicableError(
-                f"component {i}: discriminant {disc:.6g} <= 0")
-        sq = math.sqrt(disc)
-        z_plus = (-mn_diag[i] + sq) / spec.L[i]
-        z_minus = (-mn_diag[i] - sq) / spec.L[i]
-        h_i = spec.H[i]
-        if z_minus == h_i:
-            raise ClosedFormInapplicableError(
-                f"component {i}: boundary value equals z_-, chi undefined")
-        xi = (z_plus - h_i) / (z_minus - h_i)
-        if direction == FORWARD:
-            chi = xi
-            # Pole of 1 - chi e^{-sqrt(D) t} inside (0, horizon].
-            if chi > 1.0 and math.log(chi) <= sq * horizon + 1e-15:
-                raise RiccatiBlowUpError(math.log(chi) / sq, component=i)
-        else:
-            chi = xi * math.exp(min(sq * horizon, _EXP_LIMIT))
-            # In time-to-go s the denominator is 1 - xi e^{sqrt(D) s}.
-            if 0.0 < xi < 1.0 and -math.log(xi) <= sq * horizon + 1e-15:
-                raise RiccatiBlowUpError(horizon + math.log(xi) / sq, component=i)
-        comps.append(ClosedFormComponent(D=disc, z_plus=z_plus, z_minus=z_minus, chi=chi))
+    L = spec.L
+    mn = np.diag(spec.coupling())
+    disc = mn * mn - L * (rp.Gamma / rp.q) * spec.Lambda
+    bad = np.flatnonzero(disc <= 0)
+    if bad.size:
+        raise ClosedFormInapplicableError(
+            f"component {bad[0]}: discriminant {disc[bad[0]]:.6g} <= 0")
+    sq = np.sqrt(disc)
+    z_plus = (-mn + sq) / L
+    z_minus = (-mn - sq) / L
+    s = 1.0 if direction == FORWARD else -1.0
+    r = z_plus if direction == FORWARD else z_minus
+    g = spec.H - r
+    c = s * L * g / 2.0
+    q = 1.0 + c / sq
 
-    sqd = np.array([math.sqrt(cf.D) for cf in comps])
-    zp = np.array([cf.z_plus for cf in comps])
-    zm = np.array([cf.z_minus for cf in comps])
-    h_vec = spec.H
-    xi_vec = (zp - h_vec) / (zm - h_vec)
-
-    def phi_impl(t):
-        # Evaluated in whichever parametrization keeps exponents negative.
-        if direction == FORWARD:
-            E = np.exp(-np.outer(t, sqd))                    # (m, k)
-            return (zp - xi_vec * zm * E) / (1.0 - xi_vec * E)
-        s = horizon - t
-        Einv = np.exp(-np.outer(s, sqd))                     # e^{-sqrt(D) s}
-        return (zp * Einv - xi_vec * zm) / (Einv - xi_vec)
+    pole = np.full(spec.k, np.inf)
+    blows = c < -sq
+    pole[blows] = -np.log1p(sq[blows] / c[blows]) / sq[blows]
+    first = int(np.argmin(pole))
+    if pole[first] <= horizon:
+        raise RiccatiBlowUpError(to_t(float(pole[first])), component=first)
 
     lam0_term = (rp.Gamma / (2.0 * rp.q)) * spec.lambda0
     wc = spec.w + spec.c
 
-    def log_denom_forward(t):
-        # log |1 - xi e^{-sqrt(D) t}| for a column of times t.
-        return np.log(np.abs(1.0 - xi_vec * np.exp(-np.outer(t, sqd))))
+    def decay_and_denom(tau):
+        # e^{-sqrt(D) tau} and 1 + c f(tau) = e^{-sqrt(D) tau} + q sqrt(D) f(tau),
+        # a sum of two terms >= 0 when there is no pole, so rounding cannot
+        # take it through zero (H = z_- on a forward run gives q = 0).
+        x = np.outer(tau, sq)
+        e = np.exp(-x)
+        return e, e - q * np.expm1(-x)
 
-    def log_denom_backward(s):
-        # log |1 - xi e^{sqrt(D) s}| = sqrt(D) s + log |e^{-sqrt(D) s} - xi|.
-        return np.outer(s, sqd) + np.log(np.abs(np.exp(-np.outer(s, sqd)) - xi_vec))
+    def phi_impl(tau):
+        e, denom = decay_and_denom(tau)
+        return r + g * e / denom
 
-    def theta_impl(t):
-        if direction == FORWARD:
-            # int_0^t Phi_i = z_+ t + (2/L)(log|1-xi e^{-sqrt(D)t}| - log|1-xi|)
-            log_term = log_denom_forward(t) - np.log(np.abs(1.0 - xi_vec))
-            integral = np.outer(t, zp) + (2.0 / spec.L) * log_term
-            return spec.h0 - lam0_term * t - integral @ wc
-        s = horizon - t
-        log_term = log_denom_backward(s) - np.log(np.abs(1.0 - xi_vec))
-        integral = np.outer(s, zp) - (2.0 / spec.L) * log_term
-        return spec.h0 + lam0_term * s + integral @ wc
+    def theta_impl(tau):
+        integral = np.outer(tau, r) + s * (2.0 / L) * np.log(decay_and_denom(tau)[1])
+        return spec.h0 - s * (lam0_term * tau + integral @ wc)
 
+    comps = [ClosedFormComponent(D=float(d), z_plus=float(zp), z_minus=float(zm))
+             for d, zp, zm in zip(disc, z_plus, z_minus)]
     return RiccatiSolution(spec, rp, horizon, direction, "closed-form",
                            phi_impl, theta_impl, components=comps)
 

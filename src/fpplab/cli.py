@@ -157,19 +157,18 @@ def _load_fpp_bundle(path):
 def _make_strategy(args, model, rp=None):
     name = args.strategy
     if name == "zero":
-        return simmod.ZeroStrategy(model.n)
-    if name.startswith("constant:"):
-        return simmod.ConstantStrategy(_parse_floats(name.split(":", 1)[1]))
-    if name == "affine-optimal":
+        base = simmod.ZeroStrategy(model.n)
+    elif name.startswith("constant:"):
+        base = simmod.ConstantStrategy(_parse_floats(name.split(":", 1)[1]))
+    elif name == "affine-optimal":
         if not args.affine:
             raise ConfigError("affine-optimal strategy requires --affine")
         spec = affine.AffineSpec.load(args.affine)
         sol = affine.solve_riccati(spec, rp, args.horizon, args.direction)
         base = simmod.AffineOptimalStrategy(sol, model, rp)
-        if args.delta:
-            return simmod.PerturbedStrategy(base, args.delta)
-        return base
-    raise ConfigError(f"unknown strategy '{name}'")
+    else:
+        raise ConfigError(f"unknown strategy '{name}'")
+    return simmod.PerturbedStrategy(base, args.delta) if args.delta else base
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,8 @@ class RiccatiBlowUpError(NumericalError):
 
 
 class ClosedFormInapplicableError(NumericalError):
-    """The closed-form Riccati solution does not apply (non-diagonal coupling,
-    non-positive discriminant, or degenerate boundary value)."""
+    """The closed-form Riccati solution does not apply (non-diagonal coupling
+    or a non-positive discriminant)."""
 
 
 class ExponentOverflowError(NumericalError):

@@ -189,9 +189,6 @@ class OdeEigenfunction:
     def __call__(self, y):
         return float(self._state(y)[0])
 
-    def derivative(self, y):
-        return float(self._state(y)[1])
-
     def value_grad_hess(self, y, fd_step: float = 1e-6):
         val, grad = self._state(y)
         y = float(np.atleast_1d(y)[0])
@@ -199,9 +196,6 @@ class OdeEigenfunction:
         hi = min(y + fd_step, self.grid[-1])
         hess = (self._state(hi)[1] - self._state(lo)[1]) / (hi - lo)
         return val, np.array([grad]), np.array([[hess]])
-
-    def tabulated(self):
-        return self.grid.copy(), self.values.copy()
 
 
 class TabulatedEigenfunction:

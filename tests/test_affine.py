@@ -185,7 +185,6 @@ def test_closed_form_fixed_point_when_h_equals_z_plus():
     base = solve_riccati_closed_form(_spec(Lambda=[1.0]), rp, 1.0, FORWARD)
     z_plus = base.components[0].z_plus
     sol = solve_riccati_closed_form(_spec(Lambda=[1.0], H=[z_plus]), rp, 1.0, FORWARD)
-    assert sol.components[0].chi == 0.0
     ts = np.linspace(0.0, 1.0, 17)
     np.testing.assert_allclose(sol.Phi(ts), z_plus, atol=1e-14)
 
@@ -216,19 +215,31 @@ def test_closed_form_rejects_nondiagonal_and_nonpositive_discriminant():
             _spec(L=[4.0], Lambda=[4.0]), RiskParams(gamma=0.5, p=0.0), 1.0, FORWARD)
 
 
-def test_closed_form_rejects_h_equal_to_z_minus():
+def test_closed_form_solves_h_equal_to_z_minus():
+    # z_- is the repelling fixed point of the forward run: Phi stays there.
     rp = RiskParams(gamma=2.0, p=0.0)
     base = solve_riccati_closed_form(_spec(Lambda=[1.0]), rp, 1.0, FORWARD)
     z_minus = base.components[0].z_minus
-    with pytest.raises(ClosedFormInapplicableError, match="chi undefined"):
-        solve_riccati_closed_form(_spec(Lambda=[1.0], H=[z_minus]), rp, 1.0, FORWARD)
+    spec = _spec(Lambda=[1.0], H=[z_minus])
+    sol = solve_riccati_closed_form(spec, rp, 1.0, FORWARD)
+    num = solve_riccati_numeric(spec, rp, 1.0, FORWARD)
+    ts = np.linspace(0.0, 1.0, 17)
+    np.testing.assert_allclose(sol.Phi(ts), z_minus, atol=1e-14)
+    assert np.max(np.abs(sol.Phi(ts) - num.Phi(ts))) <= 1e-10
+    # Long after e^{-sqrt(D) t} drops below rounding, Phi and Theta stay finite
+    # and exact: Theta = -w z_- t.
+    long = solve_riccati_closed_form(_spec(Lambda=[1.0], w=[0.3], H=[z_minus]),
+                                     rp, 100.0, FORWARD)
+    ts = np.linspace(0.0, 100.0, 11)
+    np.testing.assert_allclose(long.Phi(ts)[:, 0], z_minus, rtol=1e-14)
+    np.testing.assert_allclose(long.Theta(ts), -0.3 * z_minus * ts, rtol=1e-12, atol=1e-14)
 
 
 def test_closed_form_pole_raises_blow_up():
     # Same tan instance as the numeric blow-up, via the explicit solution.
     rp = RiskParams(gamma=0.5, p=0.0)
-    # D = 9 - 8 = 1 > 0; H just below z_minus makes chi > 1, so the
-    # denominator crosses zero inside a long horizon.
+    # D = 9 - 8 = 1 > 0; H just below z_minus puts c below -sqrt(D), so the
+    # denominator 1 + c f(t) crosses zero inside a long horizon.
     zm = solve_riccati_closed_form(
         _spec(M=[[-3.0]], L=[4.0], Lambda=[2.0]), rp, 0.05, FORWARD)
     z_minus = zm.components[0].z_minus
@@ -236,6 +247,101 @@ def test_closed_form_pole_raises_blow_up():
         solve_riccati_closed_form(
             _spec(M=[[-3.0]], L=[4.0], Lambda=[2.0], H=[z_minus - 1e-3]),
             rp, 10.0, FORWARD)
+
+
+@pytest.mark.parametrize("direction,H,t_pole", [
+    # D = 1, z_+ = 1, z_- = 1/2.  Forward, H_i < z_- has a pole at
+    # ln((z_+ - H_i)/(z_- - H_i)): ln 6 for component 0, ln 1.5 for 1.
+    (FORWARD, [0.4, -0.5], math.log(1.5)),
+    # Backward, H_i > z_+ has a pole at time-to-go ln((H_i - z_-)/(H_i - z_+)):
+    # ln 2 for component 0, ln 1.25 for 1.
+    (BACKWARD, [1.5, 3.0], 10.0 - math.log(1.25)),
+])
+def test_closed_form_reports_earliest_pole_across_components(direction, H, t_pole):
+    rp = RiskParams(gamma=0.5, p=0.0)
+    spec = _spec(k=2, M=np.diag([-3.0, -3.0]), L=[4.0, 4.0], Lambda=[2.0, 2.0], H=H)
+    with pytest.raises(RiccatiBlowUpError) as cf:
+        solve_riccati_closed_form(spec, rp, 10.0, direction)
+    assert cf.value.blow_up_time == pytest.approx(t_pole, abs=1e-6)
+    assert cf.value.component == 1
+    with pytest.raises(RiccatiBlowUpError) as num:
+        solve_riccati_numeric(spec, rp, 10.0, direction)
+    assert num.value.blow_up_time == pytest.approx(t_pole, abs=1e-6)
+
+
+def test_closed_form_checks_every_discriminant_before_poles():
+    # Component 0 has a pole inside the horizon, component 1 has D < 0: the
+    # closed form does not apply, and solve_riccati takes the ODE route.
+    rp = RiskParams(gamma=0.5, p=0.0)
+    spec = _spec(k=2, M=np.diag([-3.0, 0.0]), L=[4.0, 4.0], Lambda=[2.0, 4.0],
+                 H=[0.4, 0.0])
+    with pytest.raises(ClosedFormInapplicableError, match="component 1"):
+        solve_riccati_closed_form(spec, rp, 10.0, FORWARD)
+    # Component 1 is Phi = -tan(2t), pole at pi/4 before component 0's ln 6.
+    with pytest.raises(RiccatiBlowUpError) as exc:
+        solve_riccati(spec, rp, 10.0, FORWARD)
+    assert exc.value.blow_up_time == pytest.approx(math.pi / 4, abs=1e-6)
+
+
+def _assert_closed_form_matches_ode(spec, rp, horizon, direction, tol):
+    cf = solve_riccati_closed_form(spec, rp, horizon, direction)
+    num = solve_riccati_numeric(spec, rp, horizon, direction)
+    ts = np.linspace(0.0, horizon, 41)
+    assert np.max(np.abs(cf.Phi(ts) - num.Phi(ts))) <= tol
+    assert np.max(np.abs(cf.Theta(ts) - num.Theta(ts))) <= tol
+    assert max(riccati_residual(cf)) <= 1e-7
+
+
+@pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
+def test_closed_form_residual_at_tiny_discriminant(direction):
+    # D = 5.55e-17: the closed form is chosen and must stay differentiable.
+    rp = RiskParams(gamma=0.5, p=0.0)
+    spec = _spec(M=[[-0.7040243940423931]], w=[0.2], L=[0.4194753527801486],
+                 Lambda=[1.1815958771397335], lambda0=0.01, H=[0.3])
+    sol = solve_riccati(spec, rp, 1.0, direction)
+    assert sol.method == "closed-form"
+    assert 0.0 < sol.components[0].D <= 1e-16
+    _assert_closed_form_matches_ode(spec, rp, 1.0, direction, 1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(z=st.floats(-1.0, 1.0), L=st.floats(0.2, 1.5), dH=st.floats(-0.5, 0.5),
+       h0=st.floats(-0.5, 0.5), D=st.floats(1e-17, 1e-15), horizon=st.floats(0.2, 1.5))
+def test_closed_form_matches_ode_near_zero_discriminant(z, L, dH, h0, D, horizon):
+    # gamma = 1/2, p = 0 (Gamma/q = 1): m = -z L and Lambda = (m^2 - D)/L put
+    # both stationary roots at about z and the discriminant at about D.
+    assume(abs(z) >= 0.05)
+    rp = RiskParams(gamma=0.5, p=0.0)
+    m = -z * L
+    spec = _spec(M=[[m]], w=[0.2], L=[L], Lambda=[(m * m - D) / L],
+                 lambda0=0.01, H=[z + dH], h0=h0)
+    assume(0.0 < m * m - L * spec.Lambda[0] <= 1e-15)
+    for direction in (FORWARD, BACKWARD):
+        # |c| <= 0.375 puts any pole beyond tau = 2.6; still keep away from
+        # fast growth toward it, where the ODE's own error nears 1e-9.
+        cf = solve_riccati_closed_form(spec, rp, horizon, direction)
+        if np.max(np.abs(cf.Phi(np.linspace(0.0, horizon, 41)) - spec.H)) > 0.5:
+            continue
+        _assert_closed_form_matches_ode(spec, rp, horizon, direction, 1e-9)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_closed_form_blow_up_time_matches_ode(seed):
+    # Two components, so that the earliest pole need not be component 0.
+    rng = np.random.default_rng(seed)
+    rp = RiskParams(gamma=rng.uniform(0.3, 0.95), p=0.0)
+    spec = _spec(k=2, M=np.diag(rng.uniform(-3.0, 3.0, 2)), L=rng.uniform(0.5, 4.0, 2),
+                 Lambda=rng.uniform(0.0, 0.5, 2), H=rng.uniform(-3.0, 3.0, 2))
+    for direction in (FORWARD, BACKWARD):
+        try:
+            solve_riccati_closed_form(spec, rp, 5.0, direction)
+        except ClosedFormInapplicableError:
+            return
+        except RiccatiBlowUpError as cf:
+            with pytest.raises(RiccatiBlowUpError) as num:
+                solve_riccati_numeric(spec, rp, 5.0, direction)
+            assert num.value.blow_up_time == pytest.approx(cf.blow_up_time, abs=1e-6)
 
 
 def test_closed_form_matches_numeric_backward(canonical_2f):

@@ -139,6 +139,20 @@ def test_sim_run_and_verify_martingale(workdir):
     assert len(report["buckets"]) == 10
 
 
+def test_sim_run_delta_shifts_every_strategy(workdir):
+    # --delta is added to every allocation, not only to affine-optimal.
+    base = ["sim", "run", "--model", "model.json", "--config", "simcfg.json",
+            "--y0", "1.0"]
+    assert main(base + ["--strategy", "constant:0.1,0.1", "--delta", "0.5",
+                        "--out", "o7d"]) == 0
+    assert main(base + ["--strategy", "constant:0.6,0.6", "--out", "o7c"]) == 0
+    np.testing.assert_array_equal(np.load(workdir / "o7d" / "paths" / "X.npy"),
+                                  np.load(workdir / "o7c" / "paths" / "X.npy"))
+    assert main(base + ["--strategy", "constant:0.1,0.1", "--out", "o7n"]) == 0
+    assert not np.array_equal(np.load(workdir / "o7n" / "paths" / "X.npy"),
+                              np.load(workdir / "o7c" / "paths" / "X.npy"))
+
+
 def test_sim_feynman_kac(workdir):
     assert main(["sim", "feynman-kac", "--model", "model.json",
                  "--config", "simcfg.json", "--gamma", "2.0", "--p", "0.25",
