@@ -242,7 +242,7 @@ def solve_riccati_numeric(spec: AffineSpec, rp: RiskParams, horizon: float,
     ------
     RiccatiBlowUpError
         If any |Phi_i| exceeds 1e8 before the horizon; the earliest blow-up
-        time is reported.
+        time and the component with the largest |Phi_i| there are reported.
     IntegrationError
         If the solver fails without a blow-up event (e.g. the step size
         underflows); the message carries the solver's reason and the time t
@@ -270,7 +270,8 @@ def solve_riccati_numeric(spec: AffineSpec, rp: RiskParams, horizon: float,
                     method="DOP853", rtol=1e-10, atol=1e-12, dense_output=True,
                     events=blow_up)
     if sol.status == 1 and len(sol.t_events[0]):
-        raise RiccatiBlowUpError(to_t(float(sol.t_events[0][0])))
+        raise RiccatiBlowUpError(to_t(float(sol.t_events[0][0])),
+                                 int(np.argmax(np.abs(sol.y_events[0][0][:k]))))
     if not sol.success:
         raise IntegrationError(
             f"Riccati integration failed at t={to_t(float(sol.t[-1])):.6g}: {sol.message}")

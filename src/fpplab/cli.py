@@ -30,8 +30,7 @@ import numpy as np
 
 from . import __version__, affine, eve, spectral, verify
 from . import sim as simmod
-from .errors import (ConfigError, FppLabError, InsufficientSampleError,
-                     NumericalError)
+from .errors import ConfigError, InsufficientSampleError, NumericalError
 from .model import ModelSpec, RiskParams, generator_coefficients
 
 ENV_OUT_DIR = "FPPLAB_OUT"
@@ -259,11 +258,10 @@ def cmd_spectral(args) -> int:
         with open(args.selection) as fh:
             sel = spectral.EigenfunctionSelection.from_json(json.load(fh))
         ts = _parse_grid(args.t_grid)
-        ys = [_parse_floats(v) for v in args.y.split(";")]
+        Y = np.array([_parse_floats(v) for v in args.y.split(";")])
         u = spectral.WidderFunction(nu, sel)
-        rows = [[t, *y, u(t, y)] for t in ts for y in ys]
-        k = len(ys[0])
-        header = "t," + ",".join(f"y{i}" for i in range(k)) + ",u"
+        rows = [[t, *y, v] for t in ts for y, v in zip(Y, u(t, Y))]
+        header = "t," + ",".join(f"y{i}" for i in range(Y.shape[1])) + ",u"
         path = _write_csv(out_dir, "widder_values.csv", header, rows)
         _manifest(args, [args.measure, args.selection], [path])
         return 0

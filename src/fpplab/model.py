@@ -405,8 +405,9 @@ class GeneratorCoefficients:
     P(y) = (Gamma / 2q) lambda^T lambda  (scalar potential)
 
     ``*_batch`` closures evaluate stacks of points with shape (P, k); those
-    built by ``generator_coefficients`` are the only implementation, and
-    ``a``, ``b``, ``P`` are their one-row views at a single point (k,).
+    built by ``generator_coefficients`` are the only implementation.  The
+    library reads only the ``*_batch`` closures; ``a``, ``b``, ``P`` are their
+    one-row views at a single point (k,), kept for callers.
     """
 
     k: int

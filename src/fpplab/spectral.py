@@ -15,10 +15,9 @@ against the fixed exponents.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -93,27 +92,57 @@ class SpectralMeasure:
 # Eigenfunctions
 # ---------------------------------------------------------------------------
 
-class ExpEigenfunction:
-    """psi(y) = exp(v^T (y - y0)); exact derivatives of all orders."""
+class Eigenfunction:
+    """A positive eigenfunction psi of the generator with psi(y0) = 1.
+
+    Subclasses implement ``batch(Y) -> (P,)`` on stacked states Y (P, k), and
+    the derivative-capable kinds (exp, expmix, ode) also
+    ``derivatives(Y) -> (psi (P,), grad (P, k), Hess (P, k, k))``.  A single
+    state (k,) is the one-row view of ``batch``.
+    """
+
+    def __call__(self, y) -> float:
+        return float(self.batch(np.atleast_2d(y))[0])
+
+    def batch(self, Y) -> np.ndarray:
+        raise NotImplementedError
+
+
+class _ExpSum(Eigenfunction):
+    """psi(y) = sum_j c_j exp(r_j^T (y - y0)) with coefficients c (J,) and
+    rates r (J, k); exact derivatives of all orders."""
+
+    def __init__(self, coefficients, rates, y0):
+        self.y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+        self._c = np.asarray(coefficients, dtype=float)
+        self._r = np.asarray(rates, dtype=float).reshape(len(self._c), -1)
+
+    def _exps(self, Y):
+        """exp(r_j^T (y - y0)) for each state and term, shape (P, J)."""
+        return np.exp((np.atleast_2d(Y) - self.y0) @ self._r.T)
+
+    def batch(self, Y):
+        return self._exps(Y) @ self._c
+
+    def derivatives(self, Y):
+        E, r = self._exps(Y) * self._c, self._r
+        return E.sum(axis=1), E @ r, np.einsum("pj,jab->pab", E, r[:, :, None] * r[:, None, :])
+
+
+class ExpEigenfunction(_ExpSum):
+    """psi(y) = exp(v^T (y - y0))."""
 
     kind = "exp"
 
     def __init__(self, v, y0):
         self.v = np.atleast_1d(np.asarray(v, dtype=float))
-        self.y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-
-    def __call__(self, y):
-        return float(np.exp(self.v @ (np.asarray(y, dtype=float) - self.y0)))
-
-    def value_grad_hess(self, y):
-        val = self(y)
-        return val, self.v * val, np.outer(self.v, self.v) * val
+        super().__init__([1.0], [self.v], y0)
 
     def to_json(self):
         return {"kind": self.kind, "v": self.v.tolist()}
 
 
-class ExpMixEigenfunction:
+class ExpMixEigenfunction(_ExpSum):
     """One-factor mixture psi(y) = w+ e^{r+ d} + (1 - w+) e^{r- d}, d = y - y0.
 
     Covers both extreme exponential eigenfunctions of a constant-coefficient
@@ -126,79 +155,69 @@ class ExpMixEigenfunction:
         self.weight_plus = float(weight_plus)
         self.rate_plus = float(rate_plus)
         self.rate_minus = float(rate_minus)
-        self.y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-
-    def _terms(self, d):
-        return (self.weight_plus * np.exp(self.rate_plus * d),
-                (1.0 - self.weight_plus) * np.exp(self.rate_minus * d))
-
-    def __call__(self, y):
-        d = float(np.atleast_1d(np.asarray(y, dtype=float))[0] - self.y0[0])
-        a, b = self._terms(d)
-        return float(a + b)
-
-    def value_grad_hess(self, y):
-        d = float(np.atleast_1d(np.asarray(y, dtype=float))[0] - self.y0[0])
-        a, b = self._terms(d)
-        val = a + b
-        grad = np.array([self.rate_plus * a + self.rate_minus * b])
-        hess = np.array([[self.rate_plus ** 2 * a + self.rate_minus ** 2 * b]])
-        return val, grad, hess
+        super().__init__([self.weight_plus, 1.0 - self.weight_plus],
+                         [self.rate_plus, self.rate_minus], y0)
 
     def to_json(self):
         return {"kind": self.kind, "weight_plus": self.weight_plus,
                 "rate_plus": self.rate_plus, "rate_minus": self.rate_minus}
 
 
-class OdeEigenfunction:
+class OdeEigenfunction(Eigenfunction):
     """One-factor eigenfunction integrated from (psi(y0), psi'(y0)) = (1, s).
 
     Values and first derivatives come from the dense ODE solution; second
     derivatives by a central difference of the dense first derivative, so the
-    defect (L - zeta) psi stays an honest diagnostic.
+    defect (L - zeta) psi stays an honest diagnostic.  ``values`` holds psi on
+    the grid and ``first_sign_change`` the sign change nearest y0 (linear
+    interpolation between grid points), or None.
     """
 
     kind = "ode"
 
-    def __init__(self, zeta, y0, slope, grid, values, dense_left, dense_right,
-                 first_sign_change=None):
+    def __init__(self, zeta, y0, slope, grid, dense_left, dense_right):
         self.zeta = float(zeta)
         self.y0 = np.atleast_1d(np.asarray(y0, dtype=float))
         self.slope = float(slope)
         self.grid = np.asarray(grid, dtype=float)
-        self.values = np.asarray(values, dtype=float)
         self._dense_left = dense_left
         self._dense_right = dense_right
-        self.first_sign_change = first_sign_change
+        self.values = self.batch(self.grid[:, None])
+        v, g = self.values, self.grid
+        i = np.flatnonzero(np.diff(v > 0))
+        loc = g[i] + v[i] / (v[i] - v[i + 1]) * (g[i + 1] - g[i])
+        self.first_sign_change = (float(loc[np.argmin(np.abs(loc - self.y0[0]))])
+                                  if i.size else None)
 
     @property
     def positive_on_grid(self) -> bool:
         return self.first_sign_change is None
 
     def _state(self, y):
-        y = float(np.atleast_1d(np.asarray(y, dtype=float))[0])
-        y0 = float(self.y0[0])
-        if y >= y0:
-            if self._dense_right is None:
-                raise ValueError("point beyond integrated range")
-            return self._dense_right(min(y, self.grid[-1]))
-        if self._dense_left is None:
-            raise ValueError("point beyond integrated range")
-        return self._dense_left(max(y, self.grid[0]))
+        """(psi, psi') at the points y (P,), clipped to the grid span, shape
+        (2, P).  A side without a dense solution is the single point y0, where
+        the state is the initial (1, s)."""
+        y = np.clip(y, self.grid[0], self.grid[-1])
+        out = np.empty((2, len(y)))
+        right = y >= self.y0[0]
+        for side, dense in ((right, self._dense_right), (~right, self._dense_left)):
+            if side.any():
+                out[:, side] = dense(y[side]) if dense is not None else [[1.0], [self.slope]]
+        return out
 
-    def __call__(self, y):
-        return float(self._state(y)[0])
+    def batch(self, Y):
+        return self._state(np.atleast_2d(Y)[:, 0])[0]
 
-    def value_grad_hess(self, y, fd_step: float = 1e-6):
-        val, grad = self._state(y)
-        y = float(np.atleast_1d(y)[0])
-        lo = max(y - fd_step, self.grid[0])
-        hi = min(y + fd_step, self.grid[-1])
+    def derivatives(self, Y):
+        y = np.atleast_2d(Y)[:, 0]
+        psi, dpsi = self._state(y)
+        h = 1e-6
+        lo, hi = np.maximum(y - h, self.grid[0]), np.minimum(y + h, self.grid[-1])
         hess = (self._state(hi)[1] - self._state(lo)[1]) / (hi - lo)
-        return val, np.array([grad]), np.array([[hess]])
+        return psi, dpsi[:, None], hess[:, None, None]
 
 
-class TabulatedEigenfunction:
+class TabulatedEigenfunction(Eigenfunction):
     """Eigenfunction known only at finitely many states (recovered data)."""
 
     kind = "tabulated"
@@ -211,16 +230,14 @@ class TabulatedEigenfunction:
         if self.points.shape[0] != self.values.shape[0]:
             raise ConfigError("points and values must align")
 
-    def _index(self, y):
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        dist = np.max(np.abs(self.points - y), axis=1)
-        idx = int(np.argmin(dist))
-        if dist[idx] > self.match_tol:
-            raise ValueError(f"state {y} not among tabulated points")
-        return idx
-
-    def __call__(self, y):
-        return float(self.values[self._index(y)])
+    def batch(self, Y):
+        Y = np.atleast_2d(np.asarray(Y, dtype=float))
+        dist = np.max(np.abs(Y[:, None, :] - self.points), axis=2)     # (P, N)
+        idx = np.argmin(dist, axis=1)
+        miss = dist[np.arange(len(Y)), idx] > self.match_tol
+        if np.any(miss):
+            raise ValueError(f"state {Y[np.argmax(miss)]} not among tabulated points")
+        return self.values[idx]
 
     def to_json(self):
         return {"kind": self.kind, "points": self.points.tolist(),
@@ -245,8 +262,9 @@ class EigenfunctionSelection:
     def psi(self, i: int, y) -> float:
         return self.functions[i](y)
 
-    def values(self, y) -> np.ndarray:
-        return np.array([f(y) for f in self.functions])
+    def values(self, Y) -> np.ndarray:
+        """psi_i at the stacked states Y (P, k), shape (P, m)."""
+        return np.array([f.batch(Y) for f in self.functions]).T
 
     def normalization_residual(self) -> float:
         out = 0.0
@@ -262,16 +280,14 @@ class EigenfunctionSelection:
 
         Requires derivative-capable eigenfunctions (exp, expmix, ode).
         """
-        zetas = np.atleast_1d(np.asarray(zetas, dtype=float))
+        Y = np.atleast_2d(grid)
+        a, b, P = gen.a_batch(Y), gen.b_batch(Y), gen.P_batch(Y)
         worst = 0.0
-        for f, zeta in zip(self.functions, zetas):
-            for y in np.atleast_2d(grid):
-                val, grad, hess = f.value_grad_hess(y)
-                a = np.atleast_2d(gen.a(y))
-                b = np.atleast_1d(gen.b(y))
-                res = 0.5 * float(np.sum(a * hess)) + float(b @ grad) \
-                    + (gen.P(y) - zeta) * val
-                worst = max(worst, abs(res))
+        for f, zeta in zip(self.functions, np.atleast_1d(np.asarray(zetas, dtype=float))):
+            psi, grad, hess = f.derivatives(Y)
+            res = 0.5 * np.einsum("pij,pij->p", a, hess) + np.einsum("pi,pi->p", b, grad) \
+                + (P - zeta) * psi
+            worst = max(worst, float(np.max(np.abs(res))))
         return worst
 
     def to_json(self):
@@ -311,7 +327,7 @@ def fpp_from_measure(nu: SpectralMeasure, sel: EigenfunctionSelection,
 
 
 class WidderFunction:
-    """u(t, y) = sum_i w_i exp(-zeta_i t) psi_i(y) for t >= 0, with analytic
+    """u(t, y) = sum_i w_i exp(-zeta_i t) psi_i(y) for t >= 0, with exact
     derivatives delegated to the eigenfunctions."""
 
     def __init__(self, nu: SpectralMeasure, sel: EigenfunctionSelection):
@@ -324,20 +340,20 @@ class WidderFunction:
         return self.nu.weights * np.exp(-self.nu.zetas * t)
 
     def __call__(self, t, y):
+        """u at one state y (k,) as a float, or at stacked states Y (P, k) as (P,)."""
         if t < 0:
             raise ValueError("t must be >= 0")
-        return float(self._coeff(t) @ self.sel.values(y))
+        y = np.asarray(y, dtype=float)
+        u = self.sel.values(np.atleast_2d(y)) @ self._coeff(t)
+        return float(u[0]) if y.ndim < 2 else u
 
-    def du_dt(self, t, y):
-        return float(-(self.nu.zetas * self._coeff(t)) @ self.sel.values(y))
-
-    def grad_y(self, t, y):
-        coeff = self._coeff(t)
-        return sum(c * f.value_grad_hess(y)[1] for c, f in zip(coeff, self.sel.functions))
-
-    def hess_y(self, t, y):
-        coeff = self._coeff(t)
-        return sum(c * f.value_grad_hess(y)[2] for c, f in zip(coeff, self.sel.functions))
+    def derivatives(self, t, Y):
+        """(du/dt (P,), u (P,), grad_y u (P, k), Hess_y u (P, k, k)) at the
+        stacked states Y (P, k)."""
+        c = self._coeff(t)
+        psi, grad, hess = (np.stack(d, axis=-1) for d in
+                           zip(*(f.derivatives(Y) for f in self.sel.functions)))
+        return psi @ (-self.nu.zetas * c), psi @ c, grad @ c, hess @ c
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +365,9 @@ def solve_eigenfunction_1d(gen: GeneratorCoefficients, zeta: float, y0: float,
     """Integrate (1/2) a psi'' + b psi' + (P - zeta) psi = 0 from
     psi(y0) = 1, psi'(y0) = slope_s across the grid (both directions).
 
-    Positivity is checked on the grid only; the first sign change, if any, is
-    recorded on the returned object (location by linear interpolation).
+    Positivity is checked on the grid only: the returned object carries psi on
+    the grid as ``values`` and the sign change nearest y0, if any, as
+    ``first_sign_change`` (location by linear interpolation).
     """
     if gen.k != 1:
         raise ConfigError("one-factor routine requires k = 1")
@@ -358,63 +375,25 @@ def solve_eigenfunction_1d(gen: GeneratorCoefficients, zeta: float, y0: float,
     y0 = float(np.atleast_1d(y0)[0])
     if not (grid[0] <= y0 <= grid[-1]):
         raise ConfigError("y0 must lie inside the grid span")
-
-    def scal_a(y):
-        return float(np.atleast_2d(gen.a(np.array([y])))[0, 0])
-
-    def scal_b(y):
-        return float(np.atleast_1d(gen.b(np.array([y])))[0])
-
-    def scal_P(y):
-        return float(gen.P(np.array([y])))
-
-    a_on_grid = np.array([scal_a(y) for y in grid])
-    if np.any(a_on_grid <= 0):
+    if np.any(gen.a_batch(grid[:, None]) <= 0):
         raise ConfigError("a(y) must be positive on the grid")
 
     def odefun(y, state):
+        Y = np.array([[y]])
+        a, b, P = gen.a_batch(Y)[0, 0, 0], gen.b_batch(Y)[0, 0], gen.P_batch(Y)[0]
         psi, dpsi = state
-        a = scal_a(y)
-        return [dpsi, -2.0 / a * (scal_b(y) * dpsi + (scal_P(y) - zeta) * psi)]
+        return [dpsi, -2.0 / a * (b * dpsi + (P - zeta) * psi)]
 
-    start = [1.0, float(slope_s)]
-    dense_left = dense_right = None
-    if grid[-1] > y0:
-        sol = solve_ivp(odefun, (y0, grid[-1]), start, method="DOP853",
-                        rtol=1e-10, atol=1e-12, dense_output=True)
-        if not sol.success:
-            raise IntegrationError(f"rightward integration failed: {sol.message}")
-        dense_right = sol.sol
-    if grid[0] < y0:
-        sol = solve_ivp(odefun, (y0, grid[0]), start, method="DOP853",
-                        rtol=1e-10, atol=1e-12, dense_output=True)
-        if not sol.success:
-            raise IntegrationError(f"leftward integration failed: {sol.message}")
-        dense_left = sol.sol
-
-    def value(y):
-        dense = dense_right if y >= y0 else dense_left
-        return float(dense(y)[0]) if dense is not None else 1.0
-
-    values = np.array([value(y) for y in grid])
-
-    first_sign_change = None
-    order = np.argsort(np.abs(grid - y0))  # scan outward from y0
-    signs = values > 0
-    for rank in range(1, len(grid)):
-        i = order[rank]
-        j = i + 1 if grid[i] < y0 else i - 1  # neighbor toward y0
-        j = int(np.clip(j, 0, len(grid) - 1))
-        if signs[i] != signs[j]:
-            lo, hi = sorted((i, j))
-            frac = values[lo] / (values[lo] - values[hi])
-            loc = grid[lo] + frac * (grid[hi] - grid[lo])
-            if first_sign_change is None or abs(loc - y0) < abs(first_sign_change - y0):
-                first_sign_change = float(loc)
+    dense = {}
+    for side, end in (("right", grid[-1]), ("left", grid[0])):
+        if end != y0:
+            sol = solve_ivp(odefun, (y0, end), [1.0, float(slope_s)], method="DOP853",
+                            rtol=1e-10, atol=1e-12, dense_output=True)
+            if not sol.success:
+                raise IntegrationError(f"{side}ward integration failed: {sol.message}")
+            dense[side] = sol.sol
     return OdeEigenfunction(zeta=zeta, y0=[y0], slope=slope_s, grid=grid,
-                            values=values, dense_left=dense_left,
-                            dense_right=dense_right,
-                            first_sign_change=first_sign_change)
+                            dense_left=dense.get("left"), dense_right=dense.get("right"))
 
 
 # ---------------------------------------------------------------------------
@@ -623,8 +602,9 @@ def radial_ode_diagnostic(P0_tilde: Callable[[float], float], zeta: float,
 
     The inner integral is quadratured up to R = tail_factor * r_max and closed
     with the frozen-g tail estimate g(R)^{-2} R^{2-k}/(k-2) (k >= 3; omitted
-    for k = 2, where a bounded g makes the tail infinite anyway).  Both nested
-    integrals are carried as auxiliary ODE states at rtol 1e-11, so their
+    for k = 2, where a bounded g makes the tail infinite anyway).  After the
+    g solve, the inner integral is one backward solve_ivp sweep from R and the
+    outer one a forward sweep over [1, r_max], both at rtol 1e-11, so their
     accuracy matches the g solve itself.
 
     The growth flag is heuristic: the outer increment over [r_max/2, r_max]

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import kurtosis
 
 from .errors import (ConcavityViolationError, ConfigError,
                      InsufficientSampleError, PositivityError)
@@ -243,13 +242,14 @@ def distortion_roundtrip(u: Callable, rp: RiskParams, gen: GeneratorCoefficients
         dg/dt + (1/2) tr(a Hess g) + b . grad g + q P g
               + (Gamma p / 2) (grad g . a grad g) / g                (non-linear)
 
-    The correlation structure enters only through the scalar p.  If ``u``
-    exposes ``du_dt`` / ``grad_y`` / ``hess_y``, exact derivatives are used
-    and ``fd_step`` is ignored; they and u are called per point (t, y of
-    shape (k,)).  Otherwise central differences apply: ``u(t, y)`` gets a
-    scalar t and y of shape (P, k) and returns shape (P,), a scalar return
-    value being broadcast, 3 calls per time at order 2, 5 at order 4.  Table
-    rows (t, *y, residual) run y outer, then t.
+    The correlation structure enters only through the scalar p.  ``u(t, Y)``
+    gets a scalar t and stacked states Y (P, k) and returns shape (P,).  If
+    ``u`` has ``derivatives(t, Y) -> (du/dt (P,), u (P,), grad_y u (P, k),
+    Hess_y u (P, k, k))``, those exact derivatives are used, one call per
+    time, and ``fd_step`` is ignored (reported as 0).  Otherwise central
+    differences apply, a scalar return value of u being broadcast, 3 calls
+    per time at order 2, 5 at order 4.  Table rows (t, *y, residual) run y
+    outer, then t.
 
     Raises
     ------
@@ -257,35 +257,29 @@ def distortion_roundtrip(u: Callable, rp: RiskParams, gen: GeneratorCoefficients
         At the first grid point, in table order, with u <= 0.
     """
     q, Gamma, p = rp.q, rp.Gamma, rp.p
-    exact = all(hasattr(u, name) for name in ("du_dt", "grad_y", "hess_y"))
+    exact = hasattr(u, "derivatives")
     T = np.atleast_1d(np.asarray(t_vals, dtype=float))
     Y = np.atleast_2d(np.asarray(y_points, dtype=float))
     iy, it = np.indices((len(Y), len(T))).reshape(2, -1)
 
     if exact:
-        pts = list(zip(T[it], Y[iy]))
-
-        def each(fn, *shape):
-            return np.array([fn(t, y) for t, y in pts], dtype=float).reshape(len(pts), *shape)
-
-        k = Y.shape[1]
-        u0, du_dt, grad_u, hess_u = (each(u), each(u.du_dt), each(u.grad_y, k),
-                                     each(u.hess_y, k, k))
+        rows = [u.derivatives(t, Y) for t in T]
+        u_t, u0, grad_u, hess_u = [np.array(v)[it, iy] for v in zip(*rows)]
     else:
-        du_dt, u0, grad_u, hess_u = _fd_grid(u, T, Y, np.full(Y.shape, float(fd_step)),
-                                             fd_step, order, it, iy)
+        u_t, u0, grad_u, hess_u = _fd_grid(u, T, Y, np.full(Y.shape, float(fd_step)),
+                                           fd_step, order, it, iy)
     bad = u0 <= 0
     if np.any(bad):
         i = int(np.argmax(bad))
         raise PositivityError(f"u(t={T[it[i]]}, y={Y[iy[i]]}) = {u0[i]:.6g} <= 0")
 
     a_y, b_y, P_y = gen.a_batch(Y)[iy], gen.b_batch(Y)[iy], gen.P_batch(Y)[iy]
-    res_l = du_dt + 0.5 * np.einsum("rij,rij->r", a_y, hess_u) \
+    res_l = u_t + 0.5 * np.einsum("rij,rij->r", a_y, hess_u) \
         + np.einsum("ri,ri->r", b_y, grad_u) + P_y * u0
 
     # Chain rule for g = u^q keeps both residuals on the same grid.
     g0, slope, curv = u0 ** q, q * u0 ** (q - 1.0), q * (q - 1.0) * u0 ** (q - 2.0)
-    dg_dt, grad_g = slope * du_dt, slope[:, None] * grad_u
+    dg_dt, grad_g = slope * u_t, slope[:, None] * grad_u
     hess_g = slope[:, None, None] * hess_u \
         + curv[:, None, None] * np.einsum("ri,rj->rij", grad_u, grad_u)
     res_nl = dg_dt + 0.5 * np.einsum("rij,rij->r", a_y, hess_g) \
@@ -303,6 +297,13 @@ def distortion_roundtrip(u: Callable, rp: RiskParams, gen: GeneratorCoefficients
 # ---------------------------------------------------------------------------
 # Martingale diagnostics
 # ---------------------------------------------------------------------------
+
+def _excess_kurtosis(x) -> float:
+    """m4 / m2^2 - 3 with central sample moments (the biased Fisher form)."""
+    d = x - np.mean(x)
+    m2 = np.mean(d * d)
+    return float(np.mean(d ** 4) / (m2 * m2) - 3.0)
+
 
 def martingale_test(bundle: PathBundle, fpp_eval: Callable,
                     n_buckets: int = 10, se_multiple: float = 3.0,
@@ -337,7 +338,7 @@ def martingale_test(bundle: PathBundle, fpp_eval: Callable,
         mean = float(np.mean(inc))
         se = float(np.std(inc, ddof=1) / np.sqrt(P))
         z = mean / se if se > 0 else 0.0
-        kurt = float(kurtosis(inc)) if se > 0 else 0.0
+        kurt = _excess_kurtosis(inc) if se > 0 else 0.0
         heavy = heavy or kurt > kurtosis_limit
         mart &= abs(mean) <= se_multiple * se
         supermart &= mean <= se_multiple * se

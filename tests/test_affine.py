@@ -267,6 +267,7 @@ def test_closed_form_reports_earliest_pole_across_components(direction, H, t_pol
     with pytest.raises(RiccatiBlowUpError) as num:
         solve_riccati_numeric(spec, rp, 10.0, direction)
     assert num.value.blow_up_time == pytest.approx(t_pole, abs=1e-6)
+    assert num.value.component == 1
 
 
 def test_closed_form_checks_every_discriminant_before_poles():

@@ -8,6 +8,8 @@ import pytest
 from fpplab.cli import main
 from fpplab.model import RiskParams
 from fpplab import affine
+from fpplab.spectral import (EigenfunctionSelection, ExpEigenfunction, SpectralMeasure,
+                             WidderFunction)
 
 from conftest import make_rank_deficient_grid_model
 
@@ -108,6 +110,26 @@ def test_spectral_invert_round_trip(workdir):
     weights = [a["weight"] for a in payload["atoms"]]
     np.testing.assert_allclose(zetas, [0.5, 2.0], atol=1e-6)
     np.testing.assert_allclose(weights, [0.3, 0.7], atol=1e-6)
+
+
+def test_spectral_evaluate_rows_run_t_outer(workdir):
+    nu = SpectralMeasure([0.3, 1.1], [0.6, 0.4], [0.0])
+    sel = EigenfunctionSelection((ExpEigenfunction([0.5], [0.0]),
+                                  ExpEigenfunction([-0.8], [0.0])), [0.0])
+    with open(workdir / "measure.json", "w") as fh:
+        json.dump(nu.to_json(), fh)
+    with open(workdir / "selection.json", "w") as fh:
+        json.dump(sel.to_json(), fh)
+    assert main(["spectral", "evaluate", "--measure", "measure.json",
+                 "--selection", "selection.json", "--t-grid", "0:1:3",
+                 "--y", "0.1;0.4", "--out", "o5"]) == 0
+    rows = np.loadtxt(workdir / "o5" / "widder_values.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (6, 3)
+    expected = [[t, y] for t in (0.0, 0.5, 1.0) for y in (0.1, 0.4)]
+    np.testing.assert_array_equal(rows[:, :2], expected)
+    u = WidderFunction(nu, sel)
+    for t, y, value in rows:
+        assert abs(value - u(t, [y])) <= 1e-14
 
 
 def test_spectral_eigenfn_and_radial(workdir):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fpplab.errors import (ConditioningError, ConfigError,
@@ -11,7 +13,8 @@ from fpplab.model import RiskParams
 from fpplab import affine
 from fpplab.spectral import (EigenfunctionSelection, ExpEigenfunction,
                              ExpMixEigenfunction, InversionResult,
-                             SpectralMeasure, WidderFunction,
+                             SpectralMeasure, TabulatedEigenfunction,
+                             WidderFunction,
                              fpp_from_measure, invert_laplace_discrete,
                              radial_ode_diagnostic, recover_selection,
                              solve_eigenfunction_1d)
@@ -211,9 +214,70 @@ def test_eigenfunction_defect_small_on_interior(heat_gen):
     assert sel.defect(heat_gen, [0.5], grid[2:-2].reshape(-1, 1)) <= 1e-6
 
 
+@pytest.mark.parametrize("y0", [1.0, -1.0])
+def test_ode_eigenfunction_evaluates_at_its_grid_end_y0(heat_gen, y0):
+    # y0 at a grid end leaves one side without a dense solution; there the
+    # state is the initial (1, s).  The Hessian at y0 is one-sided, O(h).
+    grid = np.linspace(-1.0, 1.0, 11)
+    f = solve_eigenfunction_1d(heat_gen, 0.5, y0, 1.0, grid)
+    assert f(y0) == 1.0
+    psi, grad, _ = f.derivatives(np.array([[y0]]))
+    assert (psi[0], grad[0, 0]) == (1.0, 1.0)
+    assert np.max(np.abs(f.values - np.exp(grid - y0))) <= 1e-8
+    sel = EigenfunctionSelection((f,), np.array([y0]))
+    assert sel.normalization_residual() == 0.0
+    assert sel.defect(heat_gen, [0.5], grid.reshape(-1, 1)) <= 1e-5
+
+
+def _random_eigenfunction(kind, rng, heat_gen):
+    """(eigenfunction, states (P, k)) with the states inside its domain."""
+    if kind == "tabulated":
+        points = rng.uniform(-1.0, 1.0, (6, 2))
+        f = TabulatedEigenfunction(points, rng.uniform(0.5, 2.0, 6), points[0])
+        return f, points[rng.permutation(6)]
+    if kind == "ode":
+        grid = np.linspace(-1.5, 1.5, 31)
+        f = solve_eigenfunction_1d(heat_gen, rng.uniform(0.05, 1.0), rng.uniform(-0.5, 0.5),
+                                   rng.uniform(-1.0, 1.0), grid)
+        return f, rng.uniform(-1.0, 1.0, (5, 1))
+    if kind == "expmix":
+        f = ExpMixEigenfunction(rng.uniform(0.0, 1.0), rng.uniform(0.0, 2.0),
+                                rng.uniform(-2.0, 0.0), rng.uniform(-0.5, 0.5, 1))
+        return f, rng.uniform(-1.0, 1.0, (5, 1))
+    k = int(kind[-1])
+    f = ExpEigenfunction(rng.uniform(-1.5, 1.5, k), rng.uniform(-0.5, 0.5, k))
+    return f, rng.uniform(-1.0, 1.0, (5, k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["exp1", "exp2", "expmix", "ode", "tabulated"]),
+       seed=st.integers(0, 10_000))
+def test_eigenfunction_rows_and_derivatives_match_batch(kind, seed):
+    f, Y = _random_eigenfunction(kind, np.random.default_rng(seed), make_heat_generator())
+    values = f.batch(Y)
+    assert values.shape == (len(Y),)
+    for y, v in zip(Y, values):
+        assert f(y) == pytest.approx(v, rel=1e-13)
+    if kind == "tabulated":
+        return
+    psi, grad, hess = f.derivatives(Y)
+    np.testing.assert_allclose(psi, values, rtol=1e-13)
+    # Second-order central differences of batch, h = 1e-3.
+    h, k = 1e-3, Y.shape[1]
+    tol = 1e-5 * max(1.0, np.max(np.abs(values)))
+    E = h * np.eye(k)
+    for a in range(k):
+        fd = (f.batch(Y + E[a]) - f.batch(Y - E[a])) / (2 * h)
+        np.testing.assert_allclose(grad[:, a], fd, rtol=0, atol=tol)
+        for b in range(k):
+            fd = (f.batch(Y + E[a] + E[b]) - f.batch(Y + E[a] - E[b])
+                  - f.batch(Y - E[a] + E[b]) + f.batch(Y - E[a] - E[b])) / (4 * h * h)
+            np.testing.assert_allclose(hess[:, a, b], fd, rtol=0, atol=tol)
+
+
 def test_eigenfunction_requires_positive_diffusion(heat_gen):
     bad = make_heat_generator()
-    object.__setattr__(bad, "a", lambda y: np.array([[0.0]]))
+    object.__setattr__(bad, "a_batch", lambda Y: np.zeros((np.atleast_2d(Y).shape[0], 1, 1)))
     with pytest.raises(ConfigError):
         solve_eigenfunction_1d(bad, 0.5, 0.0, 1.0, np.linspace(-1, 1, 11))
 
@@ -407,9 +471,10 @@ def test_widder_function_analytic_derivatives(heat_gen):
     u = WidderFunction(nu, sel)
     t, y = 0.3, np.array([0.6])
     # Exact: u = e^{-0.4 t} cosh(r y);  du/dt = -0.4 u;  u_yy = r^2 u.
-    assert u.du_dt(t, y) == pytest.approx(-0.4 * u(t, y), rel=1e-13)
-    assert u.hess_y(t, y)[0, 0] == pytest.approx(r ** 2 * u(t, y), rel=1e-13)
-    assert abs(u.du_dt(t, y) + 0.5 * u.hess_y(t, y)[0, 0]) <= 1e-14
+    du_dt, _, _, hess = u.derivatives(t, y[None])
+    assert du_dt[0] == pytest.approx(-0.4 * u(t, y), rel=1e-13)
+    assert hess[0, 0, 0] == pytest.approx(r ** 2 * u(t, y), rel=1e-13)
+    assert abs(du_dt[0] + 0.5 * hess[0, 0, 0]) <= 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from fpplab.errors import (ConcavityViolationError, ConfigError,
                            InsufficientSampleError, PositivityError)
-from fpplab.model import RiskParams, generator_coefficients, sharpe_ratio
+from fpplab.model import (GeneratorCoefficients, RiskParams, generator_coefficients,
+                          sharpe_ratio)
 from fpplab import affine
 from fpplab.sim import (AffineOptimalStrategy, PerturbedStrategy,
                         SimulationConfig, ZeroStrategy, simulate)
 from fpplab.spectral import (EigenfunctionSelection, ExpMixEigenfunction,
                              SpectralMeasure, WidderFunction)
-from fpplab.verify import (affine_u_value_grad, distortion_roundtrip,
+from fpplab.verify import (_excess_kurtosis, affine_u_value_grad, distortion_roundtrip,
                            hjb_residual, martingale_test,
                            optimal_portfolio_residual)
 
@@ -136,6 +137,59 @@ def test_distortion_exact_derivative_path_for_widder_mixture(heat_gen):
     assert report.nonlinear.max_abs_residual <= 1e-6
 
 
+def _cosh_mixture(zetas, weights):
+    y0 = np.array([0.0])
+    funcs = tuple(ExpMixEigenfunction(0.5, math.sqrt(2 * z), -math.sqrt(2 * z), y0)
+                  for z in zetas)
+    return WidderFunction(SpectralMeasure(zetas, weights, y0),
+                          EigenfunctionSelection(funcs, y0))
+
+
+def test_exact_path_calls_derivatives_once_per_time_value(heat_gen):
+    widder = _cosh_mixture([0.3, 0.8], [0.6, 0.7])
+    calls = {"u": 0, "derivatives": 0}
+
+    class Counting:
+        def __call__(self, t, Y):
+            calls["u"] += 1
+            return widder(t, Y)
+
+        def derivatives(self, t, Y):
+            calls["derivatives"] += 1
+            return widder.derivatives(t, Y)
+
+    t_vals = [0.2, 0.5, 0.8]
+    report = distortion_roundtrip(Counting(), RiskParams(gamma=2.0, p=0.25), heat_gen,
+                                  t_vals, np.linspace(-1.0, 1.0, 4).reshape(-1, 1))
+    assert calls == {"u": 0, "derivatives": len(t_vals)}
+    assert report.linear.fd_step == 0.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), m=st.integers(2, 3))
+def test_exact_and_fd_distortion_agree_on_cosh_mixtures(seed, m):
+    # Constant drift and potential on top of the heat generator make the
+    # residuals O(1), so the two paths must agree on u, its derivatives and
+    # the chain rule, not only on a vanishing residual.  Order-4 stencils with
+    # h = 1e-3 agree to about 1e-9 here.
+    rng = np.random.default_rng(seed)
+    u = _cosh_mixture(np.sort(rng.uniform(0.05, 2.0, m)), rng.uniform(0.2, 1.5, m))
+    drift, potential = rng.uniform(-0.5, 0.5, 2)
+    gen = GeneratorCoefficients(
+        k=1, a=None, b=None, P=None, a_batch=lambda Y: np.ones((len(Y), 1, 1)),
+        b_batch=lambda Y: np.full((len(Y), 1), drift),
+        P_batch=lambda Y: np.full(len(Y), potential))
+    rp = RiskParams(gamma=2.0, p=0.25)
+    t_vals, y_points = np.linspace(0.1, 0.9, 4), np.linspace(-1.0, 1.0, 5).reshape(-1, 1)
+    exact = distortion_roundtrip(u, rp, gen, t_vals, y_points, keep_table=True)
+    fd = distortion_roundtrip(lambda t, Y: u(t, Y), rp, gen, t_vals, y_points,
+                              order=4, keep_table=True)
+    assert (exact.linear.fd_step, fd.linear.fd_step) == (0.0, 1e-3)
+    for part in ("linear", "nonlinear"):
+        np.testing.assert_allclose(getattr(exact, part).table, getattr(fd, part).table,
+                                   rtol=0, atol=1e-7)
+
+
 def test_distortion_rejects_nonpositive_u(heat_gen):
     rp = RiskParams(gamma=2.0, p=0.0)
     with pytest.raises(PositivityError):
@@ -156,22 +210,17 @@ def test_concavity_error_names_first_bad_point_in_table_order(canonical_1f):
 
 
 class _ExactCandidate:
-    """Per-point candidate exposing exact (here zero) derivatives."""
+    """Candidate exposing exact (here zero) derivatives."""
 
     def __init__(self, batched):
         self.batched = batched
 
-    def __call__(self, t, y):
-        return float(self.batched(t, np.atleast_2d(y))[0])
+    def __call__(self, t, Y):
+        return self.batched(t, Y)
 
-    def du_dt(self, t, y):
-        return 0.0
-
-    def grad_y(self, t, y):
-        return np.zeros(1)
-
-    def hess_y(self, t, y):
-        return np.zeros((1, 1))
+    def derivatives(self, t, Y):
+        P, k = Y.shape
+        return np.zeros(P), self.batched(t, Y), np.zeros((P, k)), np.zeros((P, k, k))
 
 
 @pytest.mark.parametrize("exact", [False, True])
@@ -444,3 +493,12 @@ def test_optimal_allocation_independent_of_wealth(canonical_1f):
     for x in (0.5, 2.0):
         np.testing.assert_array_equal(strat.allocations(0.3, Y, np.full(2, x)),
                                       base)
+
+
+@pytest.mark.parametrize("draw", [lambda rng: rng.standard_normal(4000),
+                                  lambda rng: rng.standard_t(5, 4000)])
+def test_excess_kurtosis_matches_scipy(draw):
+    from scipy.stats import kurtosis
+
+    x = draw(np.random.default_rng(3))
+    assert _excess_kurtosis(x) == pytest.approx(kurtosis(x), rel=1e-12)
