@@ -44,7 +44,7 @@ from scipy.integrate import solve_ivp
 from .errors import (ClosedFormInapplicableError, ConfigError,
                      ExponentOverflowError, IntegrationError, RiccatiBlowUpError)
 from .model import (AffineField, Box, ConstantField, ModelSpec, RiskParams,
-                    SqrtAffineField, SqrtDiagField, _sigma_pinv)
+                    SqrtAffineField, SqrtDiagField, rowwise, sigma_terms)
 
 BLOW_UP_THRESHOLD = 1e8
 _EXP_LIMIT = 700.0
@@ -451,12 +451,14 @@ def fpp_evaluator(sol: RiccatiSolution, rp: RiskParams) -> Callable:
 
 def optimal_portfolio_affine(sol: RiccatiSolution, model_spec: ModelSpec,
                              rp: RiskParams, t: float, y) -> np.ndarray:
-    """Optimal allocation pi* = (1/gamma) [(sigma^T sigma)^{-1} mu
-    + q varsigma kappa Phi(t)] with sigma varsigma = rho (minimum norm).
+    """Optimal allocation pi* = sigma^- (lambda + q rho kappa Phi(t)) / gamma.
 
+    sigma may depend on y.  For the full-column-rank sigma that
+    ``sigma_terms`` enforces, sigma^- lambda = (sigma^T sigma)^{-1} mu, so this
+    is the myopic demand plus the hedging demand q sigma^- rho kappa Phi(t).
     The gradient ratio grad_y u / u of the exponential-affine u equals Phi(t),
-    so the hedging demand is state-independent given t.  ``y`` may be one
-    point (k,) or a stack (P, k); the result has shape (n,) or (P, n).
+    so the hedging term needs no u.  ``y`` may be one point (k,) or a stack
+    (P, k); the result has shape (n,) or (P, n).
 
     Raises
     ------
@@ -465,19 +467,9 @@ def optimal_portfolio_affine(sol: RiccatiSolution, model_spec: ModelSpec,
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     Y = np.atleast_2d(y)
-    sig, pinv_sig = _sigma_pinv(model_spec, Y)
-    mu = model_spec.mu.batch(Y)                                            # (P, n)
+    _, pinv, lam = sigma_terms(model_spec, Y)
     kap_phi = np.einsum("pbk,k->pb", model_spec.kappa.batch(Y), sol.Phi(t))  # (P, d_B)
-    varsigma = pinv_sig @ model_spec.rho
-    if sig.ndim == 2:
-        # Constant sigma: the normal matrix is inverted once for all points.
-        myopic = mu @ np.linalg.inv(sig.T @ sig).T
-        hedge = kap_phi @ varsigma.T
-    else:
-        normal = np.swapaxes(sig, 1, 2) @ sig                              # (P, n, n)
-        myopic = np.linalg.solve(normal, mu[:, :, None])[:, :, 0]
-        hedge = np.einsum("pnb,pb->pn", varsigma, kap_phi)
-    pi = (myopic + rp.q * hedge) / rp.gamma
+    pi = rowwise(pinv, lam + rp.q * kap_phi @ model_spec.rho.T) / rp.gamma
     return pi[0] if y.ndim == 1 else pi
 
 

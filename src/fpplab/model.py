@@ -438,17 +438,28 @@ def _pinv_and_rank(mats: np.ndarray):
     return pinv, keep.sum(axis=-1)
 
 
-def _sigma_pinv(spec: ModelSpec, Y: np.ndarray):
-    """sigma and its pseudoinverse sigma^- at the points Y (P, k).
+def rowwise(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M_p v_p for each row of v (P, c), where M is one matrix (r, c) shared
+    by every row (a single matmul) or a stack (P, r, c).  Returns (P, r)."""
+    return v @ M.T if M.ndim == 2 else np.einsum("prc,pc->pr", M, v)
 
-    A constant sigma is factored once per field and returned as (d_W, n),
-    (n, d_W); otherwise the stacks are (P, d_W, n), (P, n, d_W).
+
+def sigma_terms(spec: ModelSpec, Y: np.ndarray):
+    """sigma, its pseudoinverse sigma^- and the market price of risk
+    lambda = (sigma^T)^- mu at the points Y (P, k), from one evaluation and
+    one SVD of sigma.
+
+    A constant sigma is factored once per field and returned as one matrix
+    (d_W, n) with sigma^- (n, d_W); otherwise both are stacks (P, d_W, n),
+    (P, n, d_W).  ``rowwise`` applies either layout row by row, so callers
+    never branch on it.  lambda has shape (P, d_W).
 
     Raises
     ------
     SingularModelError
         If sigma(y) has rank below n at some point; the first is named.
     """
+    Y = np.atleast_2d(Y)
     const = isinstance(spec.sigma, ConstantField)
     sig = spec.sigma.value if const else spec.sigma.batch(Y)
     pinv, rank = spec.sigma.pinv_and_rank if const else _pinv_and_rank(sig)
@@ -457,7 +468,7 @@ def _sigma_pinv(spec: ModelSpec, Y: np.ndarray):
         i = int(np.argmax(rank < spec.n))
         raise SingularModelError(
             f"sigma(y) rank {rank[i]} < n={spec.n} at y={np.array2string(Y[i], precision=6)}")
-    return sig, pinv
+    return sig, pinv, rowwise(np.swapaxes(pinv, -1, -2), spec.mu.batch(Y))
 
 
 def sharpe_ratio(spec: ModelSpec, y) -> np.ndarray:
@@ -471,19 +482,14 @@ def sharpe_ratio_batch(spec: ModelSpec, Y: np.ndarray) -> np.ndarray:
 
     Uses the Moore-Penrose pseudoinverse (SVD, relative cutoff 1e-12); for
     full-column-rank sigma this coincides with sigma (sigma^T sigma)^{-1} mu.
-    Returns shape (P, d_W).
+    Returns shape (P, d_W); the third term of ``sigma_terms``.
 
     Raises
     ------
     SingularModelError
         If sigma(y) has rank below n at some point of Y.
     """
-    Y = np.atleast_2d(Y)
-    _, pinv = _sigma_pinv(spec, Y)
-    mu = spec.mu.batch(Y)                      # (P, n)
-    if pinv.ndim == 2:
-        return mu @ pinv                       # (P, n) @ (n, d_W)
-    return np.einsum("pnw,pn->pw", pinv, mu)
+    return sigma_terms(spec, Y)[2]
 
 
 def generator_coefficients(spec: ModelSpec, rp: RiskParams) -> GeneratorCoefficients:

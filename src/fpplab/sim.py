@@ -27,8 +27,8 @@ import numpy as np
 
 from .affine import optimal_portfolio_affine
 from .errors import ConfigError, SimulationError
-from .model import (ConstantField, GeneratorCoefficients, ModelSpec,
-                    RiskParams, sharpe_ratio_batch)
+from .model import (GeneratorCoefficients, ModelSpec, RiskParams, rowwise,
+                    sigma_terms)
 
 BOUNDARY_POLICIES = ("full-truncation", "absorb", "reflect")
 _BLOCK_SIZE = 4096
@@ -46,7 +46,6 @@ class SimulationConfig:
     horizon: float
     n_paths: int
     seed: int = 0
-    scheme: str = "euler-maruyama"
     boundary_policy: str = "full-truncation"
     record_stride: int = 1
 
@@ -55,8 +54,6 @@ class SimulationConfig:
             raise ConfigError("need 0 < dt <= horizon")
         if self.n_paths < 1:
             raise ConfigError("n_paths must be >= 1")
-        if self.scheme != "euler-maruyama":
-            raise ConfigError(f"unknown scheme '{self.scheme}'")
         if self.boundary_policy not in BOUNDARY_POLICIES:
             raise ConfigError(f"boundary_policy must be one of {BOUNDARY_POLICIES}")
         if self.record_stride < 1:
@@ -73,17 +70,19 @@ class SimulationConfig:
 
     def to_json(self):
         return {"dt": self.dt, "horizon": self.horizon, "n_paths": self.n_paths,
-                "seed": self.seed, "scheme": self.scheme,
-                "boundary_policy": self.boundary_policy,
+                "seed": self.seed, "boundary_policy": self.boundary_policy,
                 "record_stride": self.record_stride}
 
     @staticmethod
     def from_json(data):
+        # Euler-Maruyama is the only scheme; a file naming another is refused.
+        scheme = data.get("scheme", "euler-maruyama")
+        if scheme != "euler-maruyama":
+            raise ConfigError(f"unknown scheme '{scheme}'")
         try:
             return SimulationConfig(
                 dt=float(data["dt"]), horizon=float(data["horizon"]),
                 n_paths=int(data["n_paths"]), seed=int(data.get("seed", 0)),
-                scheme=data.get("scheme", "euler-maruyama"),
                 boundary_policy=data.get("boundary_policy", "full-truncation"),
                 record_stride=int(data.get("record_stride", 1)))
         except KeyError as exc:
@@ -144,17 +143,14 @@ class CallableStrategy(Strategy):
 
 
 class AffineOptimalStrategy(Strategy):
-    """pi*(t, y) = (1/gamma) [(sigma^T sigma)^{-1} mu(y) + q varsigma kappa(y) Phi(t)],
-    evaluated by ``optimal_portfolio_affine`` on the stacked states.
-
-    Requires constant sigma (the canonical embedding).
+    """pi*(t, y) = sigma(y)^- (lambda(y) + q rho kappa(y) Phi(t)) / gamma,
+    evaluated by ``optimal_portfolio_affine`` on the stacked states; sigma
+    may depend on y.
     """
 
     name = "affine-optimal"
 
     def __init__(self, sol, model: ModelSpec, rp: RiskParams):
-        if not isinstance(model.sigma, ConstantField):
-            raise ConfigError("affine-optimal strategy requires constant sigma")
         self.sol = sol
         self.model = model
         self.rp = rp
@@ -354,11 +350,7 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
             mu = model.mu.batch(Yeval)
             alpha = model.alpha.batch(Yeval)
             kap = model.kappa.batch(Yeval)
-            lam = sharpe_ratio_batch(model, Yeval)
-            if isinstance(model.sigma, ConstantField):
-                sig_const, sig = model.sigma.value, None
-            else:
-                sig_const, sig = None, model.sigma.batch(Yeval)
+            sig, _, lam = sigma_terms(model, Yeval)
 
             X = np.exp(logX)
             pi = np.atleast_2d(strategy.allocations(t, Yeval, X))
@@ -369,14 +361,9 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
             dWp = noise[:, i, model.d_W:] * sqdt
             dB = dW @ model.rho + dWp @ A
 
-            if sig_const is not None:
-                sigpi = pi @ sig_const.T
-                sig_dW = dW @ sig_const                       # sigma^T dW
-                sig_sq = np.sum(sig_const ** 2, axis=0)       # diag(sigma^T sigma)
-            else:
-                sigpi = np.einsum("pwn,pn->pw", sig, pi)
-                sig_dW = np.einsum("pwn,pw->pn", sig, dW)
-                sig_sq = np.einsum("pwn,pwn->pn", sig, sig)
+            sigpi = rowwise(sig, pi)
+            sig_dW = rowwise(np.swapaxes(sig, -1, -2), dW)   # sigma^T dW
+            sig_sq = np.sum(sig ** 2, axis=-2)                # diag(sigma^T sigma)
 
             dlogS = (mu - 0.5 * sig_sq) * dt + sig_dW
             dlogX = (np.einsum("pw,pw->p", sigpi, lam)
@@ -536,14 +523,11 @@ def admissibility_check(bundle: PathBundle, strategy: Strategy,
         Yeval = model.domain.clip(Yj)
         pi = np.atleast_2d(strategy.allocations(float(bundle.times[j]), Yeval,
                                                 bundle.X[:, j]))
-        lam = sharpe_ratio_batch(model, Yeval)
+        sig, _, lam = sigma_terms(model, Yeval)
         # Non-finite allocations propagate into the integrands on purpose;
         # they are collected as flags rather than raised.
         with np.errstate(invalid="ignore", over="ignore"):
-            if isinstance(model.sigma, ConstantField):
-                sigpi = pi @ model.sigma.value.T
-            else:
-                sigpi = np.einsum("pwn,pn->pw", model.sigma.batch(Yeval), pi)
+            sigpi = rowwise(sig, pi)
             d_term = np.abs(np.einsum("pw,pw->p", sigpi, lam))
             q_term = np.einsum("pw,pw->p", sigpi, sigpi)
         bad = ~(np.isfinite(d_term) & np.isfinite(q_term))

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq, least_squares, nnls
+from scipy.optimize import least_squares, nnls
 
 from .errors import (ConditioningError, ConfigError, InconsistentDataError,
                      IntegrationError, NonRepresentableError, PositivityError)
@@ -98,14 +98,20 @@ class Eigenfunction:
     Subclasses implement ``batch(Y) -> (P,)`` on stacked states Y (P, k), and
     the derivative-capable kinds (exp, expmix, ode) also
     ``derivatives(Y) -> (psi (P,), grad (P, k), Hess (P, k, k))``.  A single
-    state (k,) is the one-row view of ``batch``.
+    state (k,) is the one-row view of ``batch``.  Kinds without a JSON form
+    (ode: a dense ODE solution) raise ``ConfigError`` from ``to_json``.
     """
+
+    kind: str = "abstract"
 
     def __call__(self, y) -> float:
         return float(self.batch(np.atleast_2d(y))[0])
 
     def batch(self, Y) -> np.ndarray:
         raise NotImplementedError
+
+    def to_json(self) -> dict:
+        raise ConfigError(f"eigenfunction kind '{self.kind}' has no JSON form")
 
 
 class _ExpSum(Eigenfunction):
@@ -267,13 +273,8 @@ class EigenfunctionSelection:
         return np.array([f.batch(Y) for f in self.functions]).T
 
     def normalization_residual(self) -> float:
-        out = 0.0
-        for f in self.functions:
-            try:
-                out = max(out, abs(f(self.y0) - 1.0))
-            except ValueError:
-                continue
-        return out
+        """max_i |psi_i(y0) - 1|; raises where some psi_i is unknown at y0."""
+        return max((abs(f(self.y0) - 1.0) for f in self.functions), default=0.0)
 
     def defect(self, gen: GeneratorCoefficients, zetas, grid) -> float:
         """max over atoms and grid points of |(L - zeta_i) psi_i|.
@@ -431,8 +432,7 @@ def _parse_samples(samples):
     return t, u, float(dt[0])
 
 
-def invert_laplace_discrete(samples, m: int, y0=0.0,
-                            refine: bool = True) -> InversionResult:
+def invert_laplace_discrete(samples, m: int, y0=0.0) -> InversionResult:
     """Fit u(t) ~ sum_{i<=m} w_i exp(-zeta_i t) on a uniform sample grid.
 
     Linear stage: the samples of an m-term exponential sum satisfy an order-m
@@ -496,29 +496,28 @@ def invert_laplace_discrete(samples, m: int, y0=0.0,
             f"fitted weight {np.min(w):.3e} is negative; reduce m or check data")
     w = np.clip(w, 1e-14 * scale, None)
 
-    if refine:
-        m_fit = zetas.size
+    m_fit = zetas.size
 
-        def pack(z, lw):
-            return np.concatenate([z, lw])
+    def pack(z, lw):
+        return np.concatenate([z, lw])
 
-        def unpack(theta):
-            return theta[:m_fit], np.exp(theta[m_fit:])
+    def unpack(theta):
+        return theta[:m_fit], np.exp(theta[m_fit:])
 
-        def resid(theta):
-            z, wt = unpack(theta)
-            return design(z) @ wt - u
+    def resid(theta):
+        z, wt = unpack(theta)
+        return design(z) @ wt - u
 
-        def jac(theta):
-            z, wt = unpack(theta)
-            E = design(z) * wt            # (n, m)
-            return np.concatenate([-t[:, None] * E, E], axis=1)
+    def jac(theta):
+        z, wt = unpack(theta)
+        E = design(z) * wt            # (n, m)
+        return np.concatenate([-t[:, None] * E, E], axis=1)
 
-        fit = least_squares(resid, pack(zetas, np.log(w)), jac=jac, method="lm",
-                            xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=2000)
-        zetas, w = unpack(fit.x)
-        order = np.argsort(zetas)
-        zetas, w = zetas[order], w[order]
+    fit = least_squares(resid, pack(zetas, np.log(w)), jac=jac, method="lm",
+                        xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=2000)
+    zetas, w = unpack(fit.x)
+    order = np.argsort(zetas)
+    zetas, w = zetas[order], w[order]
 
     # Collapse numerically coincident exponents (refinement may merge atoms).
     keep_z, keep_w = [zetas[0]], [w[0]]
@@ -627,9 +626,13 @@ def radial_ode_diagnostic(P0_tilde: Callable[[float], float], zeta: float,
         g, dg = state
         return [dg, -(k - 1.0) / r * dg - (zeta - P0_tilde(r)) * g]
 
+    def g_zero(r, state):
+        return state[0]
+
     sol = solve_ivp(odefun, (r_start, R),
                     [1.0 + c2 * r_start ** 2, 2.0 * c2 * r_start],
-                    method="DOP853", rtol=1e-11, atol=1e-13, dense_output=True)
+                    method="DOP853", rtol=1e-11, atol=1e-13, dense_output=True,
+                    events=g_zero)
     if not sol.success:
         raise IntegrationError(f"radial ODE integration failed: {sol.message}")
 
@@ -639,18 +642,11 @@ def radial_ode_diagnostic(P0_tilde: Callable[[float], float], zeta: float,
     r_samples = np.linspace(r_start, r_max, 201)
     g0_samples = sol.sol(r_samples)[0]
 
-    # First zero located on a dense scan of the whole integrated range and
-    # refined by bisection on the dense solution.
-    scan = np.linspace(r_start, R, 2001)
-    g_scan = sol.sol(scan)[0]
-    first_zero = None
-    flips = np.where(np.diff(np.sign(g_scan)) != 0)[0]
-    if flips.size:
-        i = int(flips[0])
-        first_zero = float(brentq(g, scan[i], scan[i + 1], xtol=1e-12))
-
-    zero_in_quadrature_range = first_zero is not None and first_zero <= R + 1e-12
-    if zero_in_quadrature_range:
+    # The first zero of g over the whole integrated range, from the solver's
+    # event location on the g solve.
+    zeros = sol.t_events[0]
+    first_zero = float(zeros[0]) if zeros.size else None
+    if first_zero is not None:
         # 1/g^2 is non-integrable across a simple zero: the inner integral
         # diverges and the double integral is reported as infinite.
         truncated, growth = math.inf, True

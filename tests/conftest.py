@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,22 @@ def make_rank_deficient_grid_model():
         mu=ConstantField([0.1, 0.1]), sigma=GridField([[0.0, 1.0, 2.0]], sigma),
         alpha=ConstantField([0.0]), kappa=ConstantField([[0.1]]),
         rho=np.zeros((2, 1)), domain=Box([0.0], [2.0]))
+
+
+def make_tabulated_sigma_model(market):
+    """The two-stock one-factor ``market`` with a tabulated full-rank sigma,
+    sigma(y) = I + y [[0.3, 0.1], [0, -0.1]] at the nodes y = 0, 1, 3."""
+    axis = np.array([0.0, 1.0, 3.0])
+    sig_tab = np.eye(2) + axis[:, None, None] * np.array([[0.3, 0.1], [0.0, -0.1]])
+    return replace(market, sigma=GridField([axis], sig_tab))
+
+
+def portfolio_oracle(model, sol, rp, t, y):
+    """pi* at one point from the normal equations:
+    (1/gamma)[(sigma^T sigma)^{-1} mu + q pinv(sigma) rho kappa Phi(t)]."""
+    sig, mu, kap = model.sigma(y), model.mu(y), model.kappa(y)
+    return (np.linalg.solve(sig.T @ sig, mu) + rp.q * np.linalg.pinv(sig)
+            @ model.rho @ kap @ sol.Phi(t)) / rp.gamma
 
 
 @pytest.fixture

@@ -11,12 +11,14 @@ from fpplab import affine
 from fpplab.errors import (ClosedFormInapplicableError, ConfigError,
                            ExponentOverflowError, IntegrationError,
                            RiccatiBlowUpError)
-from fpplab.model import GridField, ModelSpec, RiskParams, sharpe_ratio
+from fpplab.model import RiskParams, sharpe_ratio
 from fpplab.affine import (AffineSpec, BACKWARD, FORWARD,
                            canonical_affine_market, evaluate_fpp,
                            evaluate_u_affine, optimal_portfolio_affine,
                            riccati_residual, solve_riccati,
                            solve_riccati_closed_form, solve_riccati_numeric)
+
+from conftest import make_tabulated_sigma_model, portfolio_oracle
 
 
 def _spec(k=1, M=None, w=None, L=None, Lambda=None, lambda0=0.0, N=None,
@@ -535,18 +537,12 @@ def test_portfolio_with_y_dependent_sigma_matches_formula(canonical_1f):
     # Oracle: (1/gamma)[(sigma^T sigma)^{-1} mu + q pinv(sigma) rho kappa Phi]
     # point by point, for a tabulated full-rank sigma.
     market, spec, rp = canonical_1f
-    axis = np.array([0.0, 1.0, 3.0])
-    sig_tab = np.eye(2) + axis[:, None, None] * np.array([[0.3, 0.1], [0.0, -0.1]])
-    varying = ModelSpec(n=2, k=1, d_W=2, d_B=1, d_Wperp=1, mu=market.mu,
-                        sigma=GridField([axis], sig_tab), alpha=market.alpha,
-                        kappa=market.kappa, rho=market.rho, domain=market.domain)
+    varying = make_tabulated_sigma_model(market)
     sol = solve_riccati_closed_form(spec, rp, 1.0, FORWARD)
     Y = np.linspace(0.1, 2.5, 5).reshape(-1, 1)
     stack = optimal_portfolio_affine(sol, varying, rp, 0.6, Y)
     for i, y in enumerate(Y):
-        sig, mu, kap = varying.sigma(y), varying.mu(y), varying.kappa(y)
-        expected = (np.linalg.solve(sig.T @ sig, mu) + rp.q * np.linalg.pinv(sig)
-                    @ varying.rho @ kap @ sol.Phi(0.6)) / rp.gamma
+        expected = portfolio_oracle(varying, sol, rp, 0.6, y)
         np.testing.assert_allclose(stack[i], expected, rtol=1e-12, atol=1e-14)
 
 

@@ -1,15 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fpplab.errors import ConfigError, SimulationError, SingularModelError
-from fpplab.model import Box, ConstantField, ModelSpec, RiskParams
+from fpplab.model import Box, ConstantField, GridField, ModelSpec, RiskParams
 from fpplab import affine
 from fpplab.sim import (AffineOptimalStrategy, CallableStrategy,
                         ConstantStrategy, PathBundle, PerturbedStrategy,
                         SimulationConfig, Strategy, ZeroStrategy,
                         admissibility_check, feynman_kac_estimate, simulate)
 
-from conftest import make_heat_generator, make_rank_deficient_grid_model
+from conftest import (make_heat_generator, make_rank_deficient_grid_model,
+                      make_tabulated_sigma_model, portfolio_oracle)
 
 
 def _flat_market(mu=(0.0, 0.0), rho_val=0.4):
@@ -37,6 +40,14 @@ def test_config_validation():
     cfg = SimulationConfig(dt=0.1, horizon=1.0, n_paths=10)
     assert cfg.n_steps == 10
     assert cfg.dt_effective == pytest.approx(0.1)
+
+
+def test_config_from_json_refuses_other_schemes():
+    data = SimulationConfig(dt=0.1, horizon=1.0, n_paths=10).to_json()
+    assert SimulationConfig.from_json(dict(data, scheme="euler-maruyama")) \
+        == SimulationConfig.from_json(data)
+    with pytest.raises(ConfigError, match="unknown scheme 'milstein'"):
+        SimulationConfig.from_json(dict(data, scheme="milstein"))
 
 
 def test_config_json_round_trip():
@@ -331,19 +342,49 @@ def test_callable_strategy_wraps_scalar_map():
     np.testing.assert_allclose(out, [[0.1, 2.0], [0.2, 3.0]], atol=1e-15)
 
 
-def test_affine_optimal_requires_constant_sigma(canonical_1f):
-    from fpplab.model import SqrtAffineField
-
+def test_affine_optimal_strategy_accepts_y_dependent_sigma(canonical_1f):
     market, spec, rp = canonical_1f
+    varying = make_tabulated_sigma_model(market)
     sol = affine.solve_riccati_closed_form(spec, rp, 1.0, affine.FORWARD)
-    varying = ModelSpec(
-        n=market.n, k=market.k, d_W=market.d_W, d_B=market.d_B,
-        d_Wperp=market.d_Wperp, mu=market.mu,
-        sigma=SqrtAffineField(np.ones((2, 1)), np.zeros(2)),
-        alpha=market.alpha, kappa=market.kappa, rho=market.rho,
-        domain=market.domain)
-    with pytest.raises(ConfigError):
-        AffineOptimalStrategy(sol, varying, rp)
+    strategy = AffineOptimalStrategy(sol, varying, rp)
+    Y = np.linspace(0.1, 2.5, 5).reshape(-1, 1)
+    pi = strategy.allocations(0.6, Y, np.ones(5))
+    for i, y in enumerate(Y):
+        np.testing.assert_allclose(pi[i], portfolio_oracle(varying, sol, rp, 0.6, y),
+                                   rtol=1e-12, atol=1e-14)
+    cfg = SimulationConfig(dt=0.05, horizon=0.5, n_paths=50, seed=2)
+    bundle = simulate(varying, cfg, strategy, y0=[0.8])
+    assert np.all(np.isfinite(bundle.X)) and np.all(bundle.X > 0)
+    assert admissibility_check(bundle, strategy).all_finite
+
+
+def test_grid_sigma_of_constant_nodes_matches_constant_sigma(canonical_2f):
+    # Every node of the grid holds the canonical sigma = I, so only the
+    # layout differs: one shared matrix against a per-state stack.
+    market, spec, rp = canonical_2f
+    axis = np.array([0.0, 1.0, 4.0])
+    tabulated = replace(market, sigma=GridField(
+        [axis, axis], np.broadcast_to(np.eye(3), (3, 3, 3, 3))))
+    sol = affine.solve_riccati_closed_form(spec, rp, 1.0, affine.FORWARD)
+    Y = np.array([[0.1, 0.2], [0.5, 0.4], [2.0, 5.0]])
+    np.testing.assert_allclose(
+        affine.optimal_portfolio_affine(sol, tabulated, rp, 0.3, Y),
+        affine.optimal_portfolio_affine(sol, market, rp, 0.3, Y), rtol=1e-12, atol=1e-14)
+    cfg = SimulationConfig(dt=0.02, horizon=0.5, n_paths=64, seed=3)
+    runs = []
+    for model in (market, tabulated):
+        strategy = AffineOptimalStrategy(sol, model, rp)
+        bundle = simulate(model, cfg, strategy, y0=[0.5, 0.4])
+        runs.append((bundle, admissibility_check(bundle, strategy)))
+    (const, const_report), (grid, grid_report) = runs
+    np.testing.assert_allclose(grid.X, const.X, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(grid.S, const.S, rtol=1e-12, atol=0)
+    for name in ("drift_integral_max", "drift_integral_mean",
+                 "variation_integral_max", "variation_integral_mean"):
+        assert getattr(grid_report, name) == pytest.approx(getattr(const_report, name),
+                                                           rel=1e-12)
+    assert grid_report.all_finite and const_report.all_finite
+    assert grid_report.nonfinite_locations == const_report.nonfinite_locations == ()
 
 
 def test_simulate_rejects_rank_deficient_grid_sigma():

@@ -214,6 +214,13 @@ def test_eigenfunction_defect_small_on_interior(heat_gen):
     assert sel.defect(heat_gen, [0.5], grid[2:-2].reshape(-1, 1)) <= 1e-6
 
 
+def test_ode_eigenfunction_selection_has_no_json_form(heat_gen):
+    f = solve_eigenfunction_1d(heat_gen, 0.5, 0.0, 0.0, np.linspace(-1.0, 1.0, 21))
+    sel = EigenfunctionSelection((f,), np.array([0.0]))
+    with pytest.raises(ConfigError, match="kind 'ode' has no JSON form"):
+        sel.to_json()
+
+
 @pytest.mark.parametrize("y0", [1.0, -1.0])
 def test_ode_eigenfunction_evaluates_at_its_grid_end_y0(heat_gen, y0):
     # y0 at a grid end leaves one side without a dense solution; there the
@@ -394,6 +401,14 @@ def test_recover_selection_round_trip():
         for i in range(nu.m):
             assert rec.psi(i, [y]) == pytest.approx(sel.psi(i, [y]), abs=1e-6)
     assert rec.normalization_residual() == 0.0
+
+
+def test_normalization_residual_raises_when_y0_is_not_tabulated():
+    # One series away from y0 = 1: psi_i(y0) is unknown, not perfect.
+    nu, _, _, series = _recovery_setup()
+    rec = recover_selection({(0.6,): series[(0.6,)]}, nu)
+    with pytest.raises(ValueError, match="not among tabulated points"):
+        rec.normalization_residual()
 
 
 def test_recover_selection_single_atom_ratio_identity():

@@ -29,6 +29,25 @@ def test_no_unused_module_level_imports():
     assert unused == []
 
 
+def _constant_field_isinstance_calls(path):
+    tree = ast.parse(path.read_text())
+    hits = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])}
+            if "ConstantField" in names:
+                hits.append(f"{path.name}:{node.lineno}")
+    return hits
+
+
+def test_only_model_asks_whether_sigma_is_constant():
+    hits = [hit for path in sorted(PACKAGE.glob("*.py")) if path.name != "model.py"
+            for hit in _constant_field_isinstance_calls(path)]
+    assert hits == []
+    assert _constant_field_isinstance_calls(PACKAGE / "model.py") != []
+
+
 def test_importing_the_cli_does_not_load_scipy_stats():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
