@@ -45,42 +45,32 @@ class EveProjection:
                 "r_unconstrained": self.r_unconstrained, "clamped": self.clamped}
 
 
-def _sym_inv_sqrt(gram: np.ndarray) -> np.ndarray:
-    """(rho^T rho)^{-1/2} by eigendecomposition of the symmetric PSD Gram matrix.
-
-    d_B is small in practice, so stability is preferred over speed.
-    """
-    evals, evecs = np.linalg.eigh(gram)
-    if evals[0] <= _SV_FLOOR ** 2:
-        raise SingularProjectionError(
-            f"rho^T rho has eigenvalue {evals[0]:.3e}; orthonormal factor undefined")
-    return (evecs / np.sqrt(evals)) @ evecs.T
-
-
 def project_eve(rho_hat: np.ndarray) -> EveProjection:
     """Minimize ||rho_hat - r Q||_F over r in [0, 1] and Q^T Q = I.
 
     The optimizers are r = (mean of the singular values of rho_hat), clamped
-    to [0, 1], and Q = rho_hat (rho_hat^T rho_hat)^{-1/2}.
+    to [0, 1], and Q = U V^T, the polar factor of the thin SVD
+    rho_hat = U S V^T (equal to rho_hat (rho_hat^T rho_hat)^{-1/2}, which
+    would square the condition number if formed).
 
     Raises
     ------
     DimensionError
         If rho_hat has fewer rows than columns.
     SingularProjectionError
-        If rho_hat is (numerically) rank deficient.
+        If the smallest singular value of rho_hat is at most 1e-12.
     """
     rho_hat = np.atleast_2d(np.asarray(rho_hat, dtype=float))
     d_w, d_b = rho_hat.shape
     if d_w < d_b:
         raise DimensionError(f"need d_W >= d_B, got {d_w} < {d_b}")
 
-    sv = np.linalg.svd(rho_hat, compute_uv=False)
+    u, sv, vt = np.linalg.svd(rho_hat, full_matrices=False)
     if sv[-1] <= _SV_FLOOR:
         raise SingularProjectionError(
             f"smallest singular value {sv[-1]:.3e} <= {_SV_FLOOR:g}")
 
-    q_star = rho_hat @ _sym_inv_sqrt(rho_hat.T @ rho_hat)
+    q_star = u @ vt
     r_unc = float(np.mean(sv))
     r_star = float(np.clip(r_unc, 0.0, 1.0))
     dist = float(np.linalg.norm(rho_hat - r_star * q_star))

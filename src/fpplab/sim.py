@@ -32,6 +32,7 @@ from .model import (GeneratorCoefficients, ModelSpec, RiskParams, rowwise,
 
 BOUNDARY_POLICIES = ("full-truncation", "absorb", "reflect")
 _BLOCK_SIZE = 4096
+_MAX_FLAGS = 100   # nonfinite locations kept by admissibility_check
 
 
 @dataclass(frozen=True)
@@ -205,15 +206,19 @@ class PathBundle:
     def n_times(self) -> int:
         return self.times.shape[0]
 
-    def save(self, directory):
+    def save(self, directory) -> list:
+        """One .npy per array field plus meta.json; returns the paths written."""
         os.makedirs(directory, exist_ok=True)
-        for name in _ARRAY_FIELDS:
-            np.save(os.path.join(directory, f"{name}.npy"), getattr(self, name))
+        written = [os.path.join(directory, f"{name}.npy") for name in _ARRAY_FIELDS]
+        for name, path in zip(_ARRAY_FIELDS, written):
+            np.save(path, getattr(self, name))
         meta = {"model": self.model.to_json() if self.model else None,
                 "config": self.config.to_json() if self.config else None,
                 "diagnostics": self.diagnostics}
-        with open(os.path.join(directory, "meta.json"), "w") as fh:
+        written.append(os.path.join(directory, "meta.json"))
+        with open(written[-1], "w") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
+        return written
 
     @staticmethod
     def load(directory) -> "PathBundle":
@@ -226,25 +231,27 @@ class PathBundle:
         return PathBundle(model=model, config=config,
                           diagnostics=meta.get("diagnostics", {}), **arrays)
 
-    def export_csv(self, directory):
-        """One CSV per variable; rows are (path, t, components...)."""
+    def export_csv(self, directory) -> list:
+        """One CSV per variable; rows are (path, t, components...).  Returns
+        the paths written."""
         os.makedirs(directory, exist_ok=True)
         P, m = self.X.shape
         path_col = np.repeat(np.arange(P), m)
         t_col = np.tile(self.times, P)
+        written = []
+
+        def write(name, columns, header):
+            written.append(os.path.join(directory, f"{name}.csv"))
+            np.savetxt(written[-1], np.column_stack(columns), delimiter=",",
+                       header=header, comments="", fmt="%.17g")
+
         for name in ("W", "Wperp", "B", "Y", "S"):
             arr = getattr(self, name)
-            flat = arr.reshape(P * m, arr.shape[2])
-            data = np.column_stack([path_col, t_col, flat])
-            header = "path,t," + ",".join(f"{name}{j}" for j in range(arr.shape[2]))
-            np.savetxt(os.path.join(directory, f"{name}.csv"), data,
-                       delimiter=",", header=header, comments="", fmt="%.17g")
-        data = np.column_stack([path_col, t_col, self.X.reshape(P * m)])
-        np.savetxt(os.path.join(directory, "X.csv"), data, delimiter=",",
-                   header="path,t,X", comments="", fmt="%.17g")
-        np.savetxt(os.path.join(directory, "exit_time.csv"),
-                   np.column_stack([np.arange(P), self.exit_time]),
-                   delimiter=",", header="path,exit_time", comments="", fmt="%.17g")
+            write(name, [path_col, t_col, arr.reshape(P * m, arr.shape[2])],
+                  "path,t," + ",".join(f"{name}{j}" for j in range(arr.shape[2])))
+        write("X", [path_col, t_col, self.X.reshape(P * m)], "path,t,X")
+        write("exit_time", [np.arange(P), self.exit_time], "path,exit_time")
+        return written
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +508,11 @@ class AdmissibilityReport:
                 "nonfinite_locations": [list(loc) for loc in self.nonfinite_locations]}
 
 
-def admissibility_check(bundle: PathBundle, strategy: Strategy,
-                        max_flags: int = 100) -> AdmissibilityReport:
+def admissibility_check(bundle: PathBundle, strategy: Strategy) -> AdmissibilityReport:
     """Evaluate the two admissibility integrals path by path on the bundle.
 
     Never raises on bad values; non-finite allocations or integrands are
-    reported with their (path, grid index) locations.
+    reported with their (path, grid index) locations, at most 100 of them.
     """
     if isinstance(strategy, Callable) and not isinstance(strategy, Strategy):
         strategy = CallableStrategy(strategy)
@@ -533,7 +539,7 @@ def admissibility_check(bundle: PathBundle, strategy: Strategy,
         bad = ~(np.isfinite(d_term) & np.isfinite(q_term))
         if np.any(bad):
             for p in np.nonzero(bad)[0]:
-                if len(flags) < max_flags:
+                if len(flags) < _MAX_FLAGS:
                     flags.append((int(p), int(j)))
         drift += np.where(np.isfinite(d_term), d_term, np.inf) * dts[j]
         quad += np.where(np.isfinite(q_term), q_term, np.inf) * dts[j]

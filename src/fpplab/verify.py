@@ -298,6 +298,10 @@ def distortion_roundtrip(u: Callable, rp: RiskParams, gen: GeneratorCoefficients
 # Martingale diagnostics
 # ---------------------------------------------------------------------------
 
+_SE_MULTIPLE = 3.0
+_KURTOSIS_LIMIT = 1e3
+
+
 def _excess_kurtosis(x) -> float:
     """m4 / m2^2 - 3 with central sample moments (the biased Fisher form)."""
     d = x - np.mean(x)
@@ -306,8 +310,7 @@ def _excess_kurtosis(x) -> float:
 
 
 def martingale_test(bundle: PathBundle, fpp_eval: Callable,
-                    n_buckets: int = 10, se_multiple: float = 3.0,
-                    kurtosis_limit: float = 1e3) -> MartingaleReport:
+                    n_buckets: int = 10) -> MartingaleReport:
     """Bucketed mean increments of U_t(X_t, Y_t) along the recorded grid.
 
     Within each time bucket the per-path increment telescopes to
@@ -339,9 +342,9 @@ def martingale_test(bundle: PathBundle, fpp_eval: Callable,
         se = float(np.std(inc, ddof=1) / np.sqrt(P))
         z = mean / se if se > 0 else 0.0
         kurt = _excess_kurtosis(inc) if se > 0 else 0.0
-        heavy = heavy or kurt > kurtosis_limit
-        mart &= abs(mean) <= se_multiple * se
-        supermart &= mean <= se_multiple * se
+        heavy = heavy or kurt > _KURTOSIS_LIMIT
+        mart &= abs(mean) <= _SE_MULTIPLE * se
+        supermart &= mean <= _SE_MULTIPLE * se
         buckets.append(BucketStat(t_start=float(bundle.times[b0]),
                                   t_end=float(bundle.times[b1]),
                                   mean=mean, std_error=se, z=z,

@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import json
 import os
 from dataclasses import replace
@@ -5,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fpplab.cli import main
+from fpplab.cli import build_parser, main
 from fpplab.model import RiskParams
 from fpplab import affine
 from fpplab.spectral import (EigenfunctionSelection, ExpEigenfunction, SpectralMeasure,
@@ -286,3 +288,125 @@ def test_env_var_output_directory(workdir, monkeypatch):
     monkeypatch.setenv("FPPLAB_OUT", str(workdir / "envout"))
     assert main(["eve", "project", "--in", "rho.csv"]) == 0
     assert (workdir / "envout" / "eve_projection.json").exists()
+
+
+def _sha256(path):
+    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+
+def _written_files(out_dir):
+    return sorted(os.path.relpath(os.path.join(root, name), out_dir)
+                  for root, _, names in os.walk(out_dir) for name in names
+                  if name != "manifest.json")
+
+
+_RISK = ["--gamma", "2.0", "--p", "0.25"]
+_SUBCOMMANDS = {
+    "eve project": ["--in", "rho.csv"],
+    "eve select-p": ["--in", "rho.csv"],
+    "affine solve": ["--spec", "aspec.json", *_RISK, "--horizon", "1.0"],
+    "affine portfolio": ["--spec", "aspec.json", "--model", "model.json", *_RISK,
+                         "--horizon", "1.0", "--t", "0.4", "--y", "0.9"],
+    "spectral invert": ["--in", "samples.csv", "--atoms", "2"],
+    "spectral evaluate": ["--measure", "measure.json", "--selection", "selection.json",
+                          "--t-grid", "0:1:3", "--y", "0.1;0.4"],
+    "spectral eigenfn-1d": ["--model", "model.json", *_RISK, "--zeta", "0.0", "--y0", "1.0",
+                            "--slope", "0.2", "--grid", "0.2:2.0:19"],
+    "spectral radial": ["--zeta", "0", "--k", "3", "--r-max", "8"],
+    "sim run": ["--model", "model.json", "--config", "simcfg.json", "--y0", "1.0", "--csv"],
+    "sim feynman-kac": ["--model", "model.json", "--config", "simcfg.json", *_RISK,
+                        "--t", "0.5", "--y", "1.0", "--affine", "aspec.json"],
+    "verify residual": ["--which", "linear", "--model", "model.json",
+                        "--affine", "aspec.json", *_RISK],
+    "verify martingale": ["--paths", "pre/paths", "--fpp", "fpp.json"],
+}
+
+
+@pytest.mark.parametrize("command", list(_SUBCOMMANDS))
+def test_manifest_lists_every_file_the_run_wrote(workdir, command):
+    if command == "spectral evaluate":
+        nu = SpectralMeasure([0.3, 1.1], [0.6, 0.4], [0.0])
+        sel = EigenfunctionSelection((ExpEigenfunction([0.5], [0.0]),
+                                      ExpEigenfunction([-0.8], [0.0])), [0.0])
+        for name, obj in (("measure.json", nu), ("selection.json", sel)):
+            with open(workdir / name, "w") as fh:
+                json.dump(obj.to_json(), fh)
+    if command == "verify martingale":
+        assert main(["sim", "run", "--model", "model.json", "--config", "simcfg.json",
+                     "--out", "pre"]) == 0
+    assert main([*command.split(), *_SUBCOMMANDS[command], "--out", "out"]) == 0
+    manifest = json.load(open(workdir / "out" / "manifest.json"))
+    assert sorted(manifest["outputs"]) == _written_files(workdir / "out")
+    assert manifest["outputs"]
+    inputs = [v for v in _SUBCOMMANDS[command] if os.path.isfile(workdir / v)]
+    assert manifest["config_hashes"] == {p: _sha256(workdir / p) for p in inputs}
+    assert manifest["seed"] == (9 if command.startswith("sim") else None)
+
+
+def test_manifest_hashes_inputs_sharing_a_basename(workdir):
+    os.mkdir(workdir / "b")
+    os.replace(workdir / "model.json", workdir / "b" / "cfg.json")
+    os.replace(workdir / "simcfg.json", workdir / "cfg.json")
+    assert main(["sim", "run", "--model", "b/cfg.json", "--config", "cfg.json",
+                 "--out", "o13"]) == 0
+    hashes = json.load(open(workdir / "o13" / "manifest.json"))["config_hashes"]
+    assert hashes == {"b/cfg.json": _sha256(workdir / "b" / "cfg.json"),
+                      "cfg.json": _sha256(workdir / "cfg.json")}
+
+
+# Option strings and defaults of every subcommand; REQUIRED marks a required
+# option.  A flag lost or changed while the CLI is restructured fails here.
+REQUIRED = "<required>"
+_SURFACE = {
+    "eve project": {"--in": REQUIRED, "--out": None},
+    "eve select-p": {"--in": REQUIRED, "--norm": "all", "--out": None},
+    "affine solve": {"--spec": REQUIRED, "--gamma": REQUIRED, "--p": 0.0,
+                     "--horizon": REQUIRED, "--direction": "forward", "--method": "auto",
+                     "--grid-points": 101, "--out": None},
+    "affine portfolio": {"--spec": REQUIRED, "--model": REQUIRED, "--gamma": REQUIRED,
+                         "--p": 0.0, "--horizon": REQUIRED, "--direction": "forward",
+                         "--t": REQUIRED, "--y": REQUIRED, "--out": None},
+    "spectral invert": {"--in": REQUIRED, "--atoms": REQUIRED, "--y0": None, "--out": None},
+    "spectral evaluate": {"--measure": REQUIRED, "--selection": REQUIRED,
+                          "--t-grid": REQUIRED, "--y": REQUIRED, "--out": None},
+    "spectral eigenfn-1d": {"--model": REQUIRED, "--gamma": REQUIRED, "--p": 0.0,
+                            "--zeta": REQUIRED, "--y0": REQUIRED, "--slope": REQUIRED,
+                            "--grid": REQUIRED, "--out": None},
+    "spectral radial": {"--zeta": REQUIRED, "--k": REQUIRED, "--r-max": REQUIRED,
+                        "--potential": "const:0", "--out": None},
+    "sim run": {"--model": REQUIRED, "--config": REQUIRED, "--strategy": "zero",
+                "--affine": None, "--gamma": 2.0, "--p": 0.0, "--horizon": 1.0,
+                "--direction": "forward", "--delta": 0.0, "--x0": 1.0, "--y0": None,
+                "--seed": None, "--paths": None, "--dt": None, "--csv": False,
+                "--out": None},
+    "sim feynman-kac": {"--model": REQUIRED, "--config": REQUIRED, "--gamma": REQUIRED,
+                        "--p": 0.0, "--t": REQUIRED, "--y": REQUIRED, "--affine": None,
+                        "--seed": None, "--paths": None, "--dt": None, "--out": None},
+    "verify residual": {"--which": REQUIRED, "--model": REQUIRED, "--affine": REQUIRED,
+                        "--gamma": REQUIRED, "--p": 0.0, "--horizon": 1.0,
+                        "--direction": "forward", "--t-points": 5, "--y-points": 5,
+                        "--tol-step": 0.001, "--out": None},
+    "verify martingale": {"--paths": REQUIRED, "--fpp": REQUIRED, "--buckets": 10,
+                          "--out": None},
+}
+
+
+def _leaves(parser, path=()):
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield " ".join(path), parser
+    for action in subparsers:
+        for name, sub in action.choices.items():
+            yield from _leaves(sub, path + (name,))
+
+
+def test_cli_surface_is_pinned():
+    leaves = dict(_leaves(build_parser()))
+    assert set(leaves) == set(_SURFACE) == set(_SUBCOMMANDS)
+    for name, leaf in leaves.items():
+        assert callable(leaf.get_default("run")), name
+        options = {a.option_strings[0]: REQUIRED if a.required else a.default
+                   for a in leaf._actions
+                   if a.option_strings and not isinstance(a, argparse._HelpAction)}
+        assert "--out" in options, name
+        assert options == _SURFACE[name], name

@@ -107,6 +107,21 @@ def test_project_dimension_and_rank_errors():
         project_eve(np.array([[0.5, 0.5], [0.5, 0.5], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("eps", [1e-7, 1e-8, 1e-11])
+def test_project_ill_conditioned_full_rank_is_orthonormal(eps):
+    # Smallest singular value ~ eps / sqrt(2), above the 1e-12 floor; forming
+    # rho^T rho would square the condition number and lose Q's orthonormality.
+    rho = np.array([[1.0, 1.0], [0.0, eps], [0.0, 0.0]])
+    proj = project_eve(rho)
+    q = proj.Q_star
+    assert np.max(np.abs(q.T @ q - np.eye(2))) <= 1e-14
+    # Q is the polar factor: Q^T rho is symmetric positive semi-definite.
+    h = q.T @ rho
+    np.testing.assert_allclose(h, h.T, atol=1e-14)
+    assert np.min(np.linalg.eigvalsh((h + h.T) / 2)) >= -1e-14
+    assert proj.r_star == pytest.approx(np.mean(np.linalg.svd(rho, compute_uv=False)))
+
+
 # ---------------------------------------------------------------------------
 # select_p
 # ---------------------------------------------------------------------------
