@@ -11,11 +11,12 @@ Groups and subcommands:
 Configs are JSON, numeric series are CSV.  Each subcommand is one function
 ``(args, out_dir) -> (inputs, outputs, seed)``; ``main`` resolves the output
 directory, runs it and writes manifest.json there.  The manifest records the
-command, a SHA-256 of every input keyed by its path as given on the command
-line, the seed, the version, and every file the run wrote by its path
-relative to the output directory.  Numeric outputs are deterministic for
-fixed seeds; the manifest itself carries a wall-clock timestamp and is
-excluded from byte-level comparisons.
+command (shell-quoted, so ``shlex.split`` gives back its arguments), a SHA-256
+of every input keyed by its path as given on the command line, the seed, the
+version, and every file the run wrote by its path relative to the output
+directory.  Numeric outputs are deterministic for fixed seeds; the manifest
+itself carries a wall-clock timestamp and is excluded from byte-level
+comparisons.
 
 Exit codes: 0 success, 1 validation/configuration failure, 2 numerical
 failure.
@@ -26,6 +27,7 @@ import argparse
 import hashlib
 import json
 import os
+import shlex
 import sys
 import time
 from dataclasses import replace
@@ -459,7 +461,7 @@ def main(argv=None) -> int:
         os.makedirs(out_dir, exist_ok=True)
         inputs, outputs, seed = args.run(args, out_dir)
         _write_json(out_dir, "manifest.json", {
-            "command": " ".join(["fpplab"] + argv),
+            "command": shlex.join(["fpplab"] + argv),
             "config_hashes": {p: _sha256(p) for p in inputs if p},
             "seed": seed, "version": __version__,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),

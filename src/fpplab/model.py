@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -408,6 +408,12 @@ class GeneratorCoefficients:
     built by ``generator_coefficients`` are the only implementation.  The
     library reads only the ``*_batch`` closures; ``a``, ``b``, ``P`` are their
     one-row views at a single point (k,), kept for callers.
+
+    ``kappa_batch`` maps states (P, k) to the factor volatility kappa
+    (P, d_B, k), a square root of a = kappa^T kappa that Feynman-Kac steps
+    with.  It defaults to None so that a generator given by its six closures
+    alone (such as a pure heat operator) stays valid for every other use;
+    ``feynman_kac_estimate`` refuses such a generator.
     """
 
     k: int
@@ -417,6 +423,7 @@ class GeneratorCoefficients:
     a_batch: Callable[[np.ndarray], np.ndarray]
     b_batch: Callable[[np.ndarray], np.ndarray]
     P_batch: Callable[[np.ndarray], np.ndarray]
+    kappa_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +500,8 @@ def sharpe_ratio_batch(spec: ModelSpec, Y: np.ndarray) -> np.ndarray:
 
 
 def generator_coefficients(spec: ModelSpec, rp: RiskParams) -> GeneratorCoefficients:
-    """Closures (a, b, P) of the linear operator attached to (spec, rp)."""
+    """Closures (a, b, P) of the linear operator attached to (spec, rp), and
+    the factor volatility kappa with a = kappa^T kappa."""
     Gamma, q = rp.Gamma, rp.q
     rho = spec.rho
 
@@ -512,7 +520,8 @@ def generator_coefficients(spec: ModelSpec, rp: RiskParams) -> GeneratorCoeffici
 
     return GeneratorCoefficients(k=spec.k, a=_one_row(a_batch), b=_one_row(b_batch),
                                  P=_one_row(P_batch), a_batch=a_batch,
-                                 b_batch=b_batch, P_batch=P_batch)
+                                 b_batch=b_batch, P_batch=P_batch,
+                                 kappa_batch=spec.kappa.batch)
 
 
 @dataclass(frozen=True)

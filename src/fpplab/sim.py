@@ -14,7 +14,9 @@ used for coefficient evaluation (full truncation clips to the domain).
 
 Randomness comes from counter-based Philox streams keyed by (seed, path), so
 every path's noise is reproducible independently of batching or execution
-order.
+order.  Each block of paths builds one bit generator and re-keys it to
+(seed, path) before drawing a path's noise; the streams are the same as those
+of one ``Philox(key=[seed, path])`` per path.
 """
 from __future__ import annotations
 
@@ -259,11 +261,22 @@ class PathBundle:
 # ---------------------------------------------------------------------------
 
 def _path_noise(seed: int, path_lo: int, path_hi: int, n_steps: int, dims: int):
-    """Per-path Philox noise block of shape (paths, n_steps, dims)."""
+    """Per-path Philox noise block of shape (paths, n_steps, dims).
+
+    Path p draws from the Philox stream keyed by (seed mod 2^64, p).  One bit
+    generator serves the whole block: before each path it is set to the state
+    of a freshly built one (counter zero, output buffer empty) with key
+    (seed, p), so the streams equal those of one ``Philox(key=[seed, p])`` per
+    path without building and OS-seeding one per path.
+    """
     out = np.empty((path_hi - path_lo, n_steps, dims))
+    bitgen = np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, path_lo],
+                                           dtype=np.uint64))
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state     # a copy; drawing never changes it
     for offset, p in enumerate(range(path_lo, path_hi)):
-        gen = np.random.Generator(np.random.Philox(key=np.array(
-            [seed & 0xFFFFFFFFFFFFFFFF, p], dtype=np.uint64)))
+        fresh["state"]["key"][1] = p
+        bitgen.state = fresh
         out[offset] = gen.standard_normal((n_steps, dims))
     return out
 
@@ -412,18 +425,15 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
 # Feynman-Kac estimate
 # ---------------------------------------------------------------------------
 
-def _batched_sqrt_psd(mats: np.ndarray) -> np.ndarray:
-    evals, evecs = np.linalg.eigh(mats)
-    evals = np.clip(evals, 0.0, None)
-    return np.einsum("pij,pj,pkj->pik", evecs, np.sqrt(evals), evecs)
-
-
 def feynman_kac_estimate(gen: GeneratorCoefficients, h: Callable, t: float,
                          y, cfg: SimulationConfig, domain=None):
     """Monte Carlo of E[ exp(int_0^t P(Z_s) ds) h(Z_t) 1_{tau > t} | Z_0 = y ].
 
-    Z follows drift b and diffusion a^{1/2} (the diffusion attached to the
-    operator without its potential).  The potential integral uses the left
+    Z follows dZ = b(Z) dt + kappa(Z)^T dB, with B a Brownian motion of
+    dimension d_B (the rows of kappa); since a = kappa^T kappa this is the
+    diffusion attached to the operator without its potential.  ``gen`` must
+    therefore carry ``kappa_batch``, as those built by
+    ``generator_coefficients`` do.  The potential integral uses the left
     endpoint rule.  Exit killing applies under the ``absorb`` boundary policy;
     under full truncation the state is clipped into the domain for coefficient
     evaluation and never killed, the standard treatment for square-root-type
@@ -437,8 +447,11 @@ def feynman_kac_estimate(gen: GeneratorCoefficients, h: Callable, t: float,
         raise ConfigError("time-to-go must be positive")
     if t > cfg.horizon + 1e-12:
         raise ConfigError("time-to-go exceeds configured horizon")
+    if gen.kappa_batch is None:
+        raise ConfigError("generator carries no kappa_batch; Feynman-Kac steps "
+                          "with kappa^T dB")
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    k = y.shape[0]
+    d_B = gen.kappa_batch(y[None]).shape[1]
     n_steps = max(1, int(round(t / cfg.dt)))
     dt = t / n_steps
     sqdt = np.sqrt(dt)
@@ -448,7 +461,7 @@ def feynman_kac_estimate(gen: GeneratorCoefficients, h: Callable, t: float,
     for lo in range(0, P_paths, _BLOCK_SIZE):
         hi = min(lo + _BLOCK_SIZE, P_paths)
         B_ = hi - lo
-        noise = _path_noise(cfg.seed, lo, hi, n_steps, k)
+        noise = _path_noise(cfg.seed, lo, hi, n_steps, d_B)
         Z = np.tile(y, (B_, 1))
         log_weight = np.zeros(B_)
         alive = np.ones(B_, dtype=bool)
@@ -457,8 +470,8 @@ def feynman_kac_estimate(gen: GeneratorCoefficients, h: Callable, t: float,
                 else domain.clip(Z)
             log_weight += np.where(alive, gen.P_batch(Zeval) * dt, 0.0)
             drift = gen.b_batch(Zeval)
-            root_a = _batched_sqrt_psd(gen.a_batch(Zeval))
-            dZ = drift * dt + np.einsum("pij,pj->pi", root_a, noise[:, i]) * sqdt
+            dZ = drift * dt \
+                + np.einsum("pbk,pb->pk", gen.kappa_batch(Zeval), noise[:, i]) * sqdt
             if not np.all(np.isfinite(dZ)):
                 raise _first_nonfinite(dZ, lo, i)
             Z = np.where(alive[:, None], Z + dZ, Z)

@@ -9,7 +9,8 @@ from fpplab import affine
 
 
 def make_heat_generator():
-    """Generator of (1/2) d2/dy2 on R: a = 1, b = 0, P = 0, k = 1."""
+    """Generator of (1/2) d2/dy2 on R: a = 1, b = 0, P = 0, k = 1, with
+    kappa = 1 so that Feynman-Kac can step it."""
     return GeneratorCoefficients(
         k=1,
         a=lambda y: np.array([[1.0]]),
@@ -17,7 +18,8 @@ def make_heat_generator():
         P=lambda y: 0.0,
         a_batch=lambda Y: np.ones((np.atleast_2d(Y).shape[0], 1, 1)),
         b_batch=lambda Y: np.zeros((np.atleast_2d(Y).shape[0], 1)),
-        P_batch=lambda Y: np.zeros(np.atleast_2d(Y).shape[0]))
+        P_batch=lambda Y: np.zeros(np.atleast_2d(Y).shape[0]),
+        kappa_batch=lambda Y: np.ones((np.atleast_2d(Y).shape[0], 1, 1)))
 
 
 def make_scalar_model(mu=0.06, sigma=0.2, alpha=0.0, kappa=1.0, rho=0.0):

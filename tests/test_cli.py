@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import shlex
 from dataclasses import replace
 
 import numpy as np
@@ -202,6 +203,13 @@ def test_verify_residual_hjb_subcommand(workdir):
     payload = json.load(open(workdir / "o10h" / "residual_hjb.json"))
     assert payload["n_points"] == 5 * 3 * 5
     assert payload["max_abs_residual"] <= 1e-4
+
+
+def test_manifest_command_round_trips_through_shlex(workdir):
+    argv = ["eve", "project", "--in", "rho.csv", "--out", "o 1"]
+    assert main(argv) == 0
+    manifest = json.load(open(workdir / "o 1" / "manifest.json"))
+    assert shlex.split(manifest["command"]) == ["fpplab"] + argv
 
 
 def test_manifest_written_with_hashes(workdir):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -199,6 +199,23 @@ def test_generator_batch_consistency(canonical_1f):
         np.testing.assert_allclose(a_b[i], gen.a(y), atol=1e-14)
         np.testing.assert_allclose(b_b[i], gen.b(y), atol=1e-14)
         assert P_b[i] == pytest.approx(gen.P(y), abs=1e-14)
+
+
+@pytest.mark.parametrize("market_name", ["canonical_1f", "canonical_2f"])
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 10_000))
+def test_generator_diffusion_is_kappa_gram(request, market_name, seed):
+    # Feynman-Kac steps with kappa^T dB, which has the law of a^{1/2} dB only
+    # if a = kappa^T kappa; states include points outside the orthant.
+    market, _, rp = request.getfixturevalue(market_name)
+    gen = generator_coefficients(market, rp)
+    rng = np.random.default_rng(seed)
+    Y = rng.uniform(-0.5, 3.0, (int(rng.integers(1, 7)), market.k))
+    kap = gen.kappa_batch(Y)
+    assert kap.shape == (len(Y), market.d_B, market.k)
+    np.testing.assert_allclose(gen.a_batch(Y), np.swapaxes(kap, -1, -2) @ kap,
+                               rtol=1e-14, atol=0)
 
 
 def _field_families():
