@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -43,10 +43,12 @@ from scipy.integrate import solve_ivp
 
 from .errors import (ClosedFormInapplicableError, ConfigError,
                      ExponentOverflowError, IntegrationError, RiccatiBlowUpError)
-from .model import (AffineField, Box, ConstantField, ModelSpec, RiskParams,
-                    SqrtAffineField, SqrtDiagField, rowwise, sigma_terms)
+from .model import (AffineField, Box, ConstantField, ModelSpec, RiskParams, SqrtAffineField,
+                    SqrtDiagField, from_params, plain, rowwise, sigma_terms)
 
 BLOW_UP_THRESHOLD = 1e8
+DIAGONAL_TOL = 1e-12      # AffineSpec.is_diagonal: relative off-diagonal tolerance
+RESIDUAL_FD_STEP = 1e-6   # riccati_residual: central-difference time step
 _EXP_LIMIT = 700.0
 
 FORWARD = "forward"
@@ -80,6 +82,8 @@ class AffineSpec:
     h0: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "lambda0", float(self.lambda0))
+        object.__setattr__(self, "h0", float(self.h0))
         for name in ("M", "N"):
             object.__setattr__(self, name, np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
         for name in ("w", "L", "Lambda", "c", "H"):
@@ -108,29 +112,22 @@ class AffineSpec:
     def coupling(self) -> np.ndarray:
         return self.M + self.N
 
-    def is_diagonal(self, tol: float = 1e-12) -> bool:
+    def is_diagonal(self) -> bool:
+        """Off-diagonals of M+N within DIAGONAL_TOL (1e-12) of max(1, max |M+N|)."""
         mn = self.coupling()
         off = mn - np.diag(np.diag(mn))
         scale = max(1.0, float(np.max(np.abs(mn))))
-        return bool(np.max(np.abs(off)) <= tol * scale)
+        return bool(np.max(np.abs(off)) <= DIAGONAL_TOL * scale)
 
     def h(self, y) -> float:
         return math.exp(float(self.H @ np.asarray(y, dtype=float)) + self.h0)
 
     def to_json(self) -> dict:
-        return {"M": self.M.tolist(), "w": self.w.tolist(), "L": self.L.tolist(),
-                "Lambda": self.Lambda.tolist(), "lambda0": self.lambda0,
-                "N": self.N.tolist(), "c": self.c.tolist(),
-                "H": self.H.tolist(), "h0": self.h0}
+        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
 
     @staticmethod
     def from_json(data: dict) -> "AffineSpec":
-        for key in ("M", "w", "L", "Lambda", "lambda0", "N", "c", "H", "h0"):
-            if key not in data:
-                raise ConfigError(f"affine spec: missing field '{key}'")
-        return AffineSpec(M=data["M"], w=data["w"], L=data["L"],
-                          Lambda=data["Lambda"], lambda0=float(data["lambda0"]),
-                          N=data["N"], c=data["c"], H=data["H"], h0=float(data["h0"]))
+        return from_params(AffineSpec, data, "affine spec")
 
     @staticmethod
     def load(path) -> "AffineSpec":
@@ -367,17 +364,17 @@ def solve_riccati(spec: AffineSpec, rp: RiskParams, horizon: float,
         return sol
 
 
-def riccati_residual(sol: RiccatiSolution, times=None, fd_step: float = 1e-6):
+def riccati_residual(sol: RiccatiSolution, times=None):
     """Max residuals of the Phi system and the Theta equation at sampled times.
 
-    Derivatives are taken by central differences, independent of how the
+    Central differences of step RESIDUAL_FD_STEP (1e-6), independent of how the
     solution was produced.  Returns (max_phi_residual, max_theta_residual).
     """
     spec, rp = sol.spec, sol.rp
     if times is None:
         times = np.linspace(0.0, sol.horizon, 100)
     t = np.atleast_1d(np.asarray(times, dtype=float))
-    h = fd_step
+    h = RESIDUAL_FD_STEP
     rhs = _riccati_rhs(spec, rp)
     lam0_term = (rp.Gamma / (2.0 * rp.q)) * spec.lambda0
     wc = spec.w + spec.c

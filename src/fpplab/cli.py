@@ -37,7 +37,7 @@ import numpy as np
 from . import __version__, affine, eve, spectral, verify
 from . import sim as simmod
 from .errors import ConfigError, InsufficientSampleError, NumericalError
-from .model import ModelSpec, RiskParams, generator_coefficients
+from .model import ModelSpec, RiskParams, generator_coefficients, require
 
 ENV_OUT_DIR = "FPPLAB_OUT"
 
@@ -127,9 +127,7 @@ def _load_fpp_bundle(path):
     """JSON {affine_spec, gamma, p, horizon, direction} -> (solution, rp)."""
     with open(path) as fh:
         data = json.load(fh)
-    for key in ("affine_spec", "gamma", "p", "horizon"):
-        if key not in data:
-            raise ConfigError(f"fpp file: missing field '{key}'")
+    require(data, ["affine_spec", "gamma", "p", "horizon"], "fpp file")
     spec = affine.AffineSpec.from_json(data["affine_spec"])
     rp = RiskParams(gamma=float(data["gamma"]), p=float(data["p"]))
     sol = affine.solve_riccati(spec, rp, float(data["horizon"]),

@@ -17,7 +17,7 @@ verification routine downstream.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -28,6 +28,36 @@ from .errors import ConfigError, SingularModelError
 
 # Relative singular-value cutoff for pseudoinverse / rank decisions.
 SV_CUTOFF = 1e-12
+GRID_MARGIN = 0.1   # Box.interior_grid: inset per side, as a fraction of the axis width
+GRID_SPAN = 2.0     # Box.interior_grid: length at which an unbounded axis is cut
+
+
+def require(data, keys, what: str) -> None:
+    """Raise ``ConfigError`` naming the first of ``keys`` missing from the
+    JSON object ``data``; ``what`` names the object in the message."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what}: expected a JSON object, got {type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise ConfigError(f"{what}: missing field '{key}'")
+
+
+def plain(value):
+    """JSON form of a value: arrays and tuples become lists, objects with a
+    ``to_json`` give theirs, anything else is returned as is."""
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    if isinstance(value, tuple):
+        return [plain(v) for v in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def from_params(cls, data: dict, what: str, *extra):
+    """``cls(*data[params], *extra)``, where params are the keys ``cls``
+    declares in ``params`` or, for a dataclass, its fields."""
+    keys = getattr(cls, "params", None) or [f.name for f in fields(cls)]
+    require(data, keys, what)
+    return cls(*(data[key] for key in keys), *extra)
 
 
 # ---------------------------------------------------------------------------
@@ -38,10 +68,13 @@ class CoefficientField:
     """A function of the factor state y, vector- or matrix-valued.
 
     Subclasses implement only ``batch``, which evaluates a stack of points of
-    shape (P, k); a single point of shape (k,) is its one-row view.
+    shape (P, k); a single point of shape (k,) is its one-row view.  A family
+    declares ``params``, its constructor arguments in order, each kept as an
+    attribute; the JSON form is the ``family`` tag plus those params.
     """
 
     family: str = "abstract"
+    params: tuple = ()
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         return self.batch(np.atleast_2d(y))[0]
@@ -50,25 +83,22 @@ class CoefficientField:
         raise NotImplementedError
 
     def to_json(self) -> dict:
-        raise NotImplementedError
+        return {"family": self.family, **{p: plain(getattr(self, p)) for p in self.params}}
 
     @staticmethod
     def from_json(data: dict) -> "CoefficientField":
-        try:
-            family = data["family"]
-        except (TypeError, KeyError):
-            raise ConfigError("coefficient field: missing 'family' key")
-        try:
-            cls = _FIELD_FAMILIES[family]
-        except KeyError:
-            raise ConfigError(f"coefficient field: unknown family '{family}'")
-        return cls._from_json(data)
+        require(data, ["family"], "coefficient field")
+        cls = _FIELD_FAMILIES.get(data["family"])
+        if cls is None:
+            raise ConfigError(f"coefficient field: unknown family '{data['family']}'")
+        return from_params(cls, data, f"{cls.family} field")
 
 
 class ConstantField(CoefficientField):
     """y-independent value (vector or matrix)."""
 
     family = "constant"
+    params = ("value",)
 
     def __init__(self, value):
         self.value = np.asarray(value, dtype=float)
@@ -84,38 +114,24 @@ class ConstantField(CoefficientField):
         Y = np.atleast_2d(Y)
         return np.broadcast_to(self.value, (Y.shape[0],) + self.value.shape)
 
-    def to_json(self):
-        return {"family": self.family, "value": self.value.tolist()}
-
-    @classmethod
-    def _from_json(cls, data):
-        return cls(data["value"])
-
 
 class AffineField(CoefficientField):
     """Vector field f(y) = A y + c with A of shape (out, k)."""
 
     family = "affine"
+    params = ("matrix", "offset")
 
     def __init__(self, matrix, offset):
         self.matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
         self.offset = np.atleast_1d(np.asarray(offset, dtype=float))
         if self.matrix.shape[0] != self.offset.shape[0]:
-            raise ConfigError("affine field: matrix rows must match offset length")
+            raise ConfigError(f"{self.family} field: matrix rows must match offset length")
 
     def batch(self, Y):
         return np.atleast_2d(Y) @ self.matrix.T + self.offset
 
-    def to_json(self):
-        return {"family": self.family, "matrix": self.matrix.tolist(),
-                "offset": self.offset.tolist()}
 
-    @classmethod
-    def _from_json(cls, data):
-        return cls(data["matrix"], data["offset"])
-
-
-class SqrtAffineField(CoefficientField):
+class SqrtAffineField(AffineField):
     """Vector field f_i(y) = sqrt(max(A_i . y + c_i, 0)).
 
     The clip keeps evaluation finite on the boundary of [0, inf)^k and for
@@ -124,22 +140,8 @@ class SqrtAffineField(CoefficientField):
 
     family = "sqrt_affine"
 
-    def __init__(self, matrix, offset):
-        self.matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-        self.offset = np.atleast_1d(np.asarray(offset, dtype=float))
-        if self.matrix.shape[0] != self.offset.shape[0]:
-            raise ConfigError("sqrt_affine field: matrix rows must match offset length")
-
     def batch(self, Y):
         return np.sqrt(np.clip(np.atleast_2d(Y) @ self.matrix.T + self.offset, 0.0, None))
-
-    def to_json(self):
-        return {"family": self.family, "matrix": self.matrix.tolist(),
-                "offset": self.offset.tolist()}
-
-    @classmethod
-    def _from_json(cls, data):
-        return cls(data["matrix"], data["offset"])
 
 
 class SqrtDiagField(CoefficientField):
@@ -150,6 +152,7 @@ class SqrtDiagField(CoefficientField):
     """
 
     family = "sqrt_diag"
+    params = ("scale",)
 
     def __init__(self, scale):
         self.scale = np.atleast_1d(np.asarray(scale, dtype=float))
@@ -164,13 +167,6 @@ class SqrtDiagField(CoefficientField):
         out[:, idx, idx] = vals
         return out
 
-    def to_json(self):
-        return {"family": self.family, "scale": self.scale.tolist()}
-
-    @classmethod
-    def _from_json(cls, data):
-        return cls(data["scale"])
-
 
 class GridField(CoefficientField):
     """Tabulated values with multilinear interpolation on a rectangular grid.
@@ -184,6 +180,7 @@ class GridField(CoefficientField):
     """
 
     family = "grid"
+    params = ("axes", "values")
 
     def __init__(self, axes, values):
         self.axes = tuple(np.asarray(ax, dtype=float) for ax in axes)
@@ -195,14 +192,6 @@ class GridField(CoefficientField):
 
     def batch(self, Y):
         return np.asarray(self._interp(np.atleast_2d(Y)))
-
-    def to_json(self):
-        return {"family": self.family, "axes": [ax.tolist() for ax in self.axes],
-                "values": self.values.tolist()}
-
-    @classmethod
-    def _from_json(cls, data):
-        return cls(data["axes"], data["values"])
 
 
 _FIELD_FAMILIES = {cls.family: cls for cls in
@@ -248,21 +237,21 @@ class Box:
         # Overshoots past the opposite face (giant steps) end up clipped.
         return np.clip(y, lo, hi)
 
-    def interior_grid(self, points_per_dim: int = 5, margin: float = 0.1,
-                      span: float = 2.0) -> np.ndarray:
-        """Regular grid of interior points; unbounded sides are cut at
-        ``finite_bound + span`` (or [-span/2, span/2] for a doubly infinite axis)."""
+    def interior_grid(self, points_per_dim: int = 5) -> np.ndarray:
+        """Regular grid inset GRID_MARGIN (0.1) of each axis' width from its ends;
+        unbounded sides are cut at ``finite_bound + GRID_SPAN`` (2.0), or at
+        [-GRID_SPAN/2, GRID_SPAN/2] for a doubly infinite axis."""
         axes = []
         for i in range(self.dim):
             lo, hi = self.lower[i], self.upper[i]
             if not np.isfinite(lo) and not np.isfinite(hi):
-                lo, hi = -span / 2, span / 2
+                lo, hi = -GRID_SPAN / 2, GRID_SPAN / 2
             elif not np.isfinite(hi):
-                hi = lo + span
+                hi = lo + GRID_SPAN
             elif not np.isfinite(lo):
-                lo = hi - span
-            width = hi - lo
-            axes.append(np.linspace(lo + margin * width, hi - margin * width, points_per_dim))
+                lo = hi - GRID_SPAN
+            inset = GRID_MARGIN * (hi - lo)
+            axes.append(np.linspace(lo + inset, hi - inset, points_per_dim))
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
@@ -275,6 +264,7 @@ class Box:
     def from_json(data):
         def dec(vals, sign):
             return [sign * np.inf if v is None else float(v) for v in vals]
+        require(data, ["lower", "upper"], "domain")
         return Box(dec(data["lower"], -1), dec(data["upper"], +1))
 
 
@@ -288,7 +278,7 @@ class ModelSpec:
 
     dS^i/S^i = mu_i(Y) dt + (sigma(Y)^T dW)_i      (stocks,   i = 1..n)
     dY       = alpha(Y) dt + kappa(Y)^T dB          (factors,  in D)
-    B        = rho^T W + A^T Wperp,  A = (I - rho^T rho)^{1/2}
+    B        = rho^T W + A^T Wperp,  A = (I - rho^T rho)^{1/2}  (d_Wperp = d_B)
 
     All coefficient fields map a point of D (shape (k,)) to arrays of shapes
     mu: (n,), sigma: (d_W, n), alpha: (k,), kappa: (d_B, k).
@@ -310,6 +300,8 @@ class ModelSpec:
         object.__setattr__(self, "rho", np.atleast_2d(np.asarray(self.rho, dtype=float)))
         if self.d_W < self.n:
             raise ConfigError(f"d_W={self.d_W} must be >= n={self.n}")
+        if self.d_Wperp != self.d_B:
+            raise ConfigError(f"d_Wperp={self.d_Wperp} must equal d_B={self.d_B}")
         if self.rho.shape != (self.d_W, self.d_B):
             raise ConfigError(f"rho must be {self.d_W}x{self.d_B}, got {self.rho.shape}")
         if self.domain.dim != self.k:
@@ -332,31 +324,15 @@ class ModelSpec:
         return (evecs * np.sqrt(evals)) @ evecs.T
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n, "k": self.k, "d_W": self.d_W, "d_B": self.d_B,
-            "d_Wperp": self.d_Wperp,
-            "mu": self.mu.to_json(), "sigma": self.sigma.to_json(),
-            "alpha": self.alpha.to_json(), "kappa": self.kappa.to_json(),
-            "rho": self.rho.tolist(), "domain": self.domain.to_json(),
-        }
+        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
 
     @staticmethod
     def from_json(data: dict) -> "ModelSpec":
-        required = ["n", "k", "d_W", "d_B", "d_Wperp", "mu", "sigma",
-                    "alpha", "kappa", "rho", "domain"]
-        for key in required:
-            if key not in data:
-                raise ConfigError(f"model spec: missing field '{key}'")
-        return ModelSpec(
-            n=int(data["n"]), k=int(data["k"]), d_W=int(data["d_W"]),
-            d_B=int(data["d_B"]), d_Wperp=int(data["d_Wperp"]),
-            mu=CoefficientField.from_json(data["mu"]),
-            sigma=CoefficientField.from_json(data["sigma"]),
-            alpha=CoefficientField.from_json(data["alpha"]),
-            kappa=CoefficientField.from_json(data["kappa"]),
-            rho=np.asarray(data["rho"], dtype=float),
-            domain=Box.from_json(data["domain"]),
-        )
+        require(data, [f.name for f in fields(ModelSpec)], "model spec")
+        dims = {key: int(data[key]) for key in ("n", "k", "d_W", "d_B", "d_Wperp")}
+        coefs = {key: CoefficientField.from_json(data[key])
+                 for key in ("mu", "sigma", "alpha", "kappa")}
+        return ModelSpec(**dims, **coefs, rho=data["rho"], domain=Box.from_json(data["domain"]))
 
     def save(self, path):
         with open(path, "w") as fh:

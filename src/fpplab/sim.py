@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .affine import optimal_portfolio_affine
 from .errors import ConfigError, SimulationError
-from .model import (GeneratorCoefficients, ModelSpec, RiskParams, rowwise,
+from .model import (GeneratorCoefficients, ModelSpec, RiskParams, require, rowwise,
                     sigma_terms)
 
 BOUNDARY_POLICIES = ("full-truncation", "absorb", "reflect")
@@ -72,24 +72,20 @@ class SimulationConfig:
         return self.horizon / self.n_steps
 
     def to_json(self):
-        return {"dt": self.dt, "horizon": self.horizon, "n_paths": self.n_paths,
-                "seed": self.seed, "boundary_policy": self.boundary_policy,
-                "record_stride": self.record_stride}
+        return asdict(self)
 
     @staticmethod
     def from_json(data):
+        require(data, ["dt", "horizon", "n_paths"], "simulation config")
         # Euler-Maruyama is the only scheme; a file naming another is refused.
         scheme = data.get("scheme", "euler-maruyama")
         if scheme != "euler-maruyama":
             raise ConfigError(f"unknown scheme '{scheme}'")
-        try:
-            return SimulationConfig(
-                dt=float(data["dt"]), horizon=float(data["horizon"]),
-                n_paths=int(data["n_paths"]), seed=int(data.get("seed", 0)),
-                boundary_policy=data.get("boundary_policy", "full-truncation"),
-                record_stride=int(data.get("record_stride", 1)))
-        except KeyError as exc:
-            raise ConfigError(f"simulation config: missing field {exc}")
+        return SimulationConfig(
+            dt=float(data["dt"]), horizon=float(data["horizon"]),
+            n_paths=int(data["n_paths"]), seed=int(data.get("seed", 0)),
+            boundary_policy=data.get("boundary_policy", "full-truncation"),
+            record_stride=int(data.get("record_stride", 1)))
 
     @staticmethod
     def load(path) -> "SimulationConfig":
@@ -291,11 +287,11 @@ def _first_nonfinite(arr, paths_slice_origin, step):
 
 
 def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
-             x0: float = 1.0, y0=None, s0=None) -> PathBundle:
+             x0: float = 1.0, y0=None) -> PathBundle:
     """Generate paths of (W, Wperp, B, Y, S, X) under the feedback strategy.
 
-    Initial states default to x0 = 1, S_0 = 1 per stock, and y0 at the center
-    of the domain's interior grid if not supplied.
+    Stocks start at S_0 = 1 (prices never feed back, so S_0 is only a scale),
+    wealth at x0 = 1 and y0 at the center of the domain's interior grid unless given.
 
     Raises
     ------
@@ -308,9 +304,8 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
         grid = model.domain.interior_grid(points_per_dim=1)
         y0 = grid[0]
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    s0 = np.full(model.n, 1.0) if s0 is None else np.atleast_1d(np.asarray(s0, dtype=float))
-    if x0 <= 0 or np.any(s0 <= 0):
-        raise ConfigError("initial wealth and stock prices must be positive")
+    if x0 <= 0:
+        raise ConfigError("initial wealth must be positive")
 
     n_steps = cfg.n_steps
     dt = cfg.dt_effective
@@ -345,7 +340,7 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
         Wpc = np.zeros((B_, model.d_Wperp))
         Bc = np.zeros((B_, model.d_B))
         Y = np.tile(y0, (B_, 1))
-        logS = np.tile(np.log(s0), (B_, 1))
+        logS = np.zeros((B_, model.n))
         logX = np.full(B_, np.log(x0))
         alive = np.ones(B_, dtype=bool)
         exits = np.full(B_, np.nan)

@@ -25,10 +25,14 @@ from scipy.optimize import least_squares, nnls
 
 from .errors import (ConditioningError, ConfigError, InconsistentDataError,
                      IntegrationError, NonRepresentableError, PositivityError)
-from .model import GeneratorCoefficients, RiskParams
+from .affine import power_utility_prefactor
+from .model import GeneratorCoefficients, RiskParams, from_params, plain, require
 
 _RANK_CUTOFF = 1e-12
 _COND_LIMIT = 1e12
+MATCH_TOL = 1e-9            # TabulatedEigenfunction: max-norm distance of a match
+RECOVERY_TOL = 1e-6         # recover_selection: largest relative NNLS residual
+RADIAL_TAIL_FACTOR = 10.0   # radial_ode_diagnostic: inner integral cut at this * r_max
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +86,9 @@ class SpectralMeasure:
 
     @staticmethod
     def from_json(data):
+        require(data, ["y0", "atoms"], "spectral measure")
+        for atom in data["atoms"]:
+            require(atom, ["zeta", "weight"], "spectral measure atom")
         atoms = sorted(data["atoms"], key=lambda a: a["zeta"])
         return SpectralMeasure(zetas=[a["zeta"] for a in atoms],
                                weights=[a["weight"] for a in atoms],
@@ -98,11 +105,15 @@ class Eigenfunction:
     Subclasses implement ``batch(Y) -> (P,)`` on stacked states Y (P, k), and
     the derivative-capable kinds (exp, expmix, ode) also
     ``derivatives(Y) -> (psi (P,), grad (P, k), Hess (P, k, k))``.  A single
-    state (k,) is the one-row view of ``batch``.  Kinds without a JSON form
-    (ode: a dense ODE solution) raise ``ConfigError`` from ``to_json``.
+    state (k,) is the one-row view of ``batch``.  A kind declares ``params``,
+    its constructor arguments before ``y0`` (the selection stores y0), each
+    kept as an attribute; the JSON form is the ``kind`` tag plus those params.
+    Kinds without one (ode: a dense ODE solution) keep ``params`` None and
+    raise ``ConfigError`` from ``to_json``.
     """
 
     kind: str = "abstract"
+    params: Optional[tuple] = None
 
     def __call__(self, y) -> float:
         return float(self.batch(np.atleast_2d(y))[0])
@@ -111,7 +122,9 @@ class Eigenfunction:
         raise NotImplementedError
 
     def to_json(self) -> dict:
-        raise ConfigError(f"eigenfunction kind '{self.kind}' has no JSON form")
+        if self.params is None:
+            raise ConfigError(f"eigenfunction kind '{self.kind}' has no JSON form")
+        return {"kind": self.kind, **{p: plain(getattr(self, p)) for p in self.params}}
 
 
 class _ExpSum(Eigenfunction):
@@ -139,13 +152,11 @@ class ExpEigenfunction(_ExpSum):
     """psi(y) = exp(v^T (y - y0))."""
 
     kind = "exp"
+    params = ("v",)
 
     def __init__(self, v, y0):
         self.v = np.atleast_1d(np.asarray(v, dtype=float))
         super().__init__([1.0], [self.v], y0)
-
-    def to_json(self):
-        return {"kind": self.kind, "v": self.v.tolist()}
 
 
 class ExpMixEigenfunction(_ExpSum):
@@ -156,6 +167,7 @@ class ExpMixEigenfunction(_ExpSum):
     """
 
     kind = "expmix"
+    params = ("weight_plus", "rate_plus", "rate_minus")
 
     def __init__(self, weight_plus, rate_plus, rate_minus, y0):
         self.weight_plus = float(weight_plus)
@@ -163,10 +175,6 @@ class ExpMixEigenfunction(_ExpSum):
         self.rate_minus = float(rate_minus)
         super().__init__([self.weight_plus, 1.0 - self.weight_plus],
                          [self.rate_plus, self.rate_minus], y0)
-
-    def to_json(self):
-        return {"kind": self.kind, "weight_plus": self.weight_plus,
-                "rate_plus": self.rate_plus, "rate_minus": self.rate_minus}
 
 
 class OdeEigenfunction(Eigenfunction):
@@ -224,15 +232,19 @@ class OdeEigenfunction(Eigenfunction):
 
 
 class TabulatedEigenfunction(Eigenfunction):
-    """Eigenfunction known only at finitely many states (recovered data)."""
+    """Eigenfunction known only at finitely many states (recovered data).
+
+    A state matches a tabulated point when every coordinate is within
+    ``MATCH_TOL`` (1e-9) of it.
+    """
 
     kind = "tabulated"
+    params = ("points", "values")
 
-    def __init__(self, points, values, y0, match_tol: float = 1e-9):
+    def __init__(self, points, values, y0):
         self.points = np.atleast_2d(np.asarray(points, dtype=float))
         self.values = np.atleast_1d(np.asarray(values, dtype=float))
         self.y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-        self.match_tol = match_tol
         if self.points.shape[0] != self.values.shape[0]:
             raise ConfigError("points and values must align")
 
@@ -240,14 +252,14 @@ class TabulatedEigenfunction(Eigenfunction):
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         dist = np.max(np.abs(Y[:, None, :] - self.points), axis=2)     # (P, N)
         idx = np.argmin(dist, axis=1)
-        miss = dist[np.arange(len(Y)), idx] > self.match_tol
+        miss = dist[np.arange(len(Y)), idx] > MATCH_TOL
         if np.any(miss):
             raise ValueError(f"state {Y[np.argmax(miss)]} not among tabulated points")
         return self.values[idx]
 
-    def to_json(self):
-        return {"kind": self.kind, "points": self.points.tolist(),
-                "values": self.values.tolist()}
+
+_KINDS = {cls.kind: cls for cls in
+          (ExpEigenfunction, ExpMixEigenfunction, TabulatedEigenfunction)}
 
 
 @dataclass(frozen=True)
@@ -297,19 +309,15 @@ class EigenfunctionSelection:
 
     @staticmethod
     def from_json(data):
-        funcs = []
+        require(data, ["y0", "functions"], "eigenfunction selection")
         y0 = np.asarray(data["y0"], dtype=float)
+        funcs = []
         for fd in data["functions"]:
-            kind = fd.get("kind")
-            if kind == "exp":
-                funcs.append(ExpEigenfunction(fd["v"], y0))
-            elif kind == "expmix":
-                funcs.append(ExpMixEigenfunction(fd["weight_plus"], fd["rate_plus"],
-                                                 fd["rate_minus"], y0))
-            elif kind == "tabulated":
-                funcs.append(TabulatedEigenfunction(fd["points"], fd["values"], y0))
-            else:
-                raise ConfigError(f"unknown eigenfunction kind '{kind}'")
+            require(fd, ["kind"], "eigenfunction")
+            cls = _KINDS.get(fd["kind"])
+            if cls is None:
+                raise ConfigError(f"unknown eigenfunction kind '{fd['kind']}'")
+            funcs.append(from_params(cls, fd, f"{cls.kind} eigenfunction", y0))
         return EigenfunctionSelection(tuple(funcs), y0)
 
 
@@ -320,8 +328,6 @@ class EigenfunctionSelection:
 def fpp_from_measure(nu: SpectralMeasure, sel: EigenfunctionSelection,
                      rp: RiskParams, t: float, x, y):
     """gamma^gamma x^{1-gamma}/(1-gamma) * u(t, y)^q with u the mixture."""
-    from .affine import power_utility_prefactor
-
     u = WidderFunction(nu, sel)(t, y)
     out = power_utility_prefactor(rp, x) * u ** rp.q
     return float(out) if np.ndim(out) == 0 else out
@@ -535,14 +541,13 @@ def invert_laplace_discrete(samples, m: int, y0=0.0) -> InversionResult:
                            m_requested=m, m_effective=int(zetas.size))
 
 
-def recover_selection(samples_by_point, nu: SpectralMeasure,
-                      tol: float = 1e-6) -> EigenfunctionSelection:
+def recover_selection(samples_by_point, nu: SpectralMeasure) -> EigenfunctionSelection:
     """Recover psi_i(y) = w_i(y) / w_i(y0) against the fixed exponents of nu.
 
     ``samples_by_point`` maps states y (tuple/scalar/array) to (t, u) series.
     Weights at each state are fitted by non-negative least squares; a relative
-    fit residual above ``tol`` raises InconsistentDataError.  psi_i(y0) is set
-    to exactly 1 when y0 is among the states.
+    fit residual above ``RECOVERY_TOL`` (1e-6) raises InconsistentDataError.
+    psi_i(y0) is set to exactly 1 when y0 is among the states.
     """
     if isinstance(samples_by_point, dict):
         items = list(samples_by_point.items())
@@ -558,9 +563,9 @@ def recover_selection(samples_by_point, nu: SpectralMeasure,
         E = np.exp(-np.outer(t, nu.zetas))
         what, rnorm = nnls(E, u)
         rel = rnorm / max(np.linalg.norm(u), 1e-300)
-        if rel > tol:
+        if rel > RECOVERY_TOL:
             raise InconsistentDataError(
-                f"series at y={y_arr} has relative residual {rel:.3e} > {tol:g}")
+                f"series at y={y_arr} has relative residual {rel:.3e} > {RECOVERY_TOL:g}")
         points.append(y_arr)
         psi_cols.append(what / nu.weights)
 
@@ -592,19 +597,19 @@ class RadialDiagnostic:
 
 
 def radial_ode_diagnostic(P0_tilde: Callable[[float], float], zeta: float,
-                          k: int, r_max: float,
-                          tail_factor: float = 10.0) -> RadialDiagnostic:
+                          k: int, r_max: float) -> RadialDiagnostic:
     """Integrate g'' + ((k-1)/r) g' + (zeta - P0(r)) g = 0 with g(0+) = 1 and
     accumulate the truncated uniqueness integral
 
         int_1^{r_max} t^{k-3} g(t)^2 ( int_t^inf s^{1-k} g(s)^{-2} ds ) dt.
 
-    The inner integral is quadratured up to R = tail_factor * r_max and closed
-    with the frozen-g tail estimate g(R)^{-2} R^{2-k}/(k-2) (k >= 3; omitted
-    for k = 2, where a bounded g makes the tail infinite anyway).  After the
-    g solve, the inner integral is one backward solve_ivp sweep from R and the
-    outer one a forward sweep over [1, r_max], both at rtol 1e-11, so their
-    accuracy matches the g solve itself.
+    The inner integral is quadratured up to R = RADIAL_TAIL_FACTOR * r_max
+    (10 r_max) and closed with the frozen-g tail estimate
+    g(R)^{-2} R^{2-k}/(k-2) (k >= 3; omitted for k = 2, where a bounded g
+    makes the tail infinite anyway).  After the g solve, the inner integral
+    is one backward solve_ivp sweep from R and the outer one a forward sweep
+    over [1, r_max], both at rtol 1e-11, so their accuracy matches the g
+    solve itself.
 
     The growth flag is heuristic: the outer increment over [r_max/2, r_max]
     must not have decayed below 3/4 of the one over [r_max/4, r_max/2].  No
@@ -618,7 +623,7 @@ def radial_ode_diagnostic(P0_tilde: Callable[[float], float], zeta: float,
         raise ConfigError("r_max must exceed 1")
 
     r_start = 1e-6
-    R = tail_factor * r_max
+    R = RADIAL_TAIL_FACTOR * r_max
     # Series start: g(r) = 1 - (zeta - P0(0+)) r^2 / (2k) + O(r^4).
     c2 = -(zeta - P0_tilde(r_start)) / (2.0 * k)
 

@@ -20,6 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .affine import evaluate_u_affine
 from .errors import (ConcavityViolationError, ConfigError,
                      InsufficientSampleError, PositivityError)
 from .model import (GeneratorCoefficients, ModelSpec, RiskParams, sharpe_ratio,
@@ -378,8 +379,6 @@ def optimal_portfolio_residual(model: ModelSpec, rp: RiskParams,
 
 def affine_u_value_grad(sol) -> Callable:
     """(t, y) -> (u, grad_y u) for an exponential-affine solution."""
-    from .affine import evaluate_u_affine
-
     def fn(t, y):
         u0 = evaluate_u_affine(sol, t, y)
         return u0, u0 * sol.Phi(t)

@@ -132,7 +132,7 @@ def test_riccati_residual_matches_per_time_stencils(canonical_1f):
                          (_coupled_spec(), solve_riccati_numeric)):
         for direction in (FORWARD, BACKWARD):
             sol = solver(spec, rp, 1.0, direction)
-            got = riccati_residual(sol, times, fd_step=1e-6)
+            got = riccati_residual(sol, times)
             want = _residual_per_time(sol, times, 1e-6)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 

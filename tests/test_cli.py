@@ -248,6 +248,51 @@ def test_malformed_config_exits_one_and_names_field(workdir, capsys):
     assert "n_paths" in capsys.readouterr().err
 
 
+# (file, path to the JSON object, key dropped from it); at the parent every
+# case raised an uncaught KeyError out of main.
+_MISSING_KEY_CASES = [
+    ("model.json", ("kappa",), "scale"),
+    ("model.json", ("domain",), "upper"),
+    ("measure.json", (), "atoms"),
+    ("selection.json", ("functions", 0), "v"),
+]
+
+
+@pytest.mark.parametrize("name, path, key", _MISSING_KEY_CASES)
+def test_missing_json_key_exits_one_and_names_it(workdir, capsys, name, path, key):
+    nu = SpectralMeasure([0.3, 1.1], [0.6, 0.4], [0.0])
+    sel = EigenfunctionSelection((ExpEigenfunction([0.5], [0.0]),
+                                  ExpEigenfunction([-0.8], [0.0])), [0.0])
+    files = {"model.json": json.load(open(workdir / "model.json")),
+             "measure.json": nu.to_json(), "selection.json": sel.to_json()}
+    obj = files[name]
+    for step in path:
+        obj = obj[step]
+    del obj[key]
+    for fname, data in files.items():
+        with open(workdir / fname, "w") as fh:
+            json.dump(data, fh)
+    argv = (["sim", "run", "--model", "model.json", "--config", "simcfg.json"]
+            if name == "model.json" else
+            ["spectral", "evaluate", "--measure", "measure.json", "--selection",
+             "selection.json", "--t-grid", "0:1:3", "--y", "0.1"])
+    assert main(argv + ["--out", "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"missing field '{key}'" in err
+
+
+@pytest.mark.parametrize("d_Wperp", [0, 3])
+def test_wperp_dimension_other_than_d_B_exits_one(workdir, capsys, d_Wperp):
+    data = json.load(open(workdir / "model.json"))
+    data["d_Wperp"] = d_Wperp
+    with open(workdir / "wperp.json", "w") as fh:
+        json.dump(data, fh)
+    assert main(["sim", "run", "--model", "wperp.json", "--config", "simcfg.json",
+                 "--out", "o"]) == 1
+    assert f"d_Wperp={d_Wperp} must equal d_B=1" in capsys.readouterr().err
+
+
 def test_numerical_failure_exits_two(workdir):
     # gamma < 1 with a large Sharpe slope blows the Riccati solution up.
     blow = affine.AffineSpec(M=[[0.0]], w=[0.1], L=[4.0], Lambda=[4.0],

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -6,8 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from fpplab import model as model_module
 from fpplab.errors import ConfigError, SingularModelError
-from fpplab.model import (AffineField, Box, ConstantField, GridField, ModelSpec,
-                          RiskParams, SqrtAffineField, SqrtDiagField,
+from fpplab.model import (AffineField, Box, CoefficientField, ConstantField, GridField,
+                          ModelSpec, RiskParams, SqrtAffineField, SqrtDiagField,
                           generator_coefficients, sharpe_ratio,
                           sharpe_ratio_batch, validate)
 
@@ -374,6 +376,25 @@ def test_model_spec_rejects_dw_below_n():
                   mu=ConstantField([0.1, 0.1]), sigma=ConstantField([[1.0, 0.0]]),
                   alpha=ConstantField([0.0]), kappa=ConstantField([[1.0]]),
                   rho=np.zeros((1, 1)), domain=Box([-np.inf], [np.inf]))
+
+
+@pytest.mark.parametrize("d_Wperp", [0, 3])
+def test_model_spec_rejects_wperp_dimension_other_than_d_B(d_Wperp):
+    # A = (I - rho^T rho)^{1/2} is d_B x d_B, so Wperp must have d_B components.
+    with pytest.raises(ConfigError, match=f"d_Wperp={d_Wperp} must equal d_B=1"):
+        replace(make_scalar_model(), d_Wperp=d_Wperp)
+
+
+@pytest.mark.parametrize("data, message", [
+    (3, "coefficient field: expected a JSON object, got int"),
+    ({"value": [1.0]}, "coefficient field: missing field 'family'"),
+    ({"family": "cubic"}, "coefficient field: unknown family 'cubic'"),
+    ({"family": "sqrt_affine", "matrix": [[1.0]]}, "sqrt_affine field: missing field 'offset'"),
+])
+def test_field_from_json_names_what_is_wrong(data, message):
+    with pytest.raises(ConfigError) as err:
+        CoefficientField.from_json(data)
+    assert str(err.value) == message
 
 
 def test_model_spec_rejects_rho_singular_value_above_one():

@@ -510,7 +510,7 @@ def test_radial_negative_zeta_matches_quadrature_oracle():
     # zeta = -1, k = 3: g = sinh(r)/r exactly, so the inner integral is
     # coth(t) - coth(R) + R/sinh(R)^2 analytically; outer by scipy.quad.
     r_max, R = 4.0, 40.0
-    diag = radial_ode_diagnostic(lambda r: 0.0, -1.0, 3, r_max, tail_factor=10.0)
+    diag = radial_ode_diagnostic(lambda r: 0.0, -1.0, 3, r_max)
 
     def inner_exact(t):
         return (1.0 / math.tanh(t) - 1.0 / math.tanh(R)

@@ -1,11 +1,23 @@
-"""Repository hygiene checks that need only the standard library."""
+"""Repository hygiene checks, and the rule that every JSON form is declared
+once: a coefficient family or eigenfunction kind is its tag plus ``params``."""
 import ast
+import inspect
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import fpplab
+from fpplab.affine import AffineSpec
+from fpplab.model import (_FIELD_FAMILIES, AffineField, Box, CoefficientField, ConstantField,
+                          GridField, ModelSpec, SqrtAffineField, SqrtDiagField)
+from fpplab.sim import SimulationConfig
+from fpplab.spectral import (_KINDS, EigenfunctionSelection, ExpEigenfunction,
+                             ExpMixEigenfunction, TabulatedEigenfunction)
 
 PACKAGE = Path(fpplab.__file__).resolve().parent
 
@@ -56,3 +68,110 @@ def test_importing_the_cli_does_not_load_scipy_stats():
         [sys.executable, "-c", "import sys, fpplab.cli; print('scipy.stats' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.strip() == "False"
+
+
+# One instance of each family, kind and spec, with its JSON form as written
+# before the codec was shared (sort_keys=True); the formats must not drift.
+FIELDS = {
+    "constant": ConstantField([[0.2, 0.0], [0.1, 0.3]]),
+    "affine": AffineField([[-0.5, 0.1], [0.0, -0.8]], [0.4, 0.5]),
+    "sqrt_affine": SqrtAffineField([[0.16, 0.0], [0.0, 0.09], [0.0, 0.0]], [0.0, 0.0, 0.04]),
+    "sqrt_diag": SqrtDiagField([0.2, 0.15]),
+    "grid": GridField([[0.0, 1.0], [0.0, 2.0]], [[[1.0], [1.5]], [[2.0], [3.5]]]),
+}
+KINDS = {
+    "exp": ExpEigenfunction([0.5, -0.25], [0.0, 1.0]),
+    "expmix": ExpMixEigenfunction(0.3, 0.7, -0.4, [0.0]),
+    "tabulated": TabulatedEigenfunction([[0.1, 0.0], [0.4, 1.0]], [1.2, 0.9], [0.0, 0.0]),
+}
+SPECS = {
+    "model": ModelSpec(n=2, k=1, d_W=2, d_B=1, d_Wperp=1, mu=ConstantField([0.1, 0.05]),
+                       sigma=GridField([[0.0, 2.0]], [np.eye(2), 2.0 * np.eye(2)]),
+                       alpha=AffineField([[-0.5]], [0.4]), kappa=SqrtDiagField([0.2]),
+                       rho=[[0.3], [0.1]], domain=Box([0.0], [np.inf])),
+    "affine_spec": AffineSpec(M=[[-0.5]], w=[0.4], L=[0.2], Lambda=[0.25], lambda0=0.05,
+                              N=[[0.1]], c=[0.0], H=[-0.3], h0=0.5),
+    "sim_config": SimulationConfig(dt=0.01, horizon=0.5, n_paths=300, seed=9, record_stride=5),
+}
+PINNED = {
+    "constant": '{"family": "constant", "value": [[0.2, 0.0], [0.1, 0.3]]}',
+    "affine": '{"family": "affine", "matrix": [[-0.5, 0.1], [0.0, -0.8]], "offset": [0.4, 0.5]}',
+    "sqrt_affine": '{"family": "sqrt_affine", "matrix": [[0.16, 0.0], [0.0, 0.09], [0.0, 0.0]],'
+                   ' "offset": [0.0, 0.0, 0.04]}',
+    "sqrt_diag": '{"family": "sqrt_diag", "scale": [0.2, 0.15]}',
+    "grid": '{"axes": [[0.0, 1.0], [0.0, 2.0]], "family": "grid",'
+            ' "values": [[[1.0], [1.5]], [[2.0], [3.5]]]}',
+    "exp": '{"kind": "exp", "v": [0.5, -0.25]}',
+    "expmix": '{"kind": "expmix", "rate_minus": -0.4, "rate_plus": 0.7, "weight_plus": 0.3}',
+    "tabulated": '{"kind": "tabulated", "points": [[0.1, 0.0], [0.4, 1.0]], "values": [1.2, 0.9]}',
+    "model": '{"alpha": {"family": "affine", "matrix": [[-0.5]], "offset": [0.4]}, "d_B": 1,'
+             ' "d_W": 2, "d_Wperp": 1, "domain": {"lower": [0.0], "upper": [null]}, "k": 1,'
+             ' "kappa": {"family": "sqrt_diag", "scale": [0.2]},'
+             ' "mu": {"family": "constant", "value": [0.1, 0.05]}, "n": 2, "rho": [[0.3], [0.1]],'
+             ' "sigma": {"axes": [[0.0, 2.0]], "family": "grid",'
+             ' "values": [[[1.0, 0.0], [0.0, 1.0]], [[2.0, 0.0], [0.0, 2.0]]]}}',
+    "affine_spec": '{"H": [-0.3], "L": [0.2], "Lambda": [0.25], "M": [[-0.5]], "N": [[0.1]],'
+                   ' "c": [0.0], "h0": 0.5, "lambda0": 0.05, "w": [0.4]}',
+    "sim_config": '{"boundary_policy": "full-truncation", "dt": 0.01, "horizon": 0.5,'
+                  ' "n_paths": 300, "record_stride": 5, "seed": 9}',
+}
+
+
+def _constructor_params(cls, drop=()):
+    return tuple(name for name in inspect.signature(cls.__init__).parameters
+                 if name not in ("self",) + drop)
+
+
+def test_every_family_and_kind_declares_its_constructor_params():
+    assert set(FIELDS) == set(_FIELD_FAMILIES) and set(KINDS) == set(_KINDS)
+    for cls in _FIELD_FAMILIES.values():
+        assert cls.params == _constructor_params(cls), cls.family
+        assert not {"to_json", "_from_json", "from_json"} & set(vars(cls)), cls.family
+    for cls in _KINDS.values():
+        assert cls.params == _constructor_params(cls, drop=("y0",)), cls.kind
+        assert "to_json" not in vars(cls), cls.kind
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_json_forms_match_the_pinned_literals(name):
+    obj = {**FIELDS, **KINDS, **SPECS}[name]
+    assert json.dumps(obj.to_json(), sort_keys=True) == PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_field_round_trip_evaluates_identically(name):
+    field = FIELDS[name]
+    k = field.matrix.shape[1] if hasattr(field, "matrix") else 2
+    states = np.linspace(-0.5, 2.5, 4 * k).reshape(4, k)
+    again = CoefficientField.from_json(json.loads(json.dumps(field.to_json())))
+    assert type(again) is type(field)
+    np.testing.assert_array_equal(again.batch(states), field.batch(states))
+
+
+@pytest.mark.parametrize("name", sorted(KINDS))
+def test_kind_round_trip_evaluates_identically(name):
+    fn = KINDS[name]
+    sel = EigenfunctionSelection((fn,), fn.y0)
+    again = EigenfunctionSelection.from_json(json.loads(json.dumps(sel.to_json())))
+    states = (fn.points if name == "tabulated"
+              else np.linspace(-1.0, 1.0, 3 * fn.y0.size).reshape(3, -1))
+    assert type(again.functions[0]) is type(fn)
+    np.testing.assert_array_equal(again.values(states), sel.values(states))
+
+
+def test_spec_round_trips_are_exact():
+    for spec in SPECS.values():
+        again = type(spec).from_json(json.loads(json.dumps(spec.to_json())))
+        assert again.to_json() == spec.to_json()
+
+
+def _key_error_handlers(path):
+    tree = ast.parse(path.read_text())
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.ExceptHandler) and node.type is not None
+            and "KeyError" in {getattr(n, "id", None) for n in ast.walk(node.type)}]
+
+
+def test_no_module_catches_key_error():
+    # Missing JSON keys are named by model.require; no reader catches KeyError.
+    assert [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _key_error_handlers(path)] == []
