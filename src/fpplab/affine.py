@@ -4,16 +4,17 @@ exponential-affine performance processes.
 With factor drift M^T y + w, squared volatility kappa^T kappa = diag(L_i y_i),
 affine squared Sharpe ratio Lambda^T y + lambda0 and affine cross term
 N^T y + c, the linear parabolic problem for u(t, y) is solved by the ansatz
-u = exp(Phi(t)^T y + Theta(t)) where Phi solves, componentwise,
+u = exp(Phi(t)^T y + Theta(t)).  The state z = (Phi, Theta) solves one ODE,
+the affine transform of Duffie-Filipovic-Schachermayer (2003):
 
-    Phi_i' + (1/2) L_i Phi_i^2 + sum_j (M+N)_ij Phi_j + (Gamma/2q) Lambda_i = 0
+    Phi_i' + (1/2) L_i Phi_i^2 + sum_j (M+N)_ij Phi_j + (Gamma/2q) Lambda_i = 0,
+    Theta' + (w+c)^T Phi + (Gamma/2q) lambda0 = 0,
 
-and Theta' + (w+c)^T Phi + (Gamma/2q) lambda0 = 0.  The boundary value
-(Phi, Theta) = (H, h0) is anchored at t = 0 for the forward problem and at
-the horizon for the backward (fixed terminal utility) problem.  Both solvers
-work in the time since the anchor, tau = t forward and tau = horizon - t
-backward; ``RiccatiSolution`` maps t to tau.  The numeric route integrates
-Theta as the (k+1)-th state of the same ODE as Phi, which it drives linearly.
+whose rates ``_riccati_rhs`` alone writes.  The boundary value z = (H, h0)
+is anchored at t = 0 for the forward problem and at the horizon for the
+backward (fixed terminal utility) problem.  Both solvers work in the time
+since the anchor, tau = t forward and tau = horizon - t backward;
+``RiccatiSolution`` maps t to tau and returns z at once through ``state(t)``.
 
 When M+N is diagonal each component decouples into a scalar Riccati ODE.
 With D_i = (M+N)_ii^2 - L_i (Gamma/q) Lambda_i > 0 and the stationary roots
@@ -161,12 +162,12 @@ def _clock(horizon: float, direction: str) -> Callable:
 # ---------------------------------------------------------------------------
 
 class RiccatiSolution:
-    """Immutable pair of callables (Phi, Theta) on [0, horizon].
+    """Immutable solution z(t) = (Phi(t), Theta(t)) on [0, horizon].
 
-    ``Phi(t)`` accepts a scalar or 1-D array of times and returns shape (k,)
-    or (len(t), k); ``Theta(t)`` mirrors that with scalars/1-D arrays.  The
-    solvers hand over ``phi_impl``/``theta_impl`` as functions of a 1-D array
-    of times tau since the anchor.
+    ``state(t)`` accepts a scalar or 1-D array of times and returns z with
+    shape (k+1,) or (len(t), k+1); ``Phi(t)`` and ``Theta(t)`` are its first k
+    columns and its last one (a float for scalar t).  The solvers hand over
+    ``state_impl`` as a function of a 1-D array of times tau since the anchor.
 
     ``solver`` holds the ODE solver's nfev, accepted steps, status and message
     for the numeric route, None for the closed form.  ``fallback_reason`` is
@@ -174,8 +175,7 @@ class RiccatiSolution:
     """
 
     def __init__(self, spec: AffineSpec, rp: RiskParams, horizon: float,
-                 direction: str, method: str,
-                 phi_impl: Callable, theta_impl: Callable,
+                 direction: str, method: str, state_impl: Callable,
                  components: Optional[Sequence[ClosedFormComponent]] = None,
                  solver: Optional[dict] = None):
         self._tau = _clock(horizon, direction)
@@ -187,24 +187,22 @@ class RiccatiSolution:
         self.components = tuple(components) if components is not None else None
         self.solver = solver
         self.fallback_reason: Optional[str] = None
-        self._phi_impl = phi_impl
-        self._theta_impl = theta_impl
+        self._state_impl = state_impl
 
-    def _since_anchor(self, t):
+    def state(self, t):
         t = np.asarray(t, dtype=float)
         if np.any(t < -1e-12) or np.any(t > self.horizon + 1e-12):
             raise ValueError(f"time outside solved horizon [0, {self.horizon}]")
-        return self._tau(np.clip(t, 0.0, self.horizon))
-
-    def Phi(self, t):
-        tau = self._since_anchor(t)
-        out = self._phi_impl(np.atleast_1d(tau))
+        tau = self._tau(np.clip(t, 0.0, self.horizon))
+        out = self._state_impl(np.atleast_1d(tau))
         return out[0] if tau.ndim == 0 else out
 
+    def Phi(self, t):
+        return self.state(t)[..., :-1]
+
     def Theta(self, t):
-        tau = self._since_anchor(t)
-        out = self._theta_impl(np.atleast_1d(tau))
-        return float(out[0]) if tau.ndim == 0 else out
+        theta = self.state(t)[..., -1]
+        return float(theta) if theta.ndim == 0 else theta
 
     @property
     def anchor_time(self) -> float:
@@ -218,22 +216,27 @@ class RiccatiSolution:
 
 
 def _riccati_rhs(spec: AffineSpec, rp: RiskParams):
+    """d/dt of the state z = (Phi, Theta), for one state (k+1,) or a stack
+    (m, k+1); the only place where the Phi and Theta rates are written."""
     mn = spec.coupling()
     L = spec.L
-    lam_term = (rp.Gamma / (2.0 * rp.q)) * spec.Lambda
+    wc = spec.w + spec.c
+    half_ratio = rp.Gamma / (2.0 * rp.q)
+    lam_term, lam0_term = half_ratio * spec.Lambda, half_ratio * spec.lambda0
 
-    def rhs(phi):
-        # phi is one state (k,) or a stack of states (m, k).
-        return -(0.5 * L * phi * phi + phi @ mn.T + lam_term)
+    def rhs(z):
+        phi = z[..., :-1]
+        dtheta = -(phi @ wc + lam0_term)
+        return np.append(-(0.5 * L * phi * phi + phi @ mn.T + lam_term),
+                         dtheta[..., None], axis=-1)
 
     return rhs
 
 
 def solve_riccati_numeric(spec: AffineSpec, rp: RiskParams, horizon: float,
                           direction: str = FORWARD) -> RiccatiSolution:
-    """Adaptive Runge-Kutta (DOP853, rtol 1e-10) solution of the Riccati
-    system in tau.  Theta is carried as the (k+1)-th state of the same solve,
-    so Phi and Theta both come from one dense-output evaluation.
+    """Adaptive Runge-Kutta (DOP853, rtol 1e-10) solution for the state
+    z = (Phi, Theta) in tau, so z comes from one dense-output evaluation.
 
     Raises
     ------
@@ -248,14 +251,11 @@ def solve_riccati_numeric(spec: AffineSpec, rp: RiskParams, horizon: float,
     to_t = _clock(horizon, direction)
     rhs = _riccati_rhs(spec, rp)
     k = spec.k
-    wc = spec.w + spec.c
-    lam0_term = (rp.Gamma / (2.0 * rp.q)) * spec.lambda0
     # d/dtau = -d/dt on backward runs.
     sign = 1.0 if direction == FORWARD else -1.0
 
     def odefun(_, z):
-        phi = z[:k]
-        return sign * np.append(rhs(phi), -(wc @ phi + lam0_term))
+        return sign * rhs(z)
 
     def blow_up(_, z):
         return float(np.max(np.abs(z[:k]))) - BLOW_UP_THRESHOLD
@@ -273,16 +273,10 @@ def solve_riccati_numeric(spec: AffineSpec, rp: RiskParams, horizon: float,
         raise IntegrationError(
             f"Riccati integration failed at t={to_t(float(sol.t[-1])):.6g}: {sol.message}")
 
-    def phi_impl(tau):
-        return sol.sol(tau)[:k].T
-
-    def theta_impl(tau):
-        return sol.sol(tau)[k]
-
     solver = {"nfev": int(sol.nfev), "steps": len(sol.t) - 1,
               "status": int(sol.status), "message": sol.message}
     return RiccatiSolution(spec, rp, horizon, direction, "numeric",
-                           phi_impl, theta_impl, solver=solver)
+                           lambda tau: sol.sol(tau).T, solver=solver)
 
 
 def solve_riccati_closed_form(spec: AffineSpec, rp: RiskParams, horizon: float,
@@ -330,26 +324,21 @@ def solve_riccati_closed_form(spec: AffineSpec, rp: RiskParams, horizon: float,
     lam0_term = (rp.Gamma / (2.0 * rp.q)) * spec.lambda0
     wc = spec.w + spec.c
 
-    def decay_and_denom(tau):
+    def state_impl(tau):
         # e^{-sqrt(D) tau} and 1 + c f(tau) = e^{-sqrt(D) tau} + q sqrt(D) f(tau),
         # a sum of two terms >= 0 when there is no pole, so rounding cannot
         # take it through zero (H = z_- on a forward run gives q = 0).
         x = np.outer(tau, sq)
         e = np.exp(-x)
-        return e, e - q * np.expm1(-x)
-
-    def phi_impl(tau):
-        e, denom = decay_and_denom(tau)
-        return r + g * e / denom
-
-    def theta_impl(tau):
-        integral = np.outer(tau, r) + s * (2.0 / L) * np.log(decay_and_denom(tau)[1])
-        return spec.h0 - s * (lam0_term * tau + integral @ wc)
+        denom = e - q * np.expm1(-x)
+        integral = np.outer(tau, r) + s * (2.0 / L) * np.log(denom)
+        theta = spec.h0 - s * (lam0_term * tau + integral @ wc)
+        return np.column_stack([r + g * e / denom, theta])
 
     comps = [ClosedFormComponent(D=float(d), z_plus=float(zp), z_minus=float(zm))
              for d, zp, zm in zip(disc, z_plus, z_minus)]
     return RiccatiSolution(spec, rp, horizon, direction, "closed-form",
-                           phi_impl, theta_impl, components=comps)
+                           state_impl, components=comps)
 
 
 def solve_riccati(spec: AffineSpec, rp: RiskParams, horizon: float,
@@ -367,17 +356,14 @@ def solve_riccati(spec: AffineSpec, rp: RiskParams, horizon: float,
 def riccati_residual(sol: RiccatiSolution, times=None):
     """Max residuals of the Phi system and the Theta equation at sampled times.
 
-    Central differences of step RESIDUAL_FD_STEP (1e-6), independent of how the
-    solution was produced.  Returns (max_phi_residual, max_theta_residual).
+    The state z is differenced once, with central differences of step
+    RESIDUAL_FD_STEP (1e-6), independent of how the solution was produced, and
+    compared with its rate.  Returns (max_phi_residual, max_theta_residual).
     """
-    spec, rp = sol.spec, sol.rp
     if times is None:
         times = np.linspace(0.0, sol.horizon, 100)
     t = np.atleast_1d(np.asarray(times, dtype=float))
     h = RESIDUAL_FD_STEP
-    rhs = _riccati_rhs(spec, rp)
-    lam0_term = (rp.Gamma / (2.0 * rp.q)) * spec.lambda0
-    wc = spec.w + spec.c
 
     # Stencil rows: central inside, second-order one-sided forward and
     # backward at the ends.  Each time gets three nodes t + h * offset.
@@ -388,16 +374,9 @@ def riccati_residual(sol: RiccatiSolution, times=None):
     nodes = t[:, None] + h * offsets[row]
     weights = weights[row]
 
-    dphi = dth = 0.0
-    for j in range(3):
-        dphi = dphi + weights[:, j, None] * sol.Phi(nodes[:, j])
-        dth = dth + weights[:, j] * sol.Theta(nodes[:, j])
-    dphi, dth = dphi / (2.0 * h), dth / (2.0 * h)
-
-    phi_t = sol.Phi(t)
-    res_phi = np.abs(dphi - rhs(phi_t))
-    res_theta = np.abs(dth + phi_t @ wc + lam0_term)
-    return float(np.max(res_phi)), float(np.max(res_theta))
+    dz = sum(weights[:, j, None] * sol.state(nodes[:, j]) for j in range(3)) / (2.0 * h)
+    res = np.abs(dz - _riccati_rhs(sol.spec, sol.rp)(sol.state(t)))
+    return float(np.max(res[:, :-1])), float(np.max(res[:, -1]))
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +394,8 @@ def evaluate_u_affine(sol: RiccatiSolution, t: float, y) -> float | np.ndarray:
         If the exponent exceeds 700 (double-precision overflow).
     """
     y = np.asarray(y, dtype=float)
-    expo = y @ sol.Phi(t) + sol.Theta(t)
+    z = sol.state(t)
+    expo = y @ z[..., :-1] + z[..., -1]
     if np.any(np.asarray(expo) > _EXP_LIMIT):
         raise ExponentOverflowError(f"exponent {np.max(expo):.6g} exceeds {_EXP_LIMIT:g}")
     return np.exp(expo) if y.ndim > 1 else float(np.exp(expo))

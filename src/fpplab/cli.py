@@ -179,16 +179,14 @@ def affine_solve(args, out_dir):
              "numeric": affine.solve_riccati_numeric}.get(args.method, affine.solve_riccati)
     sol = solve(spec, _risk_params(args), args.horizon, args.direction)
     ts = np.linspace(0.0, args.horizon, args.grid_points)
-    phis = sol.Phi(ts)
-    thetas = sol.Theta(ts)
+    z = sol.state(ts)
     header = "t," + ",".join(f"Phi{i}" for i in range(spec.k)) + ",Theta"
-    csv_path = _write_csv(out_dir, "riccati.csv", header,
-                          np.column_stack([ts, phis, thetas]))
+    csv_path = _write_csv(out_dir, "riccati.csv", header, np.column_stack([ts, z]))
     table = {"method": sol.method, "direction": sol.direction,
              "horizon": sol.horizon, "components": sol.component_table(),
              "solver": sol.solver, "fallback_reason": sol.fallback_reason}
     json_path = _write_json(out_dir, "riccati_components.json", table)
-    print(f"method={sol.method} Phi(0)={phis[0]} Theta(0)={thetas[0]:.12g}")
+    print(f"method={sol.method} Phi(0)={z[0, :-1]} Theta(0)={z[0, -1]:.12g}")
     return [args.spec], [csv_path, json_path], None
 
 
@@ -312,7 +310,7 @@ def verify_martingale(args, out_dir):
                                     n_buckets=args.buckets)
     path = _write_json(out_dir, "martingale_report.json", report.to_json())
     print(report.verdict)
-    return [args.fpp], [path], None
+    return [args.fpp, os.path.join(args.paths_dir, "meta.json")], [path], None
 
 
 # ---------------------------------------------------------------------------

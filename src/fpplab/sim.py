@@ -29,7 +29,7 @@ import numpy as np
 
 from .affine import optimal_portfolio_affine
 from .errors import ConfigError, SimulationError
-from .model import (GeneratorCoefficients, ModelSpec, RiskParams, require, rowwise,
+from .model import (Box, GeneratorCoefficients, ModelSpec, RiskParams, require, rowwise,
                     sigma_terms)
 
 BOUNDARY_POLICIES = ("full-truncation", "absorb", "reflect")
@@ -434,7 +434,9 @@ def feynman_kac_estimate(gen: GeneratorCoefficients, h: Callable, t: float,
     evaluation and never killed, the standard treatment for square-root-type
     diffusions whose continuous paths do not leave the closed orthant.
 
-    ``h`` maps a stack of states (P, k) to values (P,).
+    ``h`` maps a stack of states (P, k) to values (P,).  ``domain=None`` is
+    the unbounded box of dimension k, where clipping, the exit test and
+    reflection leave every finite state as it is.
 
     Returns (estimate, standard_error).
     """
@@ -446,6 +448,8 @@ def feynman_kac_estimate(gen: GeneratorCoefficients, h: Callable, t: float,
         raise ConfigError("generator carries no kappa_batch; Feynman-Kac steps "
                           "with kappa^T dB")
     y = np.atleast_1d(np.asarray(y, dtype=float))
+    if domain is None:
+        domain = Box(np.full(y.size, -np.inf), np.full(y.size, np.inf))
     d_B = gen.kappa_batch(y[None]).shape[1]
     n_steps = max(1, int(round(t / cfg.dt)))
     dt = t / n_steps
@@ -461,8 +465,7 @@ def feynman_kac_estimate(gen: GeneratorCoefficients, h: Callable, t: float,
         log_weight = np.zeros(B_)
         alive = np.ones(B_, dtype=bool)
         for i in range(n_steps):
-            Zeval = Z if domain is None or cfg.boundary_policy != "full-truncation" \
-                else domain.clip(Z)
+            Zeval = domain.clip(Z) if cfg.boundary_policy == "full-truncation" else Z
             log_weight += np.where(alive, gen.P_batch(Zeval) * dt, 0.0)
             drift = gen.b_batch(Zeval)
             dZ = drift * dt \
@@ -470,13 +473,11 @@ def feynman_kac_estimate(gen: GeneratorCoefficients, h: Callable, t: float,
             if not np.all(np.isfinite(dZ)):
                 raise _first_nonfinite(dZ, lo, i)
             Z = np.where(alive[:, None], Z + dZ, Z)
-            if domain is not None:
-                if cfg.boundary_policy == "absorb":
-                    alive &= domain.contains(Z)
-                elif cfg.boundary_policy == "reflect":
-                    Z = domain.reflect(Z)
-        Zfinal = Z if domain is None or cfg.boundary_policy != "full-truncation" \
-            else domain.clip(Z)
+            if cfg.boundary_policy == "absorb":
+                alive &= domain.contains(Z)
+            elif cfg.boundary_policy == "reflect":
+                Z = domain.reflect(Z)
+        Zfinal = domain.clip(Z) if cfg.boundary_policy == "full-truncation" else Z
         h_vals = np.asarray(h(Zfinal), dtype=float)
         if h_vals.shape != (B_,):
             raise ConfigError(f"h must map states (P, k) to values (P,); "

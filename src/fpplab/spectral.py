@@ -340,6 +340,10 @@ class WidderFunction:
     def __init__(self, nu: SpectralMeasure, sel: EigenfunctionSelection):
         if sel.m != nu.m:
             raise ConfigError("selection size does not match measure")
+        # u(0, y0) = nu.laplace(0) only when both are normalized at one y0.
+        if not np.array_equal(sel.y0, nu.y0):
+            raise ConfigError(f"selection y0 {sel.y0.tolist()} differs from "
+                              f"measure y0 {nu.y0.tolist()}")
         self.nu = nu
         self.sel = sel
 

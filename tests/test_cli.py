@@ -135,6 +135,20 @@ def test_spectral_evaluate_rows_run_t_outer(workdir):
         assert abs(value - u(t, [y])) <= 1e-14
 
 
+def test_spectral_evaluate_rejects_selection_normalized_at_another_y0(workdir, capsys):
+    nu = SpectralMeasure([0.3], [1.0], [0.0])
+    sel = EigenfunctionSelection((ExpEigenfunction([0.5], [1.0]),), [1.0])
+    for name, obj in (("measure.json", nu), ("selection.json", sel)):
+        with open(workdir / name, "w") as fh:
+            json.dump(obj.to_json(), fh)
+    assert main(["spectral", "evaluate", "--measure", "measure.json",
+                 "--selection", "selection.json", "--t-grid", "0:1:3",
+                 "--y", "0.0", "--out", "o5b"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "y0" in err
+    assert not os.path.exists(workdir / "o5b" / "widder_values.csv")
+
+
 def test_spectral_eigenfn_and_radial(workdir):
     assert main(["spectral", "eigenfn-1d", "--model", "model.json",
                  "--gamma", "2.0", "--p", "0.25", "--zeta", "0.0",
@@ -392,6 +406,8 @@ def test_manifest_lists_every_file_the_run_wrote(workdir, command):
     assert sorted(manifest["outputs"]) == _written_files(workdir / "out")
     assert manifest["outputs"]
     inputs = [v for v in _SUBCOMMANDS[command] if os.path.isfile(workdir / v)]
+    if command == "verify martingale":
+        inputs.append("pre/paths/meta.json")   # the bundle the verdict certifies
     assert manifest["config_hashes"] == {p: _sha256(workdir / p) for p in inputs}
     assert manifest["seed"] == (9 if command.startswith("sim") else None)
 

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -304,6 +305,38 @@ def test_feynman_kac_steps_with_non_square_kappa():
     cfg = SimulationConfig(dt=0.05, horizon=1.0, n_paths=4000, seed=12)
     est, se = feynman_kac_estimate(gen, lambda Y: Y[:, 0] ** 2, t, [y], cfg)
     assert abs(est - (y * y + t)) <= 4 * se
+
+
+def test_feynman_kac_absorb_gives_the_survival_probability(heat_gen):
+    # A Brownian motion from y > 0 stays in [0, inf) up to t with probability
+    # 2 N(y/sqrt(t)) - 1 = erf(y/sqrt(2t)).  Killed only at the steps, the walk
+    # survives more often; shifting the barrier by 0.5826 sqrt(dt)
+    # (Broadie-Glasserman-Kou) corrects that bias to first order.
+    y, t, dt = 0.5, 0.5, 0.01
+    cfg = SimulationConfig(dt=dt, horizon=1.0, n_paths=4000, seed=21,
+                           boundary_policy="absorb")
+    est, se = feynman_kac_estimate(heat_gen, lambda Y: np.ones(len(Y)), t, [y], cfg,
+                                   domain=Box([0.0], [np.inf]))
+    exact = math.erf(y / math.sqrt(2 * t))
+    shifted = math.erf((y + 0.5826 * math.sqrt(dt)) / math.sqrt(2 * t))
+    assert 0.0 < se
+    assert exact - 4 * se <= est <= shifted + 4 * se
+
+
+def test_feynman_kac_reflect_keeps_paths_in_the_domain(heat_gen):
+    # Reflecting every Gaussian step at 0 gives exactly the law of |y + W_t|,
+    # whose mean is sqrt(2t/pi) e^{-y^2/2t} + y erf(y/sqrt(2t)).
+    y, t = 0.2, 0.5
+    cfg = SimulationConfig(dt=0.05, horizon=1.0, n_paths=4000, seed=22,
+                           boundary_policy="reflect")
+    domain = Box([0.0], [np.inf])
+    est, se = feynman_kac_estimate(heat_gen, lambda Y: (Y[:, 0] >= 0.0).astype(float),
+                                   t, [y], cfg, domain=domain)
+    assert (est, se) == (1.0, 0.0)
+    est, se = feynman_kac_estimate(heat_gen, lambda Y: Y[:, 0], t, [y], cfg, domain=domain)
+    mean = (math.sqrt(2 * t / math.pi) * math.exp(-y * y / (2 * t))
+            + y * math.erf(y / math.sqrt(2 * t)))
+    assert abs(est - mean) <= 4 * se
 
 
 def test_feynman_kac_requires_kappa(heat_gen):

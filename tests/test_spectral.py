@@ -109,6 +109,16 @@ def test_widder_rejects_negative_time():
         WidderFunction(nu, sel)(-0.1, [0.0])
 
 
+@pytest.mark.parametrize("sel_y0", [[1.0], [0.0, 0.0]])
+def test_widder_rejects_selection_normalized_at_another_y0(sel_y0):
+    # Normalized at y = 1, exp(0.5 (y - 1)) gives u(0, 0) = 0.607, not
+    # nu.laplace(0) = 1; a y0 of another dimension is no better.
+    nu = SpectralMeasure([0.3], [1.0], [0.0])
+    sel = EigenfunctionSelection((ExpEigenfunction([0.5] * len(sel_y0), sel_y0),), sel_y0)
+    with pytest.raises(ConfigError, match="y0"):
+        WidderFunction(nu, sel)
+
+
 # ---------------------------------------------------------------------------
 # fpp_from_measure
 # ---------------------------------------------------------------------------

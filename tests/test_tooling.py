@@ -60,6 +60,23 @@ def test_only_model_asks_whether_sigma_is_constant():
     assert _constant_field_isinstance_calls(PACKAGE / "model.py") != []
 
 
+def _sharpe_readers(path):
+    """Top-level definitions that read ``.Lambda`` or ``.lambda0``."""
+    tree = ast.parse(path.read_text())
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) and sub.attr in ("Lambda", "lambda0")}
+
+
+def test_only_the_riccati_rates_and_closed_form_read_the_sharpe_terms():
+    # The rates of z = (Phi, Theta) are written once, in _riccati_rhs; the
+    # closed form integrates them.  The spec and the market builder define them.
+    readers = _sharpe_readers(PACKAGE / "affine.py")
+    assert readers - {"AffineSpec", "canonical_affine_market"} == \
+        {"_riccati_rhs", "solve_riccati_closed_form"}
+
+
 def test_importing_the_cli_does_not_load_scipy_stats():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
