@@ -1,8 +1,8 @@
 """Forward performance processes and Merton value functions in factor models
 with eigenvalue-equality correlation structure.
 
-Subpackages
------------
+Modules
+-------
 model    : market/factor specifications, Sharpe ratio, generator coefficients
 eve      : projection of correlation estimates onto the r*Q manifold, p choice
 affine   : Riccati ODE system and exponential-affine performance processes

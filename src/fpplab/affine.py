@@ -393,8 +393,12 @@ def evaluate_u_affine(sol: RiccatiSolution, t: float, y) -> float | np.ndarray:
     ExponentOverflowError
         If the exponent exceeds 700 (double-precision overflow).
     """
+    return u_from_state(sol.state(t), y)
+
+
+def u_from_state(z, y) -> float | np.ndarray:
+    """exp(Phi^T y + Theta) for one Riccati state z = (Phi, Theta), overflow checked."""
     y = np.asarray(y, dtype=float)
-    z = sol.state(t)
     expo = y @ z[..., :-1] + z[..., -1]
     if np.any(np.asarray(expo) > _EXP_LIMIT):
         raise ExponentOverflowError(f"exponent {np.max(expo):.6g} exceeds {_EXP_LIMIT:g}")

@@ -96,6 +96,14 @@ def _read_series(path):
     return arr[:, :2]
 
 
+def _positive_int(text):
+    """argparse type of a count: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
+
+
 def _parse_floats(text):
     return np.array([float(v) for v in text.split(",")], dtype=float)
 
@@ -368,7 +376,7 @@ def build_parser() -> _Parser:
     _add_risk(p)
     _add_horizon(p)
     p.add_argument("--method", choices=["auto", "closed-form", "numeric"], default="auto")
-    p.add_argument("--grid-points", type=int, default=101)
+    p.add_argument("--grid-points", type=_positive_int, default=101)
     p = leaf(sub, "portfolio", affine_portfolio, "optimal allocation at (t, y)")
     p.add_argument("--spec", required=True)
     p.add_argument("--model", required=True, help="market model JSON")
@@ -434,14 +442,14 @@ def build_parser() -> _Parser:
     p.add_argument("--affine", required=True)
     _add_risk(p)
     _add_horizon(p, horizon=1.0)
-    p.add_argument("--t-points", type=int, default=5)
-    p.add_argument("--y-points", type=int, default=5)
+    p.add_argument("--t-points", type=_positive_int, default=5)
+    p.add_argument("--y-points", type=_positive_int, default=5)
     p.add_argument("--tol-step", type=float, default=1e-3, help="finite-difference step")
     p = leaf(sub, "martingale", verify_martingale, "martingale verdict for saved paths")
     p.add_argument("--paths", dest="paths_dir", required=True, help="saved bundle directory")
     p.add_argument("--fpp", required=True,
                    help="JSON {affine_spec, gamma, p, horizon, direction}")
-    p.add_argument("--buckets", type=int, default=10)
+    p.add_argument("--buckets", type=_positive_int, default=10)
 
     # Added last, so that usage and help list --out after each leaf's own options.
     for p in leaves:

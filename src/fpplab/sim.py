@@ -9,14 +9,18 @@ updates for stocks and wealth, so positivity of S and X is structural:
     X_{i+1} = X_i * exp(((s p)^T lam - |s p|^2 / 2) dt + (s p)^T dW_i),
 
 with s p = sigma(Y_i~) pi_i and dB = rho^T dW + A^T dWperp,
-A = (I - rho^T rho)^{1/2}.  Y_i~ denotes the boundary-policy-adjusted state
-used for coefficient evaluation (full truncation clips to the domain).
+A = (I - rho^T rho)^{1/2}.  Y_i~ is the state the coefficients see.  The
+boundary policy sets it and what follows a step that leaves the domain:
 
-Randomness comes from counter-based Philox streams keyed by (seed, path), so
-every path's noise is reproducible independently of batching or execution
-order.  Each block of paths builds one bit generator and re-keys it to
-(seed, path) before drawing a path's noise; the streams are the same as those
-of one ``Philox(key=[seed, path])`` per path.
+    full-truncation   Y_i~ is Y_i clipped into the domain; no path stops
+    absorb            Y_i~ = Y_i; a path that leaves freezes and is killed
+    reflect           Y_i~ = Y_i; Y_{i+1} is folded back across the face
+
+Under each policy exit_time is the first grid time at which Y_{i+1}, before
+any reflection, lies outside the domain.
+
+Noise comes from counter-based Philox streams keyed by (seed, path), so each
+path's noise is the same whatever the batching (see ``_path_noise``).
 """
 from __future__ import annotations
 
@@ -253,17 +257,16 @@ class PathBundle:
 
 
 # ---------------------------------------------------------------------------
-# Simulation
+# Euler engine: path blocks, the boundary step and the wealth integrands
 # ---------------------------------------------------------------------------
 
 def _path_noise(seed: int, path_lo: int, path_hi: int, n_steps: int, dims: int):
     """Per-path Philox noise block of shape (paths, n_steps, dims).
 
     Path p draws from the Philox stream keyed by (seed mod 2^64, p).  One bit
-    generator serves the whole block: before each path it is set to the state
-    of a freshly built one (counter zero, output buffer empty) with key
-    (seed, p), so the streams equal those of one ``Philox(key=[seed, p])`` per
-    path without building and OS-seeding one per path.
+    generator serves the block, reset before each path to the state of a
+    fresh one (counter zero, buffer empty) with key (seed, p): the streams of
+    one ``Philox(key=[seed, p])`` per path, without building one per path.
     """
     out = np.empty((path_hi - path_lo, n_steps, dims))
     bitgen = np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, path_lo],
@@ -277,14 +280,60 @@ def _path_noise(seed: int, path_lo: int, path_hi: int, n_steps: int, dims: int):
     return out
 
 
-def _first_nonfinite(arr, paths_slice_origin, step):
-    bad = ~np.isfinite(arr)
-    if bad.ndim > 1:
-        bad = bad.reshape(bad.shape[0], -1).any(axis=1)
-    idx = int(np.argmax(bad))
-    return SimulationError("non-finite value in path update",
-                           path=paths_slice_origin + idx, step=step)
+def _noise_blocks(seed: int, n_paths: int, n_steps: int, dims: int):
+    """Yield (lo, hi, noise) for consecutive blocks of at most _BLOCK_SIZE
+    paths, noise being the block's (hi - lo, n_steps, dims) draw."""
+    for lo in range(0, n_paths, _BLOCK_SIZE):
+        hi = min(lo + _BLOCK_SIZE, n_paths)
+        yield lo, hi, _path_noise(seed, lo, hi, n_steps, dims)
 
+
+def _require_finite(lo: int, step: int, *arrays):
+    """Raise SimulationError at the first path of the block starting at lo
+    whose row is non-finite in any of the arrays (paths, ...)."""
+    if all(np.all(np.isfinite(a)) for a in arrays):
+        return
+    bad = np.any([~np.isfinite(a).reshape(a.shape[0], -1).all(axis=1) for a in arrays], axis=0)
+    raise SimulationError("non-finite value in path update", path=lo + int(np.argmax(bad)),
+                          step=step)
+
+
+def _eval_state(domain: Box, policy: str, Y):
+    """The state the coefficients see: Y~ of the module docstring."""
+    return domain.clip(Y) if policy == "full-truncation" else Y
+
+
+def _advance(domain: Box, policy: str, Y, dY, alive):
+    """Y + dY on the live paths, then the boundary policy.  Returns the new
+    state, the paths still alive and the mask of updated states outside the
+    domain (before any reflection)."""
+    Y = np.where(alive[:, None], Y + dY, Y)
+    left = ~domain.contains(Y)
+    if policy == "absorb":
+        alive = alive & ~left
+    elif policy == "reflect":
+        Y = domain.reflect(Y)
+    return Y, alive, left
+
+
+def _wealth_terms(model: ModelSpec, Yeval, pi):
+    """sigma, s p = sigma pi, (s p)^T lambda and |s p|^2 at the states Yeval
+    (P, k) for the allocations pi (P, n)."""
+    sig, _, lam = sigma_terms(model, Yeval)
+    sigpi = rowwise(sig, pi)
+    return sig, sigpi, np.einsum("pw,pw->p", sigpi, lam), np.einsum("pw,pw->p", sigpi, sigpi)
+
+
+def _as_strategy(strategy) -> Strategy:
+    """A plain callable (t, y, x) -> pi becomes a CallableStrategy."""
+    if isinstance(strategy, Callable) and not isinstance(strategy, Strategy):
+        return CallableStrategy(strategy)
+    return strategy
+
+
+# ---------------------------------------------------------------------------
+# Simulation
+# ---------------------------------------------------------------------------
 
 def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
              x0: float = 1.0, y0=None) -> PathBundle:
@@ -298,31 +347,24 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
     SimulationError
         On the first non-finite coefficient/allocation, reporting (path, step).
     """
-    if isinstance(strategy, Callable) and not isinstance(strategy, Strategy):
-        strategy = CallableStrategy(strategy)
+    strategy = _as_strategy(strategy)
     if y0 is None:
-        grid = model.domain.interior_grid(points_per_dim=1)
-        y0 = grid[0]
+        y0 = model.domain.interior_grid(points_per_dim=1)[0]
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     if x0 <= 0:
         raise ConfigError("initial wealth must be positive")
 
-    n_steps = cfg.n_steps
-    dt = cfg.dt_effective
+    n_steps, dt, policy = cfg.n_steps, cfg.dt_effective, cfg.boundary_policy
     sqdt = np.sqrt(dt)
-    rec_idx = np.arange(0, n_steps + 1, cfg.record_stride)
-    if rec_idx[-1] != n_steps:
-        rec_idx = np.append(rec_idx, n_steps)
-    times = rec_idx * dt
-    m = rec_idx.size
+    rec_idx = np.unique(np.append(np.arange(0, n_steps + 1, cfg.record_stride), n_steps))
+    slot = {int(step): j for j, step in enumerate(rec_idx)}
 
     A = model.noise_mixer()
-    mix_residual = float(np.max(np.abs(A.T @ A + model.rho.T @ model.rho
-                                       - np.eye(model.d_B))))
+    mix_residual = float(np.max(np.abs(A.T @ A + model.rho.T @ model.rho - np.eye(model.d_B))))
     if mix_residual > 1e-12:
         raise ConfigError(f"A^T A + rho^T rho - I residual {mix_residual:.3e} > 1e-12")
 
-    P = cfg.n_paths
+    P, m = cfg.n_paths, rec_idx.size
     out = {
         "W": np.empty((P, m, model.d_W)), "Wperp": np.empty((P, m, model.d_Wperp)),
         "B": np.empty((P, m, model.d_B)), "Y": np.empty((P, m, model.k)),
@@ -330,86 +372,46 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
     }
     exit_time = np.full(P, np.nan)
 
-    noise_dims = model.d_W + model.d_Wperp
-    for lo in range(0, P, _BLOCK_SIZE):
-        hi = min(lo + _BLOCK_SIZE, P)
-        B_ = hi - lo
-        noise = _path_noise(cfg.seed, lo, hi, n_steps, noise_dims)
+    for lo, hi, noise in _noise_blocks(cfg.seed, P, n_steps, model.d_W + model.d_Wperp):
+        Wc, Wpc, Bc = (np.zeros((hi - lo, d)) for d in (model.d_W, model.d_Wperp, model.d_B))
+        Y = np.tile(y0, (hi - lo, 1))
+        logS = np.zeros((hi - lo, model.n))
+        logX = np.full(hi - lo, np.log(x0))
+        alive = np.ones(hi - lo, dtype=bool)
+        exits = exit_time[lo:hi]    # a view: exit times are written in place
 
-        Wc = np.zeros((B_, model.d_W))
-        Wpc = np.zeros((B_, model.d_Wperp))
-        Bc = np.zeros((B_, model.d_B))
-        Y = np.tile(y0, (B_, 1))
-        logS = np.zeros((B_, model.n))
-        logX = np.full(B_, np.log(x0))
-        alive = np.ones(B_, dtype=bool)
-        exits = np.full(B_, np.nan)
-
-        rec_pos = 0
-
-        def record(j):
-            out["W"][lo:hi, j] = Wc
-            out["Wperp"][lo:hi, j] = Wpc
-            out["B"][lo:hi, j] = Bc
-            out["Y"][lo:hi, j] = Y
-            out["S"][lo:hi, j] = np.exp(logS)
-            out["X"][lo:hi, j] = np.exp(logX)
+        def record(step):
+            if step in slot:
+                for name, value in zip(out, (Wc, Wpc, Bc, Y, np.exp(logS), np.exp(logX))):
+                    out[name][lo:hi, slot[step]] = value
 
         record(0)
-        rec_pos = 1
-
         for i in range(n_steps):
-            t = i * dt
-            Yeval = model.domain.clip(Y) if cfg.boundary_policy == "full-truncation" else Y
-
-            mu = model.mu.batch(Yeval)
-            alpha = model.alpha.batch(Yeval)
-            kap = model.kappa.batch(Yeval)
-            sig, _, lam = sigma_terms(model, Yeval)
-
-            X = np.exp(logX)
-            pi = np.atleast_2d(strategy.allocations(t, Yeval, X))
-            if not np.all(np.isfinite(pi)):
-                raise _first_nonfinite(pi, lo, i)
+            Yeval = _eval_state(model.domain, policy, Y)
+            pi = np.atleast_2d(strategy.allocations(i * dt, Yeval, np.exp(logX)))
+            _require_finite(lo, i, pi)
+            sig, sigpi, sp_lam, sp_sq = _wealth_terms(model, Yeval, pi)
 
             dW = noise[:, i, :model.d_W] * sqdt
             dWp = noise[:, i, model.d_W:] * sqdt
             dB = dW @ model.rho + dWp @ A
 
-            sigpi = rowwise(sig, pi)
-            sig_dW = rowwise(np.swapaxes(sig, -1, -2), dW)   # sigma^T dW
-            sig_sq = np.sum(sig ** 2, axis=-2)                # diag(sigma^T sigma)
+            # diag(sigma^T sigma) and sigma^T dW
+            dlogS = (model.mu.batch(Yeval) - 0.5 * np.sum(sig ** 2, axis=-2)) * dt \
+                + rowwise(np.swapaxes(sig, -1, -2), dW)
+            dlogX = (sp_lam - 0.5 * sp_sq) * dt + np.einsum("pw,pw->p", sigpi, dW)
+            dY = model.alpha.batch(Yeval) * dt \
+                + np.einsum("pbk,pb->pk", model.kappa.batch(Yeval), dB)
+            _require_finite(lo, i, dY, dlogS, dlogX)
 
-            dlogS = (mu - 0.5 * sig_sq) * dt + sig_dW
-            dlogX = (np.einsum("pw,pw->p", sigpi, lam)
-                     - 0.5 * np.einsum("pw,pw->p", sigpi, sigpi)) * dt \
-                + np.einsum("pw,pw->p", sigpi, dW)
-            dY = alpha * dt + np.einsum("pbk,pb->pk", kap, dB)
-            if not (np.all(np.isfinite(dY)) and np.all(np.isfinite(dlogS))
-                    and np.all(np.isfinite(dlogX))):
-                raise _first_nonfinite(np.concatenate(
-                    [dY, dlogS, dlogX[:, None]], axis=1), lo, i)
-
-            Y = np.where(alive[:, None], Y + dY, Y)
             logS = np.where(alive[:, None], logS + dlogS, logS)
             logX = np.where(alive, logX + dlogX, logX)
             Wc, Wpc, Bc = Wc + dW, Wpc + dWp, Bc + dB
+            Y, alive, left = _advance(model.domain, policy, Y, dY, alive)
+            exits[left & np.isnan(exits)] = (i + 1) * dt
+            record(i + 1)
 
-            left = ~model.domain.contains(Y)
-            newly = left & np.isnan(exits)
-            exits[newly] = (i + 1) * dt
-            if cfg.boundary_policy == "absorb":
-                alive &= ~left
-            elif cfg.boundary_policy == "reflect":
-                Y = model.domain.reflect(Y)
-
-            if rec_pos < m and i + 1 == rec_idx[rec_pos]:
-                record(rec_pos)
-                rec_pos += 1
-
-        exit_time[lo:hi] = exits
-
-    return PathBundle(times=times, exit_time=exit_time, model=model, config=cfg,
+    return PathBundle(times=rec_idx * dt, exit_time=exit_time, model=model, config=cfg,
                       diagnostics={"mixer_residual": mix_residual,
                                    "strategy": getattr(strategy, "name", "custom"),
                                    "x0": x0, "y0": y0.tolist()},
@@ -429,10 +431,8 @@ def feynman_kac_estimate(gen: GeneratorCoefficients, h: Callable, t: float,
     diffusion attached to the operator without its potential.  ``gen`` must
     therefore carry ``kappa_batch``, as those built by
     ``generator_coefficients`` do.  The potential integral uses the left
-    endpoint rule.  Exit killing applies under the ``absorb`` boundary policy;
-    under full truncation the state is clipped into the domain for coefficient
-    evaluation and never killed, the standard treatment for square-root-type
-    diffusions whose continuous paths do not leave the closed orthant.
+    endpoint rule; coefficients and h see Z~ under the boundary policies of
+    the module docstring, and tau is the exit time of an absorbed path.
 
     ``h`` maps a stack of states (P, k) to values (P,).  ``domain=None`` is
     the unbounded box of dimension k, where clipping, the exit test and
@@ -454,39 +454,27 @@ def feynman_kac_estimate(gen: GeneratorCoefficients, h: Callable, t: float,
     n_steps = max(1, int(round(t / cfg.dt)))
     dt = t / n_steps
     sqdt = np.sqrt(dt)
+    P, policy = cfg.n_paths, cfg.boundary_policy
 
-    P_paths = cfg.n_paths
-    total = np.empty(P_paths)
-    for lo in range(0, P_paths, _BLOCK_SIZE):
-        hi = min(lo + _BLOCK_SIZE, P_paths)
-        B_ = hi - lo
-        noise = _path_noise(cfg.seed, lo, hi, n_steps, d_B)
-        Z = np.tile(y, (B_, 1))
-        log_weight = np.zeros(B_)
-        alive = np.ones(B_, dtype=bool)
+    total = np.empty(P)
+    for lo, hi, noise in _noise_blocks(cfg.seed, P, n_steps, d_B):
+        Z = np.tile(y, (hi - lo, 1))
+        log_weight = np.zeros(hi - lo)
+        alive = np.ones(hi - lo, dtype=bool)
         for i in range(n_steps):
-            Zeval = domain.clip(Z) if cfg.boundary_policy == "full-truncation" else Z
+            Zeval = _eval_state(domain, policy, Z)
             log_weight += np.where(alive, gen.P_batch(Zeval) * dt, 0.0)
-            drift = gen.b_batch(Zeval)
-            dZ = drift * dt \
+            dZ = gen.b_batch(Zeval) * dt \
                 + np.einsum("pbk,pb->pk", gen.kappa_batch(Zeval), noise[:, i]) * sqdt
-            if not np.all(np.isfinite(dZ)):
-                raise _first_nonfinite(dZ, lo, i)
-            Z = np.where(alive[:, None], Z + dZ, Z)
-            if cfg.boundary_policy == "absorb":
-                alive &= domain.contains(Z)
-            elif cfg.boundary_policy == "reflect":
-                Z = domain.reflect(Z)
-        Zfinal = domain.clip(Z) if cfg.boundary_policy == "full-truncation" else Z
-        h_vals = np.asarray(h(Zfinal), dtype=float)
-        if h_vals.shape != (B_,):
+            _require_finite(lo, i, dZ)
+            Z, alive, _ = _advance(domain, policy, Z, dZ, alive)
+        h_vals = np.asarray(h(_eval_state(domain, policy, Z)), dtype=float)
+        if h_vals.shape != (hi - lo,):
             raise ConfigError(f"h must map states (P, k) to values (P,); "
-                              f"got shape {h_vals.shape} for P={B_}")
+                              f"got shape {h_vals.shape} for P={hi - lo}")
         total[lo:hi] = np.where(alive, np.exp(log_weight) * h_vals, 0.0)
 
-    estimate = float(np.mean(total))
-    stderr = float(np.std(total, ddof=1) / np.sqrt(P_paths)) if P_paths > 1 else np.inf
-    return estimate, stderr
+    return float(np.mean(total)), float(np.std(total, ddof=1) / np.sqrt(P)) if P > 1 else np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -509,47 +497,37 @@ class AdmissibilityReport:
     nonfinite_locations: tuple   # (path, grid index) pairs, capped
 
     def to_json(self):
-        return {"drift_integral_max": self.drift_integral_max,
-                "drift_integral_mean": self.drift_integral_mean,
-                "variation_integral_max": self.variation_integral_max,
-                "variation_integral_mean": self.variation_integral_mean,
-                "all_finite": self.all_finite,
+        return {**asdict(self),
                 "nonfinite_locations": [list(loc) for loc in self.nonfinite_locations]}
 
 
 def admissibility_check(bundle: PathBundle, strategy: Strategy) -> AdmissibilityReport:
     """Evaluate the two admissibility integrals path by path on the bundle.
 
-    Never raises on bad values; non-finite allocations or integrands are
-    reported with their (path, grid index) locations, at most 100 of them.
+    Coefficients are evaluated at the recorded states clipped into the domain,
+    whatever the bundle's boundary policy.  Never raises on bad values;
+    non-finite allocations or integrands are reported with their
+    (path, grid index) locations, at most 100 of them.
     """
-    if isinstance(strategy, Callable) and not isinstance(strategy, Strategy):
-        strategy = CallableStrategy(strategy)
+    strategy = _as_strategy(strategy)
     model = bundle.model
     if model is None:
         raise ConfigError("bundle carries no model; cannot evaluate coefficients")
     P, m = bundle.X.shape
-    drift = np.zeros(P)
-    quad = np.zeros(P)
+    drift, quad = np.zeros(P), np.zeros(P)
     flags = []
     dts = np.diff(bundle.times)
     for j in range(m - 1):
-        Yj = bundle.Y[:, j]
-        Yeval = model.domain.clip(Yj)
+        Yeval = model.domain.clip(bundle.Y[:, j])
         pi = np.atleast_2d(strategy.allocations(float(bundle.times[j]), Yeval,
                                                 bundle.X[:, j]))
-        sig, _, lam = sigma_terms(model, Yeval)
         # Non-finite allocations propagate into the integrands on purpose;
         # they are collected as flags rather than raised.
         with np.errstate(invalid="ignore", over="ignore"):
-            sigpi = rowwise(sig, pi)
-            d_term = np.abs(np.einsum("pw,pw->p", sigpi, lam))
-            q_term = np.einsum("pw,pw->p", sigpi, sigpi)
+            _, _, d_term, q_term = _wealth_terms(model, Yeval, pi)
+        d_term = np.abs(d_term)
         bad = ~(np.isfinite(d_term) & np.isfinite(q_term))
-        if np.any(bad):
-            for p in np.nonzero(bad)[0]:
-                if len(flags) < _MAX_FLAGS:
-                    flags.append((int(p), int(j)))
+        flags.extend((int(p), j) for p in np.nonzero(bad)[0][:_MAX_FLAGS - len(flags)])
         drift += np.where(np.isfinite(d_term), d_term, np.inf) * dts[j]
         quad += np.where(np.isfinite(q_term), q_term, np.inf) * dts[j]
 

@@ -272,6 +272,10 @@ class EigenfunctionSelection:
     def __post_init__(self):
         object.__setattr__(self, "y0", np.atleast_1d(np.asarray(self.y0, dtype=float)))
         object.__setattr__(self, "functions", tuple(self.functions))
+        for f in self.functions:    # psi_i(y0) = 1 needs each psi_i normalized at y0
+            if not np.array_equal(f.y0, self.y0):
+                raise ConfigError(f"eigenfunction y0 {f.y0.tolist()} differs from "
+                                  f"selection y0 {self.y0.tolist()}")
 
     @property
     def m(self) -> int:

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .affine import evaluate_u_affine
+from .affine import u_from_state
 from .errors import (ConcavityViolationError, ConfigError,
                      InsufficientSampleError, PositivityError)
 from .model import (GeneratorCoefficients, ModelSpec, RiskParams, sharpe_ratio,
@@ -322,7 +322,11 @@ def martingale_test(bundle: PathBundle, fpp_eval: Callable,
     ------
     InsufficientSampleError
         With fewer than 100 paths a 3 SE verdict is meaningless.
+    ConfigError
+        With fewer than one bucket, or too few recorded grid points for them.
     """
+    if n_buckets < 1:
+        raise ConfigError(f"n_buckets must be >= 1, got {n_buckets}")
     P, m = bundle.X.shape
     if P < 100:
         raise InsufficientSampleError(f"need >= 100 paths, got {P}")
@@ -378,9 +382,10 @@ def optimal_portfolio_residual(model: ModelSpec, rp: RiskParams,
 
 
 def affine_u_value_grad(sol) -> Callable:
-    """(t, y) -> (u, grad_y u) for an exponential-affine solution."""
+    """(t, y) -> (u, grad_y u = u Phi(t)) from one read of the Riccati state."""
     def fn(t, y):
-        u0 = evaluate_u_affine(sol, t, y)
-        return u0, u0 * sol.Phi(t)
+        z = sol.state(t)
+        u0 = u_from_state(z, y)
+        return u0, u0 * z[..., :-1]
 
     return fn

@@ -389,6 +389,20 @@ _SUBCOMMANDS = {
 }
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("affine solve", "--grid-points", "0"),
+    ("verify residual", "--t-points", "0"),
+    ("verify residual", "--y-points", "0"),
+    ("verify martingale", "--buckets", "0"),
+    ("verify martingale", "--buckets", "-3"),
+])
+def test_counts_below_one_exit_one(workdir, capsys, command, flag, value):
+    argv = [*command.split(), *_SUBCOMMANDS[command], flag, value, "--out", "o14"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", list(_SUBCOMMANDS))
 def test_manifest_lists_every_file_the_run_wrote(workdir, command):
     if command == "spectral evaluate":

@@ -10,8 +10,8 @@ from fpplab.errors import (ClosedFormInapplicableError, ConfigError,
                            RiccatiBlowUpError, SimulationError, SingularModelError)
 from fpplab.model import (Box, ConstantField, GridField, ModelSpec, RiskParams,
                           generator_coefficients)
-from fpplab import affine
-from fpplab.sim import (AffineOptimalStrategy, CallableStrategy,
+from fpplab import affine, sim
+from fpplab.sim import (BOUNDARY_POLICIES, AffineOptimalStrategy, CallableStrategy,
                         ConstantStrategy, PathBundle, PerturbedStrategy,
                         SimulationConfig, Strategy, ZeroStrategy, _path_noise,
                         admissibility_check, feynman_kac_estimate, simulate)
@@ -101,6 +101,56 @@ def test_simulate_builds_one_bit_generator_per_block(monkeypatch, canonical_1f):
     cfg = SimulationConfig(dt=0.05, horizon=0.25, n_paths=300, seed=8)
     simulate(market, cfg, ZeroStrategy(market.n), y0=[1.0])
     assert len(built) == 1
+
+
+# ---------------------------------------------------------------------------
+# Engine: path blocks and recording
+# ---------------------------------------------------------------------------
+
+_BUNDLE_ARRAYS = ("times", "W", "Wperp", "B", "Y", "S", "X", "exit_time")
+
+
+def _engine_run(policy, record_stride=1):
+    """simulate, admissibility_check and feynman_kac_estimate on a
+    square-root factor started near 0, so that paths leave [0, inf)."""
+    rp = RiskParams(gamma=2.0, p=0.25)
+    market, spec = affine.canonical_affine_market(
+        M=[[-1.5]], w=[0.02], L=[0.6], Lambda=[0.09], lambda0=0.01, H=[-0.1], rp=rp)
+    sol = affine.solve_riccati_closed_form(spec, rp, 0.5, affine.FORWARD)
+    strategy = PerturbedStrategy(AffineOptimalStrategy(sol, market, rp), 0.2)
+    cfg = SimulationConfig(dt=0.05, horizon=0.5, n_paths=30, seed=4,
+                           boundary_policy=policy, record_stride=record_stride)
+    bundle = simulate(market, cfg, strategy, y0=[0.05])
+    report = admissibility_check(bundle, strategy)
+    fk = feynman_kac_estimate(generator_coefficients(market, rp),
+                              lambda Y: np.exp(Y @ spec.H + spec.h0), 0.5, [0.05], cfg,
+                              domain=market.domain)
+    return bundle, report, fk
+
+
+@pytest.mark.parametrize("policy", BOUNDARY_POLICIES)
+def test_results_do_not_depend_on_the_block_size(monkeypatch, policy):
+    bundle, report, fk = _engine_run(policy)
+    assert np.isfinite(bundle.exit_time).any() and np.isnan(bundle.exit_time).any()
+    monkeypatch.setattr(sim, "_BLOCK_SIZE", 7)    # blocks of 7, 7, 7, 7 and 2 paths
+    small_bundle, small_report, small_fk = _engine_run(policy)
+    for name in _BUNDLE_ARRAYS:
+        assert getattr(small_bundle, name).tobytes() == getattr(bundle, name).tobytes(), name
+    assert small_report == report
+    assert small_fk == fk
+
+
+@pytest.mark.parametrize("stride", [2, 3])
+def test_record_stride_keeps_the_stride_one_values(stride):
+    # 10 steps: stride 2 records steps 0, 2, ..., 10; stride 3 records
+    # 0, 3, 6, 9 and appends the last step, 10.
+    full, _, _ = _engine_run("absorb")
+    strided, _, _ = _engine_run("absorb", record_stride=stride)
+    idx = sorted(set(range(0, 11, stride)) | {10})
+    for name in _BUNDLE_ARRAYS[:-1]:
+        kept = getattr(full, name)[idx] if name == "times" else getattr(full, name)[:, idx]
+        assert getattr(strided, name).tobytes() == kept.tobytes(), name
+    assert strided.exit_time.tobytes() == full.exit_time.tobytes()
 
 
 # ---------------------------------------------------------------------------

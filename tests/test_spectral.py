@@ -119,6 +119,16 @@ def test_widder_rejects_selection_normalized_at_another_y0(sel_y0):
         WidderFunction(nu, sel)
 
 
+def test_selection_rejects_eigenfunction_normalized_at_another_y0():
+    # exp(0.5 (y - 1)) in a selection at y0 = 0 would give u(0, 0) = 0.607
+    # under SpectralMeasure([0.3], [1.0], [0.0]), where nu.laplace(0) = 1.
+    with pytest.raises(ConfigError, match="y0"):
+        EigenfunctionSelection((ExpEigenfunction([0.5], [1.0]),), [0.0])
+    with pytest.raises(ConfigError, match="y0"):
+        EigenfunctionSelection((ExpEigenfunction([0.5], [0.0]),
+                                ExpEigenfunction([0.5, 0.1], [0.0, 0.0])), [0.0])
+
+
 # ---------------------------------------------------------------------------
 # fpp_from_measure
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import fpplab
 from fpplab.affine import AffineSpec
 from fpplab.model import (_FIELD_FAMILIES, AffineField, Box, CoefficientField, ConstantField,
                           GridField, ModelSpec, SqrtAffineField, SqrtDiagField)
-from fpplab.sim import SimulationConfig
+from fpplab.sim import BOUNDARY_POLICIES, SimulationConfig
 from fpplab.spectral import (_KINDS, EigenfunctionSelection, ExpEigenfunction,
                              ExpMixEigenfunction, TabulatedEigenfunction)
 
@@ -58,6 +58,28 @@ def test_only_model_asks_whether_sigma_is_constant():
             for hit in _constant_field_isinstance_calls(path)]
     assert hits == []
     assert _constant_field_isinstance_calls(PACKAGE / "model.py") != []
+
+
+def _engine_sites(path):
+    """Top-level definitions that call ``_path_noise``, and those that compare
+    against a boundary-policy name."""
+    tree = ast.parse(path.read_text())
+    noise, policy = set(), set()
+    for node in tree.body:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "_path_noise":
+                noise.add(node.name)
+            if isinstance(sub, ast.Compare) and any(
+                    isinstance(c, ast.Constant) and c.value in BOUNDARY_POLICIES
+                    for c in (sub.left, *sub.comparators)):
+                policy.add(node.name)
+    return noise, policy
+
+
+def test_sim_has_one_block_loop_and_one_boundary_step():
+    noise, policy = _engine_sites(PACKAGE / "sim.py")
+    assert noise == {"_noise_blocks"}
+    assert policy == {"_eval_state", "_advance"}
 
 
 def _sharpe_readers(path):

@@ -435,6 +435,15 @@ def test_martingale_verdicts_monotone_in_perturbation(low_noise_1f):
     assert downgraded
 
 
+def test_martingale_requires_at_least_one_bucket(low_noise_1f):
+    # Zero buckets would give an empty table and a vacuous verdict.
+    market, rp, cfg, feval, opt = _martingale_setup(low_noise_1f, n_paths=100, dt=0.05)
+    bundle = simulate(market, cfg, opt, y0=[1.0])
+    for n_buckets in (0, -1):
+        with pytest.raises(ConfigError, match="n_buckets"):
+            martingale_test(bundle, feval, n_buckets=n_buckets)
+
+
 def test_martingale_requires_enough_paths(low_noise_1f):
     market, rp, cfg, feval, opt = _martingale_setup(low_noise_1f)
     small = SimulationConfig(dt=0.01, horizon=1.0, n_paths=50, seed=1,
@@ -502,3 +511,24 @@ def test_excess_kurtosis_matches_scipy(draw):
 
     x = draw(np.random.default_rng(3))
     assert _excess_kurtosis(x) == pytest.approx(kurtosis(x), rel=1e-12)
+
+
+def test_affine_u_value_grad_reads_the_state_once(canonical_2f, monkeypatch):
+    market, spec, rp, sol = _affine_setup(canonical_2f)
+    points = [(0.0, [0.5, 0.4]), (0.35, [1.2, 0.1]), (1.0, [0.05, 2.0])]
+    expected = [(affine.evaluate_u_affine(sol, t, y), sol.Phi(t)) for t, y in points]
+    calls = []
+    real = affine.RiccatiSolution.state
+
+    def counting(self, t):
+        calls.append(t)
+        return real(self, t)
+
+    monkeypatch.setattr(affine.RiccatiSolution, "state", counting)
+    fn = affine_u_value_grad(sol)
+    for (t, y), (u, phi) in zip(points, expected):
+        calls.clear()
+        u0, grad = fn(t, y)
+        assert calls == [t]
+        assert u0 == u
+        assert grad.tobytes() == (u * phi).tobytes()
