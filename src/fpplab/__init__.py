@@ -10,6 +10,9 @@ spectral : atomic spectral measures, eigenfunctions, Laplace inversion
 sim      : correlated path simulation, Feynman-Kac estimates, admissibility
 verify   : PDE residual checks and Monte Carlo martingale diagnostics
 cli      : command-line front end
+
+scipy is imported only inside the functions that need it (the numeric
+Riccati solve, the ODE and inversion routines of spectral, and GridField).
 """
 
 __version__ = "0.1.0"

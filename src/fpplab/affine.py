@@ -40,7 +40,6 @@ from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (ClosedFormInapplicableError, ConfigError,
                      ExponentOverflowError, IntegrationError, RiccatiBlowUpError)
@@ -248,6 +247,8 @@ def solve_riccati_numeric(spec: AffineSpec, rp: RiskParams, horizon: float,
         underflows); the message carries the solver's reason and the time t
         the solve reached.
     """
+    from scipy.integrate import solve_ivp
+
     to_t = _clock(horizon, direction)
     rhs = _riccati_rhs(spec, rp)
     k = spec.k

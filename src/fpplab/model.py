@@ -22,7 +22,6 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import ConfigError, SingularModelError
 
@@ -183,6 +182,8 @@ class GridField(CoefficientField):
     params = ("axes", "values")
 
     def __init__(self, axes, values):
+        from scipy.interpolate import RegularGridInterpolator
+
         self.axes = tuple(np.asarray(ax, dtype=float) for ax in axes)
         self.values = np.asarray(values, dtype=float)
         k = len(self.axes)
@@ -221,21 +222,34 @@ class Box:
     def dim(self) -> int:
         return self.lower.shape[0]
 
+    # contains, clip and reflect loop over the k columns: on short rows that
+    # is several times faster than broadcasting over a last axis of length k.
+
     def contains(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        return np.all((y >= self.lower) & (y <= self.upper), axis=-1)
+        inside = np.ones(y.shape[:-1], dtype=bool)
+        for i, (lo, hi) in enumerate(zip(self.lower, self.upper)):
+            col = y[..., i]
+            inside &= col >= lo
+            inside &= col <= hi
+        return inside[()]
 
     def clip(self, y) -> np.ndarray:
-        return np.clip(y, self.lower, self.upper)
+        y = np.array(y, dtype=float)
+        for i, (lo, hi) in enumerate(zip(self.lower, self.upper)):
+            np.clip(y[..., i], lo, hi, out=y[..., i])
+        return y
 
     def reflect(self, y) -> np.ndarray:
         """Fold points back into the box across whichever face they crossed."""
-        y = np.asarray(y, dtype=float)
-        lo, hi = self.lower, self.upper
-        y = np.where(y < lo, 2 * lo - y, y)
-        y = np.where(y > hi, 2 * hi - y, y)
-        # Overshoots past the opposite face (giant steps) end up clipped.
-        return np.clip(y, lo, hi)
+        y = np.array(y, dtype=float)
+        for i, (lo, hi) in enumerate(zip(self.lower, self.upper)):
+            col = y[..., i]
+            np.copyto(col, 2 * lo - col, where=col < lo)
+            np.copyto(col, 2 * hi - col, where=col > hi)
+            # Overshoots past the opposite face (giant steps) end up clipped.
+            np.clip(col, lo, hi, out=col)
+        return y
 
     def interior_grid(self, points_per_dim: int = 5) -> np.ndarray:
         """Regular grid inset GRID_MARGIN (0.1) of each axis' width from its ends;

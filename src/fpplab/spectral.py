@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import least_squares, nnls
 
 from .errors import (ConditioningError, ConfigError, InconsistentDataError,
                      IntegrationError, NonRepresentableError, PositivityError)
@@ -384,6 +382,8 @@ def solve_eigenfunction_1d(gen: GeneratorCoefficients, zeta: float, y0: float,
     the grid as ``values`` and the sign change nearest y0, if any, as
     ``first_sign_change`` (location by linear interpolation).
     """
+    from scipy.integrate import solve_ivp
+
     if gen.k != 1:
         raise ConfigError("one-factor routine requires k = 1")
     grid = np.sort(np.asarray(grid, dtype=float))
@@ -472,6 +472,8 @@ def invert_laplace_discrete(samples, m: int, y0=0.0) -> InversionResult:
         The retained Hankel block has condition number > 1e12; atom
         parameters would not be trustworthy even though a fit exists.
     """
+    from scipy.optimize import least_squares
+
     t, u, dt = _parse_samples(samples)
     n = t.shape[0]
     if m < 1:
@@ -557,6 +559,8 @@ def recover_selection(samples_by_point, nu: SpectralMeasure) -> EigenfunctionSel
     fit residual above ``RECOVERY_TOL`` (1e-6) raises InconsistentDataError.
     psi_i(y0) is set to exactly 1 when y0 is among the states.
     """
+    from scipy.optimize import nnls
+
     if isinstance(samples_by_point, dict):
         items = list(samples_by_point.items())
     else:
@@ -625,6 +629,8 @@ def radial_ode_diagnostic(P0_tilde: Callable[[float], float], zeta: float,
     integrand is singular; the first zero is reported, the integral values
     become unreliable (possibly infinite) and the flag is forced on.
     """
+    from scipy.integrate import solve_ivp
+
     if k < 2:
         raise ConfigError("radial diagnostic requires k >= 2")
     if r_max <= 1.0:

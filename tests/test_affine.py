@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -573,7 +574,8 @@ def test_numeric_solver_failure_is_integration_error(monkeypatch, direction, t_r
                                t_events=[np.array([])], message="step size too small",
                                nfev=12, sol=None)
 
-    monkeypatch.setattr(affine, "solve_ivp", failed_solve)
+    # solve_riccati_numeric imports solve_ivp when called, so patch it at the source.
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", failed_solve)
     with pytest.raises(IntegrationError, match=rf"t={t_reported}: step size too small"):
         solve_riccati_numeric(_spec(), RiskParams(2.0, 0.0), 1.0, direction)
 

@@ -461,3 +461,45 @@ def test_box_contains_clip_reflect():
     assert not box.contains(np.array([-0.1, 0.0]))
     np.testing.assert_allclose(box.clip(np.array([-0.5, -2.0])), [0.0, -1.0])
     np.testing.assert_allclose(box.reflect(np.array([-0.25, -1.5])), [0.25, -0.5])
+
+
+def _broadcast_contains(box, y):
+    y = np.asarray(y, dtype=float)
+    return np.all((y >= box.lower) & (y <= box.upper), axis=-1)
+
+
+def _broadcast_clip(box, y):
+    return np.clip(y, box.lower, box.upper)
+
+
+def _broadcast_reflect(box, y):
+    y = np.asarray(y, dtype=float)
+    lo, hi = box.lower, box.upper
+    y = np.where(y < lo, 2 * lo - y, y)
+    y = np.where(y > hi, 2 * hi - y, y)
+    return np.clip(y, lo, hi)
+
+
+@pytest.mark.parametrize("lower,upper", [
+    ([0.0], [np.inf]),
+    ([-1.0], [2.0]),
+    ([0.0, 0.0], [np.inf, np.inf]),
+    ([-np.inf, 0.5], [1.0, np.inf]),
+    ([-1.0, -np.inf, 0.0], [1.0, np.inf, 3.0]),
+])
+def test_box_column_loops_match_the_broadcast_formulas(lower, upper):
+    # contains, clip and reflect loop over the k columns; the broadcast forms
+    # over the last axis are the reference.
+    box = Box(lower, upper)
+    rng = np.random.default_rng(11)
+    Y = 3.0 * rng.standard_normal((400, box.dim))
+    on_face = rng.random(Y.shape) < 0.3
+    face = np.where(rng.random(Y.shape) < 0.5, box.lower, box.upper)
+    Y = np.where(on_face & np.isfinite(face), face, Y)
+    for y in (Y, Y.reshape(20, 20, box.dim), Y[0], Y[1], [1, 2, 3][:box.dim]):
+        for name, reference in (("contains", _broadcast_contains), ("clip", _broadcast_clip),
+                                ("reflect", _broadcast_reflect)):
+            got, want = getattr(box, name)(y), reference(box, y)
+            assert type(got) is type(want)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want), name

@@ -99,14 +99,86 @@ def test_only_the_riccati_rates_and_closed_form_read_the_sharpe_terms():
         {"_riccati_rhs", "solve_riccati_closed_form"}
 
 
-def test_importing_the_cli_does_not_load_scipy_stats():
+def _scipy_imports_run_on_import(path):
+    """Imports of scipy that run when the module is imported: every one
+    outside a function body."""
+    hits = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(name.split(".")[0] == "scipy" for name in names):
+                hits.append(f"{path.name}:{child.lineno}")
+            visit(child)
+
+    visit(ast.parse(path.read_text()))
+    return hits
+
+
+def test_no_module_imports_scipy_at_import_time():
+    # scipy.integrate alone takes most of a second to import; only the
+    # numeric Riccati solve, spectral's ODE and inversion routines and
+    # GridField need scipy, so each imports it inside the function.
+    hits = [hit for path in sorted(PACKAGE.glob("*.py"))
+            for hit in _scipy_imports_run_on_import(path)]
+    assert hits == []
+
+
+# Run in a fresh interpreter; prints the scipy modules loaded as its last line.
+_SCIPY_LOADED = ("import json, sys\n"
+                 "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+
+
+def _scipy_loaded_after(code, *args, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
                                                       env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, fpplab.cli; print('scipy.stats' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", f"{code}\n{_SCIPY_LOADED}", *args],
+                         env=env, cwd=cwd, capture_output=True, text=True, timeout=120,
+                         check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_importing_every_module_loads_no_scipy():
+    modules = ["fpplab"] + [f"fpplab.{path.stem}" for path in sorted(PACKAGE.glob("*.py"))
+                            if path.stem != "__init__"]
+    assert _scipy_loaded_after(f"import {', '.join(modules)}") == []
+
+
+def test_cli_on_a_diagonal_market_loads_no_scipy(tmp_path, canonical_2f):
+    # The closed-form Riccati and Monte Carlo routes need no scipy.
+    market, spec, rp = canonical_2f
+    market.save(tmp_path / "model.json")
+    files = {
+        "aspec.json": spec.to_json(),
+        "simcfg.json": {"dt": 0.02, "horizon": 0.5, "n_paths": 200, "seed": 9},
+        "fpp.json": {"affine_spec": spec.to_json(), "gamma": rp.gamma, "p": rp.p,
+                     "horizon": 0.5, "direction": "forward"},
+    }
+    for name, payload in files.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    np.savetxt(tmp_path / "rho.csv", 0.6 * np.eye(2), delimiter=",")
+    risk = ["--gamma", str(rp.gamma), "--p", str(rp.p), "--horizon", "0.5"]
+    argvs = [
+        ["eve", "project", "--in", "rho.csv", "--out", "eve"],
+        ["affine", "solve", "--spec", "aspec.json", *risk, "--out", "solve"],
+        ["sim", "run", "--model", "model.json", "--config", "simcfg.json",
+         "--strategy", "affine-optimal", "--affine", "aspec.json", *risk,
+         "--y0", "0.5,0.5", "--out", "sim"],
+        ["verify", "martingale", "--paths", "sim/paths", "--fpp", "fpp.json",
+         "--out", "martingale"],
+    ]
+    code = ("import json, sys\nfrom fpplab.cli import main\n"
+            "assert [main(argv) for argv in json.loads(sys.argv[1])] == [0, 0, 0, 0]")
+    assert _scipy_loaded_after(code, json.dumps(argvs), cwd=tmp_path) == []
+    assert (tmp_path / "martingale" / "martingale_report.json").exists()
 
 
 # One instance of each family, kind and spec, with its JSON form as written
