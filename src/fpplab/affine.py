@@ -43,8 +43,8 @@ import numpy as np
 
 from .errors import (ClosedFormInapplicableError, ConfigError,
                      ExponentOverflowError, IntegrationError, RiccatiBlowUpError)
-from .model import (AffineField, Box, ConstantField, ModelSpec, RiskParams, SqrtAffineField,
-                    SqrtDiagField, from_params, plain, rowwise, sigma_terms)
+from .model import (AffineField, Box, ConstantField, MarketTerms, ModelSpec, RiskParams,
+                    SqrtAffineField, SqrtDiagField, from_params, market_terms, plain, rowwise)
 
 BLOW_UP_THRESHOLD = 1e8
 DIAGONAL_TOL = 1e-12      # AffineSpec.is_diagonal: relative off-diagonal tolerance
@@ -448,11 +448,18 @@ def optimal_portfolio_affine(sol: RiccatiSolution, model_spec: ModelSpec,
         If sigma(y) has rank below n at some point.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    Y = np.atleast_2d(y)
-    _, pinv, lam = sigma_terms(model_spec, Y)
-    kap_phi = np.einsum("pbk,k->pb", model_spec.kappa.batch(Y), sol.Phi(t))  # (P, d_B)
-    pi = rowwise(pinv, lam + rp.q * kap_phi @ model_spec.rho.T) / rp.gamma
+    pi = optimal_portfolio_from_terms(market_terms(model_spec, y),
+                                      model_spec.rho, rp, sol.Phi(t))
     return pi[0] if y.ndim == 1 else pi
+
+
+def optimal_portfolio_from_terms(terms: MarketTerms, rho: np.ndarray, rp: RiskParams,
+                                 phi: np.ndarray) -> np.ndarray:
+    """pi* = sigma^- (lambda + q rho kappa phi) / gamma, shape (P, n), from
+    coefficients already evaluated at P states and the Riccati slope phi =
+    Phi(t) (k,).  The one place the expression is written."""
+    kap_phi = np.einsum("pbk,k->pb", terms.kappa, phi)    # (P, d_B)
+    return rowwise(terms.sigma_pinv, terms.lam + rp.q * kap_phi @ rho.T) / rp.gamma
 
 
 # ---------------------------------------------------------------------------

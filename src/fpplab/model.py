@@ -442,14 +442,14 @@ def rowwise(M: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def sigma_terms(spec: ModelSpec, Y: np.ndarray):
-    """sigma, its pseudoinverse sigma^- and the market price of risk
-    lambda = (sigma^T)^- mu at the points Y (P, k), from one evaluation and
-    one SVD of sigma.
+    """mu, sigma, its pseudoinverse sigma^- and the market price of risk
+    lambda = (sigma^T)^- mu at the points Y (P, k), from one evaluation of
+    mu and sigma and one SVD of sigma.
 
     A constant sigma is factored once per field and returned as one matrix
     (d_W, n) with sigma^- (n, d_W); otherwise both are stacks (P, d_W, n),
     (P, n, d_W).  ``rowwise`` applies either layout row by row, so callers
-    never branch on it.  lambda has shape (P, d_W).
+    never branch on it.  mu has shape (P, n) and lambda (P, d_W).
 
     Raises
     ------
@@ -465,7 +465,41 @@ def sigma_terms(spec: ModelSpec, Y: np.ndarray):
         i = int(np.argmax(rank < spec.n))
         raise SingularModelError(
             f"sigma(y) rank {rank[i]} < n={spec.n} at y={np.array2string(Y[i], precision=6)}")
-    return sig, pinv, rowwise(np.swapaxes(pinv, -1, -2), spec.mu.batch(Y))
+    mu = spec.mu.batch(Y)
+    return mu, sig, pinv, rowwise(np.swapaxes(pinv, -1, -2), mu)
+
+
+@dataclass(frozen=True)
+class MarketTerms:
+    """The coefficients of the model ``spec`` at a stack of states Y (P, k),
+    each evaluated at most once: mu (P, n); sigma and sigma^- in the layouts
+    of ``sigma_terms``; the market price of risk lam (P, d_W); the factor
+    volatility kappa (P, d_B, k), evaluated on first use."""
+
+    spec: ModelSpec
+    Y: np.ndarray
+    mu: np.ndarray
+    sigma: np.ndarray
+    sigma_pinv: np.ndarray
+    lam: np.ndarray
+
+    @cached_property
+    def kappa(self) -> np.ndarray:
+        return self.spec.kappa.batch(self.Y)
+
+
+def market_terms(spec: ModelSpec, Y: np.ndarray) -> MarketTerms:
+    """``sigma_terms`` at the points Y (P, k), with kappa on demand: one
+    evaluation of each of mu, sigma and (if read) kappa, one SVD of sigma
+    (none for a constant one).
+
+    Raises
+    ------
+    SingularModelError
+        As ``sigma_terms``.
+    """
+    Y = np.atleast_2d(Y)
+    return MarketTerms(spec, Y, *sigma_terms(spec, Y))
 
 
 def sharpe_ratio(spec: ModelSpec, y) -> np.ndarray:
@@ -479,14 +513,14 @@ def sharpe_ratio_batch(spec: ModelSpec, Y: np.ndarray) -> np.ndarray:
 
     Uses the Moore-Penrose pseudoinverse (SVD, relative cutoff 1e-12); for
     full-column-rank sigma this coincides with sigma (sigma^T sigma)^{-1} mu.
-    Returns shape (P, d_W); the third term of ``sigma_terms``.
+    Returns shape (P, d_W); the last term of ``sigma_terms``.
 
     Raises
     ------
     SingularModelError
         If sigma(y) has rank below n at some point of Y.
     """
-    return sigma_terms(spec, Y)[2]
+    return sigma_terms(spec, Y)[3]
 
 
 def generator_coefficients(spec: ModelSpec, rp: RiskParams) -> GeneratorCoefficients:

@@ -9,15 +9,20 @@ updates for stocks and wealth, so positivity of S and X is structural:
     X_{i+1} = X_i * exp(((s p)^T lam - |s p|^2 / 2) dt + (s p)^T dW_i),
 
 with s p = sigma(Y_i~) pi_i and dB = rho^T dW + A^T dWperp,
-A = (I - rho^T rho)^{1/2}.  Y_i~ is the state the coefficients see.  The
-boundary policy sets it and what follows a step that leaves the domain:
+A = (I - rho^T rho)^{1/2}.  Y_i~ is the state the coefficients see.  Each
+step evaluates mu, sigma (one SVD, none for a constant sigma), lambda and
+kappa once at Y_i~ (``model.market_terms``); the strategy receives them and
+the step reuses them.  The boundary policy sets Y_i~ and what follows a step
+that leaves the domain:
 
     full-truncation   Y_i~ is Y_i clipped into the domain; no path stops
     absorb            Y_i~ = Y_i; a path that leaves freezes and is killed
     reflect           Y_i~ = Y_i; Y_{i+1} is folded back across the face
 
 Under each policy exit_time is the first grid time at which Y_{i+1}, before
-any reflection, lies outside the domain.
+any reflection, lies outside the domain.  ``simulate`` counts the paths that
+left (``exited_paths``) and the path-steps whose coefficients saw a clipped
+state (``clipped_states``, full truncation only) in its diagnostics.
 
 Noise comes from counter-based Philox streams keyed by (seed, path), so each
 path's noise is the same whatever the batching (see ``_path_noise``).
@@ -31,10 +36,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .affine import optimal_portfolio_affine
+from .affine import optimal_portfolio_from_terms
 from .errors import ConfigError, SimulationError
-from .model import (Box, GeneratorCoefficients, ModelSpec, RiskParams, require, rowwise,
-                    sigma_terms)
+from .model import (Box, GeneratorCoefficients, MarketTerms, ModelSpec, RiskParams,
+                    market_terms, require, rowwise)
 
 BOUNDARY_POLICIES = ("full-truncation", "absorb", "reflect")
 _BLOCK_SIZE = 4096
@@ -102,12 +107,21 @@ class SimulationConfig:
 # ---------------------------------------------------------------------------
 
 class Strategy:
-    """Feedback allocation map.  Subclasses implement ``allocations``."""
+    """Feedback allocation map.  Subclasses implement ``allocations``.
+
+    ``allocations(t, Y, X, terms)`` returns the (P, n) stock allocations at
+    time t for the states Y (P, k) that the coefficients see (clipped under
+    full truncation) and wealth X (P,).  ``terms`` is the ``MarketTerms`` the
+    Euler step evaluated once at Y: the model they belong to, mu, sigma,
+    sigma^-, lambda and kappa (the last on first read).  A strategy may build
+    its allocation from them, as ``AffineOptimalStrategy`` does, or ignore
+    them; it must not modify them.
+    """
 
     name = "strategy"
 
-    def allocations(self, t: float, Y: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """(P, n) stock allocations for stacked states Y (P, k), wealth X (P,)."""
+    def allocations(self, t: float, Y: np.ndarray, X: np.ndarray,
+                    terms: MarketTerms) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -117,7 +131,7 @@ class ZeroStrategy(Strategy):
     def __init__(self, n: int):
         self.n = n
 
-    def allocations(self, t, Y, X):
+    def allocations(self, t, Y, X, terms):
         return np.zeros((np.atleast_2d(Y).shape[0], self.n))
 
 
@@ -127,7 +141,7 @@ class ConstantStrategy(Strategy):
     def __init__(self, pi):
         self.pi = np.atleast_1d(np.asarray(pi, dtype=float))
 
-    def allocations(self, t, Y, X):
+    def allocations(self, t, Y, X, terms):
         return np.broadcast_to(self.pi, (np.atleast_2d(Y).shape[0], self.pi.shape[0])).copy()
 
 
@@ -139,16 +153,18 @@ class CallableStrategy(Strategy):
     def __init__(self, fn: Callable):
         self.fn = fn
 
-    def allocations(self, t, Y, X):
+    def allocations(self, t, Y, X, terms):
         Y = np.atleast_2d(Y)
         X = np.broadcast_to(np.asarray(X, dtype=float), Y.shape[0])
         return np.stack([np.atleast_1d(self.fn(t, y, x)) for y, x in zip(Y, X)])
 
 
 class AffineOptimalStrategy(Strategy):
-    """pi*(t, y) = sigma(y)^- (lambda(y) + q rho kappa(y) Phi(t)) / gamma,
-    evaluated by ``optimal_portfolio_affine`` on the stacked states; sigma
-    may depend on y.
+    """pi*(t, y) = sigma(y)^- (lambda(y) + q rho kappa(y) Phi(t)) / gamma of
+    ``model``, built by ``optimal_portfolio_from_terms``; sigma may depend on
+    y.  The step's terms are used when they are ``model``'s; a strategy run
+    under another market (a misspecified one) evaluates its own model at Y,
+    so pi* never mixes the coefficients of two models.
     """
 
     name = "affine-optimal"
@@ -158,9 +174,11 @@ class AffineOptimalStrategy(Strategy):
         self.model = model
         self.rp = rp
 
-    def allocations(self, t, Y, X):
-        return optimal_portfolio_affine(self.sol, self.model, self.rp, float(t),
-                                        np.atleast_2d(Y))
+    def allocations(self, t, Y, X, terms):
+        if terms.spec is not self.model:
+            terms = market_terms(self.model, Y)
+        return optimal_portfolio_from_terms(terms, self.model.rho, self.rp,
+                                            self.sol.Phi(float(t)))
 
 
 class PerturbedStrategy(Strategy):
@@ -173,8 +191,8 @@ class PerturbedStrategy(Strategy):
         self.delta = delta
         self.name = f"{base.name}+{delta}"
 
-    def allocations(self, t, Y, X):
-        return self.base.allocations(t, Y, X) + self.delta
+    def allocations(self, t, Y, X, terms):
+        return self.base.allocations(t, Y, X, terms) + self.delta
 
 
 # ---------------------------------------------------------------------------
@@ -260,32 +278,34 @@ class PathBundle:
 # Euler engine: path blocks, the boundary step and the wealth integrands
 # ---------------------------------------------------------------------------
 
-def _path_noise(seed: int, path_lo: int, path_hi: int, n_steps: int, dims: int):
-    """Per-path Philox noise block of shape (paths, n_steps, dims).
+def _path_noise(seed: int, path_lo: int, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (paths, n_steps, dims) with the noise of paths path_lo,
+    path_lo + 1, ... and return it.
 
     Path p draws from the Philox stream keyed by (seed mod 2^64, p).  One bit
     generator serves the block, reset before each path to the state of a
     fresh one (counter zero, buffer empty) with key (seed, p): the streams of
     one ``Philox(key=[seed, p])`` per path, without building one per path.
     """
-    out = np.empty((path_hi - path_lo, n_steps, dims))
     bitgen = np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, path_lo],
                                            dtype=np.uint64))
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state     # a copy; drawing never changes it
-    for offset, p in enumerate(range(path_lo, path_hi)):
-        fresh["state"]["key"][1] = p
+    for offset in range(out.shape[0]):
+        fresh["state"]["key"][1] = path_lo + offset
         bitgen.state = fresh
-        out[offset] = gen.standard_normal((n_steps, dims))
+        gen.standard_normal(out=out[offset])
     return out
 
 
 def _noise_blocks(seed: int, n_paths: int, n_steps: int, dims: int):
     """Yield (lo, hi, noise) for consecutive blocks of at most _BLOCK_SIZE
-    paths, noise being the block's (hi - lo, n_steps, dims) draw."""
+    paths, noise being the block's (hi - lo, n_steps, dims) draw.  Every block
+    is drawn into one buffer, so a block's noise is valid until the next."""
+    buffer = np.empty((min(_BLOCK_SIZE, n_paths), n_steps, dims))
     for lo in range(0, n_paths, _BLOCK_SIZE):
         hi = min(lo + _BLOCK_SIZE, n_paths)
-        yield lo, hi, _path_noise(seed, lo, hi, n_steps, dims)
+        yield lo, hi, _path_noise(seed, lo, buffer[:hi - lo])
 
 
 def _require_finite(lo: int, step: int, *arrays):
@@ -316,12 +336,11 @@ def _advance(domain: Box, policy: str, Y, dY, alive):
     return Y, alive, left
 
 
-def _wealth_terms(model: ModelSpec, Yeval, pi):
-    """sigma, s p = sigma pi, (s p)^T lambda and |s p|^2 at the states Yeval
-    (P, k) for the allocations pi (P, n)."""
-    sig, _, lam = sigma_terms(model, Yeval)
-    sigpi = rowwise(sig, pi)
-    return sig, sigpi, np.einsum("pw,pw->p", sigpi, lam), np.einsum("pw,pw->p", sigpi, sigpi)
+def _wealth_terms(terms: MarketTerms, pi):
+    """s p = sigma pi, (s p)^T lambda and |s p|^2 for the allocations pi
+    (P, n) at the states where ``terms`` were evaluated."""
+    sigpi = rowwise(terms.sigma, pi)
+    return sigpi, np.einsum("pw,pw->p", sigpi, terms.lam), np.einsum("pw,pw->p", sigpi, sigpi)
 
 
 def _as_strategy(strategy) -> Strategy:
@@ -341,6 +360,9 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
 
     Stocks start at S_0 = 1 (prices never feed back, so S_0 is only a scale),
     wealth at x0 = 1 and y0 at the center of the domain's interior grid unless given.
+    ``diagnostics`` holds the mixer residual, the strategy name, x0, y0,
+    ``exited_paths`` (paths with an exit time) and ``clipped_states`` (the
+    path-steps whose coefficients saw a state clipped into the domain).
 
     Raises
     ------
@@ -371,6 +393,7 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
         "S": np.empty((P, m, model.n)), "X": np.empty((P, m)),
     }
     exit_time = np.full(P, np.nan)
+    clipped = 0
 
     for lo, hi, noise in _noise_blocks(cfg.seed, P, n_steps, model.d_W + model.d_Wperp):
         Wc, Wpc, Bc = (np.zeros((hi - lo, d)) for d in (model.d_W, model.d_Wperp, model.d_B))
@@ -378,6 +401,7 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
         logS = np.zeros((hi - lo, model.n))
         logX = np.full(hi - lo, np.log(x0))
         alive = np.ones(hi - lo, dtype=bool)
+        left = ~model.domain.contains(Y)
         exits = exit_time[lo:hi]    # a view: exit times are written in place
 
         def record(step):
@@ -388,25 +412,29 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
         record(0)
         for i in range(n_steps):
             Yeval = _eval_state(model.domain, policy, Y)
-            pi = np.atleast_2d(strategy.allocations(i * dt, Yeval, np.exp(logX)))
+            if Yeval is not Y:      # clipped copy: the rows of Y outside the domain
+                clipped += int(np.count_nonzero(left))
+            terms = market_terms(model, Yeval)
+            pi = np.atleast_2d(strategy.allocations(i * dt, Yeval, np.exp(logX), terms))
             _require_finite(lo, i, pi)
-            sig, sigpi, sp_lam, sp_sq = _wealth_terms(model, Yeval, pi)
+            sigpi, sp_lam, sp_sq = _wealth_terms(terms, pi)
 
             dW = noise[:, i, :model.d_W] * sqdt
             dWp = noise[:, i, model.d_W:] * sqdt
             dB = dW @ model.rho + dWp @ A
 
             # diag(sigma^T sigma) and sigma^T dW
-            dlogS = (model.mu.batch(Yeval) - 0.5 * np.sum(sig ** 2, axis=-2)) * dt \
-                + rowwise(np.swapaxes(sig, -1, -2), dW)
+            dlogS = (terms.mu - 0.5 * np.sum(terms.sigma ** 2, axis=-2)) * dt \
+                + rowwise(np.swapaxes(terms.sigma, -1, -2), dW)
             dlogX = (sp_lam - 0.5 * sp_sq) * dt + np.einsum("pw,pw->p", sigpi, dW)
-            dY = model.alpha.batch(Yeval) * dt \
-                + np.einsum("pbk,pb->pk", model.kappa.batch(Yeval), dB)
+            dY = model.alpha.batch(Yeval) * dt + np.einsum("pbk,pb->pk", terms.kappa, dB)
             _require_finite(lo, i, dY, dlogS, dlogX)
 
             logS = np.where(alive[:, None], logS + dlogS, logS)
             logX = np.where(alive, logX + dlogX, logX)
-            Wc, Wpc, Bc = Wc + dW, Wpc + dWp, Bc + dB
+            Wc += dW
+            Wpc += dWp
+            Bc += dB
             Y, alive, left = _advance(model.domain, policy, Y, dY, alive)
             exits[left & np.isnan(exits)] = (i + 1) * dt
             record(i + 1)
@@ -414,7 +442,9 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
     return PathBundle(times=rec_idx * dt, exit_time=exit_time, model=model, config=cfg,
                       diagnostics={"mixer_residual": mix_residual,
                                    "strategy": getattr(strategy, "name", "custom"),
-                                   "x0": x0, "y0": y0.tolist()},
+                                   "x0": x0, "y0": y0.tolist(),
+                                   "exited_paths": int(np.count_nonzero(~np.isnan(exit_time))),
+                                   "clipped_states": clipped},
                       **out)
 
 
@@ -519,12 +549,13 @@ def admissibility_check(bundle: PathBundle, strategy: Strategy) -> Admissibility
     dts = np.diff(bundle.times)
     for j in range(m - 1):
         Yeval = model.domain.clip(bundle.Y[:, j])
+        terms = market_terms(model, Yeval)
         pi = np.atleast_2d(strategy.allocations(float(bundle.times[j]), Yeval,
-                                                bundle.X[:, j]))
+                                                bundle.X[:, j], terms))
         # Non-finite allocations propagate into the integrands on purpose;
         # they are collected as flags rather than raised.
         with np.errstate(invalid="ignore", over="ignore"):
-            _, _, d_term, q_term = _wealth_terms(model, Yeval, pi)
+            _, d_term, q_term = _wealth_terms(terms, pi)
         d_term = np.abs(d_term)
         bad = ~(np.isfinite(d_term) & np.isfinite(q_term))
         flags.extend((int(p), j) for p in np.nonzero(bad)[0][:_MAX_FLAGS - len(flags)])

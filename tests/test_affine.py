@@ -12,7 +12,7 @@ from fpplab import affine
 from fpplab.errors import (ClosedFormInapplicableError, ConfigError,
                            ExponentOverflowError, IntegrationError,
                            RiccatiBlowUpError)
-from fpplab.model import RiskParams, sharpe_ratio
+from fpplab.model import RiskParams, market_terms, sharpe_ratio
 from fpplab.affine import (AffineSpec, BACKWARD, FORWARD,
                            canonical_affine_market, evaluate_fpp,
                            evaluate_u_affine, optimal_portfolio_affine,
@@ -542,7 +542,8 @@ def test_portfolio_on_a_stack_equals_per_point_calls_and_strategy(canonical_2f):
     for i, y in enumerate(Y):
         np.testing.assert_allclose(stack[i], optimal_portfolio_affine(sol, market, rp, 0.4, y),
                                    rtol=1e-13, atol=1e-15)
-    alloc = AffineOptimalStrategy(sol, market, rp).allocations(0.4, Y, np.ones(6))
+    alloc = AffineOptimalStrategy(sol, market, rp).allocations(0.4, Y, np.ones(6),
+                                                                market_terms(market, Y))
     np.testing.assert_array_equal(alloc, stack)
 
 

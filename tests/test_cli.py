@@ -170,6 +170,10 @@ def test_sim_run_and_verify_martingale(workdir):
                  "--gamma", "2.0", "--p", "0.25", "--horizon", "0.5",
                  "--y0", "1.0", "--out", "o7"]) == 0
     assert (workdir / "o7" / "paths" / "X.npy").exists()
+    diagnostics = json.load(open(workdir / "o7" / "paths" / "meta.json"))["diagnostics"]
+    exit_time = np.load(workdir / "o7" / "paths" / "exit_time.npy")
+    assert diagnostics["exited_paths"] == np.count_nonzero(np.isfinite(exit_time))
+    assert diagnostics["clipped_states"] >= 0
     assert main(["verify", "martingale", "--paths", "o7/paths",
                  "--fpp", "fpp.json", "--out", "o8"]) == 0
     report = json.load(open(workdir / "o8" / "martingale_report.json"))

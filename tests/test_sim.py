@@ -6,10 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fpplab.model
 from fpplab.errors import (ClosedFormInapplicableError, ConfigError,
                            RiccatiBlowUpError, SimulationError, SingularModelError)
 from fpplab.model import (Box, ConstantField, GridField, ModelSpec, RiskParams,
-                          generator_coefficients)
+                          generator_coefficients, market_terms)
 from fpplab import affine, sim
 from fpplab.sim import (BOUNDARY_POLICIES, AffineOptimalStrategy, CallableStrategy,
                         ConstantStrategy, PathBundle, PerturbedStrategy,
@@ -84,8 +85,20 @@ def _noise_oracle(seed, path_lo, path_hi, n_steps, dims):
     (5, 17, 26, 1, 1),            # must not carry over to the next path
 ])
 def test_path_noise_matches_one_philox_per_path(seed, path_lo, path_hi, n_steps, dims):
-    np.testing.assert_array_equal(_path_noise(seed, path_lo, path_hi, n_steps, dims),
-                                  _noise_oracle(seed, path_lo, path_hi, n_steps, dims))
+    out = np.full((path_hi - path_lo, n_steps, dims), np.nan)
+    assert _path_noise(seed, path_lo, out) is out
+    np.testing.assert_array_equal(out, _noise_oracle(seed, path_lo, path_hi, n_steps, dims))
+
+
+def test_noise_blocks_are_drawn_into_one_buffer(monkeypatch):
+    # Blocks of 4, 4 and 2 paths: one block's noise is alive at a time.
+    monkeypatch.setattr(sim, "_BLOCK_SIZE", 4)
+    buffers = []
+    for lo, hi, noise in sim._noise_blocks(3, 10, 5, 2):
+        np.testing.assert_array_equal(noise, _noise_oracle(3, lo, hi, 5, 2))
+        buffers.append(noise.base)
+    assert buffers[0] is not None
+    assert all(buffer is buffers[0] for buffer in buffers)
 
 
 def test_simulate_builds_one_bit_generator_per_block(monkeypatch, canonical_1f):
@@ -110,34 +123,136 @@ def test_simulate_builds_one_bit_generator_per_block(monkeypatch, canonical_1f):
 _BUNDLE_ARRAYS = ("times", "W", "Wperp", "B", "Y", "S", "X", "exit_time")
 
 
-def _engine_run(policy, record_stride=1):
+def _perturbed_optimal(market, sol, rp):
+    return PerturbedStrategy(AffineOptimalStrategy(sol, market, rp), 0.2)
+
+
+def _engine_run(policy, record_stride=1, strategy=_perturbed_optimal, y0=0.05):
     """simulate, admissibility_check and feynman_kac_estimate on a
-    square-root factor started near 0, so that paths leave [0, inf)."""
+    square-root factor started near 0 at y0, so that paths leave [0, inf).
+    ``strategy(market, sol, rp)`` builds the strategy."""
     rp = RiskParams(gamma=2.0, p=0.25)
     market, spec = affine.canonical_affine_market(
         M=[[-1.5]], w=[0.02], L=[0.6], Lambda=[0.09], lambda0=0.01, H=[-0.1], rp=rp)
     sol = affine.solve_riccati_closed_form(spec, rp, 0.5, affine.FORWARD)
-    strategy = PerturbedStrategy(AffineOptimalStrategy(sol, market, rp), 0.2)
+    strategy = strategy(market, sol, rp)
     cfg = SimulationConfig(dt=0.05, horizon=0.5, n_paths=30, seed=4,
                            boundary_policy=policy, record_stride=record_stride)
-    bundle = simulate(market, cfg, strategy, y0=[0.05])
+    bundle = simulate(market, cfg, strategy, y0=[y0])
     report = admissibility_check(bundle, strategy)
     fk = feynman_kac_estimate(generator_coefficients(market, rp),
-                              lambda Y: np.exp(Y @ spec.H + spec.h0), 0.5, [0.05], cfg,
+                              lambda Y: np.exp(Y @ spec.H + spec.h0), 0.5, [y0], cfg,
                               domain=market.domain)
     return bundle, report, fk
 
 
+_BLOCK_RUNS = [   # (strategy, y0): the optimal map and one that ignores the step terms
+    (_perturbed_optimal, 0.05),
+    (lambda market, sol, rp: AffineOptimalStrategy(sol, market, rp), 0.2),
+    (lambda market, sol, rp: PerturbedStrategy(ConstantStrategy([0.3, 0.1]), -0.2), 0.2),
+]
+
+
 @pytest.mark.parametrize("policy", BOUNDARY_POLICIES)
 def test_results_do_not_depend_on_the_block_size(monkeypatch, policy):
-    bundle, report, fk = _engine_run(policy)
-    assert np.isfinite(bundle.exit_time).any() and np.isnan(bundle.exit_time).any()
-    monkeypatch.setattr(sim, "_BLOCK_SIZE", 7)    # blocks of 7, 7, 7, 7 and 2 paths
-    small_bundle, small_report, small_fk = _engine_run(policy)
+    # Blocks of 7, 7, 7, 7 and 2 paths, each drawn into the one noise buffer;
+    # some paths leave the domain and, under absorb, die.
+    for strategy, y0 in _BLOCK_RUNS:
+        monkeypatch.setattr(sim, "_BLOCK_SIZE", 4096)
+        bundle, report, fk = _engine_run(policy, strategy=strategy, y0=y0)
+        assert np.isfinite(bundle.exit_time).any() and np.isnan(bundle.exit_time).any()
+        monkeypatch.setattr(sim, "_BLOCK_SIZE", 7)
+        small_bundle, small_report, small_fk = _engine_run(policy, strategy=strategy, y0=y0)
+        for name in _BUNDLE_ARRAYS:
+            assert getattr(small_bundle, name).tobytes() == getattr(bundle, name).tobytes(), name
+        assert small_bundle.diagnostics == bundle.diagnostics
+        assert small_report == report
+        assert small_fk == fk
+
+
+@pytest.mark.parametrize("policy", BOUNDARY_POLICIES)
+def test_diagnostics_count_exited_paths_and_clipped_states(policy):
+    bundle, _, _ = _engine_run(policy)
+    exited = np.isfinite(bundle.exit_time)
+    assert bundle.diagnostics["exited_paths"] == np.count_nonzero(exited) > 0
+    below = bundle.Y[:, :, 0] < 0.0     # the domain is [0, inf)
+    if policy == "full-truncation":
+        # Y is never moved; the coefficients of steps 0..n-1 see it clipped.
+        assert np.array_equal(exited, below[:, 1:].any(axis=1))
+        assert bundle.diagnostics["clipped_states"] == np.count_nonzero(below[:, :-1]) > 0
+    else:
+        assert bundle.diagnostics["clipped_states"] == 0
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that appends to the returned list."""
+    calls, real = [], getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_each_step_evaluates_mu_and_kappa_once(monkeypatch, canonical_2f):
+    market, spec, rp = canonical_2f
+    sol = affine.solve_riccati_closed_form(spec, rp, 1.0, affine.FORWARD)
+    strategy = AffineOptimalStrategy(sol, market, rp)
+    mu_calls = _count_calls(monkeypatch, market.mu, "batch")
+    kappa_calls = _count_calls(monkeypatch, market.kappa, "batch")
+    cfg = SimulationConfig(dt=0.1, horizon=1.0, n_paths=50, seed=1)
+    bundle = simulate(market, cfg, strategy, y0=[0.5, 0.5])
+    assert (len(mu_calls), len(kappa_calls)) == (10, 10)
+    admissibility_check(bundle, strategy)     # 10 recorded steps
+    assert (len(mu_calls), len(kappa_calls)) == (20, 20)
+    # A strategy that ignores the step terms never has kappa evaluated.
+    admissibility_check(bundle, ConstantStrategy(np.full(market.n, 0.2)))
+    assert (len(mu_calls), len(kappa_calls)) == (30, 20)
+
+
+class _ParentOptimal(Strategy):
+    """pi* of ``model`` evaluated from the model itself, ignoring the terms."""
+
+    def __init__(self, sol, model, rp):
+        self.sol, self.model, self.rp = sol, model, rp
+
+    def allocations(self, t, Y, X, terms):
+        return affine.optimal_portfolio_affine(self.sol, self.model, self.rp, t, Y)
+
+
+def test_optimal_strategy_under_another_market_keeps_its_own_model(canonical_1f):
+    # A strategy built for one market and run under another (misspecified)
+    # takes every coefficient of pi* from its own model, none from the step.
+    market, spec, rp = canonical_1f
+    varying = make_tabulated_sigma_model(market)
+    sol = affine.solve_riccati_closed_form(spec, rp, 1.0, affine.FORWARD)
+    strategy = AffineOptimalStrategy(sol, market, rp)
+    Y = np.linspace(0.1, 2.5, 5).reshape(-1, 1)
+    pi = strategy.allocations(0.6, Y, np.ones(5), market_terms(varying, Y))
+    np.testing.assert_array_equal(pi, affine.optimal_portfolio_affine(sol, market, rp, 0.6, Y))
+    assert not np.allclose(pi, affine.optimal_portfolio_affine(sol, varying, rp, 0.6, Y))
+    cfg = SimulationConfig(dt=0.05, horizon=0.5, n_paths=20, seed=3)
+    bundle = simulate(varying, cfg, strategy, y0=[0.8])
+    oracle = simulate(varying, cfg, _ParentOptimal(sol, market, rp), y0=[0.8])
     for name in _BUNDLE_ARRAYS:
-        assert getattr(small_bundle, name).tobytes() == getattr(bundle, name).tobytes(), name
-    assert small_report == report
-    assert small_fk == fk
+        np.testing.assert_array_equal(getattr(bundle, name), getattr(oracle, name), err_msg=name)
+    assert admissibility_check(bundle, strategy) == admissibility_check(
+        bundle, _ParentOptimal(sol, market, rp))
+
+
+def test_y_dependent_sigma_is_factored_once_per_step(monkeypatch, canonical_1f):
+    market, spec, rp = canonical_1f
+    varying = make_tabulated_sigma_model(market)
+    sol = affine.solve_riccati_closed_form(spec, rp, 1.0, affine.FORWARD)
+    strategy = AffineOptimalStrategy(sol, varying, rp)
+    svds = _count_calls(monkeypatch, fpplab.model, "_pinv_and_rank")
+    cfg = SimulationConfig(dt=0.05, horizon=0.5, n_paths=50, seed=2)
+    bundle = simulate(varying, cfg, strategy, y0=[0.8])
+    assert len(svds) == 10
+    admissibility_check(bundle, strategy)
+    assert len(svds) == 20
 
 
 @pytest.mark.parametrize("stride", [2, 3])
@@ -255,13 +370,13 @@ def test_boundary_absorb_freezes_paths():
         rho=np.zeros((1, 1)), domain=Box([0.0], [np.inf]))
     cfg = SimulationConfig(dt=0.01, horizon=1.0, n_paths=50, seed=6,
                            boundary_policy="absorb")
-    bundle = simulate(market, cfg, ZeroStrategy(1), y0=[0.5])
+    bundle = simulate(market, cfg, ConstantStrategy([0.5]), y0=[0.5])
     assert np.all(np.isfinite(bundle.exit_time))
-    # After the exit time the factor path no longer moves.
+    # After the exit time the factor, stock and wealth paths no longer move.
     for p in range(5):
-        tau = bundle.exit_time[p]
-        frozen = bundle.Y[p, bundle.times >= tau + 1e-12, 0]
-        assert np.max(np.abs(np.diff(frozen))) == 0.0
+        after = bundle.times >= bundle.exit_time[p] + 1e-12
+        for path in (bundle.Y[p, after, 0], bundle.S[p, after, 0], bundle.X[p, after]):
+            assert np.max(np.abs(np.diff(path))) == 0.0
 
 
 def test_boundary_reflect_stays_inside():
@@ -475,7 +590,7 @@ def test_admissibility_flags_injected_infinity(canonical_1f):
     bundle = simulate(market, cfg, ConstantStrategy([0.3, 0.1]), y0=[1.0])
 
     class Injected(Strategy):
-        def allocations(self, t, Y, X):
+        def allocations(self, t, Y, X, terms):
             out = np.full((np.atleast_2d(Y).shape[0], 2), 0.3)
             if abs(t - 0.5) < 1e-9:
                 out[3, 0] = np.inf
@@ -511,14 +626,15 @@ def test_perturbed_strategy_shifts_every_component(canonical_1f):
     base = AffineOptimalStrategy(sol, market, rp)
     shifted = PerturbedStrategy(base, 0.2)
     Y = np.array([[0.8], [1.2]])
-    np.testing.assert_allclose(shifted.allocations(0.3, Y, np.ones(2)),
-                               base.allocations(0.3, Y, np.ones(2)) + 0.2,
+    terms = market_terms(market, Y)
+    np.testing.assert_allclose(shifted.allocations(0.3, Y, np.ones(2), terms),
+                               base.allocations(0.3, Y, np.ones(2), terms) + 0.2,
                                atol=1e-15)
 
 
 def test_callable_strategy_wraps_scalar_map():
     strat = CallableStrategy(lambda t, y, x: [0.1 * x, y[0]])
-    out = strat.allocations(0.0, np.array([[2.0], [3.0]]), np.array([1.0, 2.0]))
+    out = strat.allocations(0.0, np.array([[2.0], [3.0]]), np.array([1.0, 2.0]), None)
     np.testing.assert_allclose(out, [[0.1, 2.0], [0.2, 3.0]], atol=1e-15)
 
 
@@ -528,7 +644,7 @@ def test_affine_optimal_strategy_accepts_y_dependent_sigma(canonical_1f):
     sol = affine.solve_riccati_closed_form(spec, rp, 1.0, affine.FORWARD)
     strategy = AffineOptimalStrategy(sol, varying, rp)
     Y = np.linspace(0.1, 2.5, 5).reshape(-1, 1)
-    pi = strategy.allocations(0.6, Y, np.ones(5))
+    pi = strategy.allocations(0.6, Y, np.ones(5), market_terms(varying, Y))
     for i, y in enumerate(Y):
         np.testing.assert_allclose(pi[i], portfolio_oracle(varying, sol, rp, 0.6, y),
                                    rtol=1e-12, atol=1e-14)

@@ -82,6 +82,36 @@ def test_sim_has_one_block_loop_and_one_boundary_step():
     assert policy == {"_eval_state", "_advance"}
 
 
+def _pi_star_sites(path):
+    """Top-level definitions that divide by ``.gamma`` an expression applying
+    a pseudoinverse (a name or attribute containing ``pinv``): pi*."""
+    tree = ast.parse(path.read_text())
+
+    def applies_pinv(expr):
+        return any("pinv" in (getattr(n, "id", None) or getattr(n, "attr", None) or "")
+                   for n in ast.walk(expr))
+
+    return {f"{path.name}:{node.name}" for node in tree.body for sub in ast.walk(node)
+            if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Div)
+            and getattr(sub.right, "attr", None) == "gamma" and applies_pinv(sub.left)}
+
+
+def _names_used(path):
+    tree = ast.parse(path.read_text())
+    return ({getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(tree)}
+            | {alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+               for alias in n.names})
+
+
+def test_pi_star_is_written_once_and_sim_builds_it_from_the_step_terms():
+    # The Euler step hands its evaluated coefficients to the strategy, so sim
+    # never re-evaluates them through optimal_portfolio_affine.
+    sites = set().union(*(_pi_star_sites(path) for path in PACKAGE.glob("*.py")))
+    assert sites == {"affine.py:optimal_portfolio_from_terms"}
+    assert "optimal_portfolio_affine" not in _names_used(PACKAGE / "sim.py")
+    assert "optimal_portfolio_from_terms" in _names_used(PACKAGE / "sim.py")
+
+
 def _sharpe_readers(path):
     """Top-level definitions that read ``.Lambda`` or ``.lambda0``."""
     tree = ast.parse(path.read_text())

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fpplab.errors import (ConcavityViolationError, ConfigError,
                            InsufficientSampleError, PositivityError)
 from fpplab.model import (GeneratorCoefficients, RiskParams, generator_coefficients,
-                          sharpe_ratio)
+                          market_terms, sharpe_ratio)
 from fpplab import affine
 from fpplab.sim import (AffineOptimalStrategy, PerturbedStrategy,
                         SimulationConfig, ZeroStrategy, simulate)
@@ -498,9 +498,10 @@ def test_optimal_allocation_independent_of_wealth(canonical_1f):
     market, spec, rp, sol = _affine_setup(canonical_1f)
     strat = AffineOptimalStrategy(sol, market, rp)
     Y = np.array([[0.8], [1.1]])
-    base = strat.allocations(0.3, Y, np.full(2, 1.0))
+    terms = market_terms(market, Y)
+    base = strat.allocations(0.3, Y, np.full(2, 1.0), terms)
     for x in (0.5, 2.0):
-        np.testing.assert_array_equal(strat.allocations(0.3, Y, np.full(2, x)),
+        np.testing.assert_array_equal(strat.allocations(0.3, Y, np.full(2, x), terms),
                                       base)
 
 
