@@ -360,6 +360,10 @@ def riccati_residual(sol: RiccatiSolution, times=None):
     The state z is differenced once, with central differences of step
     RESIDUAL_FD_STEP (1e-6), independent of how the solution was produced, and
     compared with its rate.  Returns (max_phi_residual, max_theta_residual).
+
+    On the numeric route the stencil differences DOP853's dense output, whose
+    derivative errs by about 2.4e-8 relative to |dz/dt|: a floor, so a
+    reading near 4e-7 where |Phi| ~ 7 is not a wrong solution.
     """
     if times is None:
         times = np.linspace(0.0, sol.horizon, 100)
@@ -436,7 +440,7 @@ def optimal_portfolio_affine(sol: RiccatiSolution, model_spec: ModelSpec,
     """Optimal allocation pi* = sigma^- (lambda + q rho kappa Phi(t)) / gamma.
 
     sigma may depend on y.  For the full-column-rank sigma that
-    ``sigma_terms`` enforces, sigma^- lambda = (sigma^T sigma)^{-1} mu, so this
+    ``market_terms`` enforces, sigma^- lambda = (sigma^T sigma)^{-1} mu, so this
     is the myopic demand plus the hedging demand q sigma^- rho kappa Phi(t).
     The gradient ratio grad_y u / u of the exponential-affine u equals Phi(t),
     so the hedging term needs no u.  ``y`` may be one point (k,) or a stack
@@ -448,18 +452,17 @@ def optimal_portfolio_affine(sol: RiccatiSolution, model_spec: ModelSpec,
         If sigma(y) has rank below n at some point.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    pi = optimal_portfolio_from_terms(market_terms(model_spec, y),
-                                      model_spec.rho, rp, sol.Phi(t))
+    pi = optimal_portfolio_from_terms(market_terms(model_spec, y), rp, sol.Phi(t))
     return pi[0] if y.ndim == 1 else pi
 
 
-def optimal_portfolio_from_terms(terms: MarketTerms, rho: np.ndarray, rp: RiskParams,
+def optimal_portfolio_from_terms(terms: MarketTerms, rp: RiskParams,
                                  phi: np.ndarray) -> np.ndarray:
     """pi* = sigma^- (lambda + q rho kappa phi) / gamma, shape (P, n), from
-    coefficients already evaluated at P states and the Riccati slope phi =
-    Phi(t) (k,).  The one place the expression is written."""
+    the coefficients (rho included) of ``terms.spec`` at P states and the
+    Riccati slope phi = Phi(t) (k,).  The one place the expression is written."""
     kap_phi = np.einsum("pbk,k->pb", terms.kappa, phi)    # (P, d_B)
-    return rowwise(terms.sigma_pinv, terms.lam + rp.q * kap_phi @ rho.T) / rp.gamma
+    return rowwise(terms.sigma_pinv, terms.lam + rp.q * kap_phi @ terms.spec.rho.T) / rp.gamma
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ Brownian motion B correlated with W through a constant matrix rho.  Stock
 drift/volatility and factor drift/volatility are functions of the factor
 state, supplied either as parametric coefficient fields or tabulated grids.
 
+``market_terms`` is the one evaluator of the market at a stack of states:
+mu, sigma, sigma^-, lambda and, lazily (see ``MarketTerms``), alpha and kappa.
+The Euler step, pi* and the verification residuals read them from it.
+
 The module also derives the second-order linear operator
 
     L = (1/2) sum_ij a_ij(y) d2/dy_i dy_j + sum_i b_i(y) d/dy_i + P(y)
@@ -441,15 +445,37 @@ def rowwise(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v @ M.T if M.ndim == 2 else np.einsum("prc,pc->pr", M, v)
 
 
-def sigma_terms(spec: ModelSpec, Y: np.ndarray):
-    """mu, sigma, its pseudoinverse sigma^- and the market price of risk
-    lambda = (sigma^T)^- mu at the points Y (P, k), from one evaluation of
-    mu and sigma and one SVD of sigma.
+@dataclass(frozen=True)
+class MarketTerms:
+    """The market of ``spec`` at a stack of states Y (P, k), each coefficient
+    evaluated at most once: mu (P, n), sigma, sigma^-, the market price of
+    risk lam = (sigma^T)^- mu (P, d_W), alpha (P, k) and kappa (P, d_B, k).
+    A constant sigma is one matrix (d_W, n), factored once per field, with
+    sigma^- (n, d_W); otherwise both are stacks (P, d_W, n), (P, n, d_W), and
+    ``rowwise`` applies either layout, so readers never branch on it.  alpha
+    and kappa are evaluated on first read, because ``admissibility_check``
+    under a strategy that ignores the terms reads neither."""
 
-    A constant sigma is factored once per field and returned as one matrix
-    (d_W, n) with sigma^- (n, d_W); otherwise both are stacks (P, d_W, n),
-    (P, n, d_W).  ``rowwise`` applies either layout row by row, so callers
-    never branch on it.  mu has shape (P, n) and lambda (P, d_W).
+    spec: ModelSpec
+    Y: np.ndarray
+    mu: np.ndarray
+    sigma: np.ndarray
+    sigma_pinv: np.ndarray
+    lam: np.ndarray
+
+    @cached_property
+    def alpha(self) -> np.ndarray:
+        return self.spec.alpha.batch(self.Y)
+
+    @cached_property
+    def kappa(self) -> np.ndarray:
+        return self.spec.kappa.batch(self.Y)
+
+
+def market_terms(spec: ModelSpec, Y: np.ndarray) -> MarketTerms:
+    """The market of ``spec`` at the points Y (P, k), the one evaluator of its
+    coefficients: one evaluation of each of mu, sigma and (if read) alpha and
+    kappa, one SVD of sigma (none for a constant one).
 
     Raises
     ------
@@ -466,40 +492,7 @@ def sigma_terms(spec: ModelSpec, Y: np.ndarray):
         raise SingularModelError(
             f"sigma(y) rank {rank[i]} < n={spec.n} at y={np.array2string(Y[i], precision=6)}")
     mu = spec.mu.batch(Y)
-    return mu, sig, pinv, rowwise(np.swapaxes(pinv, -1, -2), mu)
-
-
-@dataclass(frozen=True)
-class MarketTerms:
-    """The coefficients of the model ``spec`` at a stack of states Y (P, k),
-    each evaluated at most once: mu (P, n); sigma and sigma^- in the layouts
-    of ``sigma_terms``; the market price of risk lam (P, d_W); the factor
-    volatility kappa (P, d_B, k), evaluated on first use."""
-
-    spec: ModelSpec
-    Y: np.ndarray
-    mu: np.ndarray
-    sigma: np.ndarray
-    sigma_pinv: np.ndarray
-    lam: np.ndarray
-
-    @cached_property
-    def kappa(self) -> np.ndarray:
-        return self.spec.kappa.batch(self.Y)
-
-
-def market_terms(spec: ModelSpec, Y: np.ndarray) -> MarketTerms:
-    """``sigma_terms`` at the points Y (P, k), with kappa on demand: one
-    evaluation of each of mu, sigma and (if read) kappa, one SVD of sigma
-    (none for a constant one).
-
-    Raises
-    ------
-    SingularModelError
-        As ``sigma_terms``.
-    """
-    Y = np.atleast_2d(Y)
-    return MarketTerms(spec, Y, *sigma_terms(spec, Y))
+    return MarketTerms(spec, Y, mu, sig, pinv, rowwise(np.swapaxes(pinv, -1, -2), mu))
 
 
 def sharpe_ratio(spec: ModelSpec, y) -> np.ndarray:
@@ -513,14 +506,14 @@ def sharpe_ratio_batch(spec: ModelSpec, Y: np.ndarray) -> np.ndarray:
 
     Uses the Moore-Penrose pseudoinverse (SVD, relative cutoff 1e-12); for
     full-column-rank sigma this coincides with sigma (sigma^T sigma)^{-1} mu.
-    Returns shape (P, d_W); the last term of ``sigma_terms``.
+    Returns shape (P, d_W); the ``lam`` of ``market_terms``.
 
     Raises
     ------
     SingularModelError
         If sigma(y) has rank below n at some point of Y.
     """
-    return sigma_terms(spec, Y)[3]
+    return market_terms(spec, Y).lam
 
 
 def generator_coefficients(spec: ModelSpec, rp: RiskParams) -> GeneratorCoefficients:
@@ -529,6 +522,8 @@ def generator_coefficients(spec: ModelSpec, rp: RiskParams) -> GeneratorCoeffici
     Gamma, q = rp.Gamma, rp.q
     rho = spec.rho
 
+    # kappa and alpha are evaluated here, not through ``MarketTerms``: on the
+    # one-row calls of the eigenfunction ODE that would double their cost.
     def a_batch(Y):
         kap = spec.kappa.batch(Y)
         return np.einsum("pbi,pbj->pij", kap, kap)

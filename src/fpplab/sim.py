@@ -10,10 +10,10 @@ updates for stocks and wealth, so positivity of S and X is structural:
 
 with s p = sigma(Y_i~) pi_i and dB = rho^T dW + A^T dWperp,
 A = (I - rho^T rho)^{1/2}.  Y_i~ is the state the coefficients see.  Each
-step evaluates mu, sigma (one SVD, none for a constant sigma), lambda and
-kappa once at Y_i~ (``model.market_terms``); the strategy receives them and
-the step reuses them.  The boundary policy sets Y_i~ and what follows a step
-that leaves the domain:
+step evaluates mu, sigma (one SVD, none for a constant sigma), lambda, alpha
+and kappa once at Y_i~ (``model.market_terms``); the strategy receives them
+and the step reuses them.  The boundary policy sets Y_i~ and what follows a
+step that leaves the domain:
 
     full-truncation   Y_i~ is Y_i clipped into the domain; no path stops
     absorb            Y_i~ = Y_i; a path that leaves freezes and is killed
@@ -113,9 +113,9 @@ class Strategy:
     time t for the states Y (P, k) that the coefficients see (clipped under
     full truncation) and wealth X (P,).  ``terms`` is the ``MarketTerms`` the
     Euler step evaluated once at Y: the model they belong to, mu, sigma,
-    sigma^-, lambda and kappa (the last on first read).  A strategy may build
-    its allocation from them, as ``AffineOptimalStrategy`` does, or ignore
-    them; it must not modify them.
+    sigma^-, lambda, alpha and kappa (the last two on first read).  A
+    strategy may build its allocation from them, as ``AffineOptimalStrategy``
+    does, or ignore them; it must not modify them.
     """
 
     name = "strategy"
@@ -164,7 +164,8 @@ class AffineOptimalStrategy(Strategy):
     ``model``, built by ``optimal_portfolio_from_terms``; sigma may depend on
     y.  The step's terms are used when they are ``model``'s; a strategy run
     under another market (a misspecified one) evaluates its own model at Y,
-    so pi* never mixes the coefficients of two models.
+    so every coefficient of pi*, rho included, comes from the terms of its
+    own model and pi* never mixes two models.
     """
 
     name = "affine-optimal"
@@ -177,8 +178,7 @@ class AffineOptimalStrategy(Strategy):
     def allocations(self, t, Y, X, terms):
         if terms.spec is not self.model:
             terms = market_terms(self.model, Y)
-        return optimal_portfolio_from_terms(terms, self.model.rho, self.rp,
-                                            self.sol.Phi(float(t)))
+        return optimal_portfolio_from_terms(terms, self.rp, self.sol.Phi(float(t)))
 
 
 class PerturbedStrategy(Strategy):
@@ -427,7 +427,7 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
             dlogS = (terms.mu - 0.5 * np.sum(terms.sigma ** 2, axis=-2)) * dt \
                 + rowwise(np.swapaxes(terms.sigma, -1, -2), dW)
             dlogX = (sp_lam - 0.5 * sp_sq) * dt + np.einsum("pw,pw->p", sigpi, dW)
-            dY = model.alpha.batch(Yeval) * dt + np.einsum("pbk,pb->pk", terms.kappa, dB)
+            dY = terms.alpha * dt + np.einsum("pbk,pb->pk", terms.kappa, dB)
             _require_finite(lo, i, dY, dlogS, dlogX)
 
             logS = np.where(alive[:, None], logS + dlogS, logS)

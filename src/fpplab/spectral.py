@@ -26,7 +26,6 @@ from .errors import (ConditioningError, ConfigError, InconsistentDataError,
 from .affine import power_utility_prefactor
 from .model import GeneratorCoefficients, RiskParams, from_params, plain, require
 
-_RANK_CUTOFF = 1e-12
 _COND_LIMIT = 1e12
 MATCH_TOL = 1e-9            # TabulatedEigenfunction: max-norm distance of a match
 RECOVERY_TOL = 1e-6         # recover_selection: largest relative NNLS residual

@@ -23,8 +23,7 @@ import numpy as np
 from .affine import u_from_state
 from .errors import (ConcavityViolationError, ConfigError,
                      InsufficientSampleError, PositivityError)
-from .model import (GeneratorCoefficients, ModelSpec, RiskParams, sharpe_ratio,
-                    sharpe_ratio_batch)
+from .model import GeneratorCoefficients, ModelSpec, RiskParams, market_terms
 from .sim import PathBundle
 
 
@@ -218,9 +217,10 @@ def hjb_residual(V: Callable, model: ModelSpec, rp: RiskParams,
         raise ConcavityViolationError(f"d2V/dx2 = {d2Vdx2[i]:.6g} >= 0 at "
                                       f"(t={T[it[i]]}, x={X[ix[i]]}, y={Y[iy[i]]})")
 
-    kap = model.kappa.batch(Y)                                     # (Ny, d_B, k)
+    terms = market_terms(model, Y)
+    kap = terms.kappa                                              # (Ny, d_B, k)
     a_y, rho_kap = np.einsum("pbi,pbj->pij", kap, kap)[iy], (model.rho @ kap)[iy]
-    alpha_y, lam = model.alpha.batch(Y)[iy], sharpe_ratio_batch(model, Y)[iy]
+    alpha_y, lam = terms.alpha[iy], terms.lam[iy]
     gen_term = 0.5 * np.einsum("rij,rij->r", a_y, hess[:, 1:, 1:]) \
         + np.einsum("ri,ri->r", alpha_y, grad[:, 1:])
     vec = lam * grad[:, :1] + np.einsum("rwk,rk->rw", rho_kap, hess[:, 0, 1:])
@@ -373,12 +373,11 @@ def optimal_portfolio_residual(model: ModelSpec, rp: RiskParams,
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     pi = np.atleast_1d(np.asarray(pi, dtype=float))
-    sig = np.atleast_2d(model.sigma(y))
-    lam = sharpe_ratio(model, y)
-    kap = np.atleast_2d(model.kappa(y))
+    terms = market_terms(model, y)
     u0, grad = u_value_grad(t, y)
-    target = (lam + rp.q * model.rho @ (kap @ (np.atleast_1d(grad) / u0))) / rp.gamma
-    return float(np.linalg.norm(sig @ pi - target))
+    hedge = model.rho @ (terms.kappa[0] @ (np.atleast_1d(grad) / u0))
+    target = (terms.lam[0] + rp.q * hedge) / rp.gamma
+    return float(np.linalg.norm(terms.sigma @ pi - target))
 
 
 def affine_u_value_grad(sol) -> Callable:

@@ -22,6 +22,18 @@ def make_heat_generator():
         kappa_batch=lambda Y: np.ones((np.atleast_2d(Y).shape[0], 1, 1)))
 
 
+def count_calls(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that appends to the returned list."""
+    calls, real = [], getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 def make_scalar_model(mu=0.06, sigma=0.2, alpha=0.0, kappa=1.0, rho=0.0):
     """One stock, one factor, everything constant."""
     return ModelSpec(

@@ -17,7 +17,7 @@ from fpplab.sim import (BOUNDARY_POLICIES, AffineOptimalStrategy, CallableStrate
                         SimulationConfig, Strategy, ZeroStrategy, _path_noise,
                         admissibility_check, feynman_kac_estimate, simulate)
 
-from conftest import (make_heat_generator, make_rank_deficient_grid_model,
+from conftest import (count_calls, make_heat_generator, make_rank_deficient_grid_model,
                       make_tabulated_sigma_model, portfolio_oracle)
 
 
@@ -184,32 +184,21 @@ def test_diagnostics_count_exited_paths_and_clipped_states(policy):
         assert bundle.diagnostics["clipped_states"] == 0
 
 
-def _count_calls(monkeypatch, owner, name):
-    """Replace owner.name by a wrapper that appends to the returned list."""
-    calls, real = [], getattr(owner, name)
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counting)
-    return calls
-
-
 def test_each_step_evaluates_mu_and_kappa_once(monkeypatch, canonical_2f):
     market, spec, rp = canonical_2f
     sol = affine.solve_riccati_closed_form(spec, rp, 1.0, affine.FORWARD)
     strategy = AffineOptimalStrategy(sol, market, rp)
-    mu_calls = _count_calls(monkeypatch, market.mu, "batch")
-    kappa_calls = _count_calls(monkeypatch, market.kappa, "batch")
+    mu_calls = count_calls(monkeypatch, market.mu, "batch")
+    kappa_calls = count_calls(monkeypatch, market.kappa, "batch")
+    alpha_calls = count_calls(monkeypatch, market.alpha, "batch")
     cfg = SimulationConfig(dt=0.1, horizon=1.0, n_paths=50, seed=1)
     bundle = simulate(market, cfg, strategy, y0=[0.5, 0.5])
-    assert (len(mu_calls), len(kappa_calls)) == (10, 10)
-    admissibility_check(bundle, strategy)     # 10 recorded steps
-    assert (len(mu_calls), len(kappa_calls)) == (20, 20)
+    assert (len(mu_calls), len(kappa_calls), len(alpha_calls)) == (10, 10, 10)
+    admissibility_check(bundle, strategy)     # 10 recorded steps; no dY, so no alpha
+    assert (len(mu_calls), len(kappa_calls), len(alpha_calls)) == (20, 20, 10)
     # A strategy that ignores the step terms never has kappa evaluated.
     admissibility_check(bundle, ConstantStrategy(np.full(market.n, 0.2)))
-    assert (len(mu_calls), len(kappa_calls)) == (30, 20)
+    assert (len(mu_calls), len(kappa_calls), len(alpha_calls)) == (30, 20, 10)
 
 
 class _ParentOptimal(Strategy):
@@ -247,7 +236,7 @@ def test_y_dependent_sigma_is_factored_once_per_step(monkeypatch, canonical_1f):
     varying = make_tabulated_sigma_model(market)
     sol = affine.solve_riccati_closed_form(spec, rp, 1.0, affine.FORWARD)
     strategy = AffineOptimalStrategy(sol, varying, rp)
-    svds = _count_calls(monkeypatch, fpplab.model, "_pinv_and_rank")
+    svds = count_calls(monkeypatch, fpplab.model, "_pinv_and_rank")
     cfg = SimulationConfig(dt=0.05, horizon=0.5, n_paths=50, seed=2)
     bundle = simulate(varying, cfg, strategy, y0=[0.8])
     assert len(svds) == 10

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import fpplab
+import fpplab.model
 from fpplab.affine import AffineSpec
 from fpplab.model import (_FIELD_FAMILIES, AffineField, Box, CoefficientField, ConstantField,
                           GridField, ModelSpec, SqrtAffineField, SqrtDiagField)
@@ -41,6 +41,28 @@ def test_no_unused_module_level_imports():
     assert unused == []
 
 
+def _unread_private_names(path):
+    """Module-level ``_NAME = ...`` bindings that nothing in the module reads."""
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                for name in ast.walk(target):
+                    if (isinstance(name, ast.Name) and name.id.startswith("_")
+                            and not name.id.startswith("__")):
+                        bound[name.id] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in read]
+
+
+def test_no_unread_private_module_names():
+    unread = [hit for path in sorted(PACKAGE.glob("*.py"))
+              for hit in _unread_private_names(path)]
+    assert unread == []
+
+
 def _constant_field_isinstance_calls(path):
     tree = ast.parse(path.read_text())
     hits = []
@@ -58,6 +80,35 @@ def test_only_model_asks_whether_sigma_is_constant():
             for hit in _constant_field_isinstance_calls(path)]
     assert hits == []
     assert _constant_field_isinstance_calls(PACKAGE / "model.py") != []
+
+
+def _market_evaluations(path):
+    """(top-level definition, line) of each call evaluating a market
+    coefficient mu, sigma, alpha or kappa: ``<...>.<field>(y)``, the one-row
+    view, or ``<...>.<field>.batch(Y)``."""
+    hits = []
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                func = node.func
+                if func.attr == "batch" and isinstance(func.value, ast.Attribute):
+                    func = func.value
+                if func.attr in ("mu", "sigma", "alpha", "kappa"):
+                    hits.append((getattr(top, "name", None), node.lineno))
+    return hits
+
+
+def test_only_model_evaluates_the_market():
+    # Every other module reads the market off one market_terms call.
+    outside = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "model.py" for _, line in _market_evaluations(path)]
+    assert outside == []
+    # Inside model.py: the evaluator and its lazy terms, the generator closures
+    # (kept off MarketTerms on their one-row path) and validate, whose SVD
+    # reports a rank-deficient sigma instead of raising.
+    assert {name for name, _ in _market_evaluations(PACKAGE / "model.py")} == \
+        {"MarketTerms", "market_terms", "generator_coefficients", "validate"}
+    assert not hasattr(fpplab.model, "sigma_terms")
 
 
 def _engine_sites(path):

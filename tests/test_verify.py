@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import fpplab.model
 from fpplab.errors import (ConcavityViolationError, ConfigError,
                            InsufficientSampleError, PositivityError)
 from fpplab.model import (GeneratorCoefficients, RiskParams, generator_coefficients,
@@ -17,6 +18,8 @@ from fpplab.spectral import (EigenfunctionSelection, ExpMixEigenfunction,
 from fpplab.verify import (_excess_kurtosis, affine_u_value_grad, distortion_roundtrip,
                            hjb_residual, martingale_test,
                            optimal_portfolio_residual)
+
+from conftest import count_calls, make_tabulated_sigma_model
 
 
 def _affine_setup(fixture):
@@ -77,6 +80,17 @@ def test_hjb_zero_sharpe_crra_value_is_exact():
 
     report = hjb_residual(V, market, rp, [0.2, 0.8], [0.5, 2.0], [[0.7]])
     assert report.max_abs_residual == 0.0
+
+
+def test_hjb_residual_evaluates_each_market_coefficient_once(canonical_1f, monkeypatch):
+    # One market_terms call serves every grid point, time and wealth.
+    market, spec, rp, sol = _affine_setup(canonical_1f)
+    varying = make_tabulated_sigma_model(market)
+    calls = {f: count_calls(monkeypatch, getattr(varying, f), "batch")
+             for f in ("mu", "sigma", "alpha", "kappa")}
+    hjb_residual(affine.fpp_evaluator(sol, rp), varying, rp, [0.2, 0.6], [0.5, 1.5],
+                 [[0.5], [1.0], [1.7]], order=4)
+    assert {f: len(c) for f, c in calls.items()} == dict.fromkeys(calls, 1)
 
 
 def test_hjb_rejects_convex_candidate(canonical_1f):
@@ -492,6 +506,18 @@ def test_portfolio_residual_p_zero_myopic_is_optimal():
     res = optimal_portfolio_residual(market, rp, affine_u_value_grad(sol),
                                      0.4, y, myopic)
     assert res <= 1e-14
+
+
+def test_portfolio_residual_evaluates_and_factors_sigma_once(canonical_1f, monkeypatch):
+    market, spec, rp, sol = _affine_setup(canonical_1f)
+    varying = make_tabulated_sigma_model(market)
+    y = np.array([0.9])
+    pi = affine.optimal_portfolio_affine(sol, varying, rp, 0.4, y)
+    sigma_calls = count_calls(monkeypatch, varying.sigma, "batch")
+    svds = count_calls(monkeypatch, fpplab.model, "_pinv_and_rank")
+    res = optimal_portfolio_residual(varying, rp, affine_u_value_grad(sol), 0.4, y, pi)
+    assert (len(sigma_calls), len(svds)) == (1, 1)
+    assert res <= 1e-10
 
 
 def test_optimal_allocation_independent_of_wealth(canonical_1f):
