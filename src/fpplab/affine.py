@@ -36,15 +36,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import (ClosedFormInapplicableError, ConfigError,
                      ExponentOverflowError, IntegrationError, RiccatiBlowUpError)
-from .model import (AffineField, Box, ConstantField, MarketTerms, ModelSpec, RiskParams,
-                    SqrtAffineField, SqrtDiagField, from_params, market_terms, plain, rowwise)
+from .model import (AffineField, Box, ConstantField, Fields, MarketTerms, ModelSpec, RiskParams,
+                    SqrtAffineField, SqrtDiagField, from_params, market_terms, rowwise)
 
 BLOW_UP_THRESHOLD = 1e8
 DIAGONAL_TOL = 1e-12      # AffineSpec.is_diagonal: relative off-diagonal tolerance
@@ -60,7 +60,7 @@ BACKWARD = "backward"
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class AffineSpec:
+class AffineSpec(Fields):
     """Parameters of the affine factor model on [0, inf)^k.
 
     M : (k, k) factor mean-reversion matrix, non-negative off-diagonals
@@ -119,11 +119,12 @@ class AffineSpec:
         scale = max(1.0, float(np.max(np.abs(mn))))
         return bool(np.max(np.abs(off)) <= DIAGONAL_TOL * scale)
 
-    def h(self, y) -> float:
-        return math.exp(float(self.H @ np.asarray(y, dtype=float)) + self.h0)
-
-    def to_json(self) -> dict:
-        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
+    def h(self, y):
+        """The utility datum h(y) = exp(H^T y + h0) at one state (k,) as a
+        float, or at a stack of states (P, k) as (P,)."""
+        y = np.asarray(y, dtype=float)
+        out = np.exp(y @ self.H + self.h0)
+        return float(out) if y.ndim < 2 else out
 
     @staticmethod
     def from_json(data: dict) -> "AffineSpec":
@@ -136,7 +137,7 @@ class AffineSpec:
 
 
 @dataclass(frozen=True)
-class ClosedFormComponent:
+class ClosedFormComponent(Fields):
     """Scalar Riccati data for one decoupled component."""
 
     D: float
@@ -210,8 +211,7 @@ class RiccatiSolution:
     def component_table(self) -> list:
         if self.components is None:
             return []
-        return [{"component": i, "D": cf.D, "z_plus": cf.z_plus, "z_minus": cf.z_minus}
-                for i, cf in enumerate(self.components)]
+        return [{"component": i, **cf.to_json()} for i, cf in enumerate(self.components)]
 
 
 def _riccati_rhs(spec: AffineSpec, rp: RiskParams):

@@ -280,10 +280,7 @@ def sim_feynman_kac(args, out_dir):
     gen = generator_coefficients(model, _risk_params(args))
     spec = affine.AffineSpec.load(args.affine) if args.affine else None
     y = _parse_floats(args.y)
-    if spec is not None:
-        h = lambda Y: np.exp(np.atleast_2d(Y) @ spec.H + spec.h0)  # noqa: E731
-    else:
-        h = lambda Y: np.ones(np.atleast_2d(Y).shape[0])  # noqa: E731
+    h = spec.h if spec is not None else (lambda Y: np.ones(len(Y)))
     est, se = simmod.feynman_kac_estimate(gen, h, args.t, y, cfg, domain=model.domain)
     payload = {"t": args.t, "y": y.tolist(), "estimate": est, "std_error": se}
     path = _write_json(out_dir, "feynman_kac.json", payload)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, SingularProjectionError
+from .model import Fields
 
 _SV_FLOOR = 1e-12
 
@@ -20,7 +21,7 @@ P_NORMS = ("operator", "frobenius", "trace")
 
 
 @dataclass(frozen=True)
-class EveProjection:
+class EveProjection(Fields):
     """Best scaled-orthonormal approximation r*Q* of a correlation estimate.
 
     ``r_unconstrained`` records the minimizer of the convex quadratic in r
@@ -40,9 +41,7 @@ class EveProjection:
         return self.r_star * self.Q_star
 
     def to_json(self):
-        return {"r_star": self.r_star, "Q_star": self.Q_star.tolist(),
-                "frobenius_distance": self.frobenius_distance,
-                "r_unconstrained": self.r_unconstrained, "clamped": self.clamped}
+        return {**super().to_json(), "clamped": self.clamped}
 
 
 def project_eve(rho_hat: np.ndarray) -> EveProjection:

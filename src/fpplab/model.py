@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from functools import cached_property
+from numbers import Real
 from typing import Callable, Optional
 
 import numpy as np
@@ -45,9 +46,24 @@ def require(data, keys, what: str) -> None:
             raise ConfigError(f"{what}: missing field '{key}'")
 
 
+def require_int(data: dict, key: str, what: str) -> int:
+    """``data[key]``, an integer or an integral float such as 5000.0, as an int."""
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, Real) or not float(value).is_integer():
+        raise ConfigError(f"{what}: field '{key}' must be an integer")
+    return int(value)
+
+
+def _json_keys(cls):
+    """Keys of the JSON form of ``cls`` in order, written and read alike: the
+    ``params`` it declares or else its dataclass fields."""
+    return getattr(cls, "params", None) or [f.name for f in fields(cls)]
+
+
 def plain(value):
     """JSON form of a value: arrays and tuples become lists, objects with a
-    ``to_json`` give theirs, anything else is returned as is."""
+    ``to_json`` give theirs (a ``Fields`` one its ``_json_keys``, the list
+    ``from_params`` reads back), anything else is returned as is."""
     if hasattr(value, "to_json"):
         return value.to_json()
     if isinstance(value, tuple):
@@ -56,18 +72,27 @@ def plain(value):
 
 
 def from_params(cls, data: dict, what: str, *extra):
-    """``cls(*data[params], *extra)``, where params are the keys ``cls``
-    declares in ``params`` or, for a dataclass, its fields."""
-    keys = getattr(cls, "params", None) or [f.name for f in fields(cls)]
+    """``cls(*data[keys], *extra)`` for the ``_json_keys`` of ``cls``, the
+    key list that ``Fields.to_json`` writes."""
+    keys = _json_keys(cls)
     require(data, keys, what)
     return cls(*(data[key] for key in keys), *extra)
+
+
+class Fields:
+    """The one JSON encoder: each of the class's ``_json_keys`` through
+    ``plain``, the key list ``from_params`` reads back.  A form that differs
+    overrides ``to_json`` over ``super().to_json()``."""
+
+    def to_json(self) -> dict:
+        return {key: plain(getattr(self, key)) for key in _json_keys(type(self))}
 
 
 # ---------------------------------------------------------------------------
 # Coefficient fields
 # ---------------------------------------------------------------------------
 
-class CoefficientField:
+class CoefficientField(Fields):
     """A function of the factor state y, vector- or matrix-valued.
 
     Subclasses implement only ``batch``, which evaluates a stack of points of
@@ -86,7 +111,7 @@ class CoefficientField:
         raise NotImplementedError
 
     def to_json(self) -> dict:
-        return {"family": self.family, **{p: plain(getattr(self, p)) for p in self.params}}
+        return {"family": self.family, **super().to_json()}
 
     @staticmethod
     def from_json(data: dict) -> "CoefficientField":
@@ -291,7 +316,7 @@ class Box:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(Fields):
     """Dimensions and coefficient functions of the market/factor diffusion.
 
     dS^i/S^i = mu_i(Y) dt + (sigma(Y)^T dW)_i      (stocks,   i = 1..n)
@@ -341,13 +366,11 @@ class ModelSpec:
         evals = np.clip(evals, 0.0, None)
         return (evecs * np.sqrt(evals)) @ evecs.T
 
-    def to_json(self) -> dict:
-        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
-
     @staticmethod
     def from_json(data: dict) -> "ModelSpec":
-        require(data, [f.name for f in fields(ModelSpec)], "model spec")
-        dims = {key: int(data[key]) for key in ("n", "k", "d_W", "d_B", "d_Wperp")}
+        require(data, _json_keys(ModelSpec), "model spec")
+        dims = {key: require_int(data, key, "model spec")
+                for key in ("n", "k", "d_W", "d_B", "d_Wperp")}
         coefs = {key: CoefficientField.from_json(data[key])
                  for key in ("mu", "sigma", "alpha", "kappa")}
         return ModelSpec(**dims, **coefs, rho=data["rho"], domain=Box.from_json(data["domain"]))
@@ -544,7 +567,7 @@ def generator_coefficients(spec: ModelSpec, rp: RiskParams) -> GeneratorCoeffici
 
 
 @dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Fields):
     name: str
     passed: bool
     worst: float
@@ -552,7 +575,7 @@ class CheckResult:
 
 
 @dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Fields):
     checks: tuple
 
     @property
@@ -566,9 +589,7 @@ class ValidationReport:
         raise KeyError(name)
 
     def to_json(self):
-        return {"passed": self.passed,
-                "checks": [{"name": c.name, "passed": c.passed,
-                            "worst": c.worst, "detail": c.detail} for c in self.checks]}
+        return {**super().to_json(), "passed": self.passed}
 
 
 def validate(spec: ModelSpec, grid: np.ndarray,

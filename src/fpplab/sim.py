@@ -31,15 +31,15 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .affine import optimal_portfolio_from_terms
 from .errors import ConfigError, SimulationError
-from .model import (Box, GeneratorCoefficients, MarketTerms, ModelSpec, RiskParams,
-                    market_terms, require, rowwise)
+from .model import (Box, Fields, GeneratorCoefficients, MarketTerms, ModelSpec, RiskParams,
+                    market_terms, plain, require, require_int, rowwise)
 
 BOUNDARY_POLICIES = ("full-truncation", "absorb", "reflect")
 _BLOCK_SIZE = 4096
@@ -47,7 +47,7 @@ _MAX_FLAGS = 100   # nonfinite locations kept by admissibility_check
 
 
 @dataclass(frozen=True)
-class SimulationConfig:
+class SimulationConfig(Fields):
     """Discretization and sampling parameters.
 
     ``record_stride`` keeps every stride-th grid point in the output bundle
@@ -80,9 +80,6 @@ class SimulationConfig:
         # The grid is horizon/n_steps exactly; dt is honored up to rounding.
         return self.horizon / self.n_steps
 
-    def to_json(self):
-        return asdict(self)
-
     @staticmethod
     def from_json(data):
         require(data, ["dt", "horizon", "n_paths"], "simulation config")
@@ -90,11 +87,12 @@ class SimulationConfig:
         scheme = data.get("scheme", "euler-maruyama")
         if scheme != "euler-maruyama":
             raise ConfigError(f"unknown scheme '{scheme}'")
+        data = {"seed": 0, "boundary_policy": "full-truncation", "record_stride": 1, **data}
         return SimulationConfig(
             dt=float(data["dt"]), horizon=float(data["horizon"]),
-            n_paths=int(data["n_paths"]), seed=int(data.get("seed", 0)),
-            boundary_policy=data.get("boundary_policy", "full-truncation"),
-            record_stride=int(data.get("record_stride", 1)))
+            boundary_policy=data["boundary_policy"],
+            **{key: require_int(data, key, "simulation config")
+               for key in ("n_paths", "seed", "record_stride")})
 
     @staticmethod
     def load(path) -> "SimulationConfig":
@@ -232,9 +230,7 @@ class PathBundle:
         written = [os.path.join(directory, f"{name}.npy") for name in _ARRAY_FIELDS]
         for name, path in zip(_ARRAY_FIELDS, written):
             np.save(path, getattr(self, name))
-        meta = {"model": self.model.to_json() if self.model else None,
-                "config": self.config.to_json() if self.config else None,
-                "diagnostics": self.diagnostics}
+        meta = {name: plain(getattr(self, name)) for name in ("model", "config", "diagnostics")}
         written.append(os.path.join(directory, "meta.json"))
         with open(written[-1], "w") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
@@ -373,6 +369,8 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
     if y0 is None:
         y0 = model.domain.interior_grid(points_per_dim=1)[0]
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+    if y0.shape != (model.k,):
+        raise ConfigError(f"y0 has shape {y0.shape}; the model has k={model.k} factors")
     if x0 <= 0:
         raise ConfigError("initial wealth must be positive")
 
@@ -478,6 +476,8 @@ def feynman_kac_estimate(gen: GeneratorCoefficients, h: Callable, t: float,
         raise ConfigError("generator carries no kappa_batch; Feynman-Kac steps "
                           "with kappa^T dB")
     y = np.atleast_1d(np.asarray(y, dtype=float))
+    if y.shape != (gen.k,):
+        raise ConfigError(f"y has shape {y.shape}; the generator has k={gen.k} factors")
     if domain is None:
         domain = Box(np.full(y.size, -np.inf), np.full(y.size, np.inf))
     d_B = gen.kappa_batch(y[None]).shape[1]
@@ -512,7 +512,7 @@ def feynman_kac_estimate(gen: GeneratorCoefficients, h: Callable, t: float,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(Fields):
     """Discretized pathwise strategy integrals and finiteness flags.
 
     drift_integral is int |pi^T sigma^T lambda| dt, variation_integral is
@@ -525,10 +525,6 @@ class AdmissibilityReport:
     variation_integral_mean: float
     all_finite: bool
     nonfinite_locations: tuple   # (path, grid index) pairs, capped
-
-    def to_json(self):
-        return {**asdict(self),
-                "nonfinite_locations": [list(loc) for loc in self.nonfinite_locations]}
 
 
 def admissibility_check(bundle: PathBundle, strategy: Strategy) -> AdmissibilityReport:

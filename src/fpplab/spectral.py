@@ -24,7 +24,7 @@ import numpy as np
 from .errors import (ConditioningError, ConfigError, InconsistentDataError,
                      IntegrationError, NonRepresentableError, PositivityError)
 from .affine import power_utility_prefactor
-from .model import GeneratorCoefficients, RiskParams, from_params, plain, require
+from .model import Fields, GeneratorCoefficients, RiskParams, from_params, require
 
 _COND_LIMIT = 1e12
 MATCH_TOL = 1e-9            # TabulatedEigenfunction: max-norm distance of a match
@@ -96,7 +96,7 @@ class SpectralMeasure:
 # Eigenfunctions
 # ---------------------------------------------------------------------------
 
-class Eigenfunction:
+class Eigenfunction(Fields):
     """A positive eigenfunction psi of the generator with psi(y0) = 1.
 
     Subclasses implement ``batch(Y) -> (P,)`` on stacked states Y (P, k), and
@@ -121,7 +121,7 @@ class Eigenfunction:
     def to_json(self) -> dict:
         if self.params is None:
             raise ConfigError(f"eigenfunction kind '{self.kind}' has no JSON form")
-        return {"kind": self.kind, **{p: plain(getattr(self, p)) for p in self.params}}
+        return {"kind": self.kind, **super().to_json()}
 
 
 class _ExpSum(Eigenfunction):
@@ -260,7 +260,7 @@ _KINDS = {cls.kind: cls for cls in
 
 
 @dataclass(frozen=True)
-class EigenfunctionSelection:
+class EigenfunctionSelection(Fields):
     """One positive eigenfunction per atom, all normalized at y0."""
 
     functions: tuple
@@ -303,10 +303,6 @@ class EigenfunctionSelection:
                 + (P - zeta) * psi
             worst = max(worst, float(np.max(np.abs(res))))
         return worst
-
-    def to_json(self):
-        return {"y0": self.y0.tolist(),
-                "functions": [f.to_json() for f in self.functions]}
 
     @staticmethod
     def from_json(data):
@@ -415,18 +411,15 @@ def solve_eigenfunction_1d(gen: GeneratorCoefficients, zeta: float, y0: float,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class InversionResult:
+class InversionResult(Fields):
     measure: SpectralMeasure
     fit_residual: float
     m_requested: int
     m_effective: int
 
     def to_json(self):
-        out = self.measure.to_json()
-        out.update({"fit_residual": self.fit_residual,
-                    "m_requested": self.m_requested,
-                    "m_effective": self.m_effective})
-        return out
+        out = super().to_json()
+        return {**out.pop("measure"), **out}
 
 
 def _parse_samples(samples):
@@ -595,16 +588,15 @@ def recover_selection(samples_by_point, nu: SpectralMeasure) -> EigenfunctionSel
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RadialDiagnostic:
+class RadialDiagnostic(Fields):
+    # The JSON form leaves out g0 sampled on r_samples, a table of its own.
+    params = ("truncated_integral", "growth_flag", "first_zero")
+
     r_samples: np.ndarray
     g0_samples: np.ndarray
     truncated_integral: float
     growth_flag: bool
     first_zero: Optional[float]
-
-    def to_json(self):
-        return {"truncated_integral": self.truncated_integral,
-                "growth_flag": self.growth_flag, "first_zero": self.first_zero}
 
 
 def radial_ode_diagnostic(P0_tilde: Callable[[float], float], zeta: float,

@@ -23,7 +23,7 @@ import numpy as np
 from .affine import u_from_state
 from .errors import (ConcavityViolationError, ConfigError,
                      InsufficientSampleError, PositivityError)
-from .model import GeneratorCoefficients, ModelSpec, RiskParams, market_terms
+from .model import Fields, GeneratorCoefficients, ModelSpec, RiskParams, market_terms
 from .sim import PathBundle
 
 
@@ -88,12 +88,15 @@ def _fd_grid(f, T, Z, H, fd_step, order, it, point):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(Fields):
     """Residual summary over a grid.
 
     ``table`` (optional) has one row per grid point: coordinates then the
-    signed residual.
+    signed residual; it stays out of the JSON form, whose keys are ``params``.
     """
+
+    params = ("description", "max_abs_residual", "mean_abs_residual", "fd_step",
+              "stencil_order", "n_points")
 
     description: str
     max_abs_residual: float
@@ -103,22 +106,11 @@ class ResidualReport:
     n_points: int
     table: Optional[np.ndarray] = None
 
-    def to_json(self):
-        return {"description": self.description,
-                "max_abs_residual": self.max_abs_residual,
-                "mean_abs_residual": self.mean_abs_residual,
-                "fd_step": self.fd_step, "stencil_order": self.stencil_order,
-                "n_points": self.n_points}
-
 
 @dataclass(frozen=True)
-class DistortionReport:
+class DistortionReport(Fields):
     nonlinear: ResidualReport   # distorted equation for g = u^q
     linear: ResidualReport      # linear equation for u
-
-    def to_json(self):
-        return {"nonlinear": self.nonlinear.to_json(),
-                "linear": self.linear.to_json()}
 
 
 def _report(description, res, coords, fd_step, order, keep_table):
@@ -131,7 +123,7 @@ def _report(description, res, coords, fd_step, order, keep_table):
 
 
 @dataclass(frozen=True)
-class BucketStat:
+class BucketStat(Fields):
     t_start: float
     t_end: float
     mean: float
@@ -141,7 +133,7 @@ class BucketStat:
 
 
 @dataclass(frozen=True)
-class MartingaleReport:
+class MartingaleReport(Fields):
     """Per-bucket mean increments of U_t(X_t) with 3-standard-error verdicts.
 
     ``martingale_consistent``: every bucket mean within 3 SE of zero.
@@ -165,14 +157,7 @@ class MartingaleReport:
         return "inconsistent"
 
     def to_json(self):
-        return {"verdict": self.verdict, "n_paths": self.n_paths,
-                "martingale_consistent": self.martingale_consistent,
-                "supermartingale_consistent": self.supermartingale_consistent,
-                "heavy_tails": self.heavy_tails,
-                "buckets": [{"t_start": b.t_start, "t_end": b.t_end,
-                             "mean": b.mean, "std_error": b.std_error,
-                             "z": b.z, "excess_kurtosis": b.excess_kurtosis}
-                            for b in self.buckets]}
+        return {**super().to_json(), "verdict": self.verdict}
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,33 @@ def test_malformed_config_exits_one_and_names_field(workdir, capsys):
     assert "n_paths" in capsys.readouterr().err
 
 
+def test_non_integral_path_count_exits_one(workdir, capsys):
+    with open(workdir / "frac.json", "w") as fh:
+        json.dump({"dt": 0.01, "horizon": 0.5, "n_paths": 200.5}, fh)
+    assert main(["sim", "run", "--model", "model.json", "--config", "frac.json",
+                 "--out", "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "simulation config: field 'n_paths' must be an integer" in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["sim", "run", "--y0", "0.5"], "y0 has shape (1,)"),
+    (["sim", "feynman-kac", "--gamma", "2.0", "--t", "0.5", "--y", "0.5,0.5,0.5"],
+     "y has shape (3,)"),
+])
+def test_start_state_of_the_wrong_length_exits_one(workdir, capsys, argv, named):
+    market, _ = affine.canonical_affine_market(
+        M=np.diag([-0.5, -0.8]), w=[0.4, 0.5], L=[0.2, 0.15], Lambda=[0.16, 0.09],
+        lambda0=0.04, H=[-0.3, 0.2], rp=RiskParams(gamma=2.0, p=0.25))
+    market.save(workdir / "model2f.json")
+    assert main([*argv, "--model", "model2f.json", "--config", "simcfg.json",
+                 "--out", "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert named in err and "k=2" in err
+
+
 # (file, path to the JSON object, key dropped from it); at the parent every
 # case raised an uncaught KeyError out of main.
 _MISSING_KEY_CASES = [

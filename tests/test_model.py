@@ -455,6 +455,17 @@ def test_model_spec_json_round_trip(canonical_1f, tmp_path):
     assert loaded.domain.lower.tolist() == market.domain.lower.tolist()
 
 
+@pytest.mark.parametrize("key", ["n", "k", "d_W", "d_B", "d_Wperp"])
+def test_model_spec_from_json_refuses_non_integral_dimensions(canonical_1f, key):
+    market, _, _ = canonical_1f
+    data = market.to_json()
+    with pytest.raises(ConfigError) as err:
+        ModelSpec.from_json({**data, key: data[key] + 0.5})
+    assert str(err.value) == f"model spec: field '{key}' must be an integer"
+    again = ModelSpec.from_json({**data, key: float(data[key])})
+    assert type(getattr(again, key)) is int and again.to_json() == data
+
+
 def test_box_contains_clip_reflect():
     box = Box([0.0, -1.0], [1.0, np.inf])
     assert box.contains(np.array([0.5, 3.0]))

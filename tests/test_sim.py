@@ -56,6 +56,24 @@ def test_config_from_json_refuses_other_schemes():
         SimulationConfig.from_json(dict(data, scheme="milstein"))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n_paths", 300.7), ("record_stride", 2.9), ("seed", 1.5), ("n_paths", "300"),
+    ("seed", True), ("record_stride", None),
+])
+def test_config_from_json_refuses_non_integral_counts(key, value):
+    data = {"dt": 0.1, "horizon": 1.0, "n_paths": 300, key: value}
+    with pytest.raises(ConfigError) as err:
+        SimulationConfig.from_json(data)
+    assert str(err.value) == f"simulation config: field '{key}' must be an integer"
+
+
+def test_config_from_json_accepts_integral_floats():
+    cfg = SimulationConfig.from_json({"dt": 0.1, "horizon": 1.0, "n_paths": 5000.0,
+                                      "seed": 3.0, "record_stride": 2.0})
+    assert (cfg.n_paths, cfg.seed, cfg.record_stride) == (5000, 3, 2)
+    assert {type(v) for v in (cfg.n_paths, cfg.seed, cfg.record_stride)} == {int}
+
+
 def test_config_json_round_trip():
     cfg = SimulationConfig(dt=0.01, horizon=2.0, n_paths=500, seed=7,
                            boundary_policy="absorb", record_stride=5)

@@ -1,15 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fpplab.errors import (ConditioningError, ConfigError,
                            InconsistentDataError, NonRepresentableError,
                            PositivityError)
-from fpplab.model import RiskParams
+from fpplab.model import RiskParams, generator_coefficients
 from fpplab import affine
 from fpplab.spectral import (EigenfunctionSelection, ExpEigenfunction,
                              ExpMixEigenfunction, InversionResult,
@@ -158,6 +159,47 @@ def test_fpp_from_measure_matches_affine_in_stationary_case():
                 direct = affine.evaluate_fpp(sol, rp, t, x, y)
                 mixture = fpp_from_measure(nu, sel, rp, t, x, y)
                 assert mixture == pytest.approx(direct, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), direction=st.sampled_from([affine.FORWARD, affine.BACKWARD]))
+def test_affine_fpp_at_a_stationary_root_is_a_one_atom_widder_fpp(seed, direction):
+    # With H at the root that attracts in the time since the anchor (z_+
+    # forward, z_- backward), Phi stays at H and u = exp(H.y + Theta(t)) is
+    # the single atom zeta = (w+c).H + (Gamma/2q) lambda0 with eigenfunction
+    # psi(y) = exp(H.(y - y0)).  The repelling root is not used: there the
+    # exact ODE is unstable, and Phi drifts off H by rounding alone (forward
+    # with H = z_-, the closed form by up to 5e-7 at t = 2 when sqrt(D) is 8).
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 3))
+    rp = RiskParams(gamma=rng.uniform(1.5, 4.0), p=rng.uniform(0.0, 0.5))
+    market, spec = affine.canonical_affine_market(
+        M=np.diag(rng.uniform(-1.2, -0.1, k)), w=rng.uniform(0.2, 0.6, k),
+        L=rng.uniform(0.05, 0.6, k), Lambda=rng.uniform(0.0, 0.5, k),
+        lambda0=rng.uniform(0.0, 0.1), H=np.zeros(k), rp=rp, h0=rng.uniform(-0.5, 0.5))
+    horizon = rng.uniform(0.2, 2.0)
+    roots = affine.solve_riccati_closed_form(spec, rp, horizon, direction).components
+    assume(all(c.D > 0 for c in roots))
+    H = np.array([c.z_plus if direction == affine.FORWARD else c.z_minus for c in roots])
+    spec = replace(spec, H=H)
+    sol = affine.solve_riccati_closed_form(spec, rp, horizon, direction)
+
+    y0 = rng.uniform(0.1, 1.5, k)
+    zeta = float((spec.w + spec.c) @ H + rp.Gamma / (2 * rp.q) * spec.lambda0)
+    weight = math.exp(spec.h0 + H @ y0 + (zeta * horizon if direction == affine.BACKWARD else 0.0))
+    psi = ExpEigenfunction(H, y0)
+    u = WidderFunction(SpectralMeasure([zeta], [weight], y0),
+                       EigenfunctionSelection((psi,), y0))
+    Y = rng.uniform(0.05, 2.0, (6, k))
+    for t in np.linspace(0.0, horizon, 4):
+        np.testing.assert_allclose(u(t, Y), affine.evaluate_u_affine(sol, t, Y), rtol=1e-12)
+
+    # (L - zeta) psi = 0, each term of the defect scaled by the sum of their sizes.
+    gen = generator_coefficients(market, rp)
+    value, grad, hess = psi.derivatives(Y)
+    terms = [0.5 * np.einsum("pij,pij->p", gen.a_batch(Y), hess),
+             np.einsum("pi,pi->p", gen.b_batch(Y), grad), gen.P_batch(Y) * value, -zeta * value]
+    assert np.max(np.abs(sum(terms)) / sum(np.abs(term) for term in terms)) <= 1e-11
 
 
 def test_fpp_point_mass_at_time_zero():

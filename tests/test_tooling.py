@@ -1,5 +1,6 @@
 """Repository hygiene checks, and the rule that every JSON form is declared
-once: a coefficient family or eigenfunction kind is its tag plus ``params``."""
+once: a value's form is its fields (or declared ``params``) through
+``model.plain``, a coefficient family or eigenfunction kind adds its tag."""
 import ast
 import inspect
 import json
@@ -13,11 +14,15 @@ import pytest
 
 import fpplab.model
 from fpplab.affine import AffineSpec
-from fpplab.model import (_FIELD_FAMILIES, AffineField, Box, CoefficientField, ConstantField,
-                          GridField, ModelSpec, SqrtAffineField, SqrtDiagField)
-from fpplab.sim import BOUNDARY_POLICIES, SimulationConfig
+from fpplab.eve import EveProjection
+from fpplab.model import (_FIELD_FAMILIES, AffineField, Box, CheckResult, CoefficientField,
+                          ConstantField, GridField, ModelSpec, SqrtAffineField, SqrtDiagField,
+                          ValidationReport)
+from fpplab.sim import BOUNDARY_POLICIES, AdmissibilityReport, SimulationConfig
 from fpplab.spectral import (_KINDS, EigenfunctionSelection, ExpEigenfunction,
-                             ExpMixEigenfunction, TabulatedEigenfunction)
+                             ExpMixEigenfunction, InversionResult, RadialDiagnostic,
+                             SpectralMeasure, TabulatedEigenfunction)
+from fpplab.verify import BucketStat, DistortionReport, MartingaleReport, ResidualReport
 
 PACKAGE = Path(fpplab.__file__).resolve().parent
 
@@ -262,8 +267,9 @@ def test_cli_on_a_diagonal_market_loads_no_scipy(tmp_path, canonical_2f):
     assert (tmp_path / "martingale" / "martingale_report.json").exists()
 
 
-# One instance of each family, kind and spec, with its JSON form as written
-# before the codec was shared (sort_keys=True); the formats must not drift.
+# One instance of each family, kind, spec and report, with its JSON form as
+# written by the hand-made encoders before the codec was shared
+# (sort_keys=True); the formats must not drift.
 FIELDS = {
     "constant": ConstantField([[0.2, 0.0], [0.1, 0.3]]),
     "affine": AffineField([[-0.5, 0.1], [0.0, -0.8]], [0.4, 0.5]),
@@ -284,6 +290,25 @@ SPECS = {
     "affine_spec": AffineSpec(M=[[-0.5]], w=[0.4], L=[0.2], Lambda=[0.25], lambda0=0.05,
                               N=[[0.1]], c=[0.0], H=[-0.3], h0=0.5),
     "sim_config": SimulationConfig(dt=0.01, horizon=0.5, n_paths=300, seed=9, record_stride=5),
+}
+_RESIDUAL = ResidualReport("linear equation", 2.5e-06, 1.25e-06, 0.001, 4, 25,
+                           table=np.array([[0.1, 0.5, 2.5e-06]]))
+REPORTS = {
+    "selection": EigenfunctionSelection((ExpEigenfunction([0.5], [0.25]),
+                                         ExpMixEigenfunction(0.3, 0.7, -0.4, [0.25])), [0.25]),
+    "admissibility": AdmissibilityReport(0.5, 0.25, 1.5, 0.75, False, ((3, 7), (4, 0))),
+    "distortion": DistortionReport(
+        nonlinear=ResidualReport("distorted equation", 0.5, 0.125, 0.001, 2, 9),
+        linear=_RESIDUAL),
+    "validation": ValidationReport((CheckResult("ellipticity", True, 0.04, "min eigenvalue"),
+                                    CheckResult("boundedness", False, 2.5))),
+    "martingale": MartingaleReport((BucketStat(0.0, 0.25, 0.001, 0.002, 0.5, 0.125),
+                                    BucketStat(0.25, 0.5, -0.003, 0.002, -1.5, 3.0)),
+                                   300, False, True, False),
+    "eve": EveProjection(1.0, np.array([[0.6, 0.8], [-0.8, 0.6], [0.0, 0.0]]), 0.375, 1.25),
+    "residual": _RESIDUAL,
+    "radial": RadialDiagnostic(np.array([0.0, 1.0]), np.array([1.0, 0.5]), 2.5, True, None),
+    "inversion": InversionResult(SpectralMeasure([0.5, 2.0], [0.3, 0.7], [0.0]), 1.5e-12, 3, 2),
 }
 PINNED = {
     "constant": '{"family": "constant", "value": [[0.2, 0.0], [0.1, 0.3]]}',
@@ -306,6 +331,33 @@ PINNED = {
                    ' "c": [0.0], "h0": 0.5, "lambda0": 0.05, "w": [0.4]}',
     "sim_config": '{"boundary_policy": "full-truncation", "dt": 0.01, "horizon": 0.5,'
                   ' "n_paths": 300, "record_stride": 5, "seed": 9}',
+    "selection": '{"functions": [{"kind": "exp", "v": [0.5]}, {"kind": "expmix",'
+                 ' "rate_minus": -0.4, "rate_plus": 0.7, "weight_plus": 0.3}], "y0": [0.25]}',
+    "admissibility": '{"all_finite": false, "drift_integral_max": 0.5,'
+                     ' "drift_integral_mean": 0.25, "nonfinite_locations": [[3, 7], [4, 0]],'
+                     ' "variation_integral_max": 1.5, "variation_integral_mean": 0.75}',
+    "distortion": '{"linear": {"description": "linear equation", "fd_step": 0.001,'
+                  ' "max_abs_residual": 2.5e-06, "mean_abs_residual": 1.25e-06, "n_points": 25,'
+                  ' "stencil_order": 4}, "nonlinear": {"description": "distorted equation",'
+                  ' "fd_step": 0.001, "max_abs_residual": 0.5, "mean_abs_residual": 0.125,'
+                  ' "n_points": 9, "stencil_order": 2}}',
+    "validation": '{"checks": [{"detail": "min eigenvalue", "name": "ellipticity",'
+                  ' "passed": true, "worst": 0.04}, {"detail": "", "name": "boundedness",'
+                  ' "passed": false, "worst": 2.5}], "passed": false}',
+    "martingale": '{"buckets": [{"excess_kurtosis": 0.125, "mean": 0.001, "std_error": 0.002,'
+                  ' "t_end": 0.25, "t_start": 0.0, "z": 0.5}, {"excess_kurtosis": 3.0,'
+                  ' "mean": -0.003, "std_error": 0.002, "t_end": 0.5, "t_start": 0.25,'
+                  ' "z": -1.5}], "heavy_tails": false, "martingale_consistent": false,'
+                  ' "n_paths": 300, "supermartingale_consistent": true,'
+                  ' "verdict": "supermartingale-consistent"}',
+    "eve": '{"Q_star": [[0.6, 0.8], [-0.8, 0.6], [0.0, 0.0]], "clamped": true,'
+           ' "frobenius_distance": 0.375, "r_star": 1.0, "r_unconstrained": 1.25}',
+    "residual": '{"description": "linear equation", "fd_step": 0.001,'
+                ' "max_abs_residual": 2.5e-06, "mean_abs_residual": 1.25e-06, "n_points": 25,'
+                ' "stencil_order": 4}',
+    "radial": '{"first_zero": null, "growth_flag": true, "truncated_integral": 2.5}',
+    "inversion": '{"atoms": [{"weight": 0.3, "zeta": 0.5}, {"weight": 0.7, "zeta": 2.0}],'
+                 ' "fit_residual": 1.5e-12, "m_effective": 2, "m_requested": 3, "y0": [0.0]}',
 }
 
 
@@ -326,7 +378,7 @@ def test_every_family_and_kind_declares_its_constructor_params():
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_json_forms_match_the_pinned_literals(name):
-    obj = {**FIELDS, **KINDS, **SPECS}[name]
+    obj = {**FIELDS, **KINDS, **SPECS, **REPORTS}[name]
     assert json.dumps(obj.to_json(), sort_keys=True) == PINNED[name]
 
 
@@ -355,6 +407,25 @@ def test_spec_round_trips_are_exact():
     for spec in SPECS.values():
         again = type(spec).from_json(json.loads(json.dumps(spec.to_json())))
         assert again.to_json() == spec.to_json()
+
+
+def _hand_written_encoders(path):
+    """Classes defining a ``to_json`` that does not extend ``super().to_json()``."""
+    def extends_base(fn):
+        return any(isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "to_json"
+                   and isinstance(n.func.value, ast.Call)
+                   and getattr(n.func.value.func, "id", None) == "super" for n in ast.walk(fn))
+
+    return {node.name for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ClassDef) for fn in node.body
+            if isinstance(fn, ast.FunctionDef) and fn.name == "to_json" and not extends_base(fn)}
+
+
+def test_every_encoder_extends_the_one_codec():
+    # Only the base writes a value's fields; Box (None for infinity) and
+    # SpectralMeasure (a list of atoms) have forms that are not their fields.
+    hits = set().union(*(_hand_written_encoders(path) for path in PACKAGE.glob("*.py")))
+    assert hits == {"Fields", "Box", "SpectralMeasure"}
 
 
 def _key_error_handlers(path):
