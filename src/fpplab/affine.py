@@ -37,6 +37,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -203,6 +204,15 @@ class RiccatiSolution:
     def Theta(self, t):
         theta = self.state(t)[..., -1]
         return float(theta) if theta.ndim == 0 else theta
+
+    def __call__(self, t, y):
+        """u(t, y) = exp(Phi(t)^T y + Theta(t)) at one state y (k,) as a
+        float, or at stacked states (P, k) as (P,)."""
+        return u_from_state(self.state(t), y)
+
+    def log_gradient(self, t, Y):
+        """grad_y u / u = Phi(t), shape (k,): the same at every state."""
+        return self.Phi(t)
 
     @property
     def anchor_time(self) -> float:
@@ -385,8 +395,13 @@ def riccati_residual(sol: RiccatiSolution, times=None):
 
 
 # ---------------------------------------------------------------------------
-# Evaluations
+# Evaluations over any FPP u
 # ---------------------------------------------------------------------------
+#
+# An FPP u is any object with ``u(t, Y)`` and ``u.log_gradient(t, Y)`` =
+# grad_y u / u on stacked states Y (P, k): a ``RiccatiSolution`` (whose
+# log-gradient is Phi(t), shape (k,)) or a ``spectral.WidderFunction``
+# (shape (P, k)).  V and pi* below are written once over that interface.
 
 def evaluate_u_affine(sol: RiccatiSolution, t: float, y) -> float | np.ndarray:
     """u(t, y) = exp(Phi(t)^T y + Theta(t)), positive by construction.
@@ -398,7 +413,7 @@ def evaluate_u_affine(sol: RiccatiSolution, t: float, y) -> float | np.ndarray:
     ExponentOverflowError
         If the exponent exceeds 700 (double-precision overflow).
     """
-    return u_from_state(sol.state(t), y)
+    return sol(t, y)
 
 
 def u_from_state(z, y) -> float | np.ndarray:
@@ -419,40 +434,42 @@ def power_utility_prefactor(rp: RiskParams, x) -> np.ndarray:
     return g ** g * x ** (1.0 - g) / (1.0 - g)
 
 
-def evaluate_fpp(sol: RiccatiSolution, rp: RiskParams, t: float, x, y):
-    """Performance value gamma^gamma x^{1-gamma}/(1-gamma) * u(t, y)^q."""
-    u = evaluate_u_affine(sol, t, y)
-    out = power_utility_prefactor(rp, x) * np.asarray(u) ** rp.q
+def evaluate_fpp(u, rp: RiskParams, t: float, x, y):
+    """Performance value V(t, x, y) = gamma^gamma x^{1-gamma}/(1-gamma) * u(t, y)^q
+    of the FPP u; the one place V is written."""
+    out = power_utility_prefactor(rp, x) * np.asarray(u(t, y)) ** rp.q
     return float(out) if np.ndim(out) == 0 else out
 
 
-def fpp_evaluator(sol: RiccatiSolution, rp: RiskParams) -> Callable:
-    """Vectorized (t, x, y) -> U callable for Monte Carlo diagnostics."""
-
-    def evaluate(t, x, y):
-        return evaluate_fpp(sol, rp, t, x, y)
-
-    return evaluate
+def fpp_evaluator(u, rp: RiskParams) -> Callable:
+    """Vectorized (t, x, y) -> V callable of the FPP u for Monte Carlo diagnostics."""
+    return partial(evaluate_fpp, u, rp)
 
 
-def optimal_portfolio_affine(sol: RiccatiSolution, model_spec: ModelSpec,
-                             rp: RiskParams, t: float, y) -> np.ndarray:
-    """Optimal allocation pi* = sigma^- (lambda + q rho kappa Phi(t)) / gamma.
+def optimal_portfolio_affine(u, model_spec: ModelSpec, rp: RiskParams, t: float,
+                             y) -> np.ndarray:
+    """Optimal allocation pi* = sigma^- (lambda + q rho kappa grad_y u / u) / gamma
+    for the FPP u.
 
     sigma may depend on y.  For the full-column-rank sigma that
     ``market_terms`` enforces, sigma^- lambda = (sigma^T sigma)^{-1} mu, so this
-    is the myopic demand plus the hedging demand q sigma^- rho kappa Phi(t).
-    The gradient ratio grad_y u / u of the exponential-affine u equals Phi(t),
-    so the hedging term needs no u.  ``y`` may be one point (k,) or a stack
-    (P, k); the result has shape (n,) or (P, n).
+    is the myopic demand plus the hedging demand q sigma^- rho kappa grad_y u / u,
+    where grad_y u / u is ``u.log_gradient`` (Phi(t) for the exponential-affine
+    u, so no u is evaluated).  ``y`` may be one point (k,) or a stack (P, k);
+    the result has shape (n,) or (P, n).
 
     Raises
     ------
+    ConfigError
+        If the last axis of ``y`` is not the model's k.
     SingularModelError
         If sigma(y) has rank below n at some point.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    pi = optimal_portfolio_from_terms(market_terms(model_spec, y), rp, sol.Phi(t))
+    if y.shape[-1] != model_spec.k:
+        raise ConfigError(f"y has shape {y.shape}; the model has k={model_spec.k} factors")
+    phi = u.log_gradient(t, np.atleast_2d(y))
+    pi = optimal_portfolio_from_terms(market_terms(model_spec, y), rp, phi)
     return pi[0] if y.ndim == 1 else pi
 
 
@@ -460,8 +477,10 @@ def optimal_portfolio_from_terms(terms: MarketTerms, rp: RiskParams,
                                  phi: np.ndarray) -> np.ndarray:
     """pi* = sigma^- (lambda + q rho kappa phi) / gamma, shape (P, n), from
     the coefficients (rho included) of ``terms.spec`` at P states and the
-    Riccati slope phi = Phi(t) (k,).  The one place the expression is written."""
-    kap_phi = np.einsum("pbk,k->pb", terms.kappa, phi)    # (P, d_B)
+    log-gradient phi = grad_y u / u, one (k,) for every state or one row
+    (P, k) per state.  The one place the expression is written."""
+    P, _, k = terms.kappa.shape
+    kap_phi = np.einsum("pbk,pk->pb", terms.kappa, np.broadcast_to(phi, (P, k)))   # (P, d_B)
     return rowwise(terms.sigma_pinv, terms.lam + rp.q * kap_phi @ terms.spec.rho.T) / rp.gamma
 
 

@@ -153,7 +153,7 @@ def _make_strategy(args, model):
         if not args.affine:
             raise ConfigError("affine-optimal strategy requires --affine")
         sol = _solve(args, affine.AffineSpec.load(args.affine))
-        base = simmod.AffineOptimalStrategy(sol, model, _risk_params(args))
+        base = simmod.OptimalStrategy(sol, model, _risk_params(args))
     else:
         raise ConfigError(f"unknown strategy '{name}'")
     return simmod.PerturbedStrategy(base, args.delta) if args.delta else base
@@ -295,12 +295,10 @@ def verify_residual(args, out_dir):
     t_vals = np.linspace(0.05 * args.horizon, 0.95 * args.horizon, args.t_points)
     y_grid = model.domain.interior_grid(points_per_dim=args.y_points)
     if args.which == "hjb":
-        V = lambda t, x, y: affine.evaluate_fpp(sol, rp, t, x, y)  # noqa: E731
-        payload = verify.hjb_residual(V, model, rp, t_vals, [0.6, 1.0, 1.5],
-                                      y_grid, fd_step=args.tol_step).to_json()
+        payload = verify.hjb_residual(affine.fpp_evaluator(sol, rp), model, rp, t_vals,
+                                      [0.6, 1.0, 1.5], y_grid, fd_step=args.tol_step).to_json()
     else:
-        u = lambda t, y: affine.evaluate_u_affine(sol, t, y)  # noqa: E731
-        payload = verify.distortion_roundtrip(u, rp, generator_coefficients(model, rp),
+        payload = verify.distortion_roundtrip(sol, rp, generator_coefficients(model, rp),
                                               t_vals, y_grid,
                                               fd_step=args.tol_step).to_json()[args.which]
     path = _write_json(out_dir, f"residual_{args.which}.json", payload)

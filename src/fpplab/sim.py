@@ -112,8 +112,9 @@ class Strategy:
     full truncation) and wealth X (P,).  ``terms`` is the ``MarketTerms`` the
     Euler step evaluated once at Y: the model they belong to, mu, sigma,
     sigma^-, lambda, alpha and kappa (the last two on first read).  A
-    strategy may build its allocation from them, as ``AffineOptimalStrategy``
-    does, or ignore them; it must not modify them.
+    strategy may build its allocation from them, as ``OptimalStrategy`` does,
+    or ignore them; it must not modify them.  ``simulate`` and
+    ``admissibility_check`` take a ``Strategy``, not a plain function.
     """
 
     name = "strategy"
@@ -143,40 +144,32 @@ class ConstantStrategy(Strategy):
         return np.broadcast_to(self.pi, (np.atleast_2d(Y).shape[0], self.pi.shape[0])).copy()
 
 
-class CallableStrategy(Strategy):
-    """Wraps a scalar feedback map (t, y, x) -> pi; evaluated path by path."""
-
-    name = "callable"
-
-    def __init__(self, fn: Callable):
-        self.fn = fn
-
-    def allocations(self, t, Y, X, terms):
-        Y = np.atleast_2d(Y)
-        X = np.broadcast_to(np.asarray(X, dtype=float), Y.shape[0])
-        return np.stack([np.atleast_1d(self.fn(t, y, x)) for y, x in zip(Y, X)])
-
-
-class AffineOptimalStrategy(Strategy):
-    """pi*(t, y) = sigma(y)^- (lambda(y) + q rho kappa(y) Phi(t)) / gamma of
-    ``model``, built by ``optimal_portfolio_from_terms``; sigma may depend on
-    y.  The step's terms are used when they are ``model``'s; a strategy run
-    under another market (a misspecified one) evaluates its own model at Y,
-    so every coefficient of pi*, rho included, comes from the terms of its
-    own model and pi* never mixes two models.
+class OptimalStrategy(Strategy):
+    """pi*(t, y) = sigma(y)^- (lambda(y) + q rho kappa(y) grad_y u / u) / gamma
+    of ``model`` for the FPP u, built by ``optimal_portfolio_from_terms`` from
+    ``u.log_gradient(t, Y)``: Phi(t) once per step for a ``RiccatiSolution``,
+    one row per path for a ``WidderFunction``.  sigma may depend on y.  The
+    step's terms are used when they are ``model``'s; a strategy run under
+    another market (a misspecified one) evaluates its own model at Y, so every
+    coefficient of pi*, rho included, comes from the terms of its own model
+    and pi* never mixes two models.
     """
 
-    name = "affine-optimal"
+    name = "optimal"
 
-    def __init__(self, sol, model: ModelSpec, rp: RiskParams):
-        self.sol = sol
+    def __init__(self, u, model: ModelSpec, rp: RiskParams):
+        self.u = u
         self.model = model
         self.rp = rp
 
     def allocations(self, t, Y, X, terms):
         if terms.spec is not self.model:
             terms = market_terms(self.model, Y)
-        return optimal_portfolio_from_terms(terms, self.rp, self.sol.Phi(float(t)))
+        return optimal_portfolio_from_terms(terms, self.rp, self.u.log_gradient(float(t), Y))
+
+
+# The name the benchmark builds the strategy by.
+AffineOptimalStrategy = OptimalStrategy
 
 
 class PerturbedStrategy(Strategy):
@@ -339,13 +332,6 @@ def _wealth_terms(terms: MarketTerms, pi):
     return sigpi, np.einsum("pw,pw->p", sigpi, terms.lam), np.einsum("pw,pw->p", sigpi, sigpi)
 
 
-def _as_strategy(strategy) -> Strategy:
-    """A plain callable (t, y, x) -> pi becomes a CallableStrategy."""
-    if isinstance(strategy, Callable) and not isinstance(strategy, Strategy):
-        return CallableStrategy(strategy)
-    return strategy
-
-
 # ---------------------------------------------------------------------------
 # Simulation
 # ---------------------------------------------------------------------------
@@ -355,7 +341,10 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
     """Generate paths of (W, Wperp, B, Y, S, X) under the feedback strategy.
 
     Stocks start at S_0 = 1 (prices never feed back, so S_0 is only a scale),
-    wealth at x0 = 1 and y0 at the center of the domain's interior grid unless given.
+    wealth at x0 = 1.  y0 defaults to the point of the domain's one-point
+    interior grid, the lower end of each axis inset by 0.1 of its width (an
+    unbounded axis cut as ``Box.interior_grid`` cuts it): 0.2 on [0, inf),
+    (-0.8, 0.2) on [-1, 1] x [0, 2].
     ``diagnostics`` holds the mixer residual, the strategy name, x0, y0,
     ``exited_paths`` (paths with an exit time) and ``clipped_states`` (the
     path-steps whose coefficients saw a state clipped into the domain).
@@ -363,9 +352,10 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
     Raises
     ------
     SimulationError
-        On the first non-finite coefficient/allocation, reporting (path, step).
+        On the first non-finite increment of Y, log S or log X, reporting
+        (path, step).  sigma has full column rank, so a non-finite allocation
+        makes log X non-finite in the same step.
     """
-    strategy = _as_strategy(strategy)
     if y0 is None:
         y0 = model.domain.interior_grid(points_per_dim=1)[0]
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
@@ -414,7 +404,6 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
                 clipped += int(np.count_nonzero(left))
             terms = market_terms(model, Yeval)
             pi = np.atleast_2d(strategy.allocations(i * dt, Yeval, np.exp(logX), terms))
-            _require_finite(lo, i, pi)
             sigpi, sp_lam, sp_sq = _wealth_terms(terms, pi)
 
             dW = noise[:, i, :model.d_W] * sqdt
@@ -439,7 +428,7 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
 
     return PathBundle(times=rec_idx * dt, exit_time=exit_time, model=model, config=cfg,
                       diagnostics={"mixer_residual": mix_residual,
-                                   "strategy": getattr(strategy, "name", "custom"),
+                                   "strategy": strategy.name,
                                    "x0": x0, "y0": y0.tolist(),
                                    "exited_paths": int(np.count_nonzero(~np.isnan(exit_time))),
                                    "clipped_states": clipped},
@@ -535,7 +524,6 @@ def admissibility_check(bundle: PathBundle, strategy: Strategy) -> Admissibility
     non-finite allocations or integrands are reported with their
     (path, grid index) locations, at most 100 of them.
     """
-    strategy = _as_strategy(strategy)
     model = bundle.model
     if model is None:
         raise ConfigError("bundle carries no model; cannot evaluate coefficients")

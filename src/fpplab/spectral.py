@@ -12,6 +12,12 @@ uniform grid determines the atoms by exponential-sum fitting (Prony linear
 prediction plus Levenberg-Marquardt refinement), and sampling u(., y) at
 other states recovers the eigenfunction values by non-negative least squares
 against the fixed exponents.
+
+``WidderFunction`` is an FPP u like the affine ``RiccatiSolution``: it
+evaluates u(t, Y) and its log-gradient grad_y u / u, so the performance value
+and the optimal portfolio come from the one implementation in ``affine``
+(``evaluate_fpp``, ``optimal_portfolio_affine``) and the Monte Carlo
+strategy from ``sim.OptimalStrategy``.
 """
 from __future__ import annotations
 
@@ -23,8 +29,7 @@ import numpy as np
 
 from .errors import (ConditioningError, ConfigError, InconsistentDataError,
                      IntegrationError, NonRepresentableError, PositivityError)
-from .affine import power_utility_prefactor
-from .model import Fields, GeneratorCoefficients, RiskParams, from_params, require
+from .model import Fields, GeneratorCoefficients, from_params, require
 
 _COND_LIMIT = 1e12
 MATCH_TOL = 1e-9            # TabulatedEigenfunction: max-norm distance of a match
@@ -322,14 +327,6 @@ class EigenfunctionSelection(Fields):
 # Mixture evaluation
 # ---------------------------------------------------------------------------
 
-def fpp_from_measure(nu: SpectralMeasure, sel: EigenfunctionSelection,
-                     rp: RiskParams, t: float, x, y):
-    """gamma^gamma x^{1-gamma}/(1-gamma) * u(t, y)^q with u the mixture."""
-    u = WidderFunction(nu, sel)(t, y)
-    out = power_utility_prefactor(rp, x) * u ** rp.q
-    return float(out) if np.ndim(out) == 0 else out
-
-
 class WidderFunction:
     """u(t, y) = sum_i w_i exp(-zeta_i t) psi_i(y) for t >= 0, with exact
     derivatives delegated to the eigenfunctions."""
@@ -362,6 +359,11 @@ class WidderFunction:
         psi, grad, hess = (np.stack(d, axis=-1) for d in
                            zip(*(f.derivatives(Y) for f in self.sel.functions)))
         return psi @ (-self.nu.zetas * c), psi @ c, grad @ c, hess @ c
+
+    def log_gradient(self, t, Y):
+        """grad_y u / u at the stacked states Y (P, k), shape (P, k)."""
+        _, u, grad, _ = self.derivatives(t, Y)
+        return grad / u[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -506,36 +508,24 @@ def invert_laplace_discrete(samples, m: int, y0=0.0) -> InversionResult:
 
     m_fit = zetas.size
 
-    def pack(z, lw):
-        return np.concatenate([z, lw])
-
-    def unpack(theta):
-        return theta[:m_fit], np.exp(theta[m_fit:])
-
+    # theta = (zeta, log w).
     def resid(theta):
-        z, wt = unpack(theta)
-        return design(z) @ wt - u
+        return design(theta[:m_fit]) @ np.exp(theta[m_fit:]) - u
 
     def jac(theta):
-        z, wt = unpack(theta)
-        E = design(z) * wt            # (n, m)
+        E = design(theta[:m_fit]) * np.exp(theta[m_fit:])     # (n, m)
         return np.concatenate([-t[:, None] * E, E], axis=1)
 
-    fit = least_squares(resid, pack(zetas, np.log(w)), jac=jac, method="lm",
+    fit = least_squares(resid, np.concatenate([zetas, np.log(w)]), jac=jac, method="lm",
                         xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=2000)
-    zetas, w = unpack(fit.x)
-    order = np.argsort(zetas)
-    zetas, w = zetas[order], w[order]
+    order = np.argsort(fit.x[:m_fit])
+    zetas, w = fit.x[:m_fit][order], np.exp(fit.x[m_fit:])[order]
 
-    # Collapse numerically coincident exponents (refinement may merge atoms).
-    keep_z, keep_w = [zetas[0]], [w[0]]
-    for z, wt in zip(zetas[1:], w[1:]):
-        if z - keep_z[-1] <= 1e-10 * max(1.0, abs(z)):
-            keep_w[-1] += wt
-        else:
-            keep_z.append(z)
-            keep_w.append(wt)
-    zetas, w = np.array(keep_z), np.array(keep_w)
+    # Collapse numerically coincident exponents (refinement may merge atoms):
+    # a new atom starts wherever zeta moves on by more than 1e-10 relative.
+    new_atom = np.diff(zetas) > 1e-10 * np.maximum(1.0, np.abs(zetas[1:]))
+    starts = np.flatnonzero(np.append(True, new_atom))
+    zetas, w = zetas[starts], np.add.reduceat(w, starts)
 
     residual = float(np.max(np.abs(design(zetas) @ w - u)))
     measure = SpectralMeasure(zetas=zetas, weights=w, y0=np.atleast_1d(y0))
@@ -546,22 +536,19 @@ def invert_laplace_discrete(samples, m: int, y0=0.0) -> InversionResult:
 def recover_selection(samples_by_point, nu: SpectralMeasure) -> EigenfunctionSelection:
     """Recover psi_i(y) = w_i(y) / w_i(y0) against the fixed exponents of nu.
 
-    ``samples_by_point`` maps states y (tuple/scalar/array) to (t, u) series.
-    Weights at each state are fitted by non-negative least squares; a relative
-    fit residual above ``RECOVERY_TOL`` (1e-6) raises InconsistentDataError.
-    psi_i(y0) is set to exactly 1 when y0 is among the states.
+    ``samples_by_point`` is a dict from states y (a tuple or a scalar) to
+    (t, u) series.  Weights at each state are fitted by non-negative least
+    squares; a relative fit residual above ``RECOVERY_TOL`` (1e-6) raises
+    InconsistentDataError.  psi_i(y0) is set to exactly 1 when y0 is among
+    the states.
     """
     from scipy.optimize import nnls
 
-    if isinstance(samples_by_point, dict):
-        items = list(samples_by_point.items())
-    else:
-        items = list(samples_by_point)
-    if not items:
+    if not samples_by_point:
         raise ConfigError("no sample series supplied")
 
     points, psi_cols = [], []
-    for y, series in items:
+    for y, series in samples_by_point.items():
         y_arr = np.atleast_1d(np.asarray(y, dtype=float))
         t, u, _ = _parse_samples(series)
         E = np.exp(-np.outer(t, nu.zetas))

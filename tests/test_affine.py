@@ -16,6 +16,7 @@ from fpplab.model import RiskParams, market_terms, sharpe_ratio
 from fpplab.affine import (AffineSpec, BACKWARD, FORWARD,
                            canonical_affine_market, evaluate_fpp,
                            evaluate_u_affine, optimal_portfolio_affine,
+                           optimal_portfolio_from_terms,
                            riccati_residual, solve_riccati,
                            solve_riccati_closed_form, solve_riccati_numeric)
 
@@ -532,7 +533,7 @@ def test_portfolio_satisfies_sigma_pi_identity(canonical_1f):
 
 
 def test_portfolio_on_a_stack_equals_per_point_calls_and_strategy(canonical_2f):
-    from fpplab.sim import AffineOptimalStrategy
+    from fpplab.sim import OptimalStrategy
 
     market, spec, rp = canonical_2f
     sol = solve_riccati_closed_form(spec, rp, 1.0, FORWARD)
@@ -542,9 +543,25 @@ def test_portfolio_on_a_stack_equals_per_point_calls_and_strategy(canonical_2f):
     for i, y in enumerate(Y):
         np.testing.assert_allclose(stack[i], optimal_portfolio_affine(sol, market, rp, 0.4, y),
                                    rtol=1e-13, atol=1e-15)
-    alloc = AffineOptimalStrategy(sol, market, rp).allocations(0.4, Y, np.ones(6),
-                                                                market_terms(market, Y))
+    alloc = OptimalStrategy(sol, market, rp).allocations(0.4, Y, np.ones(6),
+                                                         market_terms(market, Y))
     np.testing.assert_array_equal(alloc, stack)
+
+
+def test_riccati_solution_is_an_fpp_u_and_pi_takes_phi_per_state(canonical_2f):
+    # u(t, Y) and its log-gradient Phi(t) (k,); one phi row per state gives
+    # bit for bit the allocation of the shared phi.
+    market, spec, rp = canonical_2f
+    sol = solve_riccati_closed_form(spec, rp, 1.0, FORWARD)
+    Y = np.random.default_rng(4).uniform(0.1, 2.0, size=(5, 2))
+    terms = market_terms(market, Y)
+    for t in (0.0, 0.45, 1.0):
+        np.testing.assert_array_equal(sol(t, Y), evaluate_u_affine(sol, t, Y))
+        assert sol(t, Y[0]) == evaluate_u_affine(sol, t, Y[0])
+        phi = sol.log_gradient(t, Y)
+        np.testing.assert_array_equal(phi, sol.Phi(t))
+        np.testing.assert_array_equal(optimal_portfolio_from_terms(terms, rp, np.tile(phi, (5, 1))),
+                                      optimal_portfolio_from_terms(terms, rp, phi))
 
 
 def test_portfolio_with_y_dependent_sigma_matches_formula(canonical_1f):

@@ -293,6 +293,22 @@ def test_start_state_of_the_wrong_length_exits_one(workdir, capsys, argv, named)
     assert named in err and "k=2" in err
 
 
+@pytest.mark.parametrize("y", ["0.5", "0.5,0.5,0.5"])
+def test_affine_portfolio_of_the_wrong_length_exits_one(workdir, capsys, y):
+    # Both lengths are named, not numpy's matmul core-dimension message.
+    market, spec = affine.canonical_affine_market(
+        M=np.diag([-0.5, -0.8]), w=[0.4, 0.5], L=[0.2, 0.15], Lambda=[0.16, 0.09],
+        lambda0=0.04, H=[-0.3, 0.2], rp=RiskParams(gamma=2.0, p=0.25))
+    market.save(workdir / "model2f.json")
+    (workdir / "aspec2f.json").write_text(json.dumps(spec.to_json()))
+    assert main(["affine", "portfolio", "--spec", "aspec2f.json", "--model", "model2f.json",
+                 "--gamma", "2.0", "--p", "0.25", "--horizon", "1.0", "--t", "0.4",
+                 "--y", y, "--out", "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"y has shape ({len(y.split(','))},)" in err and "k=2" in err
+
+
 # (file, path to the JSON object, key dropped from it); at the parent every
 # case raised an uncaught KeyError out of main.
 _MISSING_KEY_CASES = [

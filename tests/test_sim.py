@@ -12,10 +12,9 @@ from fpplab.errors import (ClosedFormInapplicableError, ConfigError,
 from fpplab.model import (Box, ConstantField, GridField, ModelSpec, RiskParams,
                           generator_coefficients, market_terms)
 from fpplab import affine, sim
-from fpplab.sim import (BOUNDARY_POLICIES, AffineOptimalStrategy, CallableStrategy,
-                        ConstantStrategy, PathBundle, PerturbedStrategy,
-                        SimulationConfig, Strategy, ZeroStrategy, _path_noise,
-                        admissibility_check, feynman_kac_estimate, simulate)
+from fpplab.sim import (BOUNDARY_POLICIES, ConstantStrategy, OptimalStrategy, PathBundle,
+                        PerturbedStrategy, SimulationConfig, Strategy, ZeroStrategy,
+                        _path_noise, admissibility_check, feynman_kac_estimate, simulate)
 
 from conftest import (count_calls, make_heat_generator, make_rank_deficient_grid_model,
                       make_tabulated_sigma_model, portfolio_oracle)
@@ -142,7 +141,7 @@ _BUNDLE_ARRAYS = ("times", "W", "Wperp", "B", "Y", "S", "X", "exit_time")
 
 
 def _perturbed_optimal(market, sol, rp):
-    return PerturbedStrategy(AffineOptimalStrategy(sol, market, rp), 0.2)
+    return PerturbedStrategy(OptimalStrategy(sol, market, rp), 0.2)
 
 
 def _engine_run(policy, record_stride=1, strategy=_perturbed_optimal, y0=0.05):
@@ -166,7 +165,7 @@ def _engine_run(policy, record_stride=1, strategy=_perturbed_optimal, y0=0.05):
 
 _BLOCK_RUNS = [   # (strategy, y0): the optimal map and one that ignores the step terms
     (_perturbed_optimal, 0.05),
-    (lambda market, sol, rp: AffineOptimalStrategy(sol, market, rp), 0.2),
+    (lambda market, sol, rp: OptimalStrategy(sol, market, rp), 0.2),
     (lambda market, sol, rp: PerturbedStrategy(ConstantStrategy([0.3, 0.1]), -0.2), 0.2),
 ]
 
@@ -205,7 +204,7 @@ def test_diagnostics_count_exited_paths_and_clipped_states(policy):
 def test_each_step_evaluates_mu_and_kappa_once(monkeypatch, canonical_2f):
     market, spec, rp = canonical_2f
     sol = affine.solve_riccati_closed_form(spec, rp, 1.0, affine.FORWARD)
-    strategy = AffineOptimalStrategy(sol, market, rp)
+    strategy = OptimalStrategy(sol, market, rp)
     mu_calls = count_calls(monkeypatch, market.mu, "batch")
     kappa_calls = count_calls(monkeypatch, market.kappa, "batch")
     alpha_calls = count_calls(monkeypatch, market.alpha, "batch")
@@ -235,7 +234,7 @@ def test_optimal_strategy_under_another_market_keeps_its_own_model(canonical_1f)
     market, spec, rp = canonical_1f
     varying = make_tabulated_sigma_model(market)
     sol = affine.solve_riccati_closed_form(spec, rp, 1.0, affine.FORWARD)
-    strategy = AffineOptimalStrategy(sol, market, rp)
+    strategy = OptimalStrategy(sol, market, rp)
     Y = np.linspace(0.1, 2.5, 5).reshape(-1, 1)
     pi = strategy.allocations(0.6, Y, np.ones(5), market_terms(varying, Y))
     np.testing.assert_array_equal(pi, affine.optimal_portfolio_affine(sol, market, rp, 0.6, Y))
@@ -253,7 +252,7 @@ def test_y_dependent_sigma_is_factored_once_per_step(monkeypatch, canonical_1f):
     market, spec, rp = canonical_1f
     varying = make_tabulated_sigma_model(market)
     sol = affine.solve_riccati_closed_form(spec, rp, 1.0, affine.FORWARD)
-    strategy = AffineOptimalStrategy(sol, varying, rp)
+    strategy = OptimalStrategy(sol, varying, rp)
     svds = count_calls(monkeypatch, fpplab.model, "_pinv_and_rank")
     cfg = SimulationConfig(dt=0.05, horizon=0.5, n_paths=50, seed=2)
     bundle = simulate(varying, cfg, strategy, y0=[0.8])
@@ -327,7 +326,7 @@ def test_brownian_mixing_identity_every_grid_point(canonical_1f):
 def test_simulation_is_deterministic_and_block_independent(canonical_1f):
     market, spec, rp = canonical_1f
     sol = affine.solve_riccati_closed_form(spec, rp, 0.5, affine.FORWARD)
-    strat = AffineOptimalStrategy(sol, market, rp)
+    strat = OptimalStrategy(sol, market, rp)
     cfg = SimulationConfig(dt=0.01, horizon=0.5, n_paths=300, seed=99)
     b1 = simulate(market, cfg, strat, y0=[1.0])
     b2 = simulate(market, cfg, strat, y0=[1.0])
@@ -343,7 +342,7 @@ def test_simulation_is_deterministic_and_block_independent(canonical_1f):
 def test_refinement_halving_dt_stays_within_monte_carlo_noise(canonical_1f):
     market, spec, rp = canonical_1f
     sol = affine.solve_riccati_closed_form(spec, rp, 0.5, affine.FORWARD)
-    strat = AffineOptimalStrategy(sol, market, rp)
+    strat = OptimalStrategy(sol, market, rp)
     means, ses = [], []
     for dt in (0.01, 0.005):
         cfg = SimulationConfig(dt=dt, horizon=0.5, n_paths=4000, seed=55,
@@ -354,15 +353,33 @@ def test_refinement_halving_dt_stays_within_monte_carlo_noise(canonical_1f):
     assert abs(means[0] - means[1]) <= 3 * np.hypot(*ses)
 
 
+def test_default_y0_is_the_lower_inset_point_of_each_axis():
+    # interior_grid(points_per_dim=1) is linspace(lo + inset, hi - inset, 1),
+    # i.e. the lower inset point, not the center of the domain.
+    half_line = replace(_flat_market(), domain=Box([0.0], [np.inf]))
+    square = ModelSpec(n=1, k=2, d_W=1, d_B=2, d_Wperp=2, mu=ConstantField([0.0]),
+                       sigma=ConstantField([[1.0]]), alpha=ConstantField([0.0, 0.0]),
+                       kappa=ConstantField(0.1 * np.eye(2)), rho=np.zeros((1, 2)),
+                       domain=Box([-1.0, 0.0], [1.0, 2.0]))
+    cfg = SimulationConfig(dt=0.1, horizon=0.2, n_paths=3, seed=1)
+    for model, expected in ((half_line, [0.2]), (square, [-0.8, 0.2])):
+        bundle = simulate(model, cfg, ZeroStrategy(model.n))
+        np.testing.assert_allclose(bundle.diagnostics["y0"], expected, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(bundle.Y[:, 0], np.tile(bundle.diagnostics["y0"], (3, 1)))
+
+
+class _InfiniteAfter(Strategy):
+    """Allocates (0, 0) up to t = 0.25 and (inf, 0) after."""
+
+    def allocations(self, t, Y, X, terms):
+        return np.tile([np.inf, 0.0] if t > 0.25 else [0.0, 0.0], (len(Y), 1))
+
+
 def test_nan_strategy_raises_with_location():
     market = _flat_market()
     cfg = SimulationConfig(dt=0.1, horizon=0.5, n_paths=8, seed=2)
-
-    def broken(t, y, x):
-        return [np.inf, 0.0] if t > 0.25 else [0.0, 0.0]
-
     with pytest.raises(SimulationError) as exc:
-        simulate(market, cfg, broken, y0=[0.0])
+        simulate(market, cfg, _InfiniteAfter(), y0=[0.0])
     assert exc.value.path is not None
     assert exc.value.step is not None
 
@@ -613,7 +630,7 @@ def test_admissibility_affine_optimal_grows_linearly(low_noise_1f):
     totals = []
     for horizon in (1.0, 2.0):
         sol = affine.solve_riccati_closed_form(spec, rp, horizon, affine.FORWARD)
-        strat = AffineOptimalStrategy(sol, market, rp)
+        strat = OptimalStrategy(sol, market, rp)
         cfg = SimulationConfig(dt=0.01, horizon=horizon, n_paths=100, seed=10)
         bundle = simulate(market, cfg, strat, y0=[1.0])
         report = admissibility_check(bundle, strat)
@@ -630,7 +647,7 @@ def test_admissibility_affine_optimal_grows_linearly(low_noise_1f):
 def test_perturbed_strategy_shifts_every_component(canonical_1f):
     market, spec, rp = canonical_1f
     sol = affine.solve_riccati_closed_form(spec, rp, 1.0, affine.FORWARD)
-    base = AffineOptimalStrategy(sol, market, rp)
+    base = OptimalStrategy(sol, market, rp)
     shifted = PerturbedStrategy(base, 0.2)
     Y = np.array([[0.8], [1.2]])
     terms = market_terms(market, Y)
@@ -639,17 +656,11 @@ def test_perturbed_strategy_shifts_every_component(canonical_1f):
                                atol=1e-15)
 
 
-def test_callable_strategy_wraps_scalar_map():
-    strat = CallableStrategy(lambda t, y, x: [0.1 * x, y[0]])
-    out = strat.allocations(0.0, np.array([[2.0], [3.0]]), np.array([1.0, 2.0]), None)
-    np.testing.assert_allclose(out, [[0.1, 2.0], [0.2, 3.0]], atol=1e-15)
-
-
 def test_affine_optimal_strategy_accepts_y_dependent_sigma(canonical_1f):
     market, spec, rp = canonical_1f
     varying = make_tabulated_sigma_model(market)
     sol = affine.solve_riccati_closed_form(spec, rp, 1.0, affine.FORWARD)
-    strategy = AffineOptimalStrategy(sol, varying, rp)
+    strategy = OptimalStrategy(sol, varying, rp)
     Y = np.linspace(0.1, 2.5, 5).reshape(-1, 1)
     pi = strategy.allocations(0.6, Y, np.ones(5), market_terms(varying, Y))
     for i, y in enumerate(Y):
@@ -676,7 +687,7 @@ def test_grid_sigma_of_constant_nodes_matches_constant_sigma(canonical_2f):
     cfg = SimulationConfig(dt=0.02, horizon=0.5, n_paths=64, seed=3)
     runs = []
     for model in (market, tabulated):
-        strategy = AffineOptimalStrategy(sol, model, rp)
+        strategy = OptimalStrategy(sol, model, rp)
         bundle = simulate(model, cfg, strategy, y0=[0.5, 0.4])
         runs.append((bundle, admissibility_check(bundle, strategy)))
     (const, const_report), (grid, grid_report) = runs

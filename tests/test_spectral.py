@@ -15,8 +15,7 @@ from fpplab import affine
 from fpplab.spectral import (EigenfunctionSelection, ExpEigenfunction,
                              ExpMixEigenfunction, InversionResult,
                              SpectralMeasure, TabulatedEigenfunction,
-                             WidderFunction,
-                             fpp_from_measure, invert_laplace_discrete,
+                             WidderFunction, invert_laplace_discrete,
                              radial_ode_diagnostic, recover_selection,
                              solve_eigenfunction_1d)
 
@@ -131,10 +130,10 @@ def test_selection_rejects_eigenfunction_normalized_at_another_y0():
 
 
 # ---------------------------------------------------------------------------
-# fpp_from_measure
+# The Widder FPP through affine.evaluate_fpp
 # ---------------------------------------------------------------------------
 
-def test_fpp_from_measure_matches_affine_in_stationary_case():
+def test_widder_fpp_matches_affine_in_stationary_case():
     # Lambda = 0 with H at the Riccati fixed point -2 (M+N)/L keeps Phi
     # constant, so the affine u is a single synthetic atom with
     # psi(y) = exp(H (y - y0)) and zeta = -(d Theta / dt).
@@ -151,13 +150,13 @@ def test_fpp_from_measure_matches_affine_in_stationary_case():
     zeta = float(spec.w @ spec.H + (rp.Gamma / (2 * rp.q)) * spec.lambda0)
     weight = math.exp(float(spec.H @ y0) + spec.h0)
     nu = SpectralMeasure([zeta], [weight], y0)
-    sel = EigenfunctionSelection((ExpEigenfunction(spec.H, y0),), y0)
+    u = WidderFunction(nu, EigenfunctionSelection((ExpEigenfunction(spec.H, y0),), y0))
 
     for t in (0.0, 0.4, 1.0):
         for x in (0.5, 1.0, 2.0):
             for y in ([0.5], [0.8], [1.3]):
                 direct = affine.evaluate_fpp(sol, rp, t, x, y)
-                mixture = fpp_from_measure(nu, sel, rp, t, x, y)
+                mixture = affine.evaluate_fpp(u, rp, t, x, y)
                 assert mixture == pytest.approx(direct, rel=1e-12)
 
 
@@ -210,7 +209,8 @@ def test_fpp_point_mass_at_time_zero():
     x = 1.7
     expected = rp.gamma ** rp.gamma * x ** (1 - rp.gamma) / (1 - rp.gamma) \
         * sel.psi(0, y0) ** rp.q
-    assert fpp_from_measure(nu, sel, rp, 0.0, x, y0) == pytest.approx(expected, rel=1e-14)
+    value = affine.evaluate_fpp(WidderFunction(nu, sel), rp, 0.0, x, y0)
+    assert value == pytest.approx(expected, rel=1e-14)
 
 
 @pytest.mark.parametrize("gamma", [0.5, 2.0])
@@ -220,8 +220,8 @@ def test_fpp_weight_doubling_scales_by_two_to_q(gamma):
     nu = SpectralMeasure([0.3, 1.0], [0.5, 0.8], y0)
     sel = EigenfunctionSelection(
         (ExpEigenfunction([0.2], y0), ExpEigenfunction([-0.3], y0)), y0)
-    base = fpp_from_measure(nu, sel, rp, 0.6, 1.4, [0.5])
-    doubled = fpp_from_measure(nu.scaled(2.0), sel, rp, 0.6, 1.4, [0.5])
+    base = affine.evaluate_fpp(WidderFunction(nu, sel), rp, 0.6, 1.4, [0.5])
+    doubled = affine.evaluate_fpp(WidderFunction(nu.scaled(2.0), sel), rp, 0.6, 1.4, [0.5])
     assert abs(doubled) == pytest.approx(2.0 ** rp.q * abs(base), rel=1e-13)
 
 

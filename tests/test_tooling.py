@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import fpplab.model
+import fpplab.sim
 from fpplab.affine import AffineSpec
 from fpplab.eve import EveProjection
 from fpplab.model import (_FIELD_FAMILIES, AffineField, Box, CheckResult, CoefficientField,
@@ -166,6 +167,42 @@ def test_pi_star_is_written_once_and_sim_builds_it_from_the_step_terms():
     assert sites == {"affine.py:optimal_portfolio_from_terms"}
     assert "optimal_portfolio_affine" not in _names_used(PACKAGE / "sim.py")
     assert "optimal_portfolio_from_terms" in _names_used(PACKAGE / "sim.py")
+
+
+def _callers(path, name):
+    """Top-level definitions of ``path`` that call ``name``, as file:definition."""
+    return {f"{path.name}:{top.name}" for top in ast.parse(path.read_text()).body
+            for node in ast.walk(top) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+
+
+def _defined_names(path):
+    tree = ast.parse(path.read_text())
+    return ({n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+            | {t.id for n in ast.walk(tree) if isinstance(n, ast.Assign)
+               for t in n.targets if isinstance(t, ast.Name)})
+
+
+def _imports_affine(path):
+    """Whether ``path`` has ``from .affine import ...`` or ``from . import affine``."""
+    return any(isinstance(n, ast.ImportFrom)
+               and (n.module == "affine" or any(alias.name == "affine" for alias in n.names))
+               for n in ast.walk(ast.parse(path.read_text())))
+
+
+def test_one_fpp_interface_for_the_affine_and_widder_u():
+    # V = prefactor(x) u^q is written once, over any u with u(t, Y) and
+    # u.log_gradient(t, Y); spectral's WidderFunction needs nothing from affine.
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert set().union(*(_callers(path, "power_utility_prefactor") for path in paths)) == \
+        {"affine.py:evaluate_fpp"}
+    assert not _imports_affine(PACKAGE / "spectral.py")
+    assert _imports_affine(PACKAGE / "sim.py")      # the check can see an import
+    removed = {"fpp_from_measure", "CallableStrategy", "_as_strategy"}
+    assert [f"{path.name}:{name}" for path in paths
+            for name in sorted(_defined_names(path) & removed)] == []
+    # The benchmark still builds the strategy by its old name: one alias.
+    assert fpplab.sim.AffineOptimalStrategy is fpplab.sim.OptimalStrategy
 
 
 def _sharpe_readers(path):

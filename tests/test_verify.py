@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from fpplab.errors import (ConcavityViolationError, ConfigError,
 from fpplab.model import (GeneratorCoefficients, RiskParams, generator_coefficients,
                           market_terms, sharpe_ratio)
 from fpplab import affine
-from fpplab.sim import (AffineOptimalStrategy, PerturbedStrategy,
+from fpplab.sim import (OptimalStrategy, PerturbedStrategy,
                         SimulationConfig, ZeroStrategy, simulate)
-from fpplab.spectral import (EigenfunctionSelection, ExpMixEigenfunction,
+from fpplab.spectral import (EigenfunctionSelection, ExpEigenfunction, ExpMixEigenfunction,
                              SpectralMeasure, WidderFunction)
 from fpplab.verify import (_excess_kurtosis, affine_u_value_grad, distortion_roundtrip,
                            hjb_residual, martingale_test,
@@ -414,7 +415,7 @@ def _martingale_setup(fixture, n_paths=2000, dt=2e-3):
     cfg = SimulationConfig(dt=dt, horizon=1.0, n_paths=n_paths, seed=314,
                            record_stride=max(1, int(round(0.02 / dt))))
     feval = affine.fpp_evaluator(sol, rp)
-    opt = AffineOptimalStrategy(sol, market, rp)
+    opt = OptimalStrategy(sol, market, rp)
     return market, rp, cfg, feval, opt
 
 
@@ -522,13 +523,82 @@ def test_portfolio_residual_evaluates_and_factors_sigma_once(canonical_1f, monke
 
 def test_optimal_allocation_independent_of_wealth(canonical_1f):
     market, spec, rp, sol = _affine_setup(canonical_1f)
-    strat = AffineOptimalStrategy(sol, market, rp)
+    strat = OptimalStrategy(sol, market, rp)
     Y = np.array([[0.8], [1.1]])
     terms = market_terms(market, Y)
     base = strat.allocations(0.3, Y, np.full(2, 1.0), terms)
     for x in (0.5, 2.0):
         np.testing.assert_array_equal(strat.allocations(0.3, Y, np.full(2, x), terms),
                                       base)
+
+
+# ---------------------------------------------------------------------------
+# A Widder FPP through the one interface: V, pi* and the optimal strategy
+# ---------------------------------------------------------------------------
+
+def _two_atom_widder(fixture):
+    """u = 0.6 e^{-zeta_1 t} psi_1 + 0.4 e^{-zeta_2 t} psi_2 on the market of
+    ``fixture``, with psi_i = e^{v_i (y - 0.5)} for the stationary Riccati
+    roots v = (z_-, z_+) and zeta_i = (w + c) v_i + (Gamma/2q) lambda0.  On
+    canonical_1f, v = (-0.0967, 5.656) and zeta = (-0.0496, 2.251), and u is
+    not exponential-affine."""
+    market, spec, rp = fixture
+    roots = affine.solve_riccati_closed_form(spec, rp, 1.0, affine.FORWARD).components[0]
+    v = np.array([roots.z_minus, roots.z_plus])
+    zetas = float((spec.w + spec.c)[0]) * v + rp.Gamma / (2 * rp.q) * spec.lambda0
+    y0 = np.array([0.5])
+    sel = EigenfunctionSelection(tuple(ExpEigenfunction([r], y0) for r in v), y0)
+    return market, rp, WidderFunction(SpectralMeasure(zetas, [0.6, 0.4], y0), sel)
+
+
+def test_widder_fpp_is_a_martingale_under_its_optimal_strategy(canonical_1f):
+    market, rp, u = _two_atom_widder(canonical_1f)
+    cfg = SimulationConfig(dt=0.01, horizon=1.0, n_paths=10_000, seed=5, record_stride=10)
+    V = affine.fpp_evaluator(u, rp)
+    opt = OptimalStrategy(u, market, rp)
+    report = martingale_test(simulate(market, cfg, opt, y0=[0.5]), V)
+    assert max(abs(b.z) for b in report.buckets) < 4.0
+    # The delta = 0.3 control needs the 10k paths: at 4k it reads only 3.7.
+    control = martingale_test(simulate(market, cfg, PerturbedStrategy(opt, 0.3), y0=[0.5]), V)
+    assert max(abs(b.z) for b in control.buckets) > 5.0
+
+
+def test_widder_portfolio_satisfies_the_optimality_identity(canonical_1f):
+    market, rp, u = _two_atom_widder(canonical_1f)
+
+    def value_grad(t, y):
+        _, value, grad, _ = u.derivatives(t, np.atleast_2d(y))
+        return value[0], grad[0]
+
+    Y = np.array([[0.2], [0.5], [1.3]])
+    for t in (0.0, 0.4, 0.9):
+        # grad u / u moves with y, so this is not the affine case in disguise.
+        assert np.ptp(u.log_gradient(t, Y)) > 0.1
+        stack = affine.optimal_portfolio_affine(u, market, rp, t, Y)
+        for y, pi in zip(Y, stack):
+            np.testing.assert_array_equal(pi, affine.optimal_portfolio_affine(u, market, rp, t, y))
+            assert optimal_portfolio_residual(market, rp, value_grad, t, y, pi) <= 1e-12
+
+
+def test_one_atom_widder_strategy_matches_the_affine_one(canonical_1f):
+    # H at the attracting root z_+ keeps Phi = H, so the affine u is the one
+    # atom zeta = (w + c) H + (Gamma/2q) lambda0 with psi = e^{H (y - y0)}.
+    market, spec, rp = canonical_1f
+    H = affine.solve_riccati_closed_form(spec, rp, 1.0, affine.FORWARD).components[0].z_plus
+    spec = replace(spec, H=[H])
+    sol = affine.solve_riccati_closed_form(spec, rp, 1.0, affine.FORWARD)
+    y0 = np.array([0.5])
+    zeta = float((spec.w + spec.c) @ spec.H + rp.Gamma / (2 * rp.q) * spec.lambda0)
+    u = WidderFunction(SpectralMeasure([zeta], [math.exp(spec.h0 + H * y0[0])], y0),
+                       EigenfunctionSelection((ExpEigenfunction(spec.H, y0),), y0))
+    Y = np.linspace(0.05, 2.0, 7)[:, None]
+    terms = market_terms(market, Y)
+    for t in (0.0, 0.35, 1.0):
+        np.testing.assert_allclose(u(t, Y), sol(t, Y), rtol=1e-12)
+        np.testing.assert_allclose(
+            OptimalStrategy(u, market, rp).allocations(t, Y, np.ones(7), terms),
+            OptimalStrategy(sol, market, rp).allocations(t, Y, np.ones(7), terms),
+            rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("draw", [lambda rng: rng.standard_normal(4000),
