@@ -18,19 +18,27 @@ since the anchor, tau = t forward and tau = horizon - t backward;
 
 When M+N is diagonal each component decouples into a scalar Riccati ODE.
 With D_i = (M+N)_ii^2 - L_i (Gamma/q) Lambda_i > 0 and the stationary roots
-z_{+/-,i} = (-(M+N)_ii +/- sqrt(D_i)) / L_i, let r = z_+ and s = +1 forward,
-r = z_- and s = -1 backward (r is the root that attracts in tau), and
-g = H - r, c = s L g / 2.  The deviation 1/(Phi - r) solves a linear ODE
-(Bernoulli), so with f(tau) = (1 - e^{-sqrt(D) tau}) / sqrt(D)
+z_{+/-,i} = (-(M+N)_ii +/- sqrt(D_i)) / L_i, let r = z_+, r' = z_- and
+s = +1 forward, r = z_-, r' = z_+ and s = -1 backward (r attracts in tau,
+r' repels), and
 
-    Phi_i(tau) = r + g e^{-sqrt(D) tau} / (1 + c f(tau)),
-    int_0^tau Phi_i = r tau + s (2/L) log(1 + c f(tau)),
+    g = H - r,    q = s L (H - r') / (2 sqrt(D)),
 
-and Theta = h0 - s ((Gamma/2q) lambda0 tau + (w+c)^T int_0^tau Phi).  f is
-evaluated through -expm1(-sqrt(D) tau), and sqrt(D) f tends to sqrt(D) tau
-as D -> 0, so the form stays accurate at small discriminants.  1 + c f
-vanishes only when c < -sqrt(D), at the pole
-tau* = -log(1 + sqrt(D)/c) / sqrt(D).
+so q = 1 at H = r and q = 0 at H = r' (this q belongs to the component; it
+is not the risk parameter of Gamma/q).  The deviation 1/(Phi - r) solves a
+linear ODE (Bernoulli), so with E(tau) = e^{-sqrt(D) tau} and the
+denominator d(tau) = E + q (1 - E)
+
+    Phi_i(tau) = r + g E / d(tau),
+    int_0^tau Phi_i = r tau + s (2/L) log d(tau),
+
+and Theta = h0 - s ((Gamma/2q) lambda0 tau + (w+c)^T int_0^tau Phi).  1 - E
+is evaluated through -expm1(-sqrt(D) tau), and q (1 - E) tends to
+s L (H - r') tau / 2 as D -> 0, so the form stays accurate at small
+discriminants.  q is taken from H - r' and sqrt(D), not from the difference
+of the two roots (which cancels at small D), so it is exactly 0 at H = r'
+and a forward run started at the repelling root stays there.  d vanishes
+only when q < 0, at the pole tau* = log1p(-1/q) / sqrt(D).
 """
 from __future__ import annotations
 
@@ -45,7 +53,8 @@ import numpy as np
 from .errors import (ClosedFormInapplicableError, ConfigError,
                      ExponentOverflowError, IntegrationError, RiccatiBlowUpError)
 from .model import (AffineField, Box, ConstantField, Fields, MarketTerms, ModelSpec, RiskParams,
-                    SqrtAffineField, SqrtDiagField, from_params, market_terms, rowwise)
+                    SqrtAffineField, SqrtDiagField, from_params, market_terms, require_shape,
+                    rowwise)
 
 BLOW_UP_THRESHOLD = 1e8
 DIAGONAL_TOL = 1e-12      # AffineSpec.is_diagonal: relative off-diagonal tolerance
@@ -207,12 +216,19 @@ class RiccatiSolution:
 
     def __call__(self, t, y):
         """u(t, y) = exp(Phi(t)^T y + Theta(t)) at one state y (k,) as a
-        float, or at stacked states (P, k) as (P,)."""
-        return u_from_state(self.state(t), y)
+        float, or at stacked states (P, k) as (P,), from one read of z;
+        ExponentOverflowError if the exponent exceeds 700."""
+        z = self.state(t)
+        y = np.asarray(y, dtype=float)
+        expo = y @ z[:-1] + z[-1]
+        if np.any(expo > _EXP_LIMIT):
+            raise ExponentOverflowError(f"exponent {np.max(expo):.6g} exceeds {_EXP_LIMIT:g}")
+        return np.exp(expo) if y.ndim > 1 else float(np.exp(expo))
 
     def log_gradient(self, t, Y):
-        """grad_y u / u = Phi(t), shape (k,): the same at every state."""
-        return self.Phi(t)
+        """grad_y u / u at the stacked states Y (P, k): Phi(t), read once and
+        broadcast to a read-only (P, k) view."""
+        return np.broadcast_to(self.Phi(t), (np.shape(Y)[0], self.spec.k))
 
     @property
     def anchor_time(self) -> float:
@@ -319,15 +335,14 @@ def solve_riccati_closed_form(spec: AffineSpec, rp: RiskParams, horizon: float,
     sq = np.sqrt(disc)
     z_plus = (-mn + sq) / L
     z_minus = (-mn - sq) / L
-    s = 1.0 if direction == FORWARD else -1.0
-    r = z_plus if direction == FORWARD else z_minus
+    s, r, r_other = ((1.0, z_plus, z_minus) if direction == FORWARD
+                     else (-1.0, z_minus, z_plus))
     g = spec.H - r
-    c = s * L * g / 2.0
-    q = 1.0 + c / sq
+    q = s * L * (spec.H - r_other) / (2.0 * sq)
 
     pole = np.full(spec.k, np.inf)
-    blows = c < -sq
-    pole[blows] = -np.log1p(sq[blows] / c[blows]) / sq[blows]
+    blows = q < 0
+    pole[blows] = np.log1p(-1.0 / q[blows]) / sq[blows]
     first = int(np.argmin(pole))
     if pole[first] <= horizon:
         raise RiccatiBlowUpError(to_t(float(pole[first])), component=first)
@@ -336,9 +351,8 @@ def solve_riccati_closed_form(spec: AffineSpec, rp: RiskParams, horizon: float,
     wc = spec.w + spec.c
 
     def state_impl(tau):
-        # e^{-sqrt(D) tau} and 1 + c f(tau) = e^{-sqrt(D) tau} + q sqrt(D) f(tau),
-        # a sum of two terms >= 0 when there is no pole, so rounding cannot
-        # take it through zero (H = z_- on a forward run gives q = 0).
+        # E = e^{-sqrt(D) tau} and d = E + q (1 - E), a sum of two terms >= 0
+        # when there is no pole, so rounding cannot take it through zero.
         x = np.outer(tau, sq)
         e = np.exp(-x)
         denom = e - q * np.expm1(-x)
@@ -399,30 +413,14 @@ def riccati_residual(sol: RiccatiSolution, times=None):
 # ---------------------------------------------------------------------------
 #
 # An FPP u is any object with ``u(t, Y)`` and ``u.log_gradient(t, Y)`` =
-# grad_y u / u on stacked states Y (P, k): a ``RiccatiSolution`` (whose
-# log-gradient is Phi(t), shape (k,)) or a ``spectral.WidderFunction``
-# (shape (P, k)).  V and pi* below are written once over that interface.
+# grad_y u / u, shape (P, k), on stacked states Y (P, k): a
+# ``RiccatiSolution`` (Phi(t) broadcast to every state) or a
+# ``spectral.WidderFunction``.  V and pi* below, and the optimality identity
+# of ``verify``, read u through these two calls only.
 
 def evaluate_u_affine(sol: RiccatiSolution, t: float, y) -> float | np.ndarray:
-    """u(t, y) = exp(Phi(t)^T y + Theta(t)), positive by construction.
-
-    ``y`` may be a single point (k,) or a stack (P, k).
-
-    Raises
-    ------
-    ExponentOverflowError
-        If the exponent exceeds 700 (double-precision overflow).
-    """
+    """u(t, y) = ``sol(t, y)`` at a single point (k,) or a stack (P, k)."""
     return sol(t, y)
-
-
-def u_from_state(z, y) -> float | np.ndarray:
-    """exp(Phi^T y + Theta) for one Riccati state z = (Phi, Theta), overflow checked."""
-    y = np.asarray(y, dtype=float)
-    expo = y @ z[..., :-1] + z[..., -1]
-    if np.any(np.asarray(expo) > _EXP_LIMIT):
-        raise ExponentOverflowError(f"exponent {np.max(expo):.6g} exceeds {_EXP_LIMIT:g}")
-    return np.exp(expo) if y.ndim > 1 else float(np.exp(expo))
 
 
 def power_utility_prefactor(rp: RiskParams, x) -> np.ndarray:
@@ -461,15 +459,15 @@ def optimal_portfolio_affine(u, model_spec: ModelSpec, rp: RiskParams, t: float,
     Raises
     ------
     ConfigError
-        If the last axis of ``y`` is not the model's k.
+        If ``y`` or grad_y u / u does not have the model's k factors.
     SingularModelError
         If sigma(y) has rank below n at some point.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.shape[-1] != model_spec.k:
-        raise ConfigError(f"y has shape {y.shape}; the model has k={model_spec.k} factors")
-    phi = u.log_gradient(t, np.atleast_2d(y))
-    pi = optimal_portfolio_from_terms(market_terms(model_spec, y), rp, phi)
+    k = model_spec.k
+    require_shape(y, (k,) if y.ndim == 1 else (len(y), k))
+    Y = np.atleast_2d(y)
+    pi = optimal_portfolio_from_terms(market_terms(model_spec, Y), rp, u.log_gradient(t, Y))
     return pi[0] if y.ndim == 1 else pi
 
 
@@ -477,10 +475,11 @@ def optimal_portfolio_from_terms(terms: MarketTerms, rp: RiskParams,
                                  phi: np.ndarray) -> np.ndarray:
     """pi* = sigma^- (lambda + q rho kappa phi) / gamma, shape (P, n), from
     the coefficients (rho included) of ``terms.spec`` at P states and the
-    log-gradient phi = grad_y u / u, one (k,) for every state or one row
-    (P, k) per state.  The one place the expression is written."""
+    log-gradient phi = grad_y u / u (P, k), refused with ``ConfigError``
+    unless k is the model's.  The one place the expression is written."""
     P, _, k = terms.kappa.shape
-    kap_phi = np.einsum("pbk,pk->pb", terms.kappa, np.broadcast_to(phi, (P, k)))   # (P, d_B)
+    require_shape(phi, (P, k), "grad_y u / u")
+    kap_phi = np.einsum("pbk,pk->pb", terms.kappa, phi)   # (P, d_B)
     return rowwise(terms.sigma_pinv, terms.lam + rp.q * kap_phi @ terms.spec.rho.T) / rp.gamma
 
 

@@ -116,6 +116,15 @@ def _parse_grid(text):
         raise ConfigError(f"grid must be 'lo:hi:n', got '{text}'")
 
 
+def _load_affine_spec(path, model):
+    """The affine spec at ``path``, refused unless it has the model's factors."""
+    spec = affine.AffineSpec.load(path)
+    if spec.k != model.k:
+        raise ConfigError(f"affine spec {path} has k={spec.k} factors; "
+                          f"the model has k={model.k}")
+    return spec
+
+
 def _risk_params(args):
     return RiskParams(gamma=args.gamma, p=args.p)
 
@@ -152,7 +161,7 @@ def _make_strategy(args, model):
     elif name == "affine-optimal":
         if not args.affine:
             raise ConfigError("affine-optimal strategy requires --affine")
-        sol = _solve(args, affine.AffineSpec.load(args.affine))
+        sol = _solve(args, _load_affine_spec(args.affine, model))
         base = simmod.OptimalStrategy(sol, model, _risk_params(args))
     else:
         raise ConfigError(f"unknown strategy '{name}'")
@@ -199,9 +208,8 @@ def affine_solve(args, out_dir):
 
 
 def affine_portfolio(args, out_dir):
-    spec = affine.AffineSpec.load(args.spec)
     model = ModelSpec.load(args.model)
-    sol = _solve(args, spec)
+    sol = _solve(args, _load_affine_spec(args.spec, model))
     y = _parse_floats(args.y)
     pi = affine.optimal_portfolio_affine(sol, model, _risk_params(args), args.t, y)
     payload = {"t": args.t, "y": y.tolist(), "pi": pi.tolist()}
@@ -278,7 +286,7 @@ def sim_feynman_kac(args, out_dir):
     model = ModelSpec.load(args.model)
     cfg = _sim_config(args)
     gen = generator_coefficients(model, _risk_params(args))
-    spec = affine.AffineSpec.load(args.affine) if args.affine else None
+    spec = _load_affine_spec(args.affine, model) if args.affine else None
     y = _parse_floats(args.y)
     h = spec.h if spec is not None else (lambda Y: np.ones(len(Y)))
     est, se = simmod.feynman_kac_estimate(gen, h, args.t, y, cfg, domain=model.domain)
@@ -290,7 +298,7 @@ def sim_feynman_kac(args, out_dir):
 
 def verify_residual(args, out_dir):
     model = ModelSpec.load(args.model)
-    sol = _solve(args, affine.AffineSpec.load(args.affine))
+    sol = _solve(args, _load_affine_spec(args.affine, model))
     rp = _risk_params(args)
     t_vals = np.linspace(0.05 * args.horizon, 0.95 * args.horizon, args.t_points)
     y_grid = model.domain.interior_grid(points_per_dim=args.y_points)

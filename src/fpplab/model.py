@@ -54,6 +54,14 @@ def require_int(data: dict, key: str, what: str) -> int:
     return int(value)
 
 
+def require_shape(a, shape: tuple, what: str = "y", owner: str = "model") -> None:
+    """Raise ``ConfigError`` unless ``a`` has ``shape``, whose last entry is
+    the factor count k of the ``owner``; the message names both, as in
+    "y has shape (3,); the model has k=2 factors"."""
+    if np.shape(a) != shape:
+        raise ConfigError(f"{what} has shape {np.shape(a)}; the {owner} has k={shape[-1]} factors")
+
+
 def _json_keys(cls):
     """Keys of the JSON form of ``cls`` in order, written and read alike: the
     ``params`` it declares or else its dataclass fields."""

@@ -39,7 +39,7 @@ import numpy as np
 from .affine import optimal_portfolio_from_terms
 from .errors import ConfigError, SimulationError
 from .model import (Box, Fields, GeneratorCoefficients, MarketTerms, ModelSpec, RiskParams,
-                    market_terms, plain, require, require_int, rowwise)
+                    market_terms, plain, require, require_int, require_shape, rowwise)
 
 BOUNDARY_POLICIES = ("full-truncation", "absorb", "reflect")
 _BLOCK_SIZE = 4096
@@ -147,12 +147,14 @@ class ConstantStrategy(Strategy):
 class OptimalStrategy(Strategy):
     """pi*(t, y) = sigma(y)^- (lambda(y) + q rho kappa(y) grad_y u / u) / gamma
     of ``model`` for the FPP u, built by ``optimal_portfolio_from_terms`` from
-    ``u.log_gradient(t, Y)``: Phi(t) once per step for a ``RiccatiSolution``,
-    one row per path for a ``WidderFunction``.  sigma may depend on y.  The
-    step's terms are used when they are ``model``'s; a strategy run under
-    another market (a misspecified one) evaluates its own model at Y, so every
-    coefficient of pi*, rho included, comes from the terms of its own model
-    and pi* never mixes two models.
+    ``u.log_gradient(t, Y)`` (P, k): Phi(t) once per step, broadcast to every
+    path, for a ``RiccatiSolution``, one row per path for a
+    ``WidderFunction``; a u whose k is not the model's raises ``ConfigError``
+    at the first step.  sigma may depend on y.  The step's terms are used
+    when they are ``model``'s; a strategy run under another market (a
+    misspecified one) evaluates its own model at Y, so every coefficient of
+    pi*, rho included, comes from the terms of its own model and pi* never
+    mixes two models.
     """
 
     name = "optimal"
@@ -359,8 +361,7 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
     if y0 is None:
         y0 = model.domain.interior_grid(points_per_dim=1)[0]
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    if y0.shape != (model.k,):
-        raise ConfigError(f"y0 has shape {y0.shape}; the model has k={model.k} factors")
+    require_shape(y0, (model.k,), "y0")
     if x0 <= 0:
         raise ConfigError("initial wealth must be positive")
 
@@ -404,7 +405,9 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
                 clipped += int(np.count_nonzero(left))
             terms = market_terms(model, Yeval)
             pi = np.atleast_2d(strategy.allocations(i * dt, Yeval, np.exp(logX), terms))
-            sigpi, sp_lam, sp_sq = _wealth_terms(terms, pi)
+            # A non-finite allocation is reported by _require_finite below.
+            with np.errstate(invalid="ignore"):
+                sigpi, sp_lam, sp_sq = _wealth_terms(terms, pi)
 
             dW = noise[:, i, :model.d_W] * sqdt
             dWp = noise[:, i, model.d_W:] * sqdt
@@ -465,8 +468,7 @@ def feynman_kac_estimate(gen: GeneratorCoefficients, h: Callable, t: float,
         raise ConfigError("generator carries no kappa_batch; Feynman-Kac steps "
                           "with kappa^T dB")
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.shape != (gen.k,):
-        raise ConfigError(f"y has shape {y.shape}; the generator has k={gen.k} factors")
+    require_shape(y, (gen.k,), owner="generator")
     if domain is None:
         domain = Box(np.full(y.size, -np.inf), np.full(y.size, np.inf))
     d_B = gen.kappa_batch(y[None]).shape[1]

@@ -106,7 +106,8 @@ class Eigenfunction(Fields):
 
     Subclasses implement ``batch(Y) -> (P,)`` on stacked states Y (P, k), and
     the derivative-capable kinds (exp, expmix, ode) also
-    ``derivatives(Y) -> (psi (P,), grad (P, k), Hess (P, k, k))``.  A single
+    ``derivatives(Y) -> (psi (P,), grad (P, k), Hess (P, k, k))``; the others
+    (tabulated) raise ``ConfigError`` naming their kind from it.  A single
     state (k,) is the one-row view of ``batch``.  A kind declares ``params``,
     its constructor arguments before ``y0`` (the selection stores y0), each
     kept as an attribute; the JSON form is the ``kind`` tag plus those params.
@@ -122,6 +123,9 @@ class Eigenfunction(Fields):
 
     def batch(self, Y) -> np.ndarray:
         raise NotImplementedError
+
+    def derivatives(self, Y):
+        raise ConfigError(f"eigenfunction kind '{self.kind}' has no derivatives")
 
     def to_json(self) -> dict:
         if self.params is None:
@@ -297,7 +301,8 @@ class EigenfunctionSelection(Fields):
     def defect(self, gen: GeneratorCoefficients, zetas, grid) -> float:
         """max over atoms and grid points of |(L - zeta_i) psi_i|.
 
-        Requires derivative-capable eigenfunctions (exp, expmix, ode).
+        Requires derivative-capable eigenfunctions (exp, expmix, ode); any
+        other kind raises ``ConfigError``.
         """
         Y = np.atleast_2d(grid)
         a, b, P = gen.a_batch(Y), gen.b_batch(Y), gen.P_batch(Y)

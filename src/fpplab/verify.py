@@ -20,10 +20,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .affine import u_from_state
 from .errors import (ConcavityViolationError, ConfigError,
                      InsufficientSampleError, PositivityError)
-from .model import Fields, GeneratorCoefficients, ModelSpec, RiskParams, market_terms
+from .model import (Fields, GeneratorCoefficients, ModelSpec, RiskParams, market_terms,
+                    require_shape, rowwise)
 from .sim import PathBundle
 
 
@@ -349,27 +349,28 @@ def martingale_test(bundle: PathBundle, fpp_eval: Callable,
 # Optimal-portfolio identity
 # ---------------------------------------------------------------------------
 
-def optimal_portfolio_residual(model: ModelSpec, rp: RiskParams,
-                               u_value_grad: Callable, t: float, y,
+def optimal_portfolio_residual(model: ModelSpec, rp: RiskParams, u, t: float, y,
                                pi) -> float:
-    """|| sigma(y) pi - (1/gamma)(lambda + q rho kappa grad_y u / u) ||.
-
-    ``u_value_grad(t, y)`` must return the pair (u, grad_y u).
-    """
+    """Largest row norm of sigma(y) pi - (lambda + q rho kappa grad_y u / u) / gamma
+    for the FPP u at one state y (k,) with pi (n,), or at a stack (P, k) with
+    (P, n), from one evaluation of the market and of ``u.log_gradient``;
+    ``ConfigError`` if y or grad_y u / u lacks the model's k factors or pi
+    does not have one row per state."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    pi = np.atleast_1d(np.asarray(pi, dtype=float))
-    terms = market_terms(model, y)
-    u0, grad = u_value_grad(t, y)
-    hedge = model.rho @ (terms.kappa[0] @ (np.atleast_1d(grad) / u0))
-    target = (terms.lam[0] + rp.q * hedge) / rp.gamma
-    return float(np.linalg.norm(terms.sigma @ pi - target))
+    require_shape(y, (model.k,) if y.ndim == 1 else (len(y), model.k))
+    Y = np.atleast_2d(y)
+    terms = market_terms(model, Y)
+    phi = u.log_gradient(t, Y)
+    require_shape(phi, (len(Y), model.k), "grad_y u / u")
+    hedge = np.einsum("pbk,pk->pb", terms.kappa, phi) @ model.rho.T
+    target = (terms.lam + rp.q * hedge) / rp.gamma
+    pi = np.asarray(pi, dtype=float)
+    if pi.shape != y.shape[:-1] + (model.n,):
+        raise ConfigError(f"pi has shape {pi.shape}; y has shape {y.shape} and the "
+                          f"model n={model.n}")
+    return float(np.max(np.linalg.norm(rowwise(terms.sigma, np.atleast_2d(pi)) - target, axis=1)))
 
 
-def affine_u_value_grad(sol) -> Callable:
-    """(t, y) -> (u, grad_y u = u Phi(t)) from one read of the Riccati state."""
-    def fn(t, y):
-        z = sol.state(t)
-        u0 = u_from_state(z, y)
-        return u0, u0 * z[..., :-1]
-
-    return fn
+# The name the benchmark builds the residual's u by.
+def affine_u_value_grad(sol):
+    return sol

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -251,11 +252,27 @@ def test_closed_form_solves_h_equal_to_z_minus():
     np.testing.assert_allclose(long.Theta(ts), -0.3 * z_minus * ts, rtol=1e-12, atol=1e-14)
 
 
+@settings(max_examples=60, deadline=None)
+@given(m=st.floats(-8.0, -0.1), L=st.floats(0.05, 2.0), Lam=st.floats(0.0, 1.0),
+       w=st.floats(0.0, 1.0), gamma=st.floats(1.2, 6.0), p=st.floats(0.0, 1.0))
+def test_forward_run_started_at_the_repelling_root_stays_there(m, L, Lam, w, gamma, p):
+    # q = L (H - z_-) / (2 sqrt(D)) is exactly 0 at H = z_-, so rounding is not
+    # amplified by e^{sqrt(D) t}; gamma > 1 keeps D >= m^2 > 0.
+    rp = RiskParams(gamma=gamma, p=p)
+    _, spec = affine.canonical_affine_market(M=[[m]], w=[w], L=[L], Lambda=[Lam],
+                                             lambda0=0.04, H=[-100.0], rp=rp)
+    # Backward from H far below z_+ has no pole; it gives the solver's roots.
+    z_minus = solve_riccati_closed_form(spec, rp, 2.0, BACKWARD).components[0].z_minus
+    sol = solve_riccati_closed_form(replace(spec, H=[z_minus]), rp, 2.0, FORWARD)
+    drift = np.max(np.abs(sol.Phi(np.linspace(0.0, 2.0, 41)) - z_minus))
+    assert drift <= 1e-12 * max(1.0, abs(z_minus))
+
+
 def test_closed_form_pole_raises_blow_up():
     # Same tan instance as the numeric blow-up, via the explicit solution.
     rp = RiskParams(gamma=0.5, p=0.0)
-    # D = 9 - 8 = 1 > 0; H just below z_minus puts c below -sqrt(D), so the
-    # denominator 1 + c f(t) crosses zero inside a long horizon.
+    # D = 9 - 8 = 1 > 0; H just below z_minus makes q < 0, so the
+    # denominator E + q (1 - E) crosses zero inside a long horizon.
     zm = solve_riccati_closed_form(
         _spec(M=[[-3.0]], L=[4.0], Lambda=[2.0]), rp, 0.05, FORWARD)
     z_minus = zm.components[0].z_minus
@@ -334,8 +351,9 @@ def test_closed_form_matches_ode_near_zero_discriminant(z, L, dH, h0, D, horizon
                  lambda0=0.01, H=[z + dH], h0=h0)
     assume(0.0 < m * m - L * spec.Lambda[0] <= 1e-15)
     for direction in (FORWARD, BACKWARD):
-        # |c| <= 0.375 puts any pole beyond tau = 2.6; still keep away from
-        # fast growth toward it, where the ODE's own error nears 1e-9.
+        # |q| sqrt(D) = L |H - r'| / 2 <= 0.375 puts any pole beyond tau = 2.6;
+        # still keep away from fast growth toward it, where the ODE's own
+        # error nears 1e-9.
         cf = solve_riccati_closed_form(spec, rp, horizon, direction)
         if np.max(np.abs(cf.Phi(np.linspace(0.0, horizon, 41)) - spec.H)) > 0.5:
             continue
@@ -549,8 +567,8 @@ def test_portfolio_on_a_stack_equals_per_point_calls_and_strategy(canonical_2f):
 
 
 def test_riccati_solution_is_an_fpp_u_and_pi_takes_phi_per_state(canonical_2f):
-    # u(t, Y) and its log-gradient Phi(t) (k,); one phi row per state gives
-    # bit for bit the allocation of the shared phi.
+    # u(t, Y) and its log-gradient, Phi(t) broadcast to a read-only (P, k)
+    # view; one copied phi row per state gives bit for bit the same allocation.
     market, spec, rp = canonical_2f
     sol = solve_riccati_closed_form(spec, rp, 1.0, FORWARD)
     Y = np.random.default_rng(4).uniform(0.1, 2.0, size=(5, 2))
@@ -559,9 +577,28 @@ def test_riccati_solution_is_an_fpp_u_and_pi_takes_phi_per_state(canonical_2f):
         np.testing.assert_array_equal(sol(t, Y), evaluate_u_affine(sol, t, Y))
         assert sol(t, Y[0]) == evaluate_u_affine(sol, t, Y[0])
         phi = sol.log_gradient(t, Y)
-        np.testing.assert_array_equal(phi, sol.Phi(t))
-        np.testing.assert_array_equal(optimal_portfolio_from_terms(terms, rp, np.tile(phi, (5, 1))),
+        assert phi.shape == (5, 2) and not phi.flags.writeable
+        np.testing.assert_array_equal(phi, np.tile(sol.Phi(t), (5, 1)))
+        np.testing.assert_array_equal(optimal_portfolio_from_terms(terms, rp, phi.copy()),
                                       optimal_portfolio_from_terms(terms, rp, phi))
+
+
+@pytest.mark.parametrize("shape", [(2,), (1, 2), (5, 1), (5, 3)])
+def test_pi_refuses_a_log_gradient_not_shaped_p_by_k(canonical_2f, shape):
+    # Only (P, k) is read: a shared (k,) row or a wrong k is not broadcast.
+    market, spec, rp = canonical_2f
+    terms = market_terms(market, np.full((5, 2), 0.5))
+    with pytest.raises(ConfigError, match=rf"has shape \({shape[0]},.*the model has k=2"):
+        optimal_portfolio_from_terms(terms, rp, np.zeros(shape))
+
+
+def test_one_factor_u_on_a_two_factor_market_is_refused(canonical_1f, canonical_2f):
+    # Phi (1,) of a one-factor spec was broadcast across both factors.
+    market, _, rp = canonical_2f
+    _, spec, _ = canonical_1f
+    sol = solve_riccati_closed_form(spec, rp, 1.0, FORWARD)
+    with pytest.raises(ConfigError, match=r"has shape \(1, 1\); the model has k=2"):
+        optimal_portfolio_affine(sol, market, rp, 0.4, [0.5, 0.5])
 
 
 def test_portfolio_with_y_dependent_sigma_matches_formula(canonical_1f):

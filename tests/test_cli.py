@@ -309,6 +309,29 @@ def test_affine_portfolio_of_the_wrong_length_exits_one(workdir, capsys, y):
     assert f"y has shape ({len(y.split(','))},)" in err and "k=2" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["affine", "portfolio", "--spec", "aspec.json", "--horizon", "1.0", "--t", "0.4",
+     "--y", "0.5,0.5"],
+    ["sim", "run", "--strategy", "affine-optimal", "--affine", "aspec.json",
+     "--config", "simcfg.json"],
+    ["sim", "feynman-kac", "--affine", "aspec.json", "--config", "simcfg.json",
+     "--t", "0.5", "--y", "0.5,0.5"],
+    ["verify", "residual", "--which", "hjb", "--affine", "aspec.json"],
+])
+def test_one_factor_spec_on_a_two_factor_model_exits_one(workdir, capsys, argv):
+    # Before the check, two of these exited 0 with Phi broadcast across both
+    # factors and two exited 1 with numpy's matmul message.
+    market, _ = affine.canonical_affine_market(
+        M=np.diag([-0.5, -0.8]), w=[0.4, 0.5], L=[0.2, 0.15], Lambda=[0.16, 0.09],
+        lambda0=0.04, H=[-0.3, 0.2], rp=RiskParams(gamma=2.0, p=0.25))
+    market.save(workdir / "model2f.json")
+    assert main([*argv, "--model", "model2f.json", "--gamma", "2.0", "--p", "0.25",
+                 "--out", "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "affine spec aspec.json has k=1 factors; the model has k=2" in err
+
+
 # (file, path to the JSON object, key dropped from it); at the parent every
 # case raised an uncaught KeyError out of main.
 _MISSING_KEY_CASES = [

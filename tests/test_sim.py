@@ -375,13 +375,24 @@ class _InfiniteAfter(Strategy):
         return np.tile([np.inf, 0.0] if t > 0.25 else [0.0, 0.0], (len(Y), 1))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_nan_strategy_raises_with_location():
+    # The error names the first bad (path, step), with no numpy warning first.
     market = _flat_market()
     cfg = SimulationConfig(dt=0.1, horizon=0.5, n_paths=8, seed=2)
     with pytest.raises(SimulationError) as exc:
         simulate(market, cfg, _InfiniteAfter(), y0=[0.0])
-    assert exc.value.path is not None
-    assert exc.value.step is not None
+    assert (exc.value.path, exc.value.step) == (0, 3)
+
+
+def test_optimal_strategy_of_a_one_factor_u_on_a_two_factor_market_is_refused(
+        canonical_1f, canonical_2f):
+    market, _, rp = canonical_2f
+    _, spec, _ = canonical_1f
+    sol = affine.solve_riccati_closed_form(spec, rp, 1.0, affine.FORWARD)
+    cfg = SimulationConfig(dt=0.1, horizon=0.5, n_paths=4, seed=2)
+    with pytest.raises(ConfigError, match=r"has shape \(4, 1\); the model has k=2"):
+        simulate(market, cfg, OptimalStrategy(sol, market, rp))
 
 
 def test_boundary_absorb_freezes_paths():

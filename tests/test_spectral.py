@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from fpplab.errors import (ConditioningError, ConfigError,
                            InconsistentDataError, NonRepresentableError,
                            PositivityError)
-from fpplab.model import RiskParams, generator_coefficients
+from fpplab.model import RiskParams, generator_coefficients, market_terms
 from fpplab import affine
 from fpplab.spectral import (EigenfunctionSelection, ExpEigenfunction,
                              ExpMixEigenfunction, InversionResult,
@@ -503,6 +503,26 @@ def test_recover_selection_constant_eigenfunctions():
     for y in (-0.5, 0.0, 0.5):
         for i in range(2):
             assert rec.psi(i, [y]) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_recovered_selection_has_no_derivatives_and_says_so(canonical_1f):
+    # A recovered selection is tabulated: every reader of its derivatives
+    # raises ConfigError naming the kind, not AttributeError.
+    from fpplab.sim import OptimalStrategy
+
+    nu, _, points, series = _recovery_setup()
+    rec = recover_selection(series, nu)
+    u = WidderFunction(nu, rec)
+    Y = np.array(points)[:, None]
+    market, _, rp = canonical_1f
+    calls = [lambda: u.derivatives(0.2, Y), lambda: u.log_gradient(0.2, Y),
+             lambda: affine.optimal_portfolio_affine(u, market, rp, 0.2, Y),
+             lambda: OptimalStrategy(u, market, rp).allocations(
+                 0.2, Y, np.ones(len(Y)), market_terms(market, Y)),
+             lambda: rec.defect(generator_coefficients(market, rp), nu.zetas, Y)]
+    for call in calls:
+        with pytest.raises(ConfigError, match="eigenfunction kind 'tabulated' has no derivatives"):
+            call()
 
 
 def test_recover_selection_rejects_inconsistent_series():

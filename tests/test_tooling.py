@@ -205,6 +205,26 @@ def test_one_fpp_interface_for_the_affine_and_widder_u():
     assert fpplab.sim.AffineOptimalStrategy is fpplab.sim.OptimalStrategy
 
 
+def _body_without_docstring(path, name):
+    fn = next(n for n in ast.parse(path.read_text()).body
+              if isinstance(n, ast.FunctionDef) and n.name == name)
+    body = fn.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    return body
+
+
+def test_the_optimality_identity_reads_u_through_the_fpp_interface():
+    # optimal_portfolio_residual takes the FPP u itself, so verify knows
+    # nothing of the Riccati state layout z = (Phi, Theta).
+    assert not _imports_affine(PACKAGE / "verify.py")
+    assert [path.name for path in sorted(PACKAGE.glob("*.py"))
+            if "u_from_state" in _defined_names(path)] == []
+    # The benchmark still passes the residual's u by this name: one return.
+    body = _body_without_docstring(PACKAGE / "verify.py", "affine_u_value_grad")
+    assert len(body) == 1 and isinstance(body[0], ast.Return)
+
+
 def _sharpe_readers(path):
     """Top-level definitions that read ``.Lambda`` or ``.lambda0``."""
     tree = ast.parse(path.read_text())

@@ -16,9 +16,8 @@ from fpplab.sim import (OptimalStrategy, PerturbedStrategy,
                         SimulationConfig, ZeroStrategy, simulate)
 from fpplab.spectral import (EigenfunctionSelection, ExpEigenfunction, ExpMixEigenfunction,
                              SpectralMeasure, WidderFunction)
-from fpplab.verify import (_excess_kurtosis, affine_u_value_grad, distortion_roundtrip,
-                           hjb_residual, martingale_test,
-                           optimal_portfolio_residual)
+from fpplab.verify import (_excess_kurtosis, distortion_roundtrip, hjb_residual,
+                           martingale_test, optimal_portfolio_residual)
 
 from conftest import count_calls, make_tabulated_sigma_model
 
@@ -477,8 +476,7 @@ def test_portfolio_residual_zero_for_constructed_portfolio(canonical_1f):
     for t in (0.0, 0.4, 0.9):
         for y in ([0.5], [1.0], [1.7]):
             pi = affine.optimal_portfolio_affine(sol, market, rp, t, y)
-            res = optimal_portfolio_residual(market, rp,
-                                             affine_u_value_grad(sol), t, y, pi)
+            res = optimal_portfolio_residual(market, rp, sol, t, y, pi)
             assert res <= 1e-10
 
 
@@ -487,8 +485,7 @@ def test_portfolio_residual_of_myopic_strategy_is_hedging_norm(canonical_1f):
     t, y = 0.4, np.array([0.9])
     sig = market.sigma(y)
     myopic = np.linalg.solve(sig.T @ sig, market.mu(y)) / rp.gamma
-    res = optimal_portfolio_residual(market, rp, affine_u_value_grad(sol),
-                                     t, y, myopic)
+    res = optimal_portfolio_residual(market, rp, sol, t, y, myopic)
     expected = (rp.q / rp.gamma) * np.linalg.norm(
         market.rho @ (market.kappa(y) @ sol.Phi(t)))
     assert res == pytest.approx(expected, rel=1e-12)
@@ -504,8 +501,7 @@ def test_portfolio_residual_p_zero_myopic_is_optimal():
     y = np.array([0.9])
     sig = market.sigma(y)
     myopic = np.linalg.solve(sig.T @ sig, market.mu(y)) / rp.gamma
-    res = optimal_portfolio_residual(market, rp, affine_u_value_grad(sol),
-                                     0.4, y, myopic)
+    res = optimal_portfolio_residual(market, rp, sol, 0.4, y, myopic)
     assert res <= 1e-14
 
 
@@ -516,9 +512,45 @@ def test_portfolio_residual_evaluates_and_factors_sigma_once(canonical_1f, monke
     pi = affine.optimal_portfolio_affine(sol, varying, rp, 0.4, y)
     sigma_calls = count_calls(monkeypatch, varying.sigma, "batch")
     svds = count_calls(monkeypatch, fpplab.model, "_pinv_and_rank")
-    res = optimal_portfolio_residual(varying, rp, affine_u_value_grad(sol), 0.4, y, pi)
+    res = optimal_portfolio_residual(varying, rp, sol, 0.4, y, pi)
     assert (len(sigma_calls), len(svds)) == (1, 1)
     assert res <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ["riccati", "widder"])
+def test_portfolio_residual_on_a_stack_is_one_market_call_and_the_worst_row(
+        canonical_1f, monkeypatch, kind):
+    if kind == "widder":
+        market, rp, u = _two_atom_widder(canonical_1f)
+    else:
+        market, _, rp, u = _affine_setup(canonical_1f)
+    Y = np.array([[0.2], [0.5], [0.9], [1.3]])
+    # Off the optimum by a different amount in each row.
+    pi = affine.optimal_portfolio_affine(u, market, rp, 0.4, Y) + 0.01 * np.arange(4)[:, None]
+    rows = [optimal_portfolio_residual(market, rp, u, 0.4, y, p) for y, p in zip(Y, pi)]
+    assert len(set(rows)) == 4
+    calls = count_calls(monkeypatch, fpplab.verify, "market_terms")
+    res = optimal_portfolio_residual(market, rp, u, 0.4, Y, pi)
+    assert len(calls) == 1
+    assert res == pytest.approx(max(rows), rel=1e-13)
+
+
+def test_portfolio_residual_refuses_a_u_of_another_factor_count(canonical_1f, canonical_2f):
+    market, _, rp = canonical_2f
+    sol = _affine_setup(canonical_1f)[3]
+    with pytest.raises(ConfigError, match=r"has shape \(1, 1\); the model has k=2"):
+        optimal_portfolio_residual(market, rp, sol, 0.4, [0.5, 0.5], np.zeros(market.n))
+    with pytest.raises(ConfigError, match=r"y has shape \(3,\); the model has k=2"):
+        optimal_portfolio_residual(market, rp, sol, 0.4, [0.5, 0.5, 0.5], np.zeros(market.n))
+
+
+def test_portfolio_residual_refuses_one_pi_for_a_stack_of_states(canonical_1f):
+    # One allocation is not compared with every row of the stack.
+    market, _, rp, sol = _affine_setup(canonical_1f)
+    Y = np.array([[0.5], [0.9]])
+    pi = affine.optimal_portfolio_affine(sol, market, rp, 0.4, Y)
+    with pytest.raises(ConfigError, match=r"pi has shape \(2,\); y has shape \(2, 1\)"):
+        optimal_portfolio_residual(market, rp, sol, 0.4, Y, pi[0])
 
 
 def test_optimal_allocation_independent_of_wealth(canonical_1f):
@@ -536,8 +568,8 @@ def test_optimal_allocation_independent_of_wealth(canonical_1f):
 # A Widder FPP through the one interface: V, pi* and the optimal strategy
 # ---------------------------------------------------------------------------
 
-def _two_atom_widder(fixture):
-    """u = 0.6 e^{-zeta_1 t} psi_1 + 0.4 e^{-zeta_2 t} psi_2 on the market of
+def _two_atom_widder(fixture, weights=(0.6, 0.4)):
+    """u = w_1 e^{-zeta_1 t} psi_1 + w_2 e^{-zeta_2 t} psi_2 on the market of
     ``fixture``, with psi_i = e^{v_i (y - 0.5)} for the stationary Riccati
     roots v = (z_-, z_+) and zeta_i = (w + c) v_i + (Gamma/2q) lambda0.  On
     canonical_1f, v = (-0.0967, 5.656) and zeta = (-0.0496, 2.251), and u is
@@ -548,7 +580,7 @@ def _two_atom_widder(fixture):
     zetas = float((spec.w + spec.c)[0]) * v + rp.Gamma / (2 * rp.q) * spec.lambda0
     y0 = np.array([0.5])
     sel = EigenfunctionSelection(tuple(ExpEigenfunction([r], y0) for r in v), y0)
-    return market, rp, WidderFunction(SpectralMeasure(zetas, [0.6, 0.4], y0), sel)
+    return market, rp, WidderFunction(SpectralMeasure(zetas, list(weights), y0), sel)
 
 
 def test_widder_fpp_is_a_martingale_under_its_optimal_strategy(canonical_1f):
@@ -565,19 +597,39 @@ def test_widder_fpp_is_a_martingale_under_its_optimal_strategy(canonical_1f):
 
 def test_widder_portfolio_satisfies_the_optimality_identity(canonical_1f):
     market, rp, u = _two_atom_widder(canonical_1f)
-
-    def value_grad(t, y):
-        _, value, grad, _ = u.derivatives(t, np.atleast_2d(y))
-        return value[0], grad[0]
-
     Y = np.array([[0.2], [0.5], [1.3]])
     for t in (0.0, 0.4, 0.9):
         # grad u / u moves with y, so this is not the affine case in disguise.
         assert np.ptp(u.log_gradient(t, Y)) > 0.1
         stack = affine.optimal_portfolio_affine(u, market, rp, t, Y)
+        assert optimal_portfolio_residual(market, rp, u, t, Y, stack) <= 1e-12
         for y, pi in zip(Y, stack):
             np.testing.assert_array_equal(pi, affine.optimal_portfolio_affine(u, market, rp, t, y))
-            assert optimal_portfolio_residual(market, rp, value_grad, t, y, pi) <= 1e-12
+            assert optimal_portfolio_residual(market, rp, u, t, y, pi) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.floats(-2.0, -0.1), w=st.floats(0.05, 1.0), L=st.floats(0.1, 1.0),
+       Lam=st.floats(0.0, 1.0), lambda0=st.floats(0.0, 0.2), gamma=st.floats(1.2, 6.0),
+       p=st.floats(0.0, 1.0), weight=st.floats(0.05, 0.95), t=st.floats(0.0, 1.0))
+def test_random_two_atom_widder_portfolio_satisfies_the_identity(m, w, L, Lam, lambda0,
+                                                                 gamma, p, weight, t):
+    # A positive mixture of the two stationary exponentials on a random
+    # canonical one-factor market (gamma > 1 keeps D > 0, w > 0 keeps the two
+    # zetas apart).
+    rp = RiskParams(gamma=gamma, p=p)
+    market, spec = affine.canonical_affine_market(M=[[m]], w=[w], L=[L], Lambda=[Lam],
+                                                  lambda0=lambda0, H=[0.0], rp=rp)
+    _, _, u = _two_atom_widder((market, spec, rp), (weight, 1.0 - weight))
+    Y = np.linspace(0.1, 1.5, 6)[:, None]
+    stack = affine.optimal_portfolio_affine(u, market, rp, t, Y)
+    assert optimal_portfolio_residual(market, rp, u, t, Y, stack) <= 1e-12
+    alloc = OptimalStrategy(u, market, rp).allocations(t, Y, np.ones(6), market_terms(market, Y))
+    np.testing.assert_array_equal(alloc, stack)
+    # One row alone may round its matmuls differently, by an ulp or so.
+    for y, row in zip(Y, alloc):
+        np.testing.assert_allclose(row, affine.optimal_portfolio_affine(u, market, rp, t, y),
+                                   rtol=1e-13, atol=1e-15)
 
 
 def test_one_atom_widder_strategy_matches_the_affine_one(canonical_1f):
@@ -608,24 +660,3 @@ def test_excess_kurtosis_matches_scipy(draw):
 
     x = draw(np.random.default_rng(3))
     assert _excess_kurtosis(x) == pytest.approx(kurtosis(x), rel=1e-12)
-
-
-def test_affine_u_value_grad_reads_the_state_once(canonical_2f, monkeypatch):
-    market, spec, rp, sol = _affine_setup(canonical_2f)
-    points = [(0.0, [0.5, 0.4]), (0.35, [1.2, 0.1]), (1.0, [0.05, 2.0])]
-    expected = [(affine.evaluate_u_affine(sol, t, y), sol.Phi(t)) for t, y in points]
-    calls = []
-    real = affine.RiccatiSolution.state
-
-    def counting(self, t):
-        calls.append(t)
-        return real(self, t)
-
-    monkeypatch.setattr(affine.RiccatiSolution, "state", counting)
-    fn = affine_u_value_grad(sol)
-    for (t, y), (u, phi) in zip(points, expected):
-        calls.clear()
-        u0, grad = fn(t, y)
-        assert calls == [t]
-        assert u0 == u
-        assert grad.tobytes() == (u * phi).tobytes()
