@@ -42,7 +42,6 @@ only when q < 0, at the pole tau* = log1p(-1/q) / sqrt(D).
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -140,11 +139,6 @@ class AffineSpec(Fields):
     def from_json(data: dict) -> "AffineSpec":
         return from_params(AffineSpec, data, "affine spec")
 
-    @staticmethod
-    def load(path) -> "AffineSpec":
-        with open(path) as fh:
-            return AffineSpec.from_json(json.load(fh))
-
 
 @dataclass(frozen=True)
 class ClosedFormComponent(Fields):
@@ -217,9 +211,11 @@ class RiccatiSolution:
     def __call__(self, t, y):
         """u(t, y) = exp(Phi(t)^T y + Theta(t)) at one state y (k,) as a
         float, or at stacked states (P, k) as (P,), from one read of z;
-        ExponentOverflowError if the exponent exceeds 700."""
-        z = self.state(t)
+        ConfigError if y has another k, ExponentOverflowError if the
+        exponent exceeds 700."""
         y = np.asarray(y, dtype=float)
+        require_shape(y, y.shape[:-1] + (self.spec.k,), owner="FPP")
+        z = self.state(t)
         expo = y @ z[:-1] + z[-1]
         if np.any(expo > _EXP_LIMIT):
             raise ExponentOverflowError(f"exponent {np.max(expo):.6g} exceeds {_EXP_LIMIT:g}")

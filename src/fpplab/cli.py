@@ -37,7 +37,8 @@ import numpy as np
 from . import __version__, affine, eve, spectral, verify
 from . import sim as simmod
 from .errors import ConfigError, InsufficientSampleError, NumericalError
-from .model import ModelSpec, RiskParams, generator_coefficients, require
+from .model import (ModelSpec, RiskParams, generator_coefficients, read_json, require,
+                    require_real, write_json)
 
 ENV_OUT_DIR = "FPPLAB_OUT"
 
@@ -64,10 +65,7 @@ def _sha256(path):
 
 
 def _write_json(out_dir, name, payload):
-    path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-    return path
+    return write_json(os.path.join(out_dir, name), payload)
 
 
 def _write_csv(out_dir, name, header, rows):
@@ -79,8 +77,7 @@ def _write_csv(out_dir, name, header, rows):
 
 def _read_matrix(path):
     if path.endswith(".json"):
-        with open(path) as fh:
-            return np.asarray(json.load(fh), dtype=float)
+        return np.asarray(read_json(path), dtype=float)
     return np.atleast_2d(np.loadtxt(path, delimiter=",", comments="#"))
 
 
@@ -142,13 +139,12 @@ def _sim_config(args):
 
 def _load_fpp_bundle(path):
     """JSON {affine_spec, gamma, p, horizon, direction} -> (solution, rp)."""
-    with open(path) as fh:
-        data = json.load(fh)
+    data = read_json(path)
     require(data, ["affine_spec", "gamma", "p", "horizon"], "fpp file")
     spec = affine.AffineSpec.from_json(data["affine_spec"])
-    rp = RiskParams(gamma=float(data["gamma"]), p=float(data["p"]))
-    sol = affine.solve_riccati(spec, rp, float(data["horizon"]),
-                               data.get("direction", affine.FORWARD))
+    gamma, p, horizon = (require_real(data, key, "fpp file") for key in ("gamma", "p", "horizon"))
+    rp = RiskParams(gamma=gamma, p=p)
+    sol = affine.solve_riccati(spec, rp, horizon, data.get("direction", affine.FORWARD))
     return sol, rp
 
 
@@ -228,10 +224,8 @@ def spectral_invert(args, out_dir):
 
 
 def spectral_evaluate(args, out_dir):
-    with open(args.measure) as fh:
-        nu = spectral.SpectralMeasure.from_json(json.load(fh))
-    with open(args.selection) as fh:
-        sel = spectral.EigenfunctionSelection.from_json(json.load(fh))
+    nu = spectral.SpectralMeasure.from_json(read_json(args.measure))
+    sel = spectral.EigenfunctionSelection.load(args.selection)
     ts = _parse_grid(args.t_grid)
     Y = np.array([_parse_floats(v) for v in args.y.split(";")])
     u = spectral.WidderFunction(nu, sel)

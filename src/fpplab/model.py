@@ -10,6 +10,9 @@ state, supplied either as parametric coefficient fields or tabulated grids.
 mu, sigma, sigma^-, lambda and, lazily (see ``MarketTerms``), alpha and kappa.
 The Euler step, pi* and the verification residuals read them from it.
 
+Every JSON file of the package is read by ``read_json`` and written by
+``write_json`` in one format: indent 2, keys sorted, no trailing newline.
+
 The module also derives the second-order linear operator
 
     L = (1/2) sum_ij a_ij(y) d2/dy_i dy_j + sum_i b_i(y) d/dy_i + P(y)
@@ -46,12 +49,25 @@ def require(data, keys, what: str) -> None:
             raise ConfigError(f"{what}: missing field '{key}'")
 
 
+def _is_number(value) -> bool:
+    """An int or a float of JSON; a bool is neither."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 def require_int(data: dict, key: str, what: str) -> int:
     """``data[key]``, an integer or an integral float such as 5000.0, as an int."""
     value = data[key]
-    if isinstance(value, bool) or not isinstance(value, Real) or not float(value).is_integer():
+    if not _is_number(value) or not float(value).is_integer():
         raise ConfigError(f"{what}: field '{key}' must be an integer")
     return int(value)
+
+
+def require_real(data: dict, key: str, what: str) -> float:
+    """``data[key]``, an int or a float, as a float."""
+    value = data[key]
+    if not _is_number(value):
+        raise ConfigError(f"{what}: field '{key}' must be a number")
+    return float(value)
 
 
 def require_shape(a, shape: tuple, what: str = "y", owner: str = "model") -> None:
@@ -87,13 +103,34 @@ def from_params(cls, data: dict, what: str, *extra):
     return cls(*(data[key] for key in keys), *extra)
 
 
+def read_json(path):
+    """The JSON value in the file at ``path``."""
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def write_json(path, payload):
+    """Write ``payload`` to the file at ``path`` and return ``path``."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+    return path
+
+
 class Fields:
     """The one JSON encoder: each of the class's ``_json_keys`` through
     ``plain``, the key list ``from_params`` reads back.  A form that differs
-    overrides ``to_json`` over ``super().to_json()``."""
+    overrides ``to_json`` over ``super().to_json()``.  ``save`` writes the
+    form to a file, ``load`` reads it back through the class's ``from_json``."""
 
     def to_json(self) -> dict:
         return {key: plain(getattr(self, key)) for key in _json_keys(type(self))}
+
+    def save(self, path):
+        write_json(path, self.to_json())
+
+    @classmethod
+    def load(cls, path):
+        return cls.from_json(read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -382,15 +419,6 @@ class ModelSpec(Fields):
         coefs = {key: CoefficientField.from_json(data[key])
                  for key in ("mu", "sigma", "alpha", "kappa")}
         return ModelSpec(**dims, **coefs, rho=data["rho"], domain=Box.from_json(data["domain"]))
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-
-    @staticmethod
-    def load(path) -> "ModelSpec":
-        with open(path) as fh:
-            return ModelSpec.from_json(json.load(fh))
 
 
 @dataclass(frozen=True)

@@ -29,17 +29,17 @@ path's noise is the same whatever the batching (see ``_path_noise``).
 """
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .affine import optimal_portfolio_from_terms
 from .errors import ConfigError, SimulationError
 from .model import (Box, Fields, GeneratorCoefficients, MarketTerms, ModelSpec, RiskParams,
-                    market_terms, plain, require, require_int, require_shape, rowwise)
+                    market_terms, plain, read_json, require, require_int, require_real,
+                    require_shape, rowwise, write_json)
 
 BOUNDARY_POLICIES = ("full-truncation", "absorb", "reflect")
 _BLOCK_SIZE = 4096
@@ -89,15 +89,10 @@ class SimulationConfig(Fields):
             raise ConfigError(f"unknown scheme '{scheme}'")
         data = {"seed": 0, "boundary_policy": "full-truncation", "record_stride": 1, **data}
         return SimulationConfig(
-            dt=float(data["dt"]), horizon=float(data["horizon"]),
             boundary_policy=data["boundary_policy"],
+            **{key: require_real(data, key, "simulation config") for key in ("dt", "horizon")},
             **{key: require_int(data, key, "simulation config")
                for key in ("n_paths", "seed", "record_stride")})
-
-    @staticmethod
-    def load(path) -> "SimulationConfig":
-        with open(path) as fh:
-            return SimulationConfig.from_json(json.load(fh))
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +188,13 @@ class PerturbedStrategy(Strategy):
 # ---------------------------------------------------------------------------
 
 _ARRAY_FIELDS = ("times", "W", "Wperp", "B", "Y", "S", "X", "exit_time")
+_META_FIELDS = ("model", "config", "diagnostics")
 
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Recorded simulation output.  Axes: (path, time, component)."""
+    """Recorded simulation output.  Axes: (path, time, component).  ``model``
+    and ``config`` are always present: ``simulate`` sets both."""
 
     times: np.ndarray          # (m,)
     W: np.ndarray              # (P, m, d_W)
@@ -207,8 +204,8 @@ class PathBundle:
     S: np.ndarray              # (P, m, n)
     X: np.ndarray              # (P, m)
     exit_time: np.ndarray      # (P,), nan when the path never left the domain
-    model: Optional[ModelSpec]
-    config: Optional[SimulationConfig]
+    model: ModelSpec
+    config: SimulationConfig
     diagnostics: dict
 
     @property
@@ -225,22 +222,19 @@ class PathBundle:
         written = [os.path.join(directory, f"{name}.npy") for name in _ARRAY_FIELDS]
         for name, path in zip(_ARRAY_FIELDS, written):
             np.save(path, getattr(self, name))
-        meta = {name: plain(getattr(self, name)) for name in ("model", "config", "diagnostics")}
-        written.append(os.path.join(directory, "meta.json"))
-        with open(written[-1], "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
+        meta = {name: plain(getattr(self, name)) for name in _META_FIELDS}
+        written.append(write_json(os.path.join(directory, "meta.json"), meta))
         return written
 
     @staticmethod
     def load(directory) -> "PathBundle":
+        meta = read_json(os.path.join(directory, "meta.json"))
+        require(meta, _META_FIELDS, "path bundle meta")
         arrays = {name: np.load(os.path.join(directory, f"{name}.npy"))
                   for name in _ARRAY_FIELDS}
-        with open(os.path.join(directory, "meta.json")) as fh:
-            meta = json.load(fh)
-        model = ModelSpec.from_json(meta["model"]) if meta.get("model") else None
-        config = SimulationConfig.from_json(meta["config"]) if meta.get("config") else None
-        return PathBundle(model=model, config=config,
-                          diagnostics=meta.get("diagnostics", {}), **arrays)
+        return PathBundle(model=ModelSpec.from_json(meta["model"]),
+                          config=SimulationConfig.from_json(meta["config"]),
+                          diagnostics=meta["diagnostics"], **arrays)
 
     def export_csv(self, directory) -> list:
         """One CSV per variable; rows are (path, t, components...).  Returns
@@ -527,8 +521,6 @@ def admissibility_check(bundle: PathBundle, strategy: Strategy) -> Admissibility
     (path, grid index) locations, at most 100 of them.
     """
     model = bundle.model
-    if model is None:
-        raise ConfigError("bundle carries no model; cannot evaluate coefficients")
     P, m = bundle.X.shape
     drift, quad = np.zeros(P), np.zeros(P)
     flags = []

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (ConditioningError, ConfigError, InconsistentDataError,
                      IntegrationError, NonRepresentableError, PositivityError)
-from .model import Fields, GeneratorCoefficients, from_params, require
+from .model import Fields, GeneratorCoefficients, from_params, require, require_shape
 
 _COND_LIMIT = 1e12
 MATCH_TOL = 1e-9            # TabulatedEigenfunction: max-norm distance of a match
@@ -350,16 +350,19 @@ class WidderFunction:
         return self.nu.weights * np.exp(-self.nu.zetas * t)
 
     def __call__(self, t, y):
-        """u at one state y (k,) as a float, or at stacked states Y (P, k) as (P,)."""
+        """u at one state y (k,) as a float, or at stacked states Y (P, k) as
+        (P,); ConfigError if y has another k."""
         if t < 0:
             raise ValueError("t must be >= 0")
         y = np.asarray(y, dtype=float)
+        require_shape(y, y.shape[:-1] + self.sel.y0.shape, owner="FPP")
         u = self.sel.values(np.atleast_2d(y)) @ self._coeff(t)
         return float(u[0]) if y.ndim < 2 else u
 
     def derivatives(self, t, Y):
         """(du/dt (P,), u (P,), grad_y u (P, k), Hess_y u (P, k, k)) at the
-        stacked states Y (P, k)."""
+        stacked states Y (P, k); ConfigError if Y has another k."""
+        require_shape(Y, (len(Y),) + self.sel.y0.shape, owner="FPP")
         c = self._coeff(t)
         psi, grad, hess = (np.stack(d, axis=-1) for d in
                            zip(*(f.derivatives(Y) for f in self.sel.functions)))

@@ -91,8 +91,8 @@ def _fd_grid(f, T, Z, H, fd_step, order, it, point):
 class ResidualReport(Fields):
     """Residual summary over a grid.
 
-    ``table`` (optional) has one row per grid point: coordinates then the
-    signed residual; it stays out of the JSON form, whose keys are ``params``.
+    ``table`` has one row per grid point: coordinates then the signed
+    residual; it stays out of the JSON form, whose keys are ``params``.
     """
 
     params = ("description", "max_abs_residual", "mean_abs_residual", "fd_step",
@@ -113,13 +113,13 @@ class DistortionReport(Fields):
     linear: ResidualReport      # linear equation for u
 
 
-def _report(description, res, coords, fd_step, order, keep_table):
+def _report(description, res, coords, fd_step, order):
     """Summary of the residuals ``res`` at the grid rows ``coords``."""
     return ResidualReport(description=description,
                           max_abs_residual=float(np.max(np.abs(res))),
                           mean_abs_residual=float(np.mean(np.abs(res))),
                           fd_step=fd_step, stencil_order=order, n_points=len(res),
-                          table=np.column_stack([coords, res]) if keep_table else None)
+                          table=np.column_stack([coords, res]))
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ class MartingaleReport(Fields):
 
 def hjb_residual(V: Callable, model: ModelSpec, rp: RiskParams,
                  t_vals, x_vals, y_points, fd_step: float = 1e-3,
-                 order: int = 2, keep_table: bool = False) -> ResidualReport:
+                 order: int = 2) -> ResidualReport:
     """Residual of the candidate value function in the wealth-factor PDE
 
         dV/dt + G_y V - |lam dV/dx + rho kappa d(grad_y V)/dx|^2 / (2 d2V/dx2)
@@ -211,7 +211,7 @@ def hjb_residual(V: Callable, model: ModelSpec, rp: RiskParams,
     vec = lam * grad[:, :1] + np.einsum("rwk,rk->rw", rho_kap, hess[:, 0, 1:])
     res = dVdt + gen_term - 0.5 * np.einsum("rw,rw->r", vec, vec) / d2Vdx2
     return _report("wealth-factor PDE residual", res, np.column_stack([T[it], X[ix], Y[iy]]),
-                   fd_step, order, keep_table)
+                   fd_step, order)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +220,7 @@ def hjb_residual(V: Callable, model: ModelSpec, rp: RiskParams,
 
 def distortion_roundtrip(u: Callable, rp: RiskParams, gen: GeneratorCoefficients,
                          t_vals, y_points, fd_step: float = 1e-3,
-                         order: int = 2, keep_table: bool = False) -> DistortionReport:
+                         order: int = 2) -> DistortionReport:
     """Residuals of the linear equation for u and the distorted non-linear
     equation for g = u^q:
 
@@ -276,8 +276,8 @@ def distortion_roundtrip(u: Callable, rp: RiskParams, gen: GeneratorCoefficients
     coords = np.column_stack([T[it], Y[iy]])
     return DistortionReport(
         nonlinear=_report("distorted non-linear PDE residual (g = u^q)", res_nl, coords,
-                          step_used, order, keep_table),
-        linear=_report("linear PDE residual (u)", res_l, coords, step_used, order, keep_table))
+                          step_used, order),
+        linear=_report("linear PDE residual (u)", res_l, coords, step_used, order))
 
 
 # ---------------------------------------------------------------------------

@@ -665,6 +665,14 @@ def test_affine_spec_json_round_trip(tmp_path, canonical_2f):
     assert loaded.h0 == spec.h0
 
 
+def test_two_factor_riccati_u_refuses_one_factor_states(canonical_2f):
+    _, spec, rp = canonical_2f
+    sol = solve_riccati(spec, rp, 1.0, FORWARD)
+    for y, shape in (([[0.7], [0.9]], r"\(2, 1\)"), ([0.7], r"\(1,\)")):
+        with pytest.raises(ConfigError, match=rf"y has shape {shape}; the FPP has k=2 factors"):
+            sol(0.2, y)
+
+
 def test_solution_rejects_times_outside_horizon(canonical_1f):
     _, spec, rp = canonical_1f
     sol = solve_riccati_closed_form(spec, rp, 1.0, FORWARD)

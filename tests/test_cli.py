@@ -276,6 +276,64 @@ def test_non_integral_path_count_exits_one(workdir, capsys):
     assert "simulation config: field 'n_paths' must be an integer" in err
 
 
+# A bundle under the one-factor model of the workdir, for verify martingale.
+_SIM_RUN = ["sim", "run", "--model", "model.json", "--config", "simcfg.json", "--y0", "1.0",
+            "--out", "o7"]
+_VERIFY_MARTINGALE = ["verify", "martingale", "--paths", "o7/paths", "--fpp", "fpp.json",
+                      "--out", "o8"]
+
+
+@pytest.mark.parametrize("name, key, value, argv", [
+    ("simcfg.json", "dt", [0.05], _SIM_RUN),
+    ("simcfg.json", "horizon", "0.5", _SIM_RUN),
+    ("fpp.json", "gamma", None, _VERIFY_MARTINGALE),
+    ("fpp.json", "p", True, _VERIFY_MARTINGALE),
+])
+def test_wrongly_typed_json_number_exits_one_and_names_it(workdir, capsys, name, key, value,
+                                                          argv):
+    # Before the check, float() raised an uncaught TypeError on a list or
+    # None and read a str or a bool as a number.
+    assert main(_SIM_RUN) == 0
+    data = json.load(open(workdir / name))
+    (workdir / name).write_text(json.dumps({**data, key: value}))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    what = "simulation config" if name == "simcfg.json" else "fpp file"
+    assert f"{what}: field '{key}' must be a number" in err
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda meta: [], "path bundle meta: expected a JSON object, got list"),
+    (lambda meta: {k: v for k, v in meta.items() if k != "model"},
+     "path bundle meta: missing field 'model'"),
+], ids=["list", "no_model"])
+def test_malformed_bundle_meta_exits_one_and_names_it(workdir, capsys, edit, named):
+    # Before the check, a list ended in an AttributeError traceback and a meta
+    # without its model was accepted.
+    assert main(_SIM_RUN) == 0
+    meta_path = workdir / "o7" / "paths" / "meta.json"
+    meta_path.write_text(json.dumps(edit(json.load(open(meta_path)))))
+    assert main(_VERIFY_MARTINGALE) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert named in err
+
+
+def test_one_factor_fpp_on_a_two_factor_bundle_exits_one(workdir, capsys):
+    # Before the check, numpy's matmul core-dimension message named neither k.
+    market, _ = affine.canonical_affine_market(
+        M=np.diag([-0.5, -0.8]), w=[0.4, 0.5], L=[0.2, 0.15], Lambda=[0.16, 0.09],
+        lambda0=0.04, H=[-0.3, 0.2], rp=RiskParams(gamma=2.0, p=0.25))
+    market.save(workdir / "model2f.json")
+    assert main(["sim", "run", "--model", "model2f.json", "--config", "simcfg.json",
+                 "--out", "o7"]) == 0
+    assert main(_VERIFY_MARTINGALE) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "y has shape (200, 2); the FPP has k=1 factors" in err
+
+
 @pytest.mark.parametrize("argv, named", [
     (["sim", "run", "--y0", "0.5"], "y0 has shape (1,)"),
     (["sim", "feynman-kac", "--gamma", "2.0", "--t", "0.5", "--y", "0.5,0.5,0.5"],

@@ -109,6 +109,18 @@ def test_widder_rejects_negative_time():
         WidderFunction(nu, sel)(-0.1, [0.0])
 
 
+def test_two_factor_widder_u_refuses_one_factor_states():
+    # Before the check, u broadcast (P, 1) states across both factors.
+    y0 = np.array([0.0, 0.0])
+    u = WidderFunction(SpectralMeasure([0.3], [1.0], y0),
+                       EigenfunctionSelection((ExpEigenfunction([0.5, -0.25], y0),), y0))
+    for call in (u, u.derivatives, u.log_gradient):
+        with pytest.raises(ConfigError, match=r"y has shape \(2, 1\); the FPP has k=2 factors"):
+            call(0.2, np.array([[0.7], [0.9]]))
+    with pytest.raises(ConfigError, match=r"y has shape \(1,\); the FPP has k=2"):
+        u(0.2, [0.7])
+
+
 @pytest.mark.parametrize("sel_y0", [[1.0], [0.0, 0.0]])
 def test_widder_rejects_selection_normalized_at_another_y0(sel_y0):
     # Normalized at y = 1, exp(0.5 (y - 1)) gives u(0, 0) = 0.607, not

@@ -466,6 +466,31 @@ def test_spec_round_trips_are_exact():
         assert again.to_json() == spec.to_json()
 
 
+def test_specs_and_the_selection_save_and_load_through_the_base(tmp_path):
+    # None of these classes defines its own load or save; Fields gives both.
+    for value in (*SPECS.values(), REPORTS["selection"]):
+        cls = type(value)
+        assert not {"load", "save"} & set(vars(cls)), cls.__name__
+        path = tmp_path / f"{cls.__name__}.json"
+        value.save(path)
+        assert cls.load(path).to_json() == value.to_json()
+
+
+def _json_file_calls(path):
+    """Lines calling ``json.load`` or ``json.dump``, which read or write a file."""
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr in ("load", "dump")
+            and getattr(node.value, "id", None) == "json"]
+
+
+def test_only_model_reads_and_writes_json_files():
+    # model.read_json/write_json decide the file format for every module.
+    outside = [hit for path in sorted(PACKAGE.glob("*.py")) if path.name != "model.py"
+               for hit in _json_file_calls(path)]
+    assert outside == []
+    assert len(_json_file_calls(PACKAGE / "model.py")) == 2
+
+
 def _hand_written_encoders(path):
     """Classes defining a ``to_json`` that does not extend ``super().to_json()``."""
     def extends_base(fn):

@@ -195,9 +195,9 @@ def test_exact_and_fd_distortion_agree_on_cosh_mixtures(seed, m):
         P_batch=lambda Y: np.full(len(Y), potential))
     rp = RiskParams(gamma=2.0, p=0.25)
     t_vals, y_points = np.linspace(0.1, 0.9, 4), np.linspace(-1.0, 1.0, 5).reshape(-1, 1)
-    exact = distortion_roundtrip(u, rp, gen, t_vals, y_points, keep_table=True)
+    exact = distortion_roundtrip(u, rp, gen, t_vals, y_points)
     fd = distortion_roundtrip(lambda t, Y: u(t, Y), rp, gen, t_vals, y_points,
-                              order=4, keep_table=True)
+                              order=4)
     assert (exact.linear.fd_step, fd.linear.fd_step) == (0.0, 1e-3)
     for part in ("linear", "nonlinear"):
         np.testing.assert_allclose(getattr(exact, part).table, getattr(fd, part).table,
@@ -393,12 +393,12 @@ def test_batched_stencils_match_per_point_loop(canonical_1f, canonical_2f, k, or
         return affine.evaluate_u_affine(sol, t, y)
 
     report = hjb_residual(V, market, rp, t_vals, x_vals, y_points, fd_step=1e-3,
-                          order=order, keep_table=True)
+                          order=order)
     _assert_report_matches(report, _hjb_rows(V, market, t_vals, x_vals, y_points,
                                              1e-3, order))
     gen = generator_coefficients(market, rp)
     report = distortion_roundtrip(u, rp, gen, t_vals, y_points, fd_step=1e-3,
-                                  order=order, keep_table=True)
+                                  order=order)
     linear, nonlinear = _distortion_rows(u, rp, gen, t_vals, y_points, 1e-3, order)
     _assert_report_matches(report.linear, linear)
     _assert_report_matches(report.nonlinear, nonlinear)
