@@ -59,6 +59,7 @@ BLOW_UP_THRESHOLD = 1e8
 DIAGONAL_TOL = 1e-12      # AffineSpec.is_diagonal: relative off-diagonal tolerance
 RESIDUAL_FD_STEP = 1e-6   # riccati_residual: central-difference time step
 _EXP_LIMIT = 700.0
+_PHI_STORE_LIMIT = 10_000   # RiccatiSolution.log_gradient: times whose Phi is kept
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -192,6 +193,7 @@ class RiccatiSolution:
         self.solver = solver
         self.fallback_reason: Optional[str] = None
         self._state_impl = state_impl
+        self._phi_seen = {}      # t -> Phi(t), read-only; see log_gradient
 
     def state(self, t):
         t = np.asarray(t, dtype=float)
@@ -222,9 +224,18 @@ class RiccatiSolution:
         return np.exp(expo) if y.ndim > 1 else float(np.exp(expo))
 
     def log_gradient(self, t, Y):
-        """grad_y u / u at the stacked states Y (P, k): Phi(t), read once and
-        broadcast to a read-only (P, k) view."""
-        return np.broadcast_to(self.Phi(t), (np.shape(Y)[0], self.spec.k))
+        """grad_y u / u at the stacked states Y (P, k): Phi(t) broadcast to a
+        read-only (P, k) view.  Phi(t) is kept for each time already seen, up
+        to _PHI_STORE_LIMIT times (a step grid of that many points), so a
+        simulation in several path blocks reads Phi once per grid time."""
+        t = float(t)
+        phi = self._phi_seen.get(t)
+        if phi is None:
+            phi = self.Phi(t)
+            phi.flags.writeable = False
+            if len(self._phi_seen) < _PHI_STORE_LIMIT:
+                self._phi_seen[t] = phi
+        return np.broadcast_to(phi, (np.shape(Y)[0], self.spec.k))
 
     @property
     def anchor_time(self) -> float:

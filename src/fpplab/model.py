@@ -63,10 +63,13 @@ def require_int(data: dict, key: str, what: str) -> int:
 
 
 def require_real(data: dict, key: str, what: str) -> float:
-    """``data[key]``, an int or a float, as a float."""
+    """``data[key]``, an int or a float, as a float; JSON's NaN and
+    Infinity, and an int beyond the float range, are refused."""
     value = data[key]
     if not _is_number(value):
         raise ConfigError(f"{what}: field '{key}' must be a number")
+    if not abs(value) <= np.finfo(float).max:     # false for NaN
+        raise ConfigError(f"{what}: field '{key}' must be a finite number")
     return float(value)
 
 

@@ -24,8 +24,11 @@ any reflection, lies outside the domain.  ``simulate`` counts the paths that
 left (``exited_paths``) and the path-steps whose coefficients saw a clipped
 state (``clipped_states``, full truncation only) in its diagnostics.
 
-Noise comes from counter-based Philox streams keyed by (seed, path), so each
-path's noise is the same whatever the batching (see ``_path_noise``).
+Noise comes in antithetic pairs of counter-based Philox streams: path 2j
+draws the stream keyed by (seed, j) and path 2j + 1 its negation, so each
+path's noise is the same whatever the batching (see ``_path_noise``).  Monte
+Carlo standard errors are taken over pair means (``pair_se``); with an odd
+path count the last path has no partner and counts only in the mean.
 """
 from __future__ import annotations
 
@@ -142,8 +145,8 @@ class ConstantStrategy(Strategy):
 class OptimalStrategy(Strategy):
     """pi*(t, y) = sigma(y)^- (lambda(y) + q rho kappa(y) grad_y u / u) / gamma
     of ``model`` for the FPP u, built by ``optimal_portfolio_from_terms`` from
-    ``u.log_gradient(t, Y)`` (P, k): Phi(t) once per step, broadcast to every
-    path, for a ``RiccatiSolution``, one row per path for a
+    ``u.log_gradient(t, Y)`` (P, k): Phi(t) once per grid time, broadcast to
+    every path of every block, for a ``RiccatiSolution``, one row per path for a
     ``WidderFunction``; a u whose k is not the model's raises ``ConfigError``
     at the first step.  sigma may depend on y.  The step's terms are used
     when they are ``model``'s; a strategy run under another market (a
@@ -267,19 +270,31 @@ def _path_noise(seed: int, path_lo: int, out: np.ndarray) -> np.ndarray:
     """Fill ``out`` (paths, n_steps, dims) with the noise of paths path_lo,
     path_lo + 1, ... and return it.
 
-    Path p draws from the Philox stream keyed by (seed mod 2^64, p).  One bit
-    generator serves the block, reset before each path to the state of a
-    fresh one (counter zero, buffer empty) with key (seed, p): the streams of
-    one ``Philox(key=[seed, p])`` per path, without building one per path.
+    Path p is (-1)^p times the Philox stream keyed by (seed mod 2^64, p // 2):
+    the pair (2j, 2j + 1) shares the stream of key j, the odd path negated.
+    The pairing follows the global path index, so it does not depend on
+    where a block starts.  Only the even path of a pair in the block is
+    drawn, and its partner is its negation written in place; an odd first
+    path (a block starting at an odd path) is drawn from key p // 2 and
+    negated.  One bit generator serves the block, reset before each draw to
+    the state of a fresh one (counter zero, buffer empty) with key
+    (seed, p // 2): the streams of one ``Philox(key=[seed, p // 2])`` per
+    pair, without building one per pair.
     """
-    bitgen = np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, path_lo],
+    bitgen = np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, path_lo // 2],
                                            dtype=np.uint64))
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state     # a copy; drawing never changes it
     for offset in range(out.shape[0]):
-        fresh["state"]["key"][1] = path_lo + offset
+        p = path_lo + offset
+        if p % 2 and offset:
+            np.negative(out[offset - 1], out=out[offset])
+            continue
+        fresh["state"]["key"][1] = p // 2
         bitgen.state = fresh
         gen.standard_normal(out=out[offset])
+        if p % 2:
+            np.negative(out[offset], out=out[offset])
     return out
 
 
@@ -291,6 +306,21 @@ def _noise_blocks(seed: int, n_paths: int, n_steps: int, dims: int):
     for lo in range(0, n_paths, _BLOCK_SIZE):
         hi = min(lo + _BLOCK_SIZE, n_paths)
         yield lo, hi, _path_noise(seed, lo, buffer[:hi - lo])
+
+
+def pair_se(values) -> np.ndarray:
+    """Standard error of the mean over paths (axis 0) of per-path values
+    under antithetic pairs: std(pair means, ddof=1) / sqrt(P // 2), where
+    pair j is the mean of paths 2j and 2j + 1.  With an odd path count the
+    last path has no partner and is left out; with fewer than two pairs the
+    standard error is inf.  Returns an array of the trailing shape (a 0-d
+    one for a 1-D input)."""
+    values = np.asarray(values, dtype=float)
+    n_pairs = values.shape[0] // 2
+    if n_pairs < 2:
+        return np.full(values.shape[1:], np.inf)
+    pairs = 0.5 * (values[:2 * n_pairs:2] + values[1:2 * n_pairs:2])
+    return np.std(pairs, axis=0, ddof=1) / np.sqrt(n_pairs)
 
 
 def _require_finite(lo: int, step: int, *arrays):
@@ -452,7 +482,10 @@ def feynman_kac_estimate(gen: GeneratorCoefficients, h: Callable, t: float,
     the unbounded box of dimension k, where clipping, the exit test and
     reflection leave every finite state as it is.
 
-    Returns (estimate, standard_error).
+    Returns (estimate, standard_error): the mean over all ``cfg.n_paths``
+    paths and ``pair_se`` of the path values, the standard error over the
+    means of antithetic pairs (with an odd path count the last path counts
+    only in the estimate; with fewer than two pairs the error is inf).
     """
     if t <= 0:
         raise ConfigError("time-to-go must be positive")
@@ -489,7 +522,7 @@ def feynman_kac_estimate(gen: GeneratorCoefficients, h: Callable, t: float,
                               f"got shape {h_vals.shape} for P={hi - lo}")
         total[lo:hi] = np.where(alive, np.exp(log_weight) * h_vals, 0.0)
 
-    return float(np.mean(total)), float(np.std(total, ddof=1) / np.sqrt(P)) if P > 1 else np.inf
+    return float(np.mean(total)), float(pair_se(total))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .errors import (ConcavityViolationError, ConfigError,
                      InsufficientSampleError, PositivityError)
 from .model import (Fields, GeneratorCoefficients, ModelSpec, RiskParams, market_terms,
                     require_shape, rowwise)
-from .sim import PathBundle
+from .sim import PathBundle, pair_se
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +300,11 @@ def martingale_test(bundle: PathBundle, fpp_eval: Callable,
     """Bucketed mean increments of U_t(X_t, Y_t) along the recorded grid.
 
     Within each time bucket the per-path increment telescopes to
-    U(bucket end) - U(bucket start); paths are independent, so the bucket
-    standard error is std / sqrt(n_paths).
+    U(bucket end) - U(bucket start).  The bucket mean is over all paths.
+    Paths 2j and 2j + 1 are an antithetic pair (their noise is negated), so
+    the paths are not independent but the pairs are: the bucket standard
+    error is ``sim.pair_se``, std(pair means) / sqrt(n_paths // 2), and with
+    an odd path count the last path counts only in the mean.
 
     Raises
     ------
@@ -329,7 +332,7 @@ def martingale_test(bundle: PathBundle, fpp_eval: Callable,
     for b0, b1 in zip(edges[:-1], edges[1:]):
         inc = U[:, b1] - U[:, b0]
         mean = float(np.mean(inc))
-        se = float(np.std(inc, ddof=1) / np.sqrt(P))
+        se = float(pair_se(inc))
         z = mean / se if se > 0 else 0.0
         kurt = _excess_kurtosis(inc) if se > 0 else 0.0
         heavy = heavy or kurt > _KURTOSIS_LIMIT
@@ -355,7 +358,11 @@ def optimal_portfolio_residual(model: ModelSpec, rp: RiskParams, u, t: float, y,
     for the FPP u at one state y (k,) with pi (n,), or at a stack (P, k) with
     (P, n), from one evaluation of the market and of ``u.log_gradient``;
     ``ConfigError`` if y or grad_y u / u lacks the model's k factors or pi
-    does not have one row per state."""
+    does not have one row per state.
+
+    The target is re-derived here on purpose, not taken from
+    ``affine.optimal_portfolio_from_terms``: an identity check that called the
+    code building pi* would certify that code against itself."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     require_shape(y, (model.k,) if y.ndim == 1 else (len(y), model.k))
     Y = np.atleast_2d(y)

@@ -583,6 +583,21 @@ def test_riccati_solution_is_an_fpp_u_and_pi_takes_phi_per_state(canonical_2f):
                                       optimal_portfolio_from_terms(terms, rp, phi))
 
 
+def test_log_gradient_keeps_phi_of_at_most_the_store_limit_of_times(monkeypatch,
+                                                                     canonical_2f):
+    # Past the limit Phi is read on every call, with the same values.
+    _, spec, rp = canonical_2f
+    sol = solve_riccati_closed_form(spec, rp, 1.0, FORWARD)
+    monkeypatch.setattr(affine, "_PHI_STORE_LIMIT", 3)
+    ts = np.linspace(0.0, 1.0, 6)
+    first = [sol.log_gradient(t, np.zeros((2, 2))).copy() for t in ts]
+    assert list(sol._phi_seen) == list(ts[:3])
+    for t, phi in zip(ts, first):
+        assert sol.log_gradient(t, np.zeros((2, 2))).tobytes() == phi.tobytes()
+        assert phi[0].tobytes() == sol.Phi(t).tobytes()
+    assert len(sol._phi_seen) == 3
+
+
 @pytest.mark.parametrize("shape", [(2,), (1, 2), (5, 1), (5, 3)])
 def test_pi_refuses_a_log_gradient_not_shaped_p_by_k(canonical_2f, shape):
     # Only (P, k) is read: a shared (k,) row or a wrong k is not broadcast.

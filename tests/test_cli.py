@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import shlex
 from dataclasses import replace
@@ -301,6 +302,26 @@ def test_wrongly_typed_json_number_exits_one_and_names_it(workdir, capsys, name,
     assert err.startswith("error:") and "Traceback" not in err
     what = "simulation config" if name == "simcfg.json" else "fpp file"
     assert f"{what}: field '{key}' must be a number" in err
+
+
+@pytest.mark.parametrize("name, key, value, argv", [
+    ("simcfg.json", "dt", math.nan, _SIM_RUN),
+    ("simcfg.json", "horizon", math.inf, _SIM_RUN),
+    ("fpp.json", "horizon", -math.inf, _VERIFY_MARTINGALE),
+], ids=["dt_nan", "horizon_inf", "fpp_horizon_minus_inf"])
+def test_non_finite_json_number_exits_one_and_names_it(workdir, capsys, name, key, value,
+                                                       argv):
+    # json reads NaN and Infinity as floats; before the check "dt": NaN failed
+    # in n_steps naming no field and "horizon": Infinity escaped as an
+    # OverflowError traceback.
+    assert main(_SIM_RUN) == 0
+    data = json.load(open(workdir / name))
+    (workdir / name).write_text(json.dumps({**data, key: value}))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    what = "simulation config" if name == "simcfg.json" else "fpp file"
+    assert f"{what}: field '{key}' must be a finite number" in err
 
 
 @pytest.mark.parametrize("edit, named", [

@@ -14,7 +14,8 @@ from fpplab.model import (Box, ConstantField, GridField, ModelSpec, RiskParams,
 from fpplab import affine, sim
 from fpplab.sim import (BOUNDARY_POLICIES, ConstantStrategy, OptimalStrategy, PathBundle,
                         PerturbedStrategy, SimulationConfig, Strategy, ZeroStrategy,
-                        _path_noise, admissibility_check, feynman_kac_estimate, simulate)
+                        _path_noise, admissibility_check, feynman_kac_estimate, pair_se,
+                        simulate)
 
 from conftest import (count_calls, make_heat_generator, make_rank_deficient_grid_model,
                       make_tabulated_sigma_model, portfolio_oracle)
@@ -85,10 +86,11 @@ def test_config_json_round_trip():
 # ---------------------------------------------------------------------------
 
 def _noise_oracle(seed, path_lo, path_hi, n_steps, dims):
-    """One freshly built Philox keyed (seed mod 2^64, p) per path p."""
+    """Path p is (-1)^p times the stream of one freshly built Philox keyed
+    (seed mod 2^64, p // 2): antithetic pairs (2j, 2j + 1)."""
     return np.stack([
-        np.random.Generator(np.random.Philox(key=np.array(
-            [seed & 0xFFFF_FFFF_FFFF_FFFF, p], dtype=np.uint64)))
+        (-1) ** p * np.random.Generator(np.random.Philox(key=np.array(
+            [seed & 0xFFFF_FFFF_FFFF_FFFF, p // 2], dtype=np.uint64)))
         .standard_normal((n_steps, dims)) for p in range(path_lo, path_hi)])
 
 
@@ -105,6 +107,20 @@ def test_path_noise_matches_one_philox_per_path(seed, path_lo, path_hi, n_steps,
     out = np.full((path_hi - path_lo, n_steps, dims), np.nan)
     assert _path_noise(seed, path_lo, out) is out
     np.testing.assert_array_equal(out, _noise_oracle(seed, path_lo, path_hi, n_steps, dims))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(-2 ** 64, 2 ** 65), n_paths=st.integers(1, 40),
+       block=st.integers(1, 12), n_steps=st.integers(1, 4), dims=st.integers(1, 3))
+def test_noise_blocks_match_the_pair_oracle_for_any_block_size(seed, n_paths, block,
+                                                               n_steps, dims):
+    # Odd block sizes start blocks at odd paths, whose partner lies in the
+    # block before.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_BLOCK_SIZE", block)
+        drawn = np.concatenate([noise.copy() for _, _, noise in
+                                sim._noise_blocks(seed, n_paths, n_steps, dims)])
+    np.testing.assert_array_equal(drawn, _noise_oracle(seed, 0, n_paths, n_steps, dims))
 
 
 def test_noise_blocks_are_drawn_into_one_buffer(monkeypatch):
@@ -218,6 +234,27 @@ def test_each_step_evaluates_mu_and_kappa_once(monkeypatch, canonical_2f):
     assert (len(mu_calls), len(kappa_calls), len(alpha_calls)) == (30, 20, 10)
 
 
+def test_multi_block_simulation_reads_phi_once_per_grid_time(monkeypatch, canonical_2f):
+    # Blocks of 7, 7 and 6 paths over 10 steps: Phi(t) is read at the first
+    # block's steps and reused by the others, and by admissibility_check on
+    # the recorded grid.
+    market, spec, rp = canonical_2f
+    sol = affine.solve_riccati_closed_form(spec, rp, 1.0, affine.FORWARD)
+    strategy = OptimalStrategy(sol, market, rp)
+    monkeypatch.setattr(sim, "_BLOCK_SIZE", 7)
+    phi_calls = count_calls(monkeypatch, sol, "Phi")
+    cfg = SimulationConfig(dt=0.1, horizon=1.0, n_paths=20, seed=1)
+    bundle = simulate(market, cfg, strategy, y0=[0.5, 0.5])
+    assert len(phi_calls) == 10
+    admissibility_check(bundle, strategy)
+    assert len(phi_calls) == 10
+    assert sorted(sol._phi_seen) == [i * cfg.dt_effective for i in range(10)]
+    for t, phi in sol._phi_seen.items():
+        assert not phi.flags.writeable
+        assert phi.tobytes() == sol.Phi(t).tobytes()
+        assert sol.log_gradient(t, np.zeros((3, 2))).tobytes() == np.tile(phi, (3, 1)).tobytes()
+
+
 class _ParentOptimal(Strategy):
     """pi* of ``model`` evaluated from the model itself, ignoring the terms."""
 
@@ -293,8 +330,7 @@ def test_driftless_market_wealth_is_martingale():
                            record_stride=100)
     bundle = simulate(market, cfg, ConstantStrategy([0.6, -0.4]), x0=1.0, y0=[0.0])
     xt = bundle.X[:, -1]
-    se = xt.std(ddof=1) / np.sqrt(len(xt))
-    assert abs(xt.mean() - 1.0) <= 3 * se
+    assert abs(xt.mean() - 1.0) <= 3 * pair_se(xt)
     assert np.all(bundle.X > 0)
 
 
@@ -309,8 +345,7 @@ def test_terminal_cross_covariance_matches_rho():
     target = market.rho.T * 1.0     # (1, 2)
     prods = B_T[:, :, None] * W_T[:, None, :]          # (P, 1, 2)
     mean = prods.mean(axis=0)
-    se = prods.std(axis=0, ddof=1) / np.sqrt(len(W_T))
-    assert np.all(np.abs(mean - target) <= 3 * se)
+    assert np.all(np.abs(mean - target) <= 3 * pair_se(prods))
 
 
 def test_brownian_mixing_identity_every_grid_point(canonical_1f):
@@ -333,7 +368,7 @@ def test_simulation_is_deterministic_and_block_independent(canonical_1f):
     for name in ("W", "Wperp", "B", "Y", "S", "X"):
         assert np.array_equal(getattr(b1, name), getattr(b2, name))
     # Same paths appear regardless of how many are requested (Philox streams
-    # are keyed per path, not per run).
+    # are keyed per pair of paths, not per run).
     b3 = simulate(market, SimulationConfig(dt=0.01, horizon=0.5, n_paths=100,
                                            seed=99), strat, y0=[1.0])
     assert np.array_equal(b1.X[:100], b3.X)
@@ -349,7 +384,7 @@ def test_refinement_halving_dt_stays_within_monte_carlo_noise(canonical_1f):
                                record_stride=25)
         xt = simulate(market, cfg, strat, y0=[1.0]).X[:, -1]
         means.append(xt.mean())
-        ses.append(xt.std(ddof=1) / np.sqrt(len(xt)))
+        ses.append(pair_se(xt))
     assert abs(means[0] - means[1]) <= 3 * np.hypot(*ses)
 
 
@@ -462,6 +497,28 @@ def test_feynman_kac_unit_weight_is_exact(heat_gen):
                                    0.5, [0.0], cfg)
     assert est == 1.0
     assert se == 0.0
+
+
+def test_pair_se_is_the_spread_of_pair_means():
+    x = np.array([1.0, 3.0, 2.0, 6.0, 10.0])     # pairs (1, 3) and (2, 6); 10 unpaired
+    assert pair_se(x) == np.std([2.0, 4.0], ddof=1) / np.sqrt(2)
+    np.testing.assert_array_equal(pair_se(np.column_stack([x, -x])),
+                                  [pair_se(x), pair_se(x)])
+    assert pair_se(x[:3]) == np.inf and pair_se(x[:1]) == np.inf
+    # Antithetic partners that cancel leave no spread.
+    assert pair_se(np.array([1.0, -1.0, 5.0, -5.0])) == 0.0
+
+
+@pytest.mark.parametrize("n_paths", [1, 3, 5])
+def test_feynman_kac_mean_counts_the_unpaired_path(heat_gen, n_paths):
+    # One step of the driftless walk and h(Z) = Z: each pair sums to exactly
+    # 0, so the estimate is the last, unpaired path's Z over P, and the SE of
+    # the pair means is inf below two pairs and 0 from two on.
+    cfg = SimulationConfig(dt=0.5, horizon=1.0, n_paths=n_paths, seed=5)
+    est, se = feynman_kac_estimate(heat_gen, lambda Y: Y[:, 0], 0.5, [0.0], cfg)
+    z_last = _noise_oracle(5, n_paths - 1, n_paths, 1, 1)[0, 0, 0] * np.sqrt(0.5)
+    assert est == z_last / n_paths != 0.0
+    assert se == (np.inf if n_paths < 4 else 0.0)
 
 
 def test_feynman_kac_constant_potential_is_deterministic_weight():

@@ -139,6 +139,27 @@ def test_sim_has_one_block_loop_and_one_boundary_step():
     assert policy == {"_eval_state", "_advance"}
 
 
+def _standard_error_sites(path):
+    """Top-level definitions that divide a spread (an expression calling
+    ``std``) by a square root (a call of ``sqrt``), as file:definition."""
+    def calls(expr, name):
+        return any(isinstance(n, ast.Call) and name in (getattr(n.func, "id", None),
+                                                        getattr(n.func, "attr", None))
+                   for n in ast.walk(expr))
+
+    return {f"{path.name}:{top.name}" for top in ast.parse(path.read_text()).body
+            for node in ast.walk(top)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            and calls(node.left, "std") and calls(node.right, "sqrt")}
+
+
+def test_only_the_pair_helper_takes_a_monte_carlo_standard_error():
+    # Paths come in antithetic pairs, so std / sqrt(n_paths) over paths would
+    # understate the error; every standard error goes through sim.pair_se.
+    assert set().union(*(_standard_error_sites(PACKAGE / name)
+                         for name in ("sim.py", "verify.py"))) == {"sim.py:pair_se"}
+
+
 def _pi_star_sites(path):
     """Top-level definitions that divide by ``.gamma`` an expression applying
     a pseudoinverse (a name or attribute containing ``pinv``): pi*."""
