@@ -487,7 +487,7 @@ def optimal_portfolio_from_terms(terms: MarketTerms, rp: RiskParams,
     P, _, k = terms.kappa.shape
     require_shape(phi, (P, k), "grad_y u / u")
     kap_phi = np.einsum("pbk,pk->pb", terms.kappa, phi)   # (P, d_B)
-    return rowwise(terms.sigma_pinv, terms.lam + rp.q * kap_phi @ terms.spec.rho.T) / rp.gamma
+    return rowwise(terms.sigma_pinv, terms.lam + rp.q * rowwise(terms.spec.rho, kap_phi)) / rp.gamma
 
 
 # ---------------------------------------------------------------------------

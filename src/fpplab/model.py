@@ -204,7 +204,7 @@ class AffineField(CoefficientField):
             raise ConfigError(f"{self.family} field: matrix rows must match offset length")
 
     def batch(self, Y):
-        return np.atleast_2d(Y) @ self.matrix.T + self.offset
+        return rowwise(self.matrix, np.atleast_2d(Y)) + self.offset
 
 
 class SqrtAffineField(AffineField):
@@ -217,7 +217,7 @@ class SqrtAffineField(AffineField):
     family = "sqrt_affine"
 
     def batch(self, Y):
-        return np.sqrt(np.clip(np.atleast_2d(Y) @ self.matrix.T + self.offset, 0.0, None))
+        return np.sqrt(np.maximum(rowwise(self.matrix, np.atleast_2d(Y)) + self.offset, 0.0))
 
 
 class SqrtDiagField(CoefficientField):
@@ -237,10 +237,10 @@ class SqrtDiagField(CoefficientField):
 
     def batch(self, Y):
         Y = np.atleast_2d(Y)
-        vals = np.sqrt(np.clip(Y * self.scale, 0.0, None))  # (P, k)
-        out = np.zeros(Y.shape + (Y.shape[1],))
-        idx = np.arange(Y.shape[1])
-        out[:, idx, idx] = vals
+        vals = np.sqrt(np.maximum(Y * self.scale, 0.0))  # (P, k)
+        out = np.zeros(Y.shape + (Y.shape[1],), order="F")
+        for i in range(Y.shape[1]):
+            out[:, i, i] = vals[:, i]
         return out
 
 
@@ -269,7 +269,7 @@ class GridField(CoefficientField):
             self.axes, self.values, method="linear", bounds_error=False, fill_value=None)
 
     def batch(self, Y):
-        return np.asarray(self._interp(np.atleast_2d(Y)))
+        return np.asfortranarray(self._interp(np.atleast_2d(Y)))
 
 
 _FIELD_FAMILIES = {cls.family: cls for cls in
@@ -314,7 +314,11 @@ class Box:
     def clip(self, y) -> np.ndarray:
         y = np.array(y, dtype=float)
         for i, (lo, hi) in enumerate(zip(self.lower, self.upper)):
-            np.clip(y[..., i], lo, hi, out=y[..., i])
+            col = y[..., i]
+            if lo > -np.inf:
+                np.maximum(col, lo, out=col)
+            if hi < np.inf:
+                np.minimum(col, hi, out=col)
         return y
 
     def reflect(self, y) -> np.ndarray:
@@ -498,13 +502,23 @@ def _pinv_and_rank(mats: np.ndarray):
     keep = s > SV_CUTOFF * s[..., :1]
     s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
     pinv = vt.swapaxes(-1, -2) @ (s_inv[..., None] * u.swapaxes(-1, -2))
-    return pinv, keep.sum(axis=-1)
+    # A stack keeps its path axis contiguous, as the other stacks do (``rowwise``).
+    return (np.asfortranarray(pinv) if pinv.ndim == 3 else pinv), keep.sum(axis=-1)
 
 
 def rowwise(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """M_p v_p for each row of v (P, c), where M is one matrix (r, c) shared
-    by every row (a single matmul) or a stack (P, r, c).  Returns (P, r)."""
-    return v @ M.T if M.ndim == 2 else np.einsum("prc,pc->pr", M, v)
+    by every row (a single matmul) or a stack (P, r, c).  Returns (P, r).
+
+    The one place that fixes the layout of a contraction over states: the
+    result is path-contiguous (its path axis has stride one item) whatever
+    the layout of M and v, and its values do not depend on that layout.
+    The Euler engine keeps its stacks path-contiguous because their trailing
+    axes have length 2 or 3: numpy's inner loops then run over P instead of
+    over those short axes."""
+    if M.ndim == 2:
+        return (M @ np.asfortranarray(v).T).T
+    return np.einsum("prc,pc->pr", M, v, order="F")
 
 
 @dataclass(frozen=True)
@@ -593,7 +607,7 @@ def generator_coefficients(spec: ModelSpec, rp: RiskParams) -> GeneratorCoeffici
     def b_batch(Y):
         kap = spec.kappa.batch(Y)
         lam = sharpe_ratio_batch(spec, Y)
-        return spec.alpha.batch(Y) + Gamma * np.einsum("pbk,pb->pk", kap, lam @ rho)
+        return spec.alpha.batch(Y) + Gamma * np.einsum("pbk,pb->pk", kap, rowwise(rho.T, lam))
 
     def P_batch(Y):
         lam = sharpe_ratio_batch(spec, Y)

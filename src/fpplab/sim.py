@@ -24,11 +24,21 @@ any reflection, lies outside the domain.  ``simulate`` counts the paths that
 left (``exited_paths``) and the path-steps whose coefficients saw a clipped
 state (``clipped_states``, full truncation only) in its diagnostics.
 
+Under absorb a killed path is frozen: the steps after its death evaluate
+neither the market nor the strategy on its row and give it zero increments.
+
 Noise comes in antithetic pairs of counter-based Philox streams: path 2j
 draws the stream keyed by (seed, j) and path 2j + 1 its negation, so each
 path's noise is the same whatever the batching (see ``_path_noise``).  Monte
 Carlo standard errors are taken over pair means (``pair_se``); with an odd
 path count the last path has no partner and counts only in the mean.
+
+The engine's stacks (P, k), (P, n), (P, d_B, k) and the noise are stored
+path-contiguous: the path axis has stride one item.  Their other axes have
+length 2 or 3, so numpy's inner loops then run over the P paths instead of
+over those short axes; ``model.rowwise`` applies every matrix to a stack in
+that layout.  Only the layout changes, not the shapes, and the recorded
+``PathBundle`` arrays stay C-ordered.
 """
 from __future__ import annotations
 
@@ -46,6 +56,7 @@ from .model import (Box, Fields, GeneratorCoefficients, MarketTerms, ModelSpec, 
 
 BOUNDARY_POLICIES = ("full-truncation", "absorb", "reflect")
 _BLOCK_SIZE = 4096
+_TILE_BYTES = 1 << 18     # scratch of _path_noise: 64 paths of 100 steps x 5 draws
 _MAX_FLAGS = 100   # nonfinite locations kept by admissibility_check
 
 
@@ -273,36 +284,50 @@ def _path_noise(seed: int, path_lo: int, out: np.ndarray) -> np.ndarray:
     Path p is (-1)^p times the Philox stream keyed by (seed mod 2^64, p // 2):
     the pair (2j, 2j + 1) shares the stream of key j, the odd path negated.
     The pairing follows the global path index, so it does not depend on
-    where a block starts.  Only the even path of a pair in the block is
-    drawn, and its partner is its negation written in place; an odd first
-    path (a block starting at an odd path) is drawn from key p // 2 and
-    negated.  One bit generator serves the block, reset before each draw to
-    the state of a fresh one (counter zero, buffer empty) with key
-    (seed, p // 2): the streams of one ``Philox(key=[seed, p // 2])`` per
-    pair, without building one per pair.
+    where a block starts.  Only the even path of a pair in a tile is drawn,
+    and its partner is its negation written in place; an odd first path of
+    a tile is drawn from key p // 2 and negated.  One bit generator serves
+    the call, reset before each draw to the state of a fresh one (counter
+    zero, buffer empty) with key (seed, p // 2): the streams of one
+    ``Philox(key=[seed, p // 2])`` per pair, without building one per pair.
+
+    Paths are drawn into a C-ordered scratch of at most ``_TILE_BYTES``
+    (the generator writes only contiguous rows) and copied into ``out`` a
+    tile at a time, so ``out`` may have any layout.
     """
     bitgen = np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, path_lo // 2],
                                            dtype=np.uint64))
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state     # a copy; drawing never changes it
-    for offset in range(out.shape[0]):
-        p = path_lo + offset
-        if p % 2 and offset:
-            np.negative(out[offset - 1], out=out[offset])
-            continue
-        fresh["state"]["key"][1] = p // 2
-        bitgen.state = fresh
-        gen.standard_normal(out=out[offset])
-        if p % 2:
-            np.negative(out[offset], out=out[offset])
+    path_bytes = out.itemsize * max(1, int(np.prod(out.shape[1:])))
+    tile_paths = max(2, _TILE_BYTES // path_bytes // 2 * 2)
+    scratch = np.empty((min(tile_paths, out.shape[0]),) + out.shape[1:])
+    for start in range(0, out.shape[0], tile_paths):
+        tile = scratch[:out.shape[0] - start]
+        for offset in range(tile.shape[0]):
+            p = path_lo + start + offset
+            if p % 2 and offset:
+                np.negative(tile[offset - 1], out=tile[offset])
+                continue
+            fresh["state"]["key"][1] = p // 2
+            bitgen.state = fresh
+            gen.standard_normal(out=tile[offset])
+            if p % 2:
+                np.negative(tile[offset], out=tile[offset])
+        out[start:start + tile.shape[0]] = tile
     return out
 
 
 def _noise_blocks(seed: int, n_paths: int, n_steps: int, dims: int):
     """Yield (lo, hi, noise) for consecutive blocks of at most _BLOCK_SIZE
     paths, noise being the block's (hi - lo, n_steps, dims) draw.  Every block
-    is drawn into one buffer, so a block's noise is valid until the next."""
-    buffer = np.empty((min(_BLOCK_SIZE, n_paths), n_steps, dims))
+    is drawn into one buffer, so a block's noise is valid until the next.
+
+    The buffer is stored path-last, (n_steps, dims, paths), and exposed as a
+    (paths, n_steps, dims) view: the step loop reads noise[:, i] as a stack
+    whose path axis is contiguous, like every stack of the Euler engine (see
+    ``model.rowwise``)."""
+    buffer = np.empty((n_steps, dims, min(_BLOCK_SIZE, n_paths))).transpose(2, 0, 1)
     for lo in range(0, n_paths, _BLOCK_SIZE):
         hi = min(lo + _BLOCK_SIZE, n_paths)
         yield lo, hi, _path_noise(seed, lo, buffer[:hi - lo])
@@ -325,12 +350,23 @@ def pair_se(values) -> np.ndarray:
 
 def _require_finite(lo: int, step: int, *arrays):
     """Raise SimulationError at the first path of the block starting at lo
-    whose row is non-finite in any of the arrays (paths, ...)."""
-    if all(np.all(np.isfinite(a)) for a in arrays):
-        return
+    whose row is non-finite in any of the arrays (paths, ...).  One sum over
+    every entry is tested first and the rows are scanned only when it is not
+    finite; a sum that overflowed on finite entries finds no bad row and
+    raises nothing."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(sum(np.sum(a) for a in arrays)):
+            return
     bad = np.any([~np.isfinite(a).reshape(a.shape[0], -1).all(axis=1) for a in arrays], axis=0)
-    raise SimulationError("non-finite value in path update", path=lo + int(np.argmax(bad)),
-                          step=step)
+    if bad.any():
+        raise SimulationError("non-finite value in path update", path=lo + int(np.argmax(bad)),
+                              step=step)
+
+
+def _rows(a, live):
+    """The rows ``live`` of a path-contiguous stack a (P, ...), as a
+    path-contiguous stack (indexing a[live] would return a C-ordered copy)."""
+    return np.take(a.T, live, axis=-1).T
 
 
 def _eval_state(domain: Box, policy: str, Y):
@@ -342,7 +378,7 @@ def _advance(domain: Box, policy: str, Y, dY, alive):
     """Y + dY on the live paths, then the boundary policy.  Returns the new
     state, the paths still alive and the mask of updated states outside the
     domain (before any reflection)."""
-    Y = np.where(alive[:, None], Y + dY, Y)
+    Y = Y + dY if alive.all() else np.where(alive[:, None], Y + dY, Y)
     left = ~domain.contains(Y)
     if policy == "absorb":
         alive = alive & ~left
@@ -356,6 +392,23 @@ def _wealth_terms(terms: MarketTerms, pi):
     (P, n) at the states where ``terms`` were evaluated."""
     sigpi = rowwise(terms.sigma, pi)
     return sigpi, np.einsum("pw,pw->p", sigpi, terms.lam), np.einsum("pw,pw->p", sigpi, sigpi)
+
+
+def _increments(model: ModelSpec, strategy: Strategy, t: float, dt: float, Y, logX, dW, dB):
+    """dY, dlog S and dlog X of one Euler step from the states Y (P, k) the
+    coefficients see, log-wealth logX (P,) and the Brownian increments dW,
+    dB: the market is evaluated once at Y and handed to the strategy."""
+    terms = market_terms(model, Y)
+    pi = np.atleast_2d(strategy.allocations(t, Y, np.exp(logX), terms))
+    # A non-finite allocation is reported by _require_finite.
+    with np.errstate(invalid="ignore"):
+        sigpi, sp_lam, sp_sq = _wealth_terms(terms, pi)
+    # diag(sigma^T sigma) and sigma^T dW
+    dlogS = (terms.mu - 0.5 * np.sum(terms.sigma ** 2, axis=-2)) * dt \
+        + rowwise(np.swapaxes(terms.sigma, -1, -2), dW)
+    dlogX = (sp_lam - 0.5 * sp_sq) * dt + np.einsum("pw,pw->p", sigpi, dW)
+    dY = terms.alpha * dt + np.einsum("pbk,pb->pk", terms.kappa, dB)
+    return dY, dlogS, dlogX
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +462,9 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
     clipped = 0
 
     for lo, hi, noise in _noise_blocks(cfg.seed, P, n_steps, model.d_W + model.d_Wperp):
-        Wc, Wpc, Bc = (np.zeros((hi - lo, d)) for d in (model.d_W, model.d_Wperp, model.d_B))
-        Y = np.tile(y0, (hi - lo, 1))
-        logS = np.zeros((hi - lo, model.n))
+        Wc, Wpc, Bc, logS = (np.zeros((hi - lo, d), order="F")
+                             for d in (model.d_W, model.d_Wperp, model.d_B, model.n))
+        Y = np.full((hi - lo, model.k), y0, order="F")
         logX = np.full(hi - lo, np.log(x0))
         alive = np.ones(hi - lo, dtype=bool)
         left = ~model.domain.contains(Y)
@@ -427,25 +480,26 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
             Yeval = _eval_state(model.domain, policy, Y)
             if Yeval is not Y:      # clipped copy: the rows of Y outside the domain
                 clipped += int(np.count_nonzero(left))
-            terms = market_terms(model, Yeval)
-            pi = np.atleast_2d(strategy.allocations(i * dt, Yeval, np.exp(logX), terms))
-            # A non-finite allocation is reported by _require_finite below.
-            with np.errstate(invalid="ignore"):
-                sigpi, sp_lam, sp_sq = _wealth_terms(terms, pi)
-
             dW = noise[:, i, :model.d_W] * sqdt
             dWp = noise[:, i, model.d_W:] * sqdt
-            dB = dW @ model.rho + dWp @ A
+            dB = rowwise(model.rho.T, dW) + rowwise(A.T, dWp)
 
-            # diag(sigma^T sigma) and sigma^T dW
-            dlogS = (terms.mu - 0.5 * np.sum(terms.sigma ** 2, axis=-2)) * dt \
-                + rowwise(np.swapaxes(terms.sigma, -1, -2), dW)
-            dlogX = (sp_lam - 0.5 * sp_sq) * dt + np.einsum("pw,pw->p", sigpi, dW)
-            dY = terms.alpha * dt + np.einsum("pbk,pb->pk", terms.kappa, dB)
+            if alive.all():
+                dY, dlogS, dlogX = _increments(model, strategy, i * dt, dt, Yeval, logX, dW, dB)
+            else:
+                # Killed paths stay frozen: only the live rows are evaluated,
+                # and the killed ones get zero increments.
+                live = np.flatnonzero(alive)
+                dY, dlogS, dlogX = (np.zeros_like(a) for a in (Y, logS, logX))
+                if live.size:
+                    parts = _increments(model, strategy, i * dt, dt,
+                                        *(_rows(a, live) for a in (Yeval, logX, dW, dB)))
+                    for full, part in zip((dY, dlogS, dlogX), parts):
+                        full.T[..., live] = part.T
             _require_finite(lo, i, dY, dlogS, dlogX)
 
-            logS = np.where(alive[:, None], logS + dlogS, logS)
-            logX = np.where(alive, logX + dlogX, logX)
+            logS += dlogS
+            logX += dlogX
             Wc += dW
             Wpc += dWp
             Bc += dB
@@ -506,12 +560,13 @@ def feynman_kac_estimate(gen: GeneratorCoefficients, h: Callable, t: float,
 
     total = np.empty(P)
     for lo, hi, noise in _noise_blocks(cfg.seed, P, n_steps, d_B):
-        Z = np.tile(y, (hi - lo, 1))
+        Z = np.full((hi - lo, gen.k), y, order="F")
         log_weight = np.zeros(hi - lo)
         alive = np.ones(hi - lo, dtype=bool)
         for i in range(n_steps):
             Zeval = _eval_state(domain, policy, Z)
-            log_weight += np.where(alive, gen.P_batch(Zeval) * dt, 0.0)
+            weight = gen.P_batch(Zeval) * dt
+            log_weight += weight if alive.all() else np.where(alive, weight, 0.0)
             dZ = gen.b_batch(Zeval) * dt \
                 + np.einsum("pbk,pb->pk", gen.kappa_batch(Zeval), noise[:, i]) * sqdt
             _require_finite(lo, i, dZ)

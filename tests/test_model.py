@@ -10,7 +10,7 @@ from fpplab import model as model_module
 from fpplab.errors import ConfigError, SingularModelError
 from fpplab.model import (AffineField, Box, CoefficientField, ConstantField, GridField,
                           ModelSpec, RiskParams, SqrtAffineField, SqrtDiagField,
-                          generator_coefficients, sharpe_ratio,
+                          generator_coefficients, market_terms, sharpe_ratio,
                           sharpe_ratio_batch, validate)
 
 from conftest import make_rank_deficient_grid_model, make_scalar_model
@@ -281,6 +281,62 @@ def test_scalar_generator_is_batch_row(Y):
         # Oracle for lambda: least squares of sigma^T lam = mu.
         oracle = np.linalg.lstsq(model.sigma(y).T, model.mu(y), rcond=None)[0]
         np.testing.assert_allclose(lam_b[i], oracle, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Layout: stacks keep the path axis contiguous
+# ---------------------------------------------------------------------------
+
+def _path_contiguous(a):
+    """The path axis (axis 0) has stride one item; one row has no layout."""
+    return a.shape[0] < 2 or a.strides[0] == a.itemsize
+
+
+def _layouts(a):
+    return np.ascontiguousarray(a), np.asfortranarray(a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(Y=_POINTS)
+def test_every_field_family_gives_the_same_path_contiguous_stack_for_any_layout(Y):
+    Yc, Yf = _layouts(Y)
+    for family, field in _field_families().items():
+        from_c, from_f = field.batch(Yc), field.batch(Yf)
+        assert np.array_equal(from_c, from_f), family
+        # A constant is broadcast: its path axis has stride 0.
+        if from_f.strides[0] != 0:
+            assert _path_contiguous(from_f) and _path_contiguous(from_c), family
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), P=st.integers(1, 9), r=st.integers(1, 4),
+       c=st.integers(1, 4), shared=st.booleans())
+def test_rowwise_result_is_path_contiguous_and_layout_independent(seed, P, r, c, shared):
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(r, c) if shared else (P, r, c))
+    v = rng.normal(size=(P, c))
+    # A shared M is a model constant; a stack, like v, comes from the states.
+    matrices = (M,) if shared else _layouts(M)
+    results = [model_module.rowwise(m, x) for m in matrices for x in _layouts(v)]
+    oracle = np.stack([(M if shared else M[p]) @ v[p] for p in range(P)])
+    for out in results:
+        assert np.array_equal(out, results[0])
+        assert out.shape == (P, r) and _path_contiguous(out)
+        np.testing.assert_allclose(out, oracle, rtol=1e-13, atol=1e-13)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(Y=_POINTS)
+def test_market_terms_are_layout_independent_and_path_contiguous(Y, canonical_2f):
+    for market in (_two_factor_market(), canonical_2f[0]):
+        terms = [market_terms(market, states) for states in _layouts(Y)]
+        for name in ("Y", "mu", "sigma", "sigma_pinv", "lam", "alpha", "kappa"):
+            from_c, from_f = (getattr(t, name) for t in terms)
+            assert np.array_equal(from_c, from_f), name
+            # A constant sigma is one matrix, not a stack.
+            if from_f.ndim > 2 or name != "sigma" and name != "sigma_pinv":
+                assert _path_contiguous(from_f), name
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,22 @@ def test_noise_blocks_are_drawn_into_one_buffer(monkeypatch):
     assert all(buffer is buffers[0] for buffer in buffers)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 64), n_paths=st.integers(1, 30), block=st.integers(1, 12),
+       tile_bytes=st.integers(1, 400), n_steps=st.integers(1, 4), dims=st.integers(1, 3))
+def test_noise_block_views_are_path_contiguous_for_any_tile_size(seed, n_paths, block,
+                                                                  tile_bytes, n_steps, dims):
+    # Tiles of 2 paths or more, odd block starts included, each copied from
+    # the C-ordered scratch into the path-last buffer.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_BLOCK_SIZE", block)
+        mp.setattr(sim, "_TILE_BYTES", tile_bytes)
+        for lo, hi, noise in sim._noise_blocks(seed, n_paths, n_steps, dims):
+            assert noise.shape == (hi - lo, n_steps, dims)
+            assert noise.strides[0] == noise.itemsize
+            np.testing.assert_array_equal(noise, _noise_oracle(seed, lo, hi, n_steps, dims))
+
+
 def test_simulate_builds_one_bit_generator_per_block(monkeypatch, canonical_1f):
     market, _, _ = canonical_1f
     built = []
@@ -160,14 +176,20 @@ def _perturbed_optimal(market, sol, rp):
     return PerturbedStrategy(OptimalStrategy(sol, market, rp), 0.2)
 
 
-def _engine_run(policy, record_stride=1, strategy=_perturbed_optimal, y0=0.05):
-    """simulate, admissibility_check and feynman_kac_estimate on a
-    square-root factor started near 0 at y0, so that paths leave [0, inf).
-    ``strategy(market, sol, rp)`` builds the strategy."""
+def _sqrt_market():
+    """(market, spec, sol, rp): a square-root factor whose paths, started
+    near 0, leave [0, inf), and its forward Riccati solution."""
     rp = RiskParams(gamma=2.0, p=0.25)
     market, spec = affine.canonical_affine_market(
         M=[[-1.5]], w=[0.02], L=[0.6], Lambda=[0.09], lambda0=0.01, H=[-0.1], rp=rp)
-    sol = affine.solve_riccati_closed_form(spec, rp, 0.5, affine.FORWARD)
+    return market, spec, affine.solve_riccati_closed_form(spec, rp, 0.5, affine.FORWARD), rp
+
+
+def _engine_run(policy, record_stride=1, strategy=_perturbed_optimal, y0=0.05):
+    """simulate, admissibility_check and feynman_kac_estimate on the
+    ``_sqrt_market`` started at y0.  ``strategy(market, sol, rp)`` builds
+    the strategy."""
+    market, spec, sol, rp = _sqrt_market()
     strategy = strategy(market, sol, rp)
     cfg = SimulationConfig(dt=0.05, horizon=0.5, n_paths=30, seed=4,
                            boundary_policy=policy, record_stride=record_stride)
@@ -215,6 +237,106 @@ def test_diagnostics_count_exited_paths_and_clipped_states(policy):
         assert bundle.diagnostics["clipped_states"] == np.count_nonzero(below[:, :-1]) > 0
     else:
         assert bundle.diagnostics["clipped_states"] == 0
+
+
+def _path_contiguous(a):
+    """The path axis (axis 0) has stride one item; one row has no layout."""
+    return a.shape[0] < 2 or a.strides[0] == a.itemsize
+
+
+class _LayoutProbe(Strategy):
+    """Checks that the states and terms a step hands over are path-contiguous,
+    counts the rows it is asked for and delegates to ``base``."""
+
+    def __init__(self, base):
+        self.base, self.rows = base, 0
+
+    def allocations(self, t, Y, X, terms):
+        assert _path_contiguous(Y) and _path_contiguous(terms.mu)
+        assert _path_contiguous(terms.kappa)
+        self.rows += len(Y)
+        return self.base.allocations(t, Y, X, terms)
+
+
+@pytest.mark.parametrize("policy", BOUNDARY_POLICIES)
+def test_step_hands_the_strategy_path_contiguous_stacks(policy):
+    # Two square-root factors started near the corner of [0, inf)^2: paths
+    # leave, and under absorb the later steps evaluate only the live rows.
+    rp = RiskParams(gamma=2.0, p=0.25)
+    market, spec = affine.canonical_affine_market(
+        M=[[-1.5, 0.0], [0.0, -1.2]], w=[0.02, 0.03], L=[0.6, 0.5], Lambda=[0.09, 0.04],
+        lambda0=0.01, H=[-0.1, 0.1], rp=rp)
+    sol = affine.solve_riccati_closed_form(spec, rp, 0.5, affine.FORWARD)
+    probe = _LayoutProbe(_perturbed_optimal(market, sol, rp))
+    cfg = SimulationConfig(dt=0.05, horizon=0.5, n_paths=40, seed=4, boundary_policy=policy)
+    bundle = simulate(market, cfg, probe, y0=[0.05, 0.05])
+    assert probe.rows > 0 and np.isfinite(bundle.exit_time).any()
+    for name in _BUNDLE_ARRAYS:     # the bundle keeps its C layout
+        assert getattr(bundle, name).flags.c_contiguous, name
+
+
+def _all_rows_absorb(market, cfg, strategy, y0):
+    """(Y, S, X, exit_time) of ``simulate`` under absorb with one block,
+    written as the step was before killed paths were skipped: every row is
+    evaluated at its state, killed ones included, and the updates of the
+    killed rows are masked out.  sigma must be constant."""
+    n_steps, dt, P = cfg.n_steps, cfg.dt_effective, cfg.n_paths
+    (_, _, noise), = sim._noise_blocks(cfg.seed, P, n_steps, market.d_W + market.d_Wperp)
+    A = market.noise_mixer()
+    Y, logS, logX = np.tile(y0, (P, 1)), np.zeros((P, market.n)), np.zeros(P)
+    alive, exit_time = np.ones(P, dtype=bool), np.full(P, np.nan)
+    rec = {"Y": [Y], "S": [np.exp(logS)], "X": [np.exp(logX)]}
+    for i in range(n_steps):
+        terms = market_terms(market, Y)
+        pi = strategy.allocations(i * dt, Y, np.exp(logX), terms)
+        dW = noise[:, i, :market.d_W] * np.sqrt(dt)
+        dB = dW @ market.rho + noise[:, i, market.d_W:] * np.sqrt(dt) @ A
+        sigpi = pi @ terms.sigma.T
+        dlogS = (terms.mu - 0.5 * np.sum(terms.sigma ** 2, axis=0)) * dt + dW @ terms.sigma
+        dlogX = (np.sum(sigpi * terms.lam, axis=1) - 0.5 * np.sum(sigpi ** 2, axis=1)) * dt \
+            + np.sum(sigpi * dW, axis=1)
+        dY = terms.alpha * dt + np.einsum("pbk,pb->pk", terms.kappa, dB)
+        logS = np.where(alive[:, None], logS + dlogS, logS)
+        logX = np.where(alive, logX + dlogX, logX)
+        Y = np.where(alive[:, None], Y + dY, Y)
+        left = ~market.domain.contains(Y)
+        alive &= ~left
+        exit_time[left & np.isnan(exit_time)] = (i + 1) * dt
+        for name, value in zip(rec, (Y, np.exp(logS), np.exp(logX))):
+            rec[name].append(value)
+    return {name: np.stack(values, axis=1) for name, values in rec.items()}, exit_time
+
+
+def test_absorb_evaluates_only_the_live_rows():
+    # Most paths of the square-root factor started at 0.05 leave [0, inf) and
+    # die; their rows are no longer evaluated, and the bundle is the one of
+    # the step that evaluated and masked them.
+    market, _, sol, rp = _sqrt_market()
+    probe = _LayoutProbe(_perturbed_optimal(market, sol, rp))
+    cfg = SimulationConfig(dt=0.05, horizon=0.5, n_paths=300, seed=4, boundary_policy="absorb")
+    bundle = simulate(market, cfg, probe, y0=[0.05])
+    oracle, exit_time = _all_rows_absorb(market, cfg, probe.base, [0.05])
+    for name in ("Y", "S", "X"):
+        np.testing.assert_allclose(getattr(bundle, name), oracle[name], rtol=1e-15, atol=0,
+                                   err_msg=name)
+    np.testing.assert_array_equal(bundle.exit_time, exit_time)
+    assert bundle.diagnostics["exited_paths"] == np.count_nonzero(np.isfinite(exit_time)) > 100
+    assert 0 < probe.rows < 0.8 * cfg.n_paths * cfg.n_steps
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_require_finite_scans_only_when_the_sum_is_not_finite():
+    big = np.full((4, 2), 1e308)    # finite entries whose sum overflows
+    sim._require_finite(10, 3, big, big[:, 0])
+    with_inf = big.copy()
+    with_inf[2, 1] = np.inf
+    with_nan = np.zeros(4)
+    with_nan[1] = np.nan
+    for arrays, path in (((big, with_nan), 11), ((with_inf, np.zeros(4)), 12),
+                         ((np.full((4, 1), -np.inf), np.full(4, np.inf)), 10)):
+        with pytest.raises(SimulationError) as exc:
+            sim._require_finite(10, 3, *arrays)
+        assert (exc.value.path, exc.value.step) == (path, 3)
 
 
 def test_each_step_evaluates_mu_and_kappa_once(monkeypatch, canonical_2f):

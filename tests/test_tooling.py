@@ -139,6 +139,29 @@ def test_sim_has_one_block_loop_and_one_boundary_step():
     assert policy == {"_eval_state", "_advance"}
 
 
+def _matmul_sites(path):
+    """Top-level functions of ``path`` that apply ``@`` anywhere, and those
+    that apply it inside a ``for`` loop."""
+    def has_matmul(node):
+        return any(isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.MatMult)
+                   for n in ast.walk(node))
+
+    tops = [n for n in ast.parse(path.read_text()).body if isinstance(n, ast.FunctionDef)]
+    return ({top.name for top in tops if has_matmul(top)},
+            {top.name for top in tops
+             if any(isinstance(n, ast.For) and has_matmul(n) for n in ast.walk(top))})
+
+
+def test_the_euler_step_contracts_states_only_through_rowwise():
+    # model.rowwise is the one place that fixes the layout of a contraction
+    # over a path-contiguous stack; an ``@`` in the step would return a
+    # row-major one.  The only ``@`` in sim.py checks the noise mixer once.
+    anywhere, in_loops = _matmul_sites(PACKAGE / "sim.py")
+    assert anywhere == {"simulate"}
+    assert in_loops == set()
+    assert "optimal_portfolio_from_terms" not in _matmul_sites(PACKAGE / "affine.py")[0]
+
+
 def _standard_error_sites(path):
     """Top-level definitions that divide a spread (an expression calling
     ``std``) by a square root (a call of ``sqrt``), as file:definition."""
