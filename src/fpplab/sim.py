@@ -24,8 +24,8 @@ any reflection, lies outside the domain.  ``simulate`` counts the paths that
 left (``exited_paths``) and the path-steps whose coefficients saw a clipped
 state (``clipped_states``, full truncation only) in its diagnostics.
 
-Under absorb a killed path is frozen: the steps after its death evaluate
-neither the market nor the strategy on its row and give it zero increments.
+Under absorb a killed path is frozen: later steps still evaluate its row,
+but ``_live_add`` keeps its state, log prices and log wealth as they were.
 
 Noise comes in antithetic pairs of counter-based Philox streams: path 2j
 draws the stream keyed by (seed, j) and path 2j + 1 its negation, so each
@@ -350,23 +350,12 @@ def pair_se(values) -> np.ndarray:
 
 def _require_finite(lo: int, step: int, *arrays):
     """Raise SimulationError at the first path of the block starting at lo
-    whose row is non-finite in any of the arrays (paths, ...).  One sum over
-    every entry is tested first and the rows are scanned only when it is not
-    finite; a sum that overflowed on finite entries finds no bad row and
-    raises nothing."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if np.isfinite(sum(np.sum(a) for a in arrays)):
-            return
+    whose row is non-finite in any of the arrays (paths, ...)."""
+    if all(np.all(np.isfinite(a)) for a in arrays):
+        return
     bad = np.any([~np.isfinite(a).reshape(a.shape[0], -1).all(axis=1) for a in arrays], axis=0)
-    if bad.any():
-        raise SimulationError("non-finite value in path update", path=lo + int(np.argmax(bad)),
-                              step=step)
-
-
-def _rows(a, live):
-    """The rows ``live`` of a path-contiguous stack a (P, ...), as a
-    path-contiguous stack (indexing a[live] would return a C-ordered copy)."""
-    return np.take(a.T, live, axis=-1).T
+    raise SimulationError("non-finite value in path update", path=lo + int(np.argmax(bad)),
+                          step=step)
 
 
 def _eval_state(domain: Box, policy: str, Y):
@@ -374,11 +363,17 @@ def _eval_state(domain: Box, policy: str, Y):
     return domain.clip(Y) if policy == "full-truncation" else Y
 
 
+def _live_add(x, dx, alive):
+    """x + dx on the live paths, x on the killed ones: the one place a path
+    killed under absorb is frozen.  x and dx are stacks (P, ...)."""
+    return np.where(alive.reshape((-1,) + (1,) * (np.ndim(x) - 1)), x + dx, x)
+
+
 def _advance(domain: Box, policy: str, Y, dY, alive):
     """Y + dY on the live paths, then the boundary policy.  Returns the new
     state, the paths still alive and the mask of updated states outside the
     domain (before any reflection)."""
-    Y = Y + dY if alive.all() else np.where(alive[:, None], Y + dY, Y)
+    Y = _live_add(Y, dY, alive)
     left = ~domain.contains(Y)
     if policy == "absorb":
         alive = alive & ~left
@@ -392,23 +387,6 @@ def _wealth_terms(terms: MarketTerms, pi):
     (P, n) at the states where ``terms`` were evaluated."""
     sigpi = rowwise(terms.sigma, pi)
     return sigpi, np.einsum("pw,pw->p", sigpi, terms.lam), np.einsum("pw,pw->p", sigpi, sigpi)
-
-
-def _increments(model: ModelSpec, strategy: Strategy, t: float, dt: float, Y, logX, dW, dB):
-    """dY, dlog S and dlog X of one Euler step from the states Y (P, k) the
-    coefficients see, log-wealth logX (P,) and the Brownian increments dW,
-    dB: the market is evaluated once at Y and handed to the strategy."""
-    terms = market_terms(model, Y)
-    pi = np.atleast_2d(strategy.allocations(t, Y, np.exp(logX), terms))
-    # A non-finite allocation is reported by _require_finite.
-    with np.errstate(invalid="ignore"):
-        sigpi, sp_lam, sp_sq = _wealth_terms(terms, pi)
-    # diag(sigma^T sigma) and sigma^T dW
-    dlogS = (terms.mu - 0.5 * np.sum(terms.sigma ** 2, axis=-2)) * dt \
-        + rowwise(np.swapaxes(terms.sigma, -1, -2), dW)
-    dlogX = (sp_lam - 0.5 * sp_sq) * dt + np.einsum("pw,pw->p", sigpi, dW)
-    dY = terms.alpha * dt + np.einsum("pbk,pb->pk", terms.kappa, dB)
-    return dY, dlogS, dlogX
 
 
 # ---------------------------------------------------------------------------
@@ -480,26 +458,25 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
             Yeval = _eval_state(model.domain, policy, Y)
             if Yeval is not Y:      # clipped copy: the rows of Y outside the domain
                 clipped += int(np.count_nonzero(left))
+            terms = market_terms(model, Yeval)
+            pi = np.atleast_2d(strategy.allocations(i * dt, Yeval, np.exp(logX), terms))
+            # A non-finite allocation is reported by _require_finite below.
+            with np.errstate(invalid="ignore"):
+                sigpi, sp_lam, sp_sq = _wealth_terms(terms, pi)
+
             dW = noise[:, i, :model.d_W] * sqdt
             dWp = noise[:, i, model.d_W:] * sqdt
             dB = rowwise(model.rho.T, dW) + rowwise(A.T, dWp)
 
-            if alive.all():
-                dY, dlogS, dlogX = _increments(model, strategy, i * dt, dt, Yeval, logX, dW, dB)
-            else:
-                # Killed paths stay frozen: only the live rows are evaluated,
-                # and the killed ones get zero increments.
-                live = np.flatnonzero(alive)
-                dY, dlogS, dlogX = (np.zeros_like(a) for a in (Y, logS, logX))
-                if live.size:
-                    parts = _increments(model, strategy, i * dt, dt,
-                                        *(_rows(a, live) for a in (Yeval, logX, dW, dB)))
-                    for full, part in zip((dY, dlogS, dlogX), parts):
-                        full.T[..., live] = part.T
+            # diag(sigma^T sigma) and sigma^T dW
+            dlogS = (terms.mu - 0.5 * np.sum(terms.sigma ** 2, axis=-2)) * dt \
+                + rowwise(np.swapaxes(terms.sigma, -1, -2), dW)
+            dlogX = (sp_lam - 0.5 * sp_sq) * dt + np.einsum("pw,pw->p", sigpi, dW)
+            dY = terms.alpha * dt + np.einsum("pbk,pb->pk", terms.kappa, dB)
             _require_finite(lo, i, dY, dlogS, dlogX)
 
-            logS += dlogS
-            logX += dlogX
+            logS = _live_add(logS, dlogS, alive)
+            logX = _live_add(logX, dlogX, alive)
             Wc += dW
             Wpc += dWp
             Bc += dB
@@ -565,8 +542,7 @@ def feynman_kac_estimate(gen: GeneratorCoefficients, h: Callable, t: float,
         alive = np.ones(hi - lo, dtype=bool)
         for i in range(n_steps):
             Zeval = _eval_state(domain, policy, Z)
-            weight = gen.P_batch(Zeval) * dt
-            log_weight += weight if alive.all() else np.where(alive, weight, 0.0)
+            log_weight += gen.P_batch(Zeval) * dt   # a killed path counts 0 below
             dZ = gen.b_batch(Zeval) * dt \
                 + np.einsum("pbk,pb->pk", gen.kappa_batch(Zeval), noise[:, i]) * sqdt
             _require_finite(lo, i, dZ)

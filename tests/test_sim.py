@@ -246,22 +246,22 @@ def _path_contiguous(a):
 
 class _LayoutProbe(Strategy):
     """Checks that the states and terms a step hands over are path-contiguous,
-    counts the rows it is asked for and delegates to ``base``."""
+    counts its calls and delegates to ``base``."""
 
     def __init__(self, base):
-        self.base, self.rows = base, 0
+        self.base, self.calls = base, 0
 
     def allocations(self, t, Y, X, terms):
         assert _path_contiguous(Y) and _path_contiguous(terms.mu)
         assert _path_contiguous(terms.kappa)
-        self.rows += len(Y)
+        self.calls += 1
         return self.base.allocations(t, Y, X, terms)
 
 
 @pytest.mark.parametrize("policy", BOUNDARY_POLICIES)
 def test_step_hands_the_strategy_path_contiguous_stacks(policy):
     # Two square-root factors started near the corner of [0, inf)^2: paths
-    # leave, and under absorb the later steps evaluate only the live rows.
+    # leave, and under absorb the later steps mask the killed rows.
     rp = RiskParams(gamma=2.0, p=0.25)
     market, spec = affine.canonical_affine_market(
         M=[[-1.5, 0.0], [0.0, -1.2]], w=[0.02, 0.03], L=[0.6, 0.5], Lambda=[0.09, 0.04],
@@ -270,16 +270,16 @@ def test_step_hands_the_strategy_path_contiguous_stacks(policy):
     probe = _LayoutProbe(_perturbed_optimal(market, sol, rp))
     cfg = SimulationConfig(dt=0.05, horizon=0.5, n_paths=40, seed=4, boundary_policy=policy)
     bundle = simulate(market, cfg, probe, y0=[0.05, 0.05])
-    assert probe.rows > 0 and np.isfinite(bundle.exit_time).any()
+    assert probe.calls == cfg.n_steps and np.isfinite(bundle.exit_time).any()
     for name in _BUNDLE_ARRAYS:     # the bundle keeps its C layout
         assert getattr(bundle, name).flags.c_contiguous, name
 
 
-def _all_rows_absorb(market, cfg, strategy, y0):
+def _row_major_absorb(market, cfg, strategy, y0):
     """(Y, S, X, exit_time) of ``simulate`` under absorb with one block,
-    written as the step was before killed paths were skipped: every row is
-    evaluated at its state, killed ones included, and the updates of the
-    killed rows are masked out.  sigma must be constant."""
+    written with C-ordered stacks and ``@``: every row is evaluated at its
+    state, killed ones included, and the updates of the killed rows are
+    masked out.  sigma must be constant."""
     n_steps, dt, P = cfg.n_steps, cfg.dt_effective, cfg.n_paths
     (_, _, noise), = sim._noise_blocks(cfg.seed, P, n_steps, market.d_W + market.d_Wperp)
     A = market.noise_mixer()
@@ -307,26 +307,24 @@ def _all_rows_absorb(market, cfg, strategy, y0):
     return {name: np.stack(values, axis=1) for name, values in rec.items()}, exit_time
 
 
-def test_absorb_evaluates_only_the_live_rows():
+def test_absorb_matches_a_row_major_reference_step():
     # Most paths of the square-root factor started at 0.05 leave [0, inf) and
-    # die; their rows are no longer evaluated, and the bundle is the one of
-    # the step that evaluated and masked them.
+    # die; the path-contiguous step freezes them as the row-major one does.
     market, _, sol, rp = _sqrt_market()
     probe = _LayoutProbe(_perturbed_optimal(market, sol, rp))
     cfg = SimulationConfig(dt=0.05, horizon=0.5, n_paths=300, seed=4, boundary_policy="absorb")
     bundle = simulate(market, cfg, probe, y0=[0.05])
-    oracle, exit_time = _all_rows_absorb(market, cfg, probe.base, [0.05])
+    oracle, exit_time = _row_major_absorb(market, cfg, probe.base, [0.05])
     for name in ("Y", "S", "X"):
         np.testing.assert_allclose(getattr(bundle, name), oracle[name], rtol=1e-15, atol=0,
                                    err_msg=name)
     np.testing.assert_array_equal(bundle.exit_time, exit_time)
     assert bundle.diagnostics["exited_paths"] == np.count_nonzero(np.isfinite(exit_time)) > 100
-    assert 0 < probe.rows < 0.8 * cfg.n_paths * cfg.n_steps
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_require_finite_scans_only_when_the_sum_is_not_finite():
-    big = np.full((4, 2), 1e308)    # finite entries whose sum overflows
+def test_require_finite_reports_the_first_non_finite_path():
+    big = np.full((4, 2), 1e308)    # finite entries whose sum would overflow
     sim._require_finite(10, 3, big, big[:, 0])
     with_inf = big.copy()
     with_inf[2, 1] = np.inf
