@@ -153,8 +153,8 @@ class ClosedFormComponent(Fields):
 def _clock(horizon: float, direction: str) -> Callable:
     """Validate a run and return its map from t to the time since the anchor
     tau (t forward, horizon - t backward).  The map is its own inverse."""
-    if horizon <= 0:
-        raise ConfigError("horizon must be positive")
+    if not 0 < horizon < np.inf:     # false for NaN
+        raise ConfigError(f"horizon must be positive and finite, got {horizon}")
     if direction not in (FORWARD, BACKWARD):
         raise ConfigError(f"direction must be '{FORWARD}' or '{BACKWARD}'")
     if direction == FORWARD:
@@ -197,7 +197,7 @@ class RiccatiSolution:
 
     def state(self, t):
         t = np.asarray(t, dtype=float)
-        if np.any(t < -1e-12) or np.any(t > self.horizon + 1e-12):
+        if not np.all((t >= -1e-12) & (t <= self.horizon + 1e-12)):     # false for NaN
             raise ValueError(f"time outside solved horizon [0, {self.horizon}]")
         tau = self._tau(np.clip(t, 0.0, self.horizon))
         out = self._state_impl(np.atleast_1d(tau))

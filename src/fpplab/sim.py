@@ -76,7 +76,10 @@ class SimulationConfig(Fields):
     record_stride: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0 or self.horizon <= 0 or self.dt > self.horizon + 1e-15:
+        for key in ("dt", "horizon"):
+            if not 0 < getattr(self, key) < np.inf:     # false for NaN
+                raise ConfigError(f"{key} must be positive and finite")
+        if self.dt > self.horizon + 1e-15:
             raise ConfigError("need 0 < dt <= horizon")
         if self.n_paths < 1:
             raise ConfigError("n_paths must be >= 1")
@@ -116,31 +119,21 @@ class SimulationConfig(Fields):
 class Strategy:
     """Feedback allocation map.  Subclasses implement ``allocations``.
 
-    ``allocations(t, Y, X, terms)`` returns the (P, n) stock allocations at
-    time t for the states Y (P, k) that the coefficients see (clipped under
-    full truncation) and wealth X (P,).  ``terms`` is the ``MarketTerms`` the
-    Euler step evaluated once at Y: the model they belong to, mu, sigma,
-    sigma^-, lambda, alpha and kappa (the last two on first read).  A
-    strategy may build its allocation from them, as ``OptimalStrategy`` does,
-    or ignore them; it must not modify them.  ``simulate`` and
-    ``admissibility_check`` take a ``Strategy``, not a plain function.
+    ``allocations(t, terms)`` returns the (P, n) wealth fractions at time t
+    and the states ``terms.Y`` (P, k) that the coefficients see (clipped
+    under full truncation); under power utility they depend on (t, y) only,
+    so no strategy sees the wealth.  ``terms`` is the ``MarketTerms`` the
+    step evaluated once at those states: their model, mu, sigma, sigma^-,
+    lambda, alpha and kappa (the last two on first read).  A strategy may
+    build its allocation from them, as ``OptimalStrategy`` does, or ignore
+    them; it must not modify them.  ``simulate`` and ``admissibility_check``
+    take a ``Strategy``, not a plain function.
     """
 
     name = "strategy"
 
-    def allocations(self, t: float, Y: np.ndarray, X: np.ndarray,
-                    terms: MarketTerms) -> np.ndarray:
+    def allocations(self, t: float, terms: MarketTerms) -> np.ndarray:
         raise NotImplementedError
-
-
-class ZeroStrategy(Strategy):
-    name = "zero"
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def allocations(self, t, Y, X, terms):
-        return np.zeros((np.atleast_2d(Y).shape[0], self.n))
 
 
 class ConstantStrategy(Strategy):
@@ -149,21 +142,27 @@ class ConstantStrategy(Strategy):
     def __init__(self, pi):
         self.pi = np.atleast_1d(np.asarray(pi, dtype=float))
 
-    def allocations(self, t, Y, X, terms):
-        return np.broadcast_to(self.pi, (np.atleast_2d(Y).shape[0], self.pi.shape[0])).copy()
+    def allocations(self, t, terms):
+        return np.broadcast_to(self.pi, (terms.Y.shape[0], self.pi.shape[0])).copy()
+
+
+class ZeroStrategy(ConstantStrategy):
+    name = "zero"
+
+    def __init__(self, n: int):
+        super().__init__(np.zeros(n))
 
 
 class OptimalStrategy(Strategy):
     """pi*(t, y) = sigma(y)^- (lambda(y) + q rho kappa(y) grad_y u / u) / gamma
     of ``model`` for the FPP u, built by ``optimal_portfolio_from_terms`` from
-    ``u.log_gradient(t, Y)`` (P, k): Phi(t) once per grid time, broadcast to
-    every path of every block, for a ``RiccatiSolution``, one row per path for a
-    ``WidderFunction``; a u whose k is not the model's raises ``ConfigError``
-    at the first step.  sigma may depend on y.  The step's terms are used
-    when they are ``model``'s; a strategy run under another market (a
-    misspecified one) evaluates its own model at Y, so every coefficient of
-    pi*, rho included, comes from the terms of its own model and pi* never
-    mixes two models.
+    ``u.log_gradient(t, Y)`` (P, k) at Y = ``terms.Y``: Phi(t) once per grid
+    time, broadcast to every path of every block, for a ``RiccatiSolution``,
+    one row per path for a ``WidderFunction``; a u whose k is not the model's
+    raises ``ConfigError`` at the first step.  sigma may depend on y.  The
+    step's terms are used when they are ``model``'s; a strategy run under
+    another (misspecified) market evaluates its own model at Y, so every
+    coefficient of pi*, rho included, comes from its own model.
     """
 
     name = "optimal"
@@ -173,10 +172,10 @@ class OptimalStrategy(Strategy):
         self.model = model
         self.rp = rp
 
-    def allocations(self, t, Y, X, terms):
+    def allocations(self, t, terms):
         if terms.spec is not self.model:
-            terms = market_terms(self.model, Y)
-        return optimal_portfolio_from_terms(terms, self.rp, self.u.log_gradient(float(t), Y))
+            terms = market_terms(self.model, terms.Y)
+        return optimal_portfolio_from_terms(terms, self.rp, self.u.log_gradient(float(t), terms.Y))
 
 
 # The name the benchmark builds the strategy by.
@@ -193,8 +192,8 @@ class PerturbedStrategy(Strategy):
         self.delta = delta
         self.name = f"{base.name}+{delta}"
 
-    def allocations(self, t, Y, X, terms):
-        return self.base.allocations(t, Y, X, terms) + self.delta
+    def allocations(self, t, terms):
+        return self.base.allocations(t, terms) + self.delta
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +381,17 @@ def _advance(domain: Box, policy: str, Y, dY, alive):
     return Y, alive, left
 
 
-def _wealth_terms(terms: MarketTerms, pi):
-    """s p = sigma pi, (s p)^T lambda and |s p|^2 for the allocations pi
-    (P, n) at the states where ``terms`` were evaluated."""
-    sigpi = rowwise(terms.sigma, pi)
-    return sigpi, np.einsum("pw,pw->p", sigpi, terms.lam), np.einsum("pw,pw->p", sigpi, sigpi)
+def _step_terms(model: ModelSpec, strategy: Strategy, t: float, Yeval):
+    """(terms, s p, (s p)^T lambda, |s p|^2): the market of ``model`` at the
+    states Yeval (P, k) and the wealth integrands of the strategy's
+    allocations pi there at time t, s p = sigma pi.  A non-finite pi reaches
+    the integrands without a warning; each caller reports it its own way."""
+    terms = market_terms(model, Yeval)
+    pi = strategy.allocations(t, terms)
+    with np.errstate(invalid="ignore", over="ignore"):
+        sigpi = rowwise(terms.sigma, pi)
+        return (terms, sigpi, np.einsum("pw,pw->p", sigpi, terms.lam),
+                np.einsum("pw,pw->p", sigpi, sigpi))
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +413,8 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
 
     Raises
     ------
+    ConfigError
+        If x0 is not positive and finite, or y0 has an entry that is not finite.
     SimulationError
         On the first non-finite increment of Y, log S or log X, reporting
         (path, step).  sigma has full column rank, so a non-finite allocation
@@ -417,8 +424,10 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
         y0 = model.domain.interior_grid(points_per_dim=1)[0]
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     require_shape(y0, (model.k,), "y0")
-    if x0 <= 0:
-        raise ConfigError("initial wealth must be positive")
+    if not np.all(np.isfinite(y0)):
+        raise ConfigError(f"y0 must be finite, got {y0.tolist()}")
+    if not 0 < x0 < np.inf:     # false for NaN
+        raise ConfigError(f"initial wealth x0 must be positive and finite, got {x0}")
 
     n_steps, dt, policy = cfg.n_steps, cfg.dt_effective, cfg.boundary_policy
     sqdt = np.sqrt(dt)
@@ -458,11 +467,8 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
             Yeval = _eval_state(model.domain, policy, Y)
             if Yeval is not Y:      # clipped copy: the rows of Y outside the domain
                 clipped += int(np.count_nonzero(left))
-            terms = market_terms(model, Yeval)
-            pi = np.atleast_2d(strategy.allocations(i * dt, Yeval, np.exp(logX), terms))
             # A non-finite allocation is reported by _require_finite below.
-            with np.errstate(invalid="ignore"):
-                sigpi, sp_lam, sp_sq = _wealth_terms(terms, pi)
+            terms, sigpi, sp_lam, sp_sq = _step_terms(model, strategy, i * dt, Yeval)
 
             dW = noise[:, i, :model.d_W] * sqdt
             dWp = noise[:, i, model.d_W:] * sqdt
@@ -518,8 +524,8 @@ def feynman_kac_estimate(gen: GeneratorCoefficients, h: Callable, t: float,
     means of antithetic pairs (with an odd path count the last path counts
     only in the estimate; with fewer than two pairs the error is inf).
     """
-    if t <= 0:
-        raise ConfigError("time-to-go must be positive")
+    if not t > 0:       # true for NaN
+        raise ConfigError(f"time-to-go t must be positive, got {t}")
     if t > cfg.horizon + 1e-12:
         raise ConfigError("time-to-go exceeds configured horizon")
     if gen.kappa_batch is None:
@@ -590,14 +596,10 @@ def admissibility_check(bundle: PathBundle, strategy: Strategy) -> Admissibility
     flags = []
     dts = np.diff(bundle.times)
     for j in range(m - 1):
-        Yeval = model.domain.clip(bundle.Y[:, j])
-        terms = market_terms(model, Yeval)
-        pi = np.atleast_2d(strategy.allocations(float(bundle.times[j]), Yeval,
-                                                bundle.X[:, j], terms))
         # Non-finite allocations propagate into the integrands on purpose;
         # they are collected as flags rather than raised.
-        with np.errstate(invalid="ignore", over="ignore"):
-            _, d_term, q_term = _wealth_terms(terms, pi)
+        _, _, d_term, q_term = _step_terms(model, strategy, float(bundle.times[j]),
+                                           model.domain.clip(bundle.Y[:, j]))
         d_term = np.abs(d_term)
         bad = ~(np.isfinite(d_term) & np.isfinite(q_term))
         flags.extend((int(p), j) for p in np.nonzero(bad)[0][:_MAX_FLAGS - len(flags)])

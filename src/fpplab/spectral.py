@@ -29,7 +29,8 @@ import numpy as np
 
 from .errors import (ConditioningError, ConfigError, InconsistentDataError,
                      IntegrationError, NonRepresentableError, PositivityError)
-from .model import Fields, GeneratorCoefficients, from_params, require, require_shape
+from .model import (Fields, GeneratorCoefficients, from_params, require, require_real,
+                    require_shape)
 
 _COND_LIMIT = 1e12
 MATCH_TOL = 1e-9            # TabulatedEigenfunction: max-norm distance of a match
@@ -89,11 +90,12 @@ class SpectralMeasure:
     @staticmethod
     def from_json(data):
         require(data, ["y0", "atoms"], "spectral measure")
+        what, atoms = "spectral measure atom", []
         for atom in data["atoms"]:
-            require(atom, ["zeta", "weight"], "spectral measure atom")
-        atoms = sorted(data["atoms"], key=lambda a: a["zeta"])
-        return SpectralMeasure(zetas=[a["zeta"] for a in atoms],
-                               weights=[a["weight"] for a in atoms],
+            require(atom, ["zeta", "weight"], what)
+            atoms.append((require_real(atom, "zeta", what), require_real(atom, "weight", what)))
+        atoms.sort()
+        return SpectralMeasure(zetas=[z for z, _ in atoms], weights=[w for _, w in atoms],
                                y0=data["y0"])
 
 
@@ -619,8 +621,8 @@ def radial_ode_diagnostic(P0_tilde: Callable[[float], float], zeta: float,
 
     if k < 2:
         raise ConfigError("radial diagnostic requires k >= 2")
-    if r_max <= 1.0:
-        raise ConfigError("r_max must exceed 1")
+    if not 1.0 < r_max < np.inf:     # false for NaN
+        raise ConfigError(f"r_max must be finite and exceed 1, got {r_max}")
 
     r_start = 1e-6
     R = RADIAL_TAIL_FACTOR * r_max

@@ -53,6 +53,9 @@ def _fd_grid(f, T, Z, H, fd_step, order, it, point):
     one call on Z per time offset."""
     if order not in _D1:
         raise ConfigError(f"stencil order must be 2 or 4, got {order}")
+    if not 0 < fd_step < np.inf:     # false for NaN
+        raise ConfigError(f"finite-difference step fd_step must be positive and finite, "
+                          f"got {fd_step}")
     P, d = Z.shape
     E = np.eye(d, dtype=int)
     columns = {(0,) * d: 0}                  # node displacement in steps -> column of F

@@ -561,8 +561,7 @@ def test_portfolio_on_a_stack_equals_per_point_calls_and_strategy(canonical_2f):
     for i, y in enumerate(Y):
         np.testing.assert_allclose(stack[i], optimal_portfolio_affine(sol, market, rp, 0.4, y),
                                    rtol=1e-13, atol=1e-15)
-    alloc = OptimalStrategy(sol, market, rp).allocations(0.4, Y, np.ones(6),
-                                                         market_terms(market, Y))
+    alloc = OptimalStrategy(sol, market, rp).allocations(0.4, market_terms(market, Y))
     np.testing.assert_array_equal(alloc, stack)
 
 
@@ -695,3 +694,15 @@ def test_solution_rejects_times_outside_horizon(canonical_1f):
         sol.Phi(1.2)
     with pytest.raises(ValueError):
         sol.Theta(-0.5)
+
+
+def test_riccati_time_checks_refuse_nan(canonical_1f):
+    # NaN compared false with both ends of each range and passed.
+    _, spec, rp = canonical_1f
+    for horizon in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="horizon must be positive and finite"):
+            solve_riccati_closed_form(spec, rp, horizon, FORWARD)
+    sol = solve_riccati_closed_form(spec, rp, 1.0, FORWARD)
+    for t in (math.nan, [0.5, math.nan]):
+        with pytest.raises(ValueError, match="time outside solved horizon"):
+            sol.state(t)

@@ -4,11 +4,14 @@ import json
 import math
 import os
 import shlex
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import fpplab
 from fpplab.cli import build_parser, main
 from fpplab.model import RiskParams
 from fpplab import affine
@@ -490,6 +493,68 @@ def test_rank_deficient_grid_sigma_exits_two(workdir, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "numerical failure" in err and "y=[1.5]" in err
+
+
+_AFFINE_FLAGS = ["--model", "model.json", "--affine", "aspec.json", "--gamma", "2.0"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["affine", "solve", "--spec", "aspec.json", "--gamma", "2.0", "--horizon", "nan"],
+     "horizon must be positive and finite"),
+    (["affine", "portfolio", "--spec", "aspec.json", "--model", "model.json", "--gamma", "2.0",
+      "--horizon", "1.0", "--t", "nan", "--y", "0.9"], "time outside solved horizon"),
+    ([*_SIM_RUN, "--x0", "nan"], "x0 must be positive and finite"),
+    ([*_SIM_RUN, "--x0", "inf"], "x0 must be positive and finite"),
+    ([*_SIM_RUN, "--y0", "nan"], "y0 must be finite"),
+    ([*_SIM_RUN, "--dt", "nan"], "dt must be positive and finite"),
+    (["sim", "feynman-kac", "--model", "model.json", "--config", "simcfg.json",
+      "--gamma", "2.0", "--t", "nan", "--y", "0.5"], "time-to-go t must be positive"),
+    (["verify", "residual", "--which", "linear", *_AFFINE_FLAGS, "--tol-step", "0"], "fd_step"),
+    (["verify", "residual", "--which", "nonlinear", *_AFFINE_FLAGS, "--tol-step", "0"],
+     "fd_step"),
+    (["verify", "residual", "--which", "hjb", *_AFFINE_FLAGS, "--tol-step", "0"], "fd_step"),
+    (["verify", "residual", "--which", "hjb", *_AFFINE_FLAGS, "--tol-step", "nan"], "fd_step"),
+], ids=["horizon_nan", "t_nan", "x0_nan", "x0_inf", "y0_nan", "dt_nan", "fk_t_nan",
+        "linear_step_0", "nonlinear_step_0", "hjb_step_0", "hjb_step_nan"])
+def test_non_finite_or_zero_flag_exits_one_and_names_it(workdir, capsys, argv, named):
+    # Before the checks NaN passed every range test: these runs exited 0 with
+    # NaN or inf outputs, 2 ("numerical failure") for y0, or 1 with numpy's
+    # "cannot convert float NaN to integer", which names no field.
+    assert main([*argv, "--out", "o_bad"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert named in err
+
+
+@pytest.mark.parametrize("r_max", ["nan", "inf"])
+def test_spectral_radial_refuses_a_non_finite_r_max(workdir, r_max):
+    # NaN passed the r_max <= 1 test and the ODE was then integrated to
+    # 10 r_max without end; a child with a timeout fails instead of hanging.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(
+        fpplab.__file__)), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-m", "fpplab.cli", "spectral", "radial",
+                          "--zeta", "0", "--k", "3", "--r-max", r_max, "--out", "o_radial"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error:") and "r_max must be finite and exceed 1" in out.stderr
+
+
+def test_spectral_evaluate_names_a_non_numeric_atom(workdir, capsys):
+    # sorted() compared "a" with a float and ended in an uncaught TypeError.
+    sel = EigenfunctionSelection((ExpEigenfunction([0.5], [0.0]),
+                                  ExpEigenfunction([-0.8], [0.0])), [0.0])
+    with open(workdir / "selection.json", "w") as fh:
+        json.dump(sel.to_json(), fh)
+    with open(workdir / "measure.json", "w") as fh:
+        json.dump({"y0": [0.0], "atoms": [{"zeta": 0.3, "weight": 0.6},
+                                          {"zeta": "a", "weight": 0.4}]}, fh)
+    assert main(["spectral", "evaluate", "--measure", "measure.json",
+                 "--selection", "selection.json", "--t-grid", "0:1:3",
+                 "--y", "0.1", "--out", "o_atom"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "spectral measure atom: field 'zeta' must be a number" in err
 
 
 def test_help_lists_flags(workdir, capsys):

@@ -48,6 +48,28 @@ def test_config_validation():
     assert cfg.dt_effective == pytest.approx(0.1)
 
 
+@pytest.mark.parametrize("key, value", [("dt", math.nan), ("horizon", math.nan),
+                                        ("horizon", math.inf), ("dt", -math.inf)])
+def test_config_refuses_non_finite_times_and_names_them(key, value):
+    # NaN passed dt <= 0 and later failed in n_steps naming no field.
+    with pytest.raises(ConfigError, match=f"^{key} must be positive and finite$"):
+        SimulationConfig(**{"dt": 0.1, "horizon": 1.0, "n_paths": 10, key: value})
+
+
+def test_non_finite_start_and_time_to_go_are_refused():
+    market = _flat_market()
+    cfg = SimulationConfig(dt=0.1, horizon=0.5, n_paths=4, seed=2)
+    for x0 in (math.nan, math.inf, 0.0):
+        with pytest.raises(ConfigError, match="x0 must be positive and finite"):
+            simulate(market, cfg, ZeroStrategy(market.n), x0=x0, y0=[0.0])
+    for y0 in ([math.nan], [math.inf]):
+        with pytest.raises(ConfigError, match="y0 must be finite"):
+            simulate(market, cfg, ZeroStrategy(market.n), y0=y0)
+    with pytest.raises(ConfigError, match="time-to-go t must be positive"):
+        feynman_kac_estimate(make_heat_generator(), lambda Y: np.ones(len(Y)), math.nan,
+                             [0.0], cfg)
+
+
 def test_config_from_json_refuses_other_schemes():
     data = SimulationConfig(dt=0.1, horizon=1.0, n_paths=10).to_json()
     assert SimulationConfig.from_json(dict(data, scheme="euler-maruyama")) \
@@ -251,11 +273,11 @@ class _LayoutProbe(Strategy):
     def __init__(self, base):
         self.base, self.calls = base, 0
 
-    def allocations(self, t, Y, X, terms):
-        assert _path_contiguous(Y) and _path_contiguous(terms.mu)
+    def allocations(self, t, terms):
+        assert _path_contiguous(terms.Y) and _path_contiguous(terms.mu)
         assert _path_contiguous(terms.kappa)
         self.calls += 1
-        return self.base.allocations(t, Y, X, terms)
+        return self.base.allocations(t, terms)
 
 
 @pytest.mark.parametrize("policy", BOUNDARY_POLICIES)
@@ -288,7 +310,7 @@ def _row_major_absorb(market, cfg, strategy, y0):
     rec = {"Y": [Y], "S": [np.exp(logS)], "X": [np.exp(logX)]}
     for i in range(n_steps):
         terms = market_terms(market, Y)
-        pi = strategy.allocations(i * dt, Y, np.exp(logX), terms)
+        pi = strategy.allocations(i * dt, terms)
         dW = noise[:, i, :market.d_W] * np.sqrt(dt)
         dB = dW @ market.rho + noise[:, i, market.d_W:] * np.sqrt(dt) @ A
         sigpi = pi @ terms.sigma.T
@@ -381,8 +403,8 @@ class _ParentOptimal(Strategy):
     def __init__(self, sol, model, rp):
         self.sol, self.model, self.rp = sol, model, rp
 
-    def allocations(self, t, Y, X, terms):
-        return affine.optimal_portfolio_affine(self.sol, self.model, self.rp, t, Y)
+    def allocations(self, t, terms):
+        return affine.optimal_portfolio_affine(self.sol, self.model, self.rp, t, terms.Y)
 
 
 def test_optimal_strategy_under_another_market_keeps_its_own_model(canonical_1f):
@@ -393,7 +415,7 @@ def test_optimal_strategy_under_another_market_keeps_its_own_model(canonical_1f)
     sol = affine.solve_riccati_closed_form(spec, rp, 1.0, affine.FORWARD)
     strategy = OptimalStrategy(sol, market, rp)
     Y = np.linspace(0.1, 2.5, 5).reshape(-1, 1)
-    pi = strategy.allocations(0.6, Y, np.ones(5), market_terms(varying, Y))
+    pi = strategy.allocations(0.6, market_terms(varying, Y))
     np.testing.assert_array_equal(pi, affine.optimal_portfolio_affine(sol, market, rp, 0.6, Y))
     assert not np.allclose(pi, affine.optimal_portfolio_affine(sol, varying, rp, 0.6, Y))
     cfg = SimulationConfig(dt=0.05, horizon=0.5, n_paths=20, seed=3)
@@ -526,8 +548,8 @@ def test_default_y0_is_the_lower_inset_point_of_each_axis():
 class _InfiniteAfter(Strategy):
     """Allocates (0, 0) up to t = 0.25 and (inf, 0) after."""
 
-    def allocations(self, t, Y, X, terms):
-        return np.tile([np.inf, 0.0] if t > 0.25 else [0.0, 0.0], (len(Y), 1))
+    def allocations(self, t, terms):
+        return np.tile([np.inf, 0.0] if t > 0.25 else [0.0, 0.0], (len(terms.Y), 1))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -802,8 +824,8 @@ def test_admissibility_flags_injected_infinity(canonical_1f):
     bundle = simulate(market, cfg, ConstantStrategy([0.3, 0.1]), y0=[1.0])
 
     class Injected(Strategy):
-        def allocations(self, t, Y, X, terms):
-            out = np.full((np.atleast_2d(Y).shape[0], 2), 0.3)
+        def allocations(self, t, terms):
+            out = np.full((len(terms.Y), 2), 0.3)
             if abs(t - 0.5) < 1e-9:
                 out[3, 0] = np.inf
             return out
@@ -839,8 +861,8 @@ def test_perturbed_strategy_shifts_every_component(canonical_1f):
     shifted = PerturbedStrategy(base, 0.2)
     Y = np.array([[0.8], [1.2]])
     terms = market_terms(market, Y)
-    np.testing.assert_allclose(shifted.allocations(0.3, Y, np.ones(2), terms),
-                               base.allocations(0.3, Y, np.ones(2), terms) + 0.2,
+    np.testing.assert_allclose(shifted.allocations(0.3, terms),
+                               base.allocations(0.3, terms) + 0.2,
                                atol=1e-15)
 
 
@@ -850,7 +872,7 @@ def test_affine_optimal_strategy_accepts_y_dependent_sigma(canonical_1f):
     sol = affine.solve_riccati_closed_form(spec, rp, 1.0, affine.FORWARD)
     strategy = OptimalStrategy(sol, varying, rp)
     Y = np.linspace(0.1, 2.5, 5).reshape(-1, 1)
-    pi = strategy.allocations(0.6, Y, np.ones(5), market_terms(varying, Y))
+    pi = strategy.allocations(0.6, market_terms(varying, Y))
     for i, y in enumerate(Y):
         np.testing.assert_allclose(pi[i], portfolio_oracle(varying, sol, rp, 0.6, y),
                                    rtol=1e-12, atol=1e-14)

@@ -529,8 +529,7 @@ def test_recovered_selection_has_no_derivatives_and_says_so(canonical_1f):
     market, _, rp = canonical_1f
     calls = [lambda: u.derivatives(0.2, Y), lambda: u.log_gradient(0.2, Y),
              lambda: affine.optimal_portfolio_affine(u, market, rp, 0.2, Y),
-             lambda: OptimalStrategy(u, market, rp).allocations(
-                 0.2, Y, np.ones(len(Y)), market_terms(market, Y)),
+             lambda: OptimalStrategy(u, market, rp).allocations(0.2, market_terms(market, Y)),
              lambda: rec.defect(generator_coefficients(market, rp), nu.zetas, Y)]
     for call in calls:
         with pytest.raises(ConfigError, match="eigenfunction kind 'tabulated' has no derivatives"):

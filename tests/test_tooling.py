@@ -269,6 +269,33 @@ def test_the_optimality_identity_reads_u_through_the_fpp_interface():
     assert len(body) == 1 and isinstance(body[0], ast.Return)
 
 
+def _functions(path):
+    """(qualified name, FunctionDef) of every top-level function of ``path``
+    and every method of its top-level classes, as ``Class.method``."""
+    for top in ast.parse(path.read_text()).body:
+        if isinstance(top, ast.FunctionDef):
+            yield top.name, top
+        elif isinstance(top, ast.ClassDef):
+            yield from ((f"{top.name}.{fn.name}", fn) for fn in top.body
+                        if isinstance(fn, ast.FunctionDef))
+
+
+def test_strategies_see_the_step_terms_only():
+    # Allocations are wealth fractions at terms.Y, so a strategy receives
+    # neither the wealth nor a second copy of the states; sim evaluates the
+    # market for the step in one place, _step_terms.
+    signatures = {f"{path.name}:{name}": [p.arg for p in (*a.posonlyargs, *a.args, a.vararg,
+                                                          *a.kwonlyargs, a.kwarg) if p]
+                  for path in sorted(PACKAGE.glob("*.py"))
+                  for name, fn in _functions(path) if fn.name == "allocations"
+                  for a in [fn.args]}
+    assert {"sim.py:Strategy.allocations", "sim.py:OptimalStrategy.allocations"} <= set(signatures)
+    assert {name for name, args in signatures.items() if args != ["self", "t", "terms"]} == set()
+    assert {name for name, fn in _functions(PACKAGE / "sim.py")
+            if any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "market_terms"
+                   for n in ast.walk(fn))} == {"_step_terms", "OptimalStrategy.allocations"}
+
+
 def _sharpe_readers(path):
     """Top-level definitions that read ``.Lambda`` or ``.lambda0``."""
     tree = ast.parse(path.read_text())

@@ -553,17 +553,6 @@ def test_portfolio_residual_refuses_one_pi_for_a_stack_of_states(canonical_1f):
         optimal_portfolio_residual(market, rp, sol, 0.4, Y, pi[0])
 
 
-def test_optimal_allocation_independent_of_wealth(canonical_1f):
-    market, spec, rp, sol = _affine_setup(canonical_1f)
-    strat = OptimalStrategy(sol, market, rp)
-    Y = np.array([[0.8], [1.1]])
-    terms = market_terms(market, Y)
-    base = strat.allocations(0.3, Y, np.full(2, 1.0), terms)
-    for x in (0.5, 2.0):
-        np.testing.assert_array_equal(strat.allocations(0.3, Y, np.full(2, x), terms),
-                                      base)
-
-
 # ---------------------------------------------------------------------------
 # A Widder FPP through the one interface: V, pi* and the optimal strategy
 # ---------------------------------------------------------------------------
@@ -624,7 +613,7 @@ def test_random_two_atom_widder_portfolio_satisfies_the_identity(m, w, L, Lam, l
     Y = np.linspace(0.1, 1.5, 6)[:, None]
     stack = affine.optimal_portfolio_affine(u, market, rp, t, Y)
     assert optimal_portfolio_residual(market, rp, u, t, Y, stack) <= 1e-12
-    alloc = OptimalStrategy(u, market, rp).allocations(t, Y, np.ones(6), market_terms(market, Y))
+    alloc = OptimalStrategy(u, market, rp).allocations(t, market_terms(market, Y))
     np.testing.assert_array_equal(alloc, stack)
     # One row alone may round its matmuls differently, by an ulp or so.
     for y, row in zip(Y, alloc):
@@ -648,8 +637,8 @@ def test_one_atom_widder_strategy_matches_the_affine_one(canonical_1f):
     for t in (0.0, 0.35, 1.0):
         np.testing.assert_allclose(u(t, Y), sol(t, Y), rtol=1e-12)
         np.testing.assert_allclose(
-            OptimalStrategy(u, market, rp).allocations(t, Y, np.ones(7), terms),
-            OptimalStrategy(sol, market, rp).allocations(t, Y, np.ones(7), terms),
+            OptimalStrategy(u, market, rp).allocations(t, terms),
+            OptimalStrategy(sol, market, rp).allocations(t, terms),
             rtol=0, atol=1e-12)
 
 
