@@ -52,8 +52,8 @@ import numpy as np
 from .errors import (ClosedFormInapplicableError, ConfigError,
                      ExponentOverflowError, IntegrationError, RiccatiBlowUpError)
 from .model import (AffineField, Box, ConstantField, Fields, MarketTerms, ModelSpec, RiskParams,
-                    SqrtAffineField, SqrtDiagField, from_params, market_terms, require_shape,
-                    rowwise)
+                    SqrtAffineField, SqrtDiagField, from_params, market_terms, require_finite,
+                    require_shape, rowwise)
 
 BLOW_UP_THRESHOLD = 1e8
 DIAGONAL_TOL = 1e-12      # AffineSpec.is_diagonal: relative off-diagonal tolerance
@@ -466,13 +466,15 @@ def optimal_portfolio_affine(u, model_spec: ModelSpec, rp: RiskParams, t: float,
     Raises
     ------
     ConfigError
-        If ``y`` or grad_y u / u does not have the model's k factors.
+        If ``y`` or grad_y u / u does not have the model's k factors, or
+        ``y`` has an entry that is not finite.
     SingularModelError
         If sigma(y) has rank below n at some point.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     k = model_spec.k
     require_shape(y, (k,) if y.ndim == 1 else (len(y), k))
+    require_finite(y, "y")
     Y = np.atleast_2d(y)
     pi = optimal_portfolio_from_terms(market_terms(model_spec, Y), rp, u.log_gradient(t, Y))
     return pi[0] if y.ndim == 1 else pi

@@ -73,12 +73,32 @@ def require_real(data: dict, key: str, what: str) -> float:
     return float(value)
 
 
+def require_list(data: dict, key: str, what: str) -> list:
+    """``data[key]``, which must be a JSON list."""
+    value = data[key]
+    if not isinstance(value, list):
+        raise ConfigError(f"{what}: field '{key}' must be a list")
+    return value
+
+
 def require_shape(a, shape: tuple, what: str = "y", owner: str = "model") -> None:
     """Raise ``ConfigError`` unless ``a`` has ``shape``, whose last entry is
     the factor count k of the ``owner``; the message names both, as in
     "y has shape (3,); the model has k=2 factors"."""
     if np.shape(a) != shape:
         raise ConfigError(f"{what} has shape {np.shape(a)}; the {owner} has k={shape[-1]} factors")
+
+
+def require_finite(a: np.ndarray, what: str) -> None:
+    """Raise ``ConfigError`` naming ``what`` unless every entry of the state
+    or stack of states ``a`` is finite; the message shows the state, or the
+    first row of a stack that is not finite."""
+    finite = np.isfinite(a)
+    if not np.all(finite):
+        if a.ndim > 1:
+            row = int(np.argmin(finite.all(axis=1)))
+            what, a = f"{what}[{row}]", a[row]
+        raise ConfigError(f"{what} must be finite, got {a.tolist()}")
 
 
 def _json_keys(cls):

@@ -29,11 +29,13 @@ but ``_live_add`` keeps its state, log prices and log wealth as they were.
 
 Noise comes in antithetic pairs of counter-based Philox streams: path 2j
 draws the stream keyed by (seed, j) and path 2j + 1 its negation, so each
-path's noise is the same whatever the batching (see ``_path_noise``).  Monte
-Carlo standard errors are taken over pair means (``pair_se``); with an odd
-path count the last path has no partner and counts only in the mean.
+path's noise is the same whatever the batching (see ``_path_noise``).  The
+noise buffer holds one draw per pair; each step forms both paths' noise
+from it (``_noise_blocks``).  Monte Carlo standard errors are taken over
+pair means (``pair_se``); with an odd path count the last path has no
+partner and counts only in the mean.
 
-The engine's stacks (P, k), (P, n), (P, d_B, k) and the noise are stored
+The engine's stacks (P, k), (P, n), (P, d_B, k) and the step noise are stored
 path-contiguous: the path axis has stride one item.  Their other axes have
 length 2 or 3, so numpy's inner loops then run over the P paths instead of
 over those short axes; ``model.rowwise`` applies every matrix to a stack in
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -51,12 +54,12 @@ import numpy as np
 from .affine import optimal_portfolio_from_terms
 from .errors import ConfigError, SimulationError
 from .model import (Box, Fields, GeneratorCoefficients, MarketTerms, ModelSpec, RiskParams,
-                    market_terms, plain, read_json, require, require_int, require_real,
-                    require_shape, rowwise, write_json)
+                    market_terms, plain, read_json, require, require_finite, require_int,
+                    require_real, require_shape, rowwise, write_json)
 
 BOUNDARY_POLICIES = ("full-truncation", "absorb", "reflect")
 _BLOCK_SIZE = 4096
-_TILE_BYTES = 1 << 18     # scratch of _path_noise: 64 paths of 100 steps x 5 draws
+_TILE_BYTES = 1 << 18     # scratch of _path_noise: 64 pairs of 100 steps x 5 draws
 _MAX_FLAGS = 100   # nonfinite locations kept by admissibility_check
 
 
@@ -276,60 +279,72 @@ class PathBundle:
 # Euler engine: path blocks, the boundary step and the wealth integrands
 # ---------------------------------------------------------------------------
 
-def _path_noise(seed: int, path_lo: int, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` (paths, n_steps, dims) with the noise of paths path_lo,
-    path_lo + 1, ... and return it.
+def _path_noise(seed: int, pair_lo: int, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (pairs, n_steps, dims) with the noise streams of the
+    antithetic pairs pair_lo, pair_lo + 1, ... and return it.
 
-    Path p is (-1)^p times the Philox stream keyed by (seed mod 2^64, p // 2):
-    the pair (2j, 2j + 1) shares the stream of key j, the odd path negated.
-    The pairing follows the global path index, so it does not depend on
-    where a block starts.  Only the even path of a pair in a tile is drawn,
-    and its partner is its negation written in place; an odd first path of
-    a tile is drawn from key p // 2 and negated.  One bit generator serves
-    the call, reset before each draw to the state of a fresh one (counter
-    zero, buffer empty) with key (seed, p // 2): the streams of one
-    ``Philox(key=[seed, p // 2])`` per pair, without building one per pair.
+    Row r is the Philox stream keyed by (seed mod 2^64, pair_lo + r), the
+    noise of path 2 (pair_lo + r); its partner's noise is the negation, formed
+    at each step by ``_step_noise``.  One bit generator serves the call,
+    reset before each row to the state of a fresh one (counter zero, buffer
+    empty) with that key: the streams of one ``Philox(key=[seed, j])`` per
+    pair, without building one per pair.
 
-    Paths are drawn into a C-ordered scratch of at most ``_TILE_BYTES``
-    (the generator writes only contiguous rows) and copied into ``out`` a
-    tile at a time, so ``out`` may have any layout.
+    Rows are drawn into a C-ordered scratch of at most ``_TILE_BYTES`` (the
+    generator writes only contiguous rows) and copied into ``out`` a tile at
+    a time, so ``out`` may have any layout.
     """
-    bitgen = np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, path_lo // 2],
+    bitgen = np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, pair_lo],
                                            dtype=np.uint64))
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state     # a copy; drawing never changes it
-    path_bytes = out.itemsize * max(1, int(np.prod(out.shape[1:])))
-    tile_paths = max(2, _TILE_BYTES // path_bytes // 2 * 2)
-    scratch = np.empty((min(tile_paths, out.shape[0]),) + out.shape[1:])
-    for start in range(0, out.shape[0], tile_paths):
+    row_bytes = out.itemsize * max(1, int(np.prod(out.shape[1:])))
+    tile_rows = max(1, _TILE_BYTES // row_bytes)
+    scratch = np.empty((min(tile_rows, out.shape[0]),) + out.shape[1:])
+    for start in range(0, out.shape[0], tile_rows):
         tile = scratch[:out.shape[0] - start]
-        for offset in range(tile.shape[0]):
-            p = path_lo + start + offset
-            if p % 2 and offset:
-                np.negative(tile[offset - 1], out=tile[offset])
-                continue
-            fresh["state"]["key"][1] = p // 2
+        for offset, row in enumerate(tile):
+            fresh["state"]["key"][1] = pair_lo + start + offset
             bitgen.state = fresh
-            gen.standard_normal(out=tile[offset])
-            if p % 2:
-                np.negative(tile[offset], out=tile[offset])
+            gen.standard_normal(out=row)
         out[start:start + tile.shape[0]] = tile
+    return out
+
+
+def _step_noise(pairs: np.ndarray, first: int, out: np.ndarray, i: int) -> np.ndarray:
+    """Write step i of a block's noise into ``out`` (paths, dims) and return
+    it.  ``pairs`` (pairs, n_steps, dims) holds the streams of the block's
+    pairs and ``first`` is the parity of its first path: the even paths copy
+    their pair's row and the odd ones its negation, which is exact."""
+    step = pairs[:, i]
+    even, odd = out[first::2], out[1 - first::2]
+    np.copyto(even, step[first:first + even.shape[0]])
+    np.negative(step[:odd.shape[0]], out=odd)
     return out
 
 
 def _noise_blocks(seed: int, n_paths: int, n_steps: int, dims: int):
     """Yield (lo, hi, noise) for consecutive blocks of at most _BLOCK_SIZE
-    paths, noise being the block's (hi - lo, n_steps, dims) draw.  Every block
-    is drawn into one buffer, so a block's noise is valid until the next.
+    paths, ``noise(i)`` being the block's (hi - lo, dims) noise at step i.
 
-    The buffer is stored path-last, (n_steps, dims, paths), and exposed as a
-    (paths, n_steps, dims) view: the step loop reads noise[:, i] as a stack
-    whose path axis is contiguous, like every stack of the Euler engine (see
+    Each pair's stream is stored once: every block is drawn into one buffer
+    of n_steps x dims x (B // 2 + 1) doubles, B = min(_BLOCK_SIZE, n_paths)
+    (a block that starts at an odd path spans one pair more than B / 2),
+    and ``noise(i)`` expands step i into one scratch that serves every step
+    and block.  So a block's noise is valid until the next block, and
+    ``noise(i)`` until the next call.
+
+    The buffer is stored path-last, (n_steps, dims, pairs), and the scratch
+    (dims, paths): the step loop reads noise(i) as a stack whose path axis
+    is contiguous, like every stack of the Euler engine (see
     ``model.rowwise``)."""
-    buffer = np.empty((n_steps, dims, min(_BLOCK_SIZE, n_paths))).transpose(2, 0, 1)
+    size = min(_BLOCK_SIZE, n_paths)
+    buffer = np.empty((n_steps, dims, size // 2 + 1)).transpose(2, 0, 1)
+    scratch = np.empty((dims, size)).T
     for lo in range(0, n_paths, _BLOCK_SIZE):
         hi = min(lo + _BLOCK_SIZE, n_paths)
-        yield lo, hi, _path_noise(seed, lo, buffer[:hi - lo])
+        pairs = _path_noise(seed, lo // 2, buffer[:(hi + 1) // 2 - lo // 2])
+        yield lo, hi, partial(_step_noise, pairs, lo % 2, scratch[:hi - lo])
 
 
 def pair_se(values) -> np.ndarray:
@@ -385,9 +400,14 @@ def _step_terms(model: ModelSpec, strategy: Strategy, t: float, Yeval):
     """(terms, s p, (s p)^T lambda, |s p|^2): the market of ``model`` at the
     states Yeval (P, k) and the wealth integrands of the strategy's
     allocations pi there at time t, s p = sigma pi.  A non-finite pi reaches
-    the integrands without a warning; each caller reports it its own way."""
+    the integrands without a warning; each caller reports it its own way.
+    An allocation not shaped (P, n) raises ``ConfigError``."""
     terms = market_terms(model, Yeval)
     pi = strategy.allocations(t, terms)
+    if np.shape(pi) != (len(Yeval), model.n):
+        raise ConfigError(f"strategy '{strategy.name}' gave allocations of shape "
+                          f"{np.shape(pi)} for {len(Yeval)} states; the model has "
+                          f"n={model.n} stocks")
     with np.errstate(invalid="ignore", over="ignore"):
         sigpi = rowwise(terms.sigma, pi)
         return (terms, sigpi, np.einsum("pw,pw->p", sigpi, terms.lam),
@@ -414,7 +434,8 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
     Raises
     ------
     ConfigError
-        If x0 is not positive and finite, or y0 has an entry that is not finite.
+        If x0 is not positive and finite, y0 has an entry that is not finite,
+        or the strategy's allocations are not shaped (P, n).
     SimulationError
         On the first non-finite increment of Y, log S or log X, reporting
         (path, step).  sigma has full column rank, so a non-finite allocation
@@ -424,8 +445,7 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
         y0 = model.domain.interior_grid(points_per_dim=1)[0]
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     require_shape(y0, (model.k,), "y0")
-    if not np.all(np.isfinite(y0)):
-        raise ConfigError(f"y0 must be finite, got {y0.tolist()}")
+    require_finite(y0, "y0")
     if not 0 < x0 < np.inf:     # false for NaN
         raise ConfigError(f"initial wealth x0 must be positive and finite, got {x0}")
 
@@ -470,8 +490,9 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
             # A non-finite allocation is reported by _require_finite below.
             terms, sigpi, sp_lam, sp_sq = _step_terms(model, strategy, i * dt, Yeval)
 
-            dW = noise[:, i, :model.d_W] * sqdt
-            dWp = noise[:, i, model.d_W:] * sqdt
+            xi = noise(i)
+            dW = xi[:, :model.d_W] * sqdt
+            dWp = xi[:, model.d_W:] * sqdt
             dB = rowwise(model.rho.T, dW) + rowwise(A.T, dWp)
 
             # diag(sigma^T sigma) and sigma^T dW
@@ -533,6 +554,7 @@ def feynman_kac_estimate(gen: GeneratorCoefficients, h: Callable, t: float,
                           "with kappa^T dB")
     y = np.atleast_1d(np.asarray(y, dtype=float))
     require_shape(y, (gen.k,), owner="generator")
+    require_finite(y, "y")
     if domain is None:
         domain = Box(np.full(y.size, -np.inf), np.full(y.size, np.inf))
     d_B = gen.kappa_batch(y[None]).shape[1]
@@ -550,7 +572,7 @@ def feynman_kac_estimate(gen: GeneratorCoefficients, h: Callable, t: float,
             Zeval = _eval_state(domain, policy, Z)
             log_weight += gen.P_batch(Zeval) * dt   # a killed path counts 0 below
             dZ = gen.b_batch(Zeval) * dt \
-                + np.einsum("pbk,pb->pk", gen.kappa_batch(Zeval), noise[:, i]) * sqdt
+                + np.einsum("pbk,pb->pk", gen.kappa_batch(Zeval), noise(i)) * sqdt
             _require_finite(lo, i, dZ)
             Z, alive, _ = _advance(domain, policy, Z, dZ, alive)
         h_vals = np.asarray(h(_eval_state(domain, policy, Z)), dtype=float)
@@ -588,7 +610,8 @@ def admissibility_check(bundle: PathBundle, strategy: Strategy) -> Admissibility
     Coefficients are evaluated at the recorded states clipped into the domain,
     whatever the bundle's boundary policy.  Never raises on bad values;
     non-finite allocations or integrands are reported with their
-    (path, grid index) locations, at most 100 of them.
+    (path, grid index) locations, at most 100 of them.  Allocations not
+    shaped (P, n) raise ``ConfigError``.
     """
     model = bundle.model
     P, m = bundle.X.shape

@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import (ConditioningError, ConfigError, InconsistentDataError,
                      IntegrationError, NonRepresentableError, PositivityError)
-from .model import (Fields, GeneratorCoefficients, from_params, require, require_real,
-                    require_shape)
+from .model import (Fields, GeneratorCoefficients, from_params, require, require_list,
+                    require_real, require_shape)
 
 _COND_LIMIT = 1e12
 MATCH_TOL = 1e-9            # TabulatedEigenfunction: max-norm distance of a match
@@ -91,7 +91,7 @@ class SpectralMeasure:
     def from_json(data):
         require(data, ["y0", "atoms"], "spectral measure")
         what, atoms = "spectral measure atom", []
-        for atom in data["atoms"]:
+        for atom in require_list(data, "atoms", "spectral measure"):
             require(atom, ["zeta", "weight"], what)
             atoms.append((require_real(atom, "zeta", what), require_real(atom, "weight", what)))
         atoms.sort()
@@ -321,7 +321,7 @@ class EigenfunctionSelection(Fields):
         require(data, ["y0", "functions"], "eigenfunction selection")
         y0 = np.asarray(data["y0"], dtype=float)
         funcs = []
-        for fd in data["functions"]:
+        for fd in require_list(data, "functions", "eigenfunction selection"):
             require(fd, ["kind"], "eigenfunction")
             cls = _KINDS.get(fd["kind"])
             if cls is None:

@@ -606,6 +606,16 @@ def test_pi_refuses_a_log_gradient_not_shaped_p_by_k(canonical_2f, shape):
         optimal_portfolio_from_terms(terms, rp, np.zeros(shape))
 
 
+def test_portfolio_refuses_a_non_finite_state(canonical_2f):
+    # A NaN factor gave NaN allocations and no error.
+    market, spec, rp = canonical_2f
+    sol = solve_riccati_closed_form(spec, rp, 1.0, FORWARD)
+    with pytest.raises(ConfigError, match=r"^y must be finite, got \[0.05, nan\]$"):
+        optimal_portfolio_affine(sol, market, rp, 0.4, [0.05, np.nan])
+    with pytest.raises(ConfigError, match=r"^y\[1\] must be finite, got \[inf, 0.5\]$"):
+        optimal_portfolio_affine(sol, market, rp, 0.4, [[0.5, 0.5], [np.inf, 0.5], [0.5, 0.5]])
+
+
 def test_one_factor_u_on_a_two_factor_market_is_refused(canonical_1f, canonical_2f):
     # Phi (1,) of a one-factor spec was broadcast across both factors.
     market, _, rp = canonical_2f

@@ -514,12 +514,18 @@ _AFFINE_FLAGS = ["--model", "model.json", "--affine", "aspec.json", "--gamma", "
      "fd_step"),
     (["verify", "residual", "--which", "hjb", *_AFFINE_FLAGS, "--tol-step", "0"], "fd_step"),
     (["verify", "residual", "--which", "hjb", *_AFFINE_FLAGS, "--tol-step", "nan"], "fd_step"),
+    (["affine", "portfolio", "--spec", "aspec.json", "--model", "model.json", "--gamma", "2.0",
+      "--horizon", "1.0", "--t", "0.4", "--y", "nan"], "y must be finite, got [nan]"),
+    (["sim", "feynman-kac", "--model", "model.json", "--config", "simcfg.json",
+      "--gamma", "2.0", "--t", "0.5", "--y", "nan"], "y must be finite, got [nan]"),
 ], ids=["horizon_nan", "t_nan", "x0_nan", "x0_inf", "y0_nan", "dt_nan", "fk_t_nan",
-        "linear_step_0", "nonlinear_step_0", "hjb_step_0", "hjb_step_nan"])
+        "linear_step_0", "nonlinear_step_0", "hjb_step_0", "hjb_step_nan", "portfolio_y_nan",
+        "fk_y_nan"])
 def test_non_finite_or_zero_flag_exits_one_and_names_it(workdir, capsys, argv, named):
     # Before the checks NaN passed every range test: these runs exited 0 with
-    # NaN or inf outputs, 2 ("numerical failure") for y0, or 1 with numpy's
-    # "cannot convert float NaN to integer", which names no field.
+    # NaN or inf outputs (the portfolio of y = nan among them), 2 ("numerical
+    # failure") for y0 and the Feynman-Kac y, or 1 with numpy's "cannot
+    # convert float NaN to integer", which names no field.
     assert main([*argv, "--out", "o_bad"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
@@ -555,6 +561,44 @@ def test_spectral_evaluate_names_a_non_numeric_atom(workdir, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert "spectral measure atom: field 'zeta' must be a number" in err
+
+
+@pytest.mark.parametrize("name, data, named", [
+    ("measure.json", {"y0": [0.0], "atoms": 3}, "spectral measure: field 'atoms' must be a list"),
+    ("selection.json", {"y0": [0.0], "functions": 3},
+     "eigenfunction selection: field 'functions' must be a list"),
+], ids=["atoms", "functions"])
+def test_spectral_evaluate_names_a_field_that_is_not_a_list(workdir, capsys, name, data, named):
+    # Iterating the number ended in an uncaught "'int' object is not iterable".
+    nu = SpectralMeasure([0.3, 1.1], [0.6, 0.4], [0.0])
+    sel = EigenfunctionSelection((ExpEigenfunction([0.5], [0.0]),
+                                  ExpEigenfunction([-0.8], [0.0])), [0.0])
+    files = {"measure.json": nu.to_json(), "selection.json": sel.to_json(), name: data}
+    for fname, content in files.items():
+        with open(workdir / fname, "w") as fh:
+            json.dump(content, fh)
+    assert main(["spectral", "evaluate", "--measure", "measure.json",
+                 "--selection", "selection.json", "--t-grid", "0:1:3",
+                 "--y", "0.1", "--out", "o_list"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert named in err
+
+
+def test_constant_strategy_of_the_wrong_width_exits_one_and_names_it(workdir, capsys):
+    # Two fractions on a three-stock market ended in numpy's "matmul: ... core
+    # dimension" message, which names neither the strategy nor n.
+    market, _ = affine.canonical_affine_market(
+        M=np.diag([-0.5, -0.8]), w=[0.4, 0.5], L=[0.2, 0.15], Lambda=[0.16, 0.09],
+        lambda0=0.04, H=[-0.3, 0.2], rp=RiskParams(gamma=2.0, p=0.25))
+    assert market.n == 3
+    market.save(workdir / "model3.json")
+    assert main(["sim", "run", "--model", "model3.json", "--config", "simcfg.json",
+                 "--strategy", "constant:0.2,0.1", "--y0", "0.5,0.5", "--out", "o_width"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert ("strategy 'constant' gave allocations of shape (200, 2) for 200 states; "
+            "the model has n=3 stocks") in err
 
 
 def test_help_lists_flags(workdir, capsys):

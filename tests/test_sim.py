@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -68,6 +69,9 @@ def test_non_finite_start_and_time_to_go_are_refused():
     with pytest.raises(ConfigError, match="time-to-go t must be positive"):
         feynman_kac_estimate(make_heat_generator(), lambda Y: np.ones(len(Y)), math.nan,
                              [0.0], cfg)
+    with pytest.raises(ConfigError, match=r"^y must be finite, got \[nan\]$"):
+        feynman_kac_estimate(make_heat_generator(), lambda Y: np.ones(len(Y)), 0.5,
+                             [math.nan], cfg)
 
 
 def test_config_from_json_refuses_other_schemes():
@@ -107,28 +111,34 @@ def test_config_json_round_trip():
 # Noise
 # ---------------------------------------------------------------------------
 
+def _philox_stream(seed, j, n_steps, dims):
+    """The (n_steps, dims) draw of one freshly built Philox keyed
+    (seed mod 2^64, j)."""
+    return np.random.Generator(np.random.Philox(key=np.array(
+        [seed & 0xFFFF_FFFF_FFFF_FFFF, j], dtype=np.uint64))).standard_normal((n_steps, dims))
+
+
 def _noise_oracle(seed, path_lo, path_hi, n_steps, dims):
-    """Path p is (-1)^p times the stream of one freshly built Philox keyed
-    (seed mod 2^64, p // 2): antithetic pairs (2j, 2j + 1)."""
-    return np.stack([
-        (-1) ** p * np.random.Generator(np.random.Philox(key=np.array(
-            [seed & 0xFFFF_FFFF_FFFF_FFFF, p // 2], dtype=np.uint64)))
-        .standard_normal((n_steps, dims)) for p in range(path_lo, path_hi)])
+    """Path p is (-1)^p times the stream keyed (seed mod 2^64, p // 2):
+    antithetic pairs (2j, 2j + 1)."""
+    return np.stack([(-1) ** p * _philox_stream(seed, p // 2, n_steps, dims)
+                     for p in range(path_lo, path_hi)])
 
 
-@pytest.mark.parametrize("seed, path_lo, path_hi, n_steps, dims", [
+@pytest.mark.parametrize("seed, pair_lo, pair_hi, n_steps, dims", [
     (0, 0, 5, 4, 2),
-    (99, 4096, 4103, 10, 3),      # a block that does not start at path 0
+    (99, 4096, 4103, 10, 3),      # a block that does not start at pair 0
     (2 ** 63 + 11, 0, 6, 5, 2),   # seed above the int64 range
     (2 ** 64 + 3, 2, 6, 5, 2),    # seed reduced mod 2^64
     (-7, 0, 4, 2, 1),
-    (5, 0, 9, 3, 1),              # odd draws per path: a half-used buffer
-    (5, 17, 26, 1, 1),            # must not carry over to the next path
+    (5, 0, 9, 3, 1),              # odd draws per pair: a half-used buffer
+    (5, 17, 26, 1, 1),            # must not carry over to the next pair
 ])
-def test_path_noise_matches_one_philox_per_path(seed, path_lo, path_hi, n_steps, dims):
-    out = np.full((path_hi - path_lo, n_steps, dims), np.nan)
-    assert _path_noise(seed, path_lo, out) is out
-    np.testing.assert_array_equal(out, _noise_oracle(seed, path_lo, path_hi, n_steps, dims))
+def test_path_noise_matches_one_philox_per_path(seed, pair_lo, pair_hi, n_steps, dims):
+    out = np.full((pair_hi - pair_lo, n_steps, dims), np.nan)
+    assert _path_noise(seed, pair_lo, out) is out
+    np.testing.assert_array_equal(out, np.stack([_philox_stream(seed, j, n_steps, dims)
+                                                 for j in range(pair_lo, pair_hi)]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -140,20 +150,26 @@ def test_noise_blocks_match_the_pair_oracle_for_any_block_size(seed, n_paths, bl
     # block before.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "_BLOCK_SIZE", block)
-        drawn = np.concatenate([noise.copy() for _, _, noise in
-                                sim._noise_blocks(seed, n_paths, n_steps, dims)])
+        blocks = [(lo, hi, [noise(i).copy() for i in range(n_steps)])
+                  for lo, hi, noise in sim._noise_blocks(seed, n_paths, n_steps, dims)]
+    assert [lo for lo, _, _ in blocks] == list(range(0, n_paths, block))
+    drawn = np.concatenate([np.stack(steps, axis=1) for _, _, steps in blocks])
     np.testing.assert_array_equal(drawn, _noise_oracle(seed, 0, n_paths, n_steps, dims))
 
 
 def test_noise_blocks_are_drawn_into_one_buffer(monkeypatch):
-    # Blocks of 4, 4 and 2 paths: one block's noise is alive at a time.
-    monkeypatch.setattr(sim, "_BLOCK_SIZE", 4)
-    buffers = []
-    for lo, hi, noise in sim._noise_blocks(3, 10, 5, 2):
-        np.testing.assert_array_equal(noise, _noise_oracle(3, lo, hi, 5, 2))
-        buffers.append(noise.base)
-    assert buffers[0] is not None
-    assert all(buffer is buffers[0] for buffer in buffers)
+    # Blocks of 5, 5 and 1 paths, the second starting at an odd path and so
+    # spanning 3 pairs: one buffer of 5 // 2 + 1 pairs holds each in turn.
+    monkeypatch.setattr(sim, "_BLOCK_SIZE", 5)
+    outs, real = [], sim._path_noise
+    monkeypatch.setattr(sim, "_path_noise",
+                        lambda seed, pair_lo, out: outs.append(out) or real(seed, pair_lo, out))
+    for lo, hi, noise in sim._noise_blocks(3, 11, 4, 2):
+        for i in range(4):
+            np.testing.assert_array_equal(noise(i), _noise_oracle(3, lo, hi, 4, 2)[:, i])
+    assert [out.shape[0] for out in outs] == [3, 3, 1]
+    assert outs[0].base is not None and outs[0].base.shape == (4, 2, 3)
+    assert all(out.base is outs[0].base for out in outs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -161,15 +177,19 @@ def test_noise_blocks_are_drawn_into_one_buffer(monkeypatch):
        tile_bytes=st.integers(1, 400), n_steps=st.integers(1, 4), dims=st.integers(1, 3))
 def test_noise_block_views_are_path_contiguous_for_any_tile_size(seed, n_paths, block,
                                                                   tile_bytes, n_steps, dims):
-    # Tiles of 2 paths or more, odd block starts included, each copied from
-    # the C-ordered scratch into the path-last buffer.
+    # Tiles of one pair or more, odd block starts included, each copied from
+    # the C-ordered scratch into the path-last buffer and expanded step by
+    # step into the path-contiguous step noise the engine reads.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "_BLOCK_SIZE", block)
         mp.setattr(sim, "_TILE_BYTES", tile_bytes)
         for lo, hi, noise in sim._noise_blocks(seed, n_paths, n_steps, dims):
-            assert noise.shape == (hi - lo, n_steps, dims)
-            assert noise.strides[0] == noise.itemsize
-            np.testing.assert_array_equal(noise, _noise_oracle(seed, lo, hi, n_steps, dims))
+            oracle = _noise_oracle(seed, lo, hi, n_steps, dims)
+            for i in range(n_steps):
+                xi = noise(i)
+                assert xi.shape == (hi - lo, dims)
+                assert xi.strides[0] == xi.itemsize
+                np.testing.assert_array_equal(xi, oracle[:, i])
 
 
 def test_simulate_builds_one_bit_generator_per_block(monkeypatch, canonical_1f):
@@ -185,6 +205,25 @@ def test_simulate_builds_one_bit_generator_per_block(monkeypatch, canonical_1f):
     cfg = SimulationConfig(dt=0.05, horizon=0.25, n_paths=300, seed=8)
     simulate(market, cfg, ZeroStrategy(market.n), y0=[1.0])
     assert len(built) == 1
+
+
+def test_simulate_holds_one_noise_draw_per_pair(canonical_2f):
+    # One block of 4096 paths x 100 steps x 5 draws: the pair buffer is
+    # 7.8 MiB.  Beyond the recorded arrays the run peaked at 17.6 MiB while
+    # the buffer held both paths of every pair, and at 9.9 MiB with one
+    # draw per pair.
+    market, _, _ = canonical_2f
+    cfg = SimulationConfig(dt=0.01, horizon=1.0, n_paths=4096, seed=3, record_stride=10)
+    dims = market.d_W + market.d_Wperp
+    pair_buffer = cfg.n_steps * dims * (sim._BLOCK_SIZE // 2 + 1) * 8
+    tracemalloc.start()
+    try:
+        bundle = simulate(market, cfg, ZeroStrategy(market.n), y0=[0.5, 0.5])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    recorded = sum(getattr(bundle, name).nbytes for name in _BUNDLE_ARRAYS)
+    assert peak - recorded <= pair_buffer + 4 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +342,7 @@ def _row_major_absorb(market, cfg, strategy, y0):
     state, killed ones included, and the updates of the killed rows are
     masked out.  sigma must be constant."""
     n_steps, dt, P = cfg.n_steps, cfg.dt_effective, cfg.n_paths
-    (_, _, noise), = sim._noise_blocks(cfg.seed, P, n_steps, market.d_W + market.d_Wperp)
+    noise = _noise_oracle(cfg.seed, 0, P, n_steps, market.d_W + market.d_Wperp)
     A = market.noise_mixer()
     Y, logS, logX = np.tile(y0, (P, 1)), np.zeros((P, market.n)), np.zeros(P)
     alive, exit_time = np.ones(P, dtype=bool), np.full(P, np.nan)
@@ -853,6 +892,18 @@ def test_admissibility_affine_optimal_grows_linearly(low_noise_1f):
 # ---------------------------------------------------------------------------
 # Strategy helpers
 # ---------------------------------------------------------------------------
+
+def test_allocations_of_the_wrong_width_are_refused(canonical_1f):
+    market, _, _ = canonical_1f
+    cfg = SimulationConfig(dt=0.1, horizon=0.5, n_paths=6, seed=1)
+    wide = PerturbedStrategy(ConstantStrategy([0.1, 0.2, 0.3]), 0.1)
+    with pytest.raises(ConfigError, match=r"^strategy 'constant\+0.1' gave allocations of "
+                       r"shape \(6, 3\) for 6 states; the model has n=2 stocks$"):
+        simulate(market, cfg, wide, y0=[1.0])
+    bundle = simulate(market, cfg, ZeroStrategy(market.n), y0=[1.0])
+    with pytest.raises(ConfigError, match=r"shape \(6, 3\) for 6 states; the model has n=2"):
+        admissibility_check(bundle, wide)
+
 
 def test_perturbed_strategy_shifts_every_component(canonical_1f):
     market, spec, rp = canonical_1f
