@@ -81,6 +81,15 @@ def require_list(data: dict, key: str, what: str) -> list:
     return value
 
 
+def require_reals(data: dict, key: str, what: str) -> np.ndarray:
+    """``data[key]``, a JSON list of finite numbers, as a float array."""
+    values = data[key]
+    if not isinstance(values, list) or not all(
+            _is_number(v) and abs(v) <= np.finfo(float).max for v in values):   # NaN fails
+        raise ConfigError(f"{what}: field '{key}' must be a list of finite numbers")
+    return np.asarray(values, dtype=float)
+
+
 def require_shape(a, shape: tuple, what: str = "y", owner: str = "model") -> None:
     """Raise ``ConfigError`` unless ``a`` has ``shape``, whose last entry is
     the factor count k of the ``owner``; the message names both, as in

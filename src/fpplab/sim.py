@@ -39,8 +39,9 @@ The engine's stacks (P, k), (P, n), (P, d_B, k) and the step noise are stored
 path-contiguous: the path axis has stride one item.  Their other axes have
 length 2 or 3, so numpy's inner loops then run over the P paths instead of
 over those short axes; ``model.rowwise`` applies every matrix to a stack in
-that layout.  Only the layout changes, not the shapes, and the recorded
-``PathBundle`` arrays stay C-ordered.
+that layout.  The recorded ``PathBundle`` arrays share it, so recording a
+step copies each stack into its time slot as contiguous columns.  Only the
+layout changes, not the shapes.
 """
 from __future__ import annotations
 
@@ -210,7 +211,13 @@ _META_FIELDS = ("model", "config", "diagnostics")
 @dataclass(frozen=True)
 class PathBundle:
     """Recorded simulation output.  Axes: (path, time, component).  ``model``
-    and ``config`` are always present: ``simulate`` sets both."""
+    and ``config`` are always present: ``simulate`` sets both.
+
+    ``simulate`` stores the path-indexed arrays in Fortran order, so the path
+    axis has stride one item and ``X[:, j]``, ``Y[:, j, i]`` are contiguous
+    columns.  ``save`` writes them as they are (``fortran_order: True`` in
+    each .npy header) and ``load`` returns the layout it finds, so bundles
+    written C-ordered load unchanged; only the values matter to readers."""
 
     times: np.ndarray          # (m,)
     W: np.ndarray              # (P, m, d_W)
@@ -460,11 +467,9 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
         raise ConfigError(f"A^T A + rho^T rho - I residual {mix_residual:.3e} > 1e-12")
 
     P, m = cfg.n_paths, rec_idx.size
-    out = {
-        "W": np.empty((P, m, model.d_W)), "Wperp": np.empty((P, m, model.d_Wperp)),
-        "B": np.empty((P, m, model.d_B)), "Y": np.empty((P, m, model.k)),
-        "S": np.empty((P, m, model.n)), "X": np.empty((P, m)),
-    }
+    out = {name: np.empty((P, m) + shape, order="F") for name, shape in (
+        ("W", (model.d_W,)), ("Wperp", (model.d_Wperp,)), ("B", (model.d_B,)),
+        ("Y", (model.k,)), ("S", (model.n,)), ("X", ()))}
     exit_time = np.full(P, np.nan)
     clipped = 0
 
@@ -479,8 +484,11 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
 
         def record(step):
             if step in slot:
-                for name, value in zip(out, (Wc, Wpc, Bc, Y, np.exp(logS), np.exp(logX))):
-                    out[name][lo:hi, slot[step]] = value
+                j = slot[step]
+                for name, value in zip(("W", "Wperp", "B", "Y"), (Wc, Wpc, Bc, Y)):
+                    out[name][lo:hi, j] = value
+                np.exp(logS, out=out["S"][lo:hi, j])
+                np.exp(logX, out=out["X"][lo:hi, j])
 
         record(0)
         for i in range(n_steps):

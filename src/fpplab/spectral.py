@@ -30,7 +30,7 @@ import numpy as np
 from .errors import (ConditioningError, ConfigError, InconsistentDataError,
                      IntegrationError, NonRepresentableError, PositivityError)
 from .model import (Fields, GeneratorCoefficients, from_params, require, require_list,
-                    require_real, require_shape)
+                    require_real, require_reals, require_shape)
 
 _COND_LIMIT = 1e12
 MATCH_TOL = 1e-9            # TabulatedEigenfunction: max-norm distance of a match
@@ -96,7 +96,7 @@ class SpectralMeasure:
             atoms.append((require_real(atom, "zeta", what), require_real(atom, "weight", what)))
         atoms.sort()
         return SpectralMeasure(zetas=[z for z, _ in atoms], weights=[w for _, w in atoms],
-                               y0=data["y0"])
+                               y0=require_reals(data, "y0", "spectral measure"))
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +319,7 @@ class EigenfunctionSelection(Fields):
     @staticmethod
     def from_json(data):
         require(data, ["y0", "functions"], "eigenfunction selection")
-        y0 = np.asarray(data["y0"], dtype=float)
+        y0 = require_reals(data, "y0", "eigenfunction selection")
         funcs = []
         for fd in require_list(data, "functions", "eigenfunction selection"):
             require(fd, ["kind"], "eigenfunction")

@@ -585,6 +585,31 @@ def test_spectral_evaluate_names_a_field_that_is_not_a_list(workdir, capsys, nam
     assert named in err
 
 
+@pytest.mark.parametrize("name, y0, owner", [
+    ("measure.json", "abc", "spectral measure"),
+    ("measure.json", [float("nan")], "spectral measure"),
+    ("selection.json", "abc", "eigenfunction selection"),
+    ("selection.json", [0.0, "abc"], "eigenfunction selection"),
+], ids=["measure-string", "measure-nan", "selection-string", "selection-entry"])
+def test_spectral_evaluate_names_a_y0_that_is_not_finite_numbers(workdir, capsys, name, y0,
+                                                                 owner):
+    # numpy's "could not convert string to float" named neither file nor field.
+    nu = SpectralMeasure([0.3, 1.1], [0.6, 0.4], [0.0])
+    sel = EigenfunctionSelection((ExpEigenfunction([0.5], [0.0]),
+                                  ExpEigenfunction([-0.8], [0.0])), [0.0])
+    files = {"measure.json": nu.to_json(), "selection.json": sel.to_json()}
+    files[name]["y0"] = y0
+    for fname, content in files.items():
+        with open(workdir / fname, "w") as fh:
+            json.dump(content, fh)
+    assert main(["spectral", "evaluate", "--measure", "measure.json",
+                 "--selection", "selection.json", "--t-grid", "0:1:3",
+                 "--y", "0.1", "--out", "o_y0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"{owner}: field 'y0' must be a list of finite numbers" in err
+
+
 def test_constant_strategy_of_the_wrong_width_exits_one_and_names_it(workdir, capsys):
     # Two fractions on a three-stock market ended in numpy's "matmul: ... core
     # dimension" message, which names neither the strategy nor n.

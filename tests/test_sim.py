@@ -17,6 +17,7 @@ from fpplab.sim import (BOUNDARY_POLICIES, ConstantStrategy, OptimalStrategy, Pa
                         PerturbedStrategy, SimulationConfig, Strategy, ZeroStrategy,
                         _path_noise, admissibility_check, feynman_kac_estimate, pair_se,
                         simulate)
+from fpplab.verify import martingale_test
 
 from conftest import (count_calls, make_heat_generator, make_rank_deficient_grid_model,
                       make_tabulated_sigma_model, portfolio_oracle)
@@ -332,8 +333,8 @@ def test_step_hands_the_strategy_path_contiguous_stacks(policy):
     cfg = SimulationConfig(dt=0.05, horizon=0.5, n_paths=40, seed=4, boundary_policy=policy)
     bundle = simulate(market, cfg, probe, y0=[0.05, 0.05])
     assert probe.calls == cfg.n_steps and np.isfinite(bundle.exit_time).any()
-    for name in _BUNDLE_ARRAYS:     # the bundle keeps its C layout
-        assert getattr(bundle, name).flags.c_contiguous, name
+    for name in _BUNDLE_ARRAYS:     # the bundle shares the engine's layout
+        assert _path_contiguous(getattr(bundle, name)), name
 
 
 def _row_major_absorb(market, cfg, strategy, y0):
@@ -655,6 +656,23 @@ def test_full_truncation_keeps_sqrt_coefficients_finite(canonical_1f):
     assert np.all(np.isfinite(bundle.X))
 
 
+_PATH_ARRAYS = ("W", "Wperp", "B", "Y", "S", "X")     # indexed (path, time, ...)
+
+
+def _fortran_order(path):
+    """The ``fortran_order`` flag of a .npy header."""
+    with open(path, "rb") as fh:
+        assert np.lib.format.read_magic(fh) == (1, 0)
+        return np.lib.format.read_array_header_1_0(fh)[1]
+
+
+def _save_c_ordered(bundle, directory):
+    """Write ``bundle`` as every earlier version did: C-ordered arrays."""
+    bundle.save(directory)
+    for name in _BUNDLE_ARRAYS:
+        np.save(directory / f"{name}.npy", np.ascontiguousarray(getattr(bundle, name)))
+
+
 def test_bundle_save_load_round_trip(tmp_path, canonical_1f):
     market, _, _ = canonical_1f
     cfg = SimulationConfig(dt=0.05, horizon=0.25, n_paths=12, seed=3)
@@ -666,6 +684,52 @@ def test_bundle_save_load_round_trip(tmp_path, canonical_1f):
     assert again.config == bundle.config
     bundle.export_csv(tmp_path / "csv")
     assert (tmp_path / "csv" / "X.csv").exists()
+
+
+def test_bundle_save_load_keeps_the_path_contiguous_layout(tmp_path, canonical_2f):
+    market, _, _ = canonical_2f
+    cfg = SimulationConfig(dt=0.05, horizon=0.25, n_paths=12, seed=3)
+    bundle = simulate(market, cfg, ZeroStrategy(market.n), y0=[0.5, 0.5])
+    bundle.save(tmp_path / "paths")
+    again = PathBundle.load(tmp_path / "paths")
+    for name in _BUNDLE_ARRAYS:
+        assert getattr(again, name).tobytes() == getattr(bundle, name).tobytes(), name
+        assert _path_contiguous(getattr(again, name)), name
+    for name in _PATH_ARRAYS:
+        assert _fortran_order(tmp_path / "paths" / f"{name}.npy"), name
+    assert again.config == bundle.config
+
+
+def test_bundle_written_c_ordered_loads_and_certifies_alike(tmp_path, canonical_1f):
+    # Earlier versions wrote every array C-ordered; such a bundle loads as
+    # it is and gives the same reports as the path-contiguous one.
+    market, spec, rp = canonical_1f
+    sol = affine.solve_riccati_closed_form(spec, rp, 1.0, affine.FORWARD)
+    strategy = OptimalStrategy(sol, market, rp)
+    cfg = SimulationConfig(dt=0.05, horizon=1.0, n_paths=200, seed=8)
+    bundle = simulate(market, cfg, strategy, y0=[1.0])
+    bundle.save(tmp_path / "new")
+    _save_c_ordered(bundle, tmp_path / "old")
+    new, old = PathBundle.load(tmp_path / "new"), PathBundle.load(tmp_path / "old")
+    for name in _PATH_ARRAYS:
+        assert not _fortran_order(tmp_path / "old" / f"{name}.npy"), name
+        assert getattr(old, name).flags.c_contiguous, name
+        assert getattr(old, name).tobytes() == getattr(new, name).tobytes(), name
+    feval = affine.fpp_evaluator(sol, rp)
+    assert martingale_test(old, feval) == martingale_test(new, feval)
+    assert admissibility_check(old, strategy) == admissibility_check(new, strategy)
+
+
+def test_bundle_csv_export_depends_only_on_the_values(tmp_path, canonical_2f):
+    market, _, _ = canonical_2f
+    cfg = SimulationConfig(dt=0.05, horizon=0.25, n_paths=12, seed=3)
+    bundle = simulate(market, cfg, ZeroStrategy(market.n), y0=[0.5, 0.5])
+    c_ordered = replace(bundle, **{name: np.ascontiguousarray(getattr(bundle, name))
+                                   for name in _PATH_ARRAYS})
+    for path, again in zip(bundle.export_csv(tmp_path / "f"),
+                           c_ordered.export_csv(tmp_path / "c")):
+        with open(path, "rb") as fa, open(again, "rb") as fb:
+            assert fa.read() == fb.read(), path
 
 
 # ---------------------------------------------------------------------------

@@ -562,6 +562,31 @@ def test_only_model_reads_and_writes_json_files():
     assert len(_json_file_calls(PACKAGE / "model.py")) == 2
 
 
+def _npy_file_calls(path):
+    """"file:Class.function" of each ``np.save``/``np.savez``/``np.load`` call,
+    which write or read a .npy or .npz file."""
+    hits = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Attribute) and getattr(child.value, "id", None) == "np" \
+                    and child.attr in ("save", "savez", "savez_compressed", "load"):
+                hits.append(f"{path.name}:{'.'.join(scope)}")
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), [])
+    return hits
+
+
+def test_only_the_path_bundle_reads_and_writes_npy_files():
+    # PathBundle.save/load decide the on-disk layout of every array.
+    hits = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _npy_file_calls(path)]
+    assert hits == ["sim.py:PathBundle.save", "sim.py:PathBundle.load"]
+
+
 def _hand_written_encoders(path):
     """Classes defining a ``to_json`` that does not extend ``super().to_json()``."""
     def extends_base(fn):
