@@ -226,8 +226,9 @@ class RiccatiSolution:
     def log_gradient(self, t, Y):
         """grad_y u / u at the stacked states Y (P, k): Phi(t) broadcast to a
         read-only (P, k) view.  Phi(t) is kept for each time already seen, up
-        to _PHI_STORE_LIMIT times (a step grid of that many points), so a
-        simulation in several path blocks reads Phi once per grid time."""
+        to _PHI_STORE_LIMIT times (a step grid of that many points), so
+        repeated calls at one time, such as one-point calls along a grid or
+        an admissibility check after a simulation, read Phi once per time."""
         t = float(t)
         phi = self._phi_seen.get(t)
         if phi is None:

@@ -38,7 +38,7 @@ from . import __version__, affine, eve, spectral, verify
 from . import sim as simmod
 from .errors import ConfigError, InsufficientSampleError, NumericalError
 from .model import (ModelSpec, RiskParams, generator_coefficients, read_json, require,
-                    require_real, write_json)
+                    require_finite, require_real, write_json)
 
 ENV_OUT_DIR = "FPPLAB_OUT"
 
@@ -254,6 +254,7 @@ def spectral_radial(args, out_dir):
     if not args.potential.startswith("const:"):
         raise ConfigError(f"unknown potential '{args.potential}' (use const:VALUE)")
     level = float(args.potential.split(":", 1)[1])
+    require_finite(level, "potential level")
     diag = spectral.radial_ode_diagnostic(lambda r: level, args.zeta, args.k, args.r_max)
     path = _write_csv(out_dir, "radial_g0.csv", "r,g0",
                       np.column_stack([diag.r_samples, diag.g0_samples]))

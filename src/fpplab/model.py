@@ -98,10 +98,11 @@ def require_shape(a, shape: tuple, what: str = "y", owner: str = "model") -> Non
         raise ConfigError(f"{what} has shape {np.shape(a)}; the {owner} has k={shape[-1]} factors")
 
 
-def require_finite(a: np.ndarray, what: str) -> None:
-    """Raise ``ConfigError`` naming ``what`` unless every entry of the state
-    or stack of states ``a`` is finite; the message shows the state, or the
-    first row of a stack that is not finite."""
+def require_finite(a, what: str) -> None:
+    """Raise ``ConfigError`` naming ``what`` unless every entry of the number,
+    state or stack of states ``a`` is finite; the message shows the value,
+    or the first row of a stack that is not finite."""
+    a = np.asarray(a, dtype=float)
     finite = np.isfinite(a)
     if not np.all(finite):
         if a.ndim > 1:

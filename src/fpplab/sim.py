@@ -27,13 +27,18 @@ state (``clipped_states``, full truncation only) in its diagnostics.
 Under absorb a killed path is frozen: later steps still evaluate its row,
 but ``_live_add`` keeps its state, log prices and log wealth as they were.
 
-Noise comes in antithetic pairs of counter-based Philox streams: path 2j
-draws the stream keyed by (seed, j) and path 2j + 1 its negation, so each
-path's noise is the same whatever the batching (see ``_path_noise``).  The
-noise buffer holds one draw per pair; each step forms both paths' noise
-from it (``_noise_blocks``).  Monte Carlo standard errors are taken over
-pair means (``pair_se``); with an odd path count the last path has no
-partner and counts only in the mean.
+Noise is counter-based and comes in antithetic pairs: step i draws from
+the Philox stream keyed (seed mod 2^64, i) (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC'11), pair j = (2j, 2j + 1) reads its
+normals j*dims ... j*dims + dims - 1, path 2j copies them and path 2j + 1
+negates them (``_step_noise``).  The stream is read pair-major from its
+start, so a path's noise does not depend on the number of paths.  Monte
+Carlo standard errors are taken over pair means (``pair_se``); with an odd
+path count the last path has no partner and counts only in the mean.
+
+``simulate`` and ``feynman_kac_estimate`` are each one loop over time that
+steps all P paths at once, so their working memory per step is O(P): the
+stacks below and one step's noise, with no noise buffer across steps.
 
 The engine's stacks (P, k), (P, n), (P, d_B, k) and the step noise are stored
 path-contiguous: the path axis has stride one item.  Their other axes have
@@ -47,7 +52,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -59,8 +63,6 @@ from .model import (Box, Fields, GeneratorCoefficients, MarketTerms, ModelSpec, 
                     require_real, require_shape, rowwise, write_json)
 
 BOUNDARY_POLICIES = ("full-truncation", "absorb", "reflect")
-_BLOCK_SIZE = 4096
-_TILE_BYTES = 1 << 18     # scratch of _path_noise: 64 pairs of 100 steps x 5 draws
 _MAX_FLAGS = 100   # nonfinite locations kept by admissibility_check
 
 
@@ -145,6 +147,7 @@ class ConstantStrategy(Strategy):
 
     def __init__(self, pi):
         self.pi = np.atleast_1d(np.asarray(pi, dtype=float))
+        require_finite(self.pi, "constant strategy pi")
 
     def allocations(self, t, terms):
         return np.broadcast_to(self.pi, (terms.Y.shape[0], self.pi.shape[0])).copy()
@@ -160,8 +163,8 @@ class ZeroStrategy(ConstantStrategy):
 class OptimalStrategy(Strategy):
     """pi*(t, y) = sigma(y)^- (lambda(y) + q rho kappa(y) grad_y u / u) / gamma
     of ``model`` for the FPP u, built by ``optimal_portfolio_from_terms`` from
-    ``u.log_gradient(t, Y)`` (P, k) at Y = ``terms.Y``: Phi(t) once per grid
-    time, broadcast to every path of every block, for a ``RiccatiSolution``,
+    ``u.log_gradient(t, Y)`` (P, k) at Y = ``terms.Y``: Phi(t) broadcast to
+    every path for a ``RiccatiSolution``, which keeps it for each time seen,
     one row per path for a ``WidderFunction``; a u whose k is not the model's
     raises ``ConfigError`` at the first step.  sigma may depend on y.  The
     step's terms are used when they are ``model``'s; a strategy run under
@@ -192,6 +195,7 @@ class PerturbedStrategy(Strategy):
     name = "perturbed"
 
     def __init__(self, base: Strategy, delta):
+        require_finite(delta, "delta")
         self.base = base
         self.delta = delta
         self.name = f"{base.name}+{delta}"
@@ -283,75 +287,23 @@ class PathBundle:
 
 
 # ---------------------------------------------------------------------------
-# Euler engine: path blocks, the boundary step and the wealth integrands
+# Euler engine: step noise, the boundary step and the wealth integrands
 # ---------------------------------------------------------------------------
 
-def _path_noise(seed: int, pair_lo: int, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` (pairs, n_steps, dims) with the noise streams of the
-    antithetic pairs pair_lo, pair_lo + 1, ... and return it.
+def _step_noise(seed: int, step: int, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (P, dims) with the noise of step ``step`` and return it.
 
-    Row r is the Philox stream keyed by (seed mod 2^64, pair_lo + r), the
-    noise of path 2 (pair_lo + r); its partner's noise is the negation, formed
-    at each step by ``_step_noise``.  One bit generator serves the call,
-    reset before each row to the state of a fresh one (counter zero, buffer
-    empty) with that key: the streams of one ``Philox(key=[seed, j])`` per
-    pair, without building one per pair.
-
-    Rows are drawn into a C-ordered scratch of at most ``_TILE_BYTES`` (the
-    generator writes only contiguous rows) and copied into ``out`` a tile at
-    a time, so ``out`` may have any layout.
-    """
-    bitgen = np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, pair_lo],
-                                           dtype=np.uint64))
-    gen = np.random.Generator(bitgen)
-    fresh = bitgen.state     # a copy; drawing never changes it
-    row_bytes = out.itemsize * max(1, int(np.prod(out.shape[1:])))
-    tile_rows = max(1, _TILE_BYTES // row_bytes)
-    scratch = np.empty((min(tile_rows, out.shape[0]),) + out.shape[1:])
-    for start in range(0, out.shape[0], tile_rows):
-        tile = scratch[:out.shape[0] - start]
-        for offset, row in enumerate(tile):
-            fresh["state"]["key"][1] = pair_lo + start + offset
-            bitgen.state = fresh
-            gen.standard_normal(out=row)
-        out[start:start + tile.shape[0]] = tile
+    Pair j = (2j, 2j + 1) reads normals j*dims ... j*dims + dims - 1 of the
+    Philox stream keyed (seed mod 2^64, step), drawn pair-major: path 2j
+    copies them and path 2j + 1 negates them, which is exact.  A fresh
+    generator's first normals do not depend on how many are drawn, so a
+    path's noise does not depend on P; ``out`` may have any layout."""
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, step], dtype=np.uint64)
+    pairs = np.random.Generator(np.random.Philox(key=key)).standard_normal(
+        ((out.shape[0] + 1) // 2, out.shape[1]))
+    out[0::2] = pairs
+    np.negative(pairs[:out.shape[0] // 2], out=out[1::2])
     return out
-
-
-def _step_noise(pairs: np.ndarray, first: int, out: np.ndarray, i: int) -> np.ndarray:
-    """Write step i of a block's noise into ``out`` (paths, dims) and return
-    it.  ``pairs`` (pairs, n_steps, dims) holds the streams of the block's
-    pairs and ``first`` is the parity of its first path: the even paths copy
-    their pair's row and the odd ones its negation, which is exact."""
-    step = pairs[:, i]
-    even, odd = out[first::2], out[1 - first::2]
-    np.copyto(even, step[first:first + even.shape[0]])
-    np.negative(step[:odd.shape[0]], out=odd)
-    return out
-
-
-def _noise_blocks(seed: int, n_paths: int, n_steps: int, dims: int):
-    """Yield (lo, hi, noise) for consecutive blocks of at most _BLOCK_SIZE
-    paths, ``noise(i)`` being the block's (hi - lo, dims) noise at step i.
-
-    Each pair's stream is stored once: every block is drawn into one buffer
-    of n_steps x dims x (B // 2 + 1) doubles, B = min(_BLOCK_SIZE, n_paths)
-    (a block that starts at an odd path spans one pair more than B / 2),
-    and ``noise(i)`` expands step i into one scratch that serves every step
-    and block.  So a block's noise is valid until the next block, and
-    ``noise(i)`` until the next call.
-
-    The buffer is stored path-last, (n_steps, dims, pairs), and the scratch
-    (dims, paths): the step loop reads noise(i) as a stack whose path axis
-    is contiguous, like every stack of the Euler engine (see
-    ``model.rowwise``)."""
-    size = min(_BLOCK_SIZE, n_paths)
-    buffer = np.empty((n_steps, dims, size // 2 + 1)).transpose(2, 0, 1)
-    scratch = np.empty((dims, size)).T
-    for lo in range(0, n_paths, _BLOCK_SIZE):
-        hi = min(lo + _BLOCK_SIZE, n_paths)
-        pairs = _path_noise(seed, lo // 2, buffer[:(hi + 1) // 2 - lo // 2])
-        yield lo, hi, partial(_step_noise, pairs, lo % 2, scratch[:hi - lo])
 
 
 def pair_se(values) -> np.ndarray:
@@ -369,14 +321,13 @@ def pair_se(values) -> np.ndarray:
     return np.std(pairs, axis=0, ddof=1) / np.sqrt(n_pairs)
 
 
-def _require_finite(lo: int, step: int, *arrays):
-    """Raise SimulationError at the first path of the block starting at lo
-    whose row is non-finite in any of the arrays (paths, ...)."""
+def _require_finite(step: int, *arrays):
+    """Raise SimulationError at the first path whose row is non-finite in any
+    of the arrays (paths, ...)."""
     if all(np.all(np.isfinite(a)) for a in arrays):
         return
     bad = np.any([~np.isfinite(a).reshape(a.shape[0], -1).all(axis=1) for a in arrays], axis=0)
-    raise SimulationError("non-finite value in path update", path=lo + int(np.argmax(bad)),
-                          step=step)
+    raise SimulationError("non-finite value in path update", path=int(np.argmax(bad)), step=step)
 
 
 def _eval_state(domain: Box, policy: str, Y):
@@ -437,6 +388,8 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
     ``diagnostics`` holds the mixer residual, the strategy name, x0, y0,
     ``exited_paths`` (paths with an exit time) and ``clipped_states`` (the
     path-steps whose coefficients saw a state clipped into the domain).
+    One loop over time steps all paths; beyond the bundle it returns, the
+    working memory is one step's O(P) stacks and noise.
 
     Raises
     ------
@@ -470,54 +423,52 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
     out = {name: np.empty((P, m) + shape, order="F") for name, shape in (
         ("W", (model.d_W,)), ("Wperp", (model.d_Wperp,)), ("B", (model.d_B,)),
         ("Y", (model.k,)), ("S", (model.n,)), ("X", ()))}
+    W, Wp, B, logS = (np.zeros((P, d), order="F")
+                      for d in (model.d_W, model.d_Wperp, model.d_B, model.n))
+    Y = np.full((P, model.k), y0, order="F")
+    logX = np.full(P, np.log(x0))
+    alive = np.ones(P, dtype=bool)
+    left = ~model.domain.contains(Y)
     exit_time = np.full(P, np.nan)
+    xi = np.empty((model.d_W + model.d_Wperp, P)).T     # path-contiguous step noise
     clipped = 0
 
-    for lo, hi, noise in _noise_blocks(cfg.seed, P, n_steps, model.d_W + model.d_Wperp):
-        Wc, Wpc, Bc, logS = (np.zeros((hi - lo, d), order="F")
-                             for d in (model.d_W, model.d_Wperp, model.d_B, model.n))
-        Y = np.full((hi - lo, model.k), y0, order="F")
-        logX = np.full(hi - lo, np.log(x0))
-        alive = np.ones(hi - lo, dtype=bool)
-        left = ~model.domain.contains(Y)
-        exits = exit_time[lo:hi]    # a view: exit times are written in place
+    def record(step):
+        if step in slot:
+            j = slot[step]
+            for name, value in zip(("W", "Wperp", "B", "Y"), (W, Wp, B, Y)):
+                out[name][:, j] = value
+            np.exp(logS, out=out["S"][:, j])
+            np.exp(logX, out=out["X"][:, j])
 
-        def record(step):
-            if step in slot:
-                j = slot[step]
-                for name, value in zip(("W", "Wperp", "B", "Y"), (Wc, Wpc, Bc, Y)):
-                    out[name][lo:hi, j] = value
-                np.exp(logS, out=out["S"][lo:hi, j])
-                np.exp(logX, out=out["X"][lo:hi, j])
+    record(0)
+    for i in range(n_steps):
+        Yeval = _eval_state(model.domain, policy, Y)
+        if Yeval is not Y:      # clipped copy: the rows of Y outside the domain
+            clipped += int(np.count_nonzero(left))
+        # A non-finite allocation is reported by _require_finite below.
+        terms, sigpi, sp_lam, sp_sq = _step_terms(model, strategy, i * dt, Yeval)
 
-        record(0)
-        for i in range(n_steps):
-            Yeval = _eval_state(model.domain, policy, Y)
-            if Yeval is not Y:      # clipped copy: the rows of Y outside the domain
-                clipped += int(np.count_nonzero(left))
-            # A non-finite allocation is reported by _require_finite below.
-            terms, sigpi, sp_lam, sp_sq = _step_terms(model, strategy, i * dt, Yeval)
+        _step_noise(cfg.seed, i, xi)
+        dW = xi[:, :model.d_W] * sqdt
+        dWp = xi[:, model.d_W:] * sqdt
+        dB = rowwise(model.rho.T, dW) + rowwise(A.T, dWp)
 
-            xi = noise(i)
-            dW = xi[:, :model.d_W] * sqdt
-            dWp = xi[:, model.d_W:] * sqdt
-            dB = rowwise(model.rho.T, dW) + rowwise(A.T, dWp)
+        # diag(sigma^T sigma) and sigma^T dW
+        dlogS = (terms.mu - 0.5 * np.sum(terms.sigma ** 2, axis=-2)) * dt \
+            + rowwise(np.swapaxes(terms.sigma, -1, -2), dW)
+        dlogX = (sp_lam - 0.5 * sp_sq) * dt + np.einsum("pw,pw->p", sigpi, dW)
+        dY = terms.alpha * dt + np.einsum("pbk,pb->pk", terms.kappa, dB)
+        _require_finite(i, dY, dlogS, dlogX)
 
-            # diag(sigma^T sigma) and sigma^T dW
-            dlogS = (terms.mu - 0.5 * np.sum(terms.sigma ** 2, axis=-2)) * dt \
-                + rowwise(np.swapaxes(terms.sigma, -1, -2), dW)
-            dlogX = (sp_lam - 0.5 * sp_sq) * dt + np.einsum("pw,pw->p", sigpi, dW)
-            dY = terms.alpha * dt + np.einsum("pbk,pb->pk", terms.kappa, dB)
-            _require_finite(lo, i, dY, dlogS, dlogX)
-
-            logS = _live_add(logS, dlogS, alive)
-            logX = _live_add(logX, dlogX, alive)
-            Wc += dW
-            Wpc += dWp
-            Bc += dB
-            Y, alive, left = _advance(model.domain, policy, Y, dY, alive)
-            exits[left & np.isnan(exits)] = (i + 1) * dt
-            record(i + 1)
+        logS = _live_add(logS, dlogS, alive)
+        logX = _live_add(logX, dlogX, alive)
+        W += dW
+        Wp += dWp
+        B += dB
+        Y, alive, left = _advance(model.domain, policy, Y, dY, alive)
+        exit_time[left & np.isnan(exit_time)] = (i + 1) * dt
+        record(i + 1)
 
     return PathBundle(times=rec_idx * dt, exit_time=exit_time, model=model, config=cfg,
                       diagnostics={"mixer_residual": mix_residual,
@@ -552,6 +503,10 @@ def feynman_kac_estimate(gen: GeneratorCoefficients, h: Callable, t: float,
     paths and ``pair_se`` of the path values, the standard error over the
     means of antithetic pairs (with an odd path count the last path counts
     only in the estimate; with fewer than two pairs the error is inf).
+
+    One loop over time steps all paths at once, so the working memory is
+    O(P): about 0.2 KB per path at k = 2 (a 36 MB tracemalloc peak at 200k
+    paths of a two-factor affine generator).
     """
     if not t > 0:       # true for NaN
         raise ConfigError(f"time-to-go t must be positive, got {t}")
@@ -571,24 +526,22 @@ def feynman_kac_estimate(gen: GeneratorCoefficients, h: Callable, t: float,
     sqdt = np.sqrt(dt)
     P, policy = cfg.n_paths, cfg.boundary_policy
 
-    total = np.empty(P)
-    for lo, hi, noise in _noise_blocks(cfg.seed, P, n_steps, d_B):
-        Z = np.full((hi - lo, gen.k), y, order="F")
-        log_weight = np.zeros(hi - lo)
-        alive = np.ones(hi - lo, dtype=bool)
-        for i in range(n_steps):
-            Zeval = _eval_state(domain, policy, Z)
-            log_weight += gen.P_batch(Zeval) * dt   # a killed path counts 0 below
-            dZ = gen.b_batch(Zeval) * dt \
-                + np.einsum("pbk,pb->pk", gen.kappa_batch(Zeval), noise(i)) * sqdt
-            _require_finite(lo, i, dZ)
-            Z, alive, _ = _advance(domain, policy, Z, dZ, alive)
-        h_vals = np.asarray(h(_eval_state(domain, policy, Z)), dtype=float)
-        if h_vals.shape != (hi - lo,):
-            raise ConfigError(f"h must map states (P, k) to values (P,); "
-                              f"got shape {h_vals.shape} for P={hi - lo}")
-        total[lo:hi] = np.where(alive, np.exp(log_weight) * h_vals, 0.0)
-
+    Z = np.full((P, gen.k), y, order="F")
+    log_weight = np.zeros(P)
+    alive = np.ones(P, dtype=bool)
+    xi = np.empty((d_B, P)).T       # path-contiguous step noise
+    for i in range(n_steps):
+        Zeval = _eval_state(domain, policy, Z)
+        log_weight += gen.P_batch(Zeval) * dt   # a killed path counts 0 below
+        _step_noise(cfg.seed, i, xi)
+        dZ = gen.b_batch(Zeval) * dt + np.einsum("pbk,pb->pk", gen.kappa_batch(Zeval), xi) * sqdt
+        _require_finite(i, dZ)
+        Z, alive, _ = _advance(domain, policy, Z, dZ, alive)
+    h_vals = np.asarray(h(_eval_state(domain, policy, Z)), dtype=float)
+    if h_vals.shape != (P,):
+        raise ConfigError(f"h must map states (P, k) to values (P,); "
+                          f"got shape {h_vals.shape} for P={P}")
+    total = np.where(alive, np.exp(log_weight) * h_vals, 0.0)
     return float(np.mean(total)), float(pair_se(total))
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import (ConditioningError, ConfigError, InconsistentDataError,
                      IntegrationError, NonRepresentableError, PositivityError)
 from .model import (Fields, GeneratorCoefficients, from_params, require, require_list,
-                    require_real, require_reals, require_shape)
+                    require_finite, require_real, require_reals, require_shape)
 
 _COND_LIMIT = 1e12
 MATCH_TOL = 1e-9            # TabulatedEigenfunction: max-norm distance of a match
@@ -393,6 +393,8 @@ def solve_eigenfunction_1d(gen: GeneratorCoefficients, zeta: float, y0: float,
 
     if gen.k != 1:
         raise ConfigError("one-factor routine requires k = 1")
+    require_finite(zeta, "zeta")
+    require_finite(slope_s, "slope")
     grid = np.sort(np.asarray(grid, dtype=float))
     y0 = float(np.atleast_1d(y0)[0])
     if not (grid[0] <= y0 <= grid[-1]):
@@ -623,6 +625,7 @@ def radial_ode_diagnostic(P0_tilde: Callable[[float], float], zeta: float,
         raise ConfigError("radial diagnostic requires k >= 2")
     if not 1.0 < r_max < np.inf:     # false for NaN
         raise ConfigError(f"r_max must be finite and exceed 1, got {r_max}")
+    require_finite(zeta, "zeta")
 
     r_start = 1e-6
     R = RADIAL_TAIL_FACTOR * r_max

@@ -283,6 +283,9 @@ def test_non_integral_path_count_exits_one(workdir, capsys):
 # A bundle under the one-factor model of the workdir, for verify martingale.
 _SIM_RUN = ["sim", "run", "--model", "model.json", "--config", "simcfg.json", "--y0", "1.0",
             "--out", "o7"]
+_EIGENFN_1D = ["spectral", "eigenfn-1d", "--model", "model.json", "--gamma", "2.0", "--p",
+               "0.25", "--y0", "1.0", "--grid", "0.2:2.0:19"]
+_RADIAL = ["spectral", "radial", "--k", "3", "--r-max", "8"]
 _VERIFY_MARTINGALE = ["verify", "martingale", "--paths", "o7/paths", "--fpp", "fpp.json",
                       "--out", "o8"]
 
@@ -518,32 +521,68 @@ _AFFINE_FLAGS = ["--model", "model.json", "--affine", "aspec.json", "--gamma", "
       "--horizon", "1.0", "--t", "0.4", "--y", "nan"], "y must be finite, got [nan]"),
     (["sim", "feynman-kac", "--model", "model.json", "--config", "simcfg.json",
       "--gamma", "2.0", "--t", "0.5", "--y", "nan"], "y must be finite, got [nan]"),
+    ([*_SIM_RUN, "--delta", "nan"], "delta must be finite, got nan"),
+    ([*_SIM_RUN, "--strategy", "constant:nan,0"],
+     "constant strategy pi must be finite, got [nan, 0.0]"),
+    ([*_EIGENFN_1D, "--zeta", "inf", "--slope", "0.2"], "zeta must be finite, got inf"),
+    ([*_EIGENFN_1D, "--zeta", "0.0", "--slope", "nan"], "slope must be finite, got nan"),
+    ([*_RADIAL, "--zeta", "nan"], "zeta must be finite, got nan"),
+    ([*_RADIAL, "--zeta", "0", "--potential", "const:nan"],
+     "potential level must be finite, got nan"),
 ], ids=["horizon_nan", "t_nan", "x0_nan", "x0_inf", "y0_nan", "dt_nan", "fk_t_nan",
         "linear_step_0", "nonlinear_step_0", "hjb_step_0", "hjb_step_nan", "portfolio_y_nan",
-        "fk_y_nan"])
+        "fk_y_nan", "delta_nan", "constant_nan", "zeta_inf", "slope_nan", "radial_zeta_nan",
+        "potential_nan"])
 def test_non_finite_or_zero_flag_exits_one_and_names_it(workdir, capsys, argv, named):
     # Before the checks NaN passed every range test: these runs exited 0 with
     # NaN or inf outputs (the portfolio of y = nan among them), 2 ("numerical
-    # failure") for y0 and the Feynman-Kac y, or 1 with numpy's "cannot
-    # convert float NaN to integer", which names no field.
+    # failure") for y0, the Feynman-Kac y, delta, a constant strategy and an
+    # infinite zeta, or 1 with a numpy or scipy message that names no field
+    # or the wrong one ("cannot convert float NaN to integer", "`y0` must be
+    # finite").
     assert main([*argv, "--out", "o_bad"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert named in err
 
 
-@pytest.mark.parametrize("r_max", ["nan", "inf"])
-def test_spectral_radial_refuses_a_non_finite_r_max(workdir, r_max):
-    # NaN passed the r_max <= 1 test and the ODE was then integrated to
-    # 10 r_max without end; a child with a timeout fails instead of hanging.
+def _cli_child(*argv):
+    """``fpplab.cli`` run in a child with a timeout, so a hang fails the test
+    instead of stalling the suite."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(
         fpplab.__file__)), env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-m", "fpplab.cli", "spectral", "radial",
-                          "--zeta", "0", "--k", "3", "--r-max", r_max, "--out", "o_radial"],
-                         env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-m", "fpplab.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("r_max", ["nan", "inf"])
+def test_spectral_radial_refuses_a_non_finite_r_max(workdir, r_max):
+    # NaN passed the r_max <= 1 test and the ODE was then integrated to
+    # 10 r_max without end.
+    out = _cli_child("spectral", "radial", "--zeta", "0", "--k", "3", "--r-max", r_max,
+                     "--out", "o_radial")
     assert out.returncode == 1
     assert out.stderr.startswith("error:") and "r_max must be finite and exceed 1" in out.stderr
+
+
+def test_spectral_eigenfn_refuses_a_nan_zeta(workdir):
+    # The shooting ODE with zeta = nan spun at full CPU without end.
+    out = _cli_child(*_EIGENFN_1D, "--zeta", "nan", "--slope", "0.2", "--out", "o_eigen")
+    assert out.returncode == 1
+    assert out.stderr.startswith("error:") and "zeta must be finite, got nan" in out.stderr
+
+
+@pytest.mark.parametrize("command", ["project", "select-p"])
+def test_eve_refuses_a_non_finite_rho_hat(workdir, capsys, command):
+    # The SVD of a rho_hat holding NaN failed to converge and the command
+    # exited 2 ("numerical failure"), though the fault is in the input.
+    rho = 0.6 * np.eye(2)
+    rho[1, 0] = np.nan
+    np.savetxt(workdir / "rho_nan.csv", rho, delimiter=",")
+    assert main(["eve", command, "--in", "rho_nan.csv", "--out", "o_eve"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "rho_hat[1] must be finite, got [nan, 0.6]" in err
 
 
 def test_spectral_evaluate_names_a_non_numeric_atom(workdir, capsys):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fpplab.model
@@ -15,8 +15,7 @@ from fpplab.model import (Box, ConstantField, GridField, ModelSpec, RiskParams,
 from fpplab import affine, sim
 from fpplab.sim import (BOUNDARY_POLICIES, ConstantStrategy, OptimalStrategy, PathBundle,
                         PerturbedStrategy, SimulationConfig, Strategy, ZeroStrategy,
-                        _path_noise, admissibility_check, feynman_kac_estimate, pair_se,
-                        simulate)
+                        admissibility_check, feynman_kac_estimate, pair_se, simulate)
 from fpplab.verify import martingale_test
 
 from conftest import (count_calls, make_heat_generator, make_rank_deficient_grid_model,
@@ -112,88 +111,39 @@ def test_config_json_round_trip():
 # Noise
 # ---------------------------------------------------------------------------
 
-def _philox_stream(seed, j, n_steps, dims):
-    """The (n_steps, dims) draw of one freshly built Philox keyed
-    (seed mod 2^64, j)."""
-    return np.random.Generator(np.random.Philox(key=np.array(
-        [seed & 0xFFFF_FFFF_FFFF_FFFF, j], dtype=np.uint64))).standard_normal((n_steps, dims))
-
-
 def _noise_oracle(seed, path_lo, path_hi, n_steps, dims):
-    """Path p is (-1)^p times the stream keyed (seed mod 2^64, p // 2):
-    antithetic pairs (2j, 2j + 1)."""
-    return np.stack([(-1) ** p * _philox_stream(seed, p // 2, n_steps, dims)
-                     for p in range(path_lo, path_hi)])
+    """(path_hi - path_lo, n_steps, dims): at step i pair j = (2j, 2j + 1)
+    reads normals j*dims ... j*dims + dims - 1 of a fresh Philox keyed
+    (seed mod 2^64, i); path 2j copies them and path 2j + 1 negates them.
+    Each step draws a few normals more than its pairs read, so the oracle
+    also checks that a path's noise does not depend on how many are drawn."""
+    paths = np.arange(path_lo, path_hi)
+    index = (paths // 2)[:, None] * dims + np.arange(dims)
+    sign = np.where(paths % 2, -1.0, 1.0)[:, None]
+    steps = [sign * np.random.Generator(np.random.Philox(key=np.array(
+        [seed & 0xFFFF_FFFF_FFFF_FFFF, i], dtype=np.uint64))).standard_normal(
+            (path_hi // 2 + 3) * dims)[index] for i in range(n_steps)]
+    return np.stack(steps, axis=1)
 
 
-@pytest.mark.parametrize("seed, pair_lo, pair_hi, n_steps, dims", [
-    (0, 0, 5, 4, 2),
-    (99, 4096, 4103, 10, 3),      # a block that does not start at pair 0
-    (2 ** 63 + 11, 0, 6, 5, 2),   # seed above the int64 range
-    (2 ** 64 + 3, 2, 6, 5, 2),    # seed reduced mod 2^64
-    (-7, 0, 4, 2, 1),
-    (5, 0, 9, 3, 1),              # odd draws per pair: a half-used buffer
-    (5, 17, 26, 1, 1),            # must not carry over to the next pair
-])
-def test_path_noise_matches_one_philox_per_path(seed, pair_lo, pair_hi, n_steps, dims):
-    out = np.full((pair_hi - pair_lo, n_steps, dims), np.nan)
-    assert _path_noise(seed, pair_lo, out) is out
-    np.testing.assert_array_equal(out, np.stack([_philox_stream(seed, j, n_steps, dims)
-                                                 for j in range(pair_lo, pair_hi)]))
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(-2 ** 64, 2 ** 65), step=st.integers(0, 5),
+       n_paths=st.integers(1, 40), dims=st.integers(1, 4), path_contiguous=st.booleans())
+@example(seed=0, step=0, n_paths=10, dims=2, path_contiguous=True)
+@example(seed=99, step=7, n_paths=9, dims=3, path_contiguous=True)   # odd P: one unpaired
+@example(seed=2 ** 63 + 11, step=3, n_paths=12, dims=5, path_contiguous=True)  # above int64
+@example(seed=2 ** 64 + 3, step=1, n_paths=6, dims=2, path_contiguous=False)   # mod 2^64
+@example(seed=-7, step=2, n_paths=5, dims=1, path_contiguous=True)
+@example(seed=5, step=4, n_paths=1, dims=3, path_contiguous=False)
+def test_step_noise_matches_the_oracle(seed, step, n_paths, dims, path_contiguous):
+    out = np.full((dims, n_paths), np.nan).T if path_contiguous \
+        else np.full((n_paths, dims), np.nan)
+    assert sim._step_noise(seed, step, out) is out
+    oracle = _noise_oracle(seed, 0, n_paths, step + 1, dims)[:, step]
+    assert out.tobytes() == np.ascontiguousarray(oracle).tobytes()
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(-2 ** 64, 2 ** 65), n_paths=st.integers(1, 40),
-       block=st.integers(1, 12), n_steps=st.integers(1, 4), dims=st.integers(1, 3))
-def test_noise_blocks_match_the_pair_oracle_for_any_block_size(seed, n_paths, block,
-                                                               n_steps, dims):
-    # Odd block sizes start blocks at odd paths, whose partner lies in the
-    # block before.
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sim, "_BLOCK_SIZE", block)
-        blocks = [(lo, hi, [noise(i).copy() for i in range(n_steps)])
-                  for lo, hi, noise in sim._noise_blocks(seed, n_paths, n_steps, dims)]
-    assert [lo for lo, _, _ in blocks] == list(range(0, n_paths, block))
-    drawn = np.concatenate([np.stack(steps, axis=1) for _, _, steps in blocks])
-    np.testing.assert_array_equal(drawn, _noise_oracle(seed, 0, n_paths, n_steps, dims))
-
-
-def test_noise_blocks_are_drawn_into_one_buffer(monkeypatch):
-    # Blocks of 5, 5 and 1 paths, the second starting at an odd path and so
-    # spanning 3 pairs: one buffer of 5 // 2 + 1 pairs holds each in turn.
-    monkeypatch.setattr(sim, "_BLOCK_SIZE", 5)
-    outs, real = [], sim._path_noise
-    monkeypatch.setattr(sim, "_path_noise",
-                        lambda seed, pair_lo, out: outs.append(out) or real(seed, pair_lo, out))
-    for lo, hi, noise in sim._noise_blocks(3, 11, 4, 2):
-        for i in range(4):
-            np.testing.assert_array_equal(noise(i), _noise_oracle(3, lo, hi, 4, 2)[:, i])
-    assert [out.shape[0] for out in outs] == [3, 3, 1]
-    assert outs[0].base is not None and outs[0].base.shape == (4, 2, 3)
-    assert all(out.base is outs[0].base for out in outs)
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2 ** 64), n_paths=st.integers(1, 30), block=st.integers(1, 12),
-       tile_bytes=st.integers(1, 400), n_steps=st.integers(1, 4), dims=st.integers(1, 3))
-def test_noise_block_views_are_path_contiguous_for_any_tile_size(seed, n_paths, block,
-                                                                  tile_bytes, n_steps, dims):
-    # Tiles of one pair or more, odd block starts included, each copied from
-    # the C-ordered scratch into the path-last buffer and expanded step by
-    # step into the path-contiguous step noise the engine reads.
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sim, "_BLOCK_SIZE", block)
-        mp.setattr(sim, "_TILE_BYTES", tile_bytes)
-        for lo, hi, noise in sim._noise_blocks(seed, n_paths, n_steps, dims):
-            oracle = _noise_oracle(seed, lo, hi, n_steps, dims)
-            for i in range(n_steps):
-                xi = noise(i)
-                assert xi.shape == (hi - lo, dims)
-                assert xi.strides[0] == xi.itemsize
-                np.testing.assert_array_equal(xi, oracle[:, i])
-
-
-def test_simulate_builds_one_bit_generator_per_block(monkeypatch, canonical_1f):
+def test_simulate_builds_one_bit_generator_per_step(monkeypatch, canonical_1f):
     market, _, _ = canonical_1f
     built = []
     real = np.random.Philox
@@ -205,30 +155,33 @@ def test_simulate_builds_one_bit_generator_per_block(monkeypatch, canonical_1f):
     monkeypatch.setattr(np.random, "Philox", counting)
     cfg = SimulationConfig(dt=0.05, horizon=0.25, n_paths=300, seed=8)
     simulate(market, cfg, ZeroStrategy(market.n), y0=[1.0])
-    assert len(built) == 1
+    assert [key.tolist() for key in built] == [[8, i] for i in range(cfg.n_steps)]
 
 
-def test_simulate_holds_one_noise_draw_per_pair(canonical_2f):
-    # One block of 4096 paths x 100 steps x 5 draws: the pair buffer is
-    # 7.8 MiB.  Beyond the recorded arrays the run peaked at 17.6 MiB while
-    # the buffer held both paths of every pair, and at 9.9 MiB with one
-    # draw per pair.
+def test_simulate_holds_no_noise_buffer(canonical_2f):
+    # Beyond the recorded arrays, 4096 paths peaked at 2.1 MiB over 10 and
+    # over 100 steps alike: only one step's noise (160 KiB) is held.  A
+    # buffer of every step's pair draws grew from 0.8 to 7.8 MiB.
     market, _, _ = canonical_2f
-    cfg = SimulationConfig(dt=0.01, horizon=1.0, n_paths=4096, seed=3, record_stride=10)
-    dims = market.d_W + market.d_Wperp
-    pair_buffer = cfg.n_steps * dims * (sim._BLOCK_SIZE // 2 + 1) * 8
-    tracemalloc.start()
-    try:
-        bundle = simulate(market, cfg, ZeroStrategy(market.n), y0=[0.5, 0.5])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    recorded = sum(getattr(bundle, name).nbytes for name in _BUNDLE_ARRAYS)
-    assert peak - recorded <= pair_buffer + 4 * 2 ** 20
+
+    def working_memory(horizon):
+        cfg = SimulationConfig(dt=0.01, horizon=horizon, n_paths=4096, seed=3,
+                               record_stride=10)
+        tracemalloc.start()
+        try:
+            bundle = simulate(market, cfg, ZeroStrategy(market.n), y0=[0.5, 0.5])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - sum(getattr(bundle, name).nbytes for name in _BUNDLE_ARRAYS)
+
+    working_memory(0.1)     # first-call allocations
+    one_step = 4096 * (market.d_W + market.d_Wperp) * 8
+    assert working_memory(1.0) - working_memory(0.1) <= one_step
 
 
 # ---------------------------------------------------------------------------
-# Engine: path blocks and recording
+# Engine: one loop over time and recording
 # ---------------------------------------------------------------------------
 
 _BUNDLE_ARRAYS = ("times", "W", "Wperp", "B", "Y", "S", "X", "exit_time")
@@ -247,13 +200,13 @@ def _sqrt_market():
     return market, spec, affine.solve_riccati_closed_form(spec, rp, 0.5, affine.FORWARD), rp
 
 
-def _engine_run(policy, record_stride=1, strategy=_perturbed_optimal, y0=0.05):
+def _engine_run(policy, record_stride=1, strategy=_perturbed_optimal, y0=0.05, n_paths=30):
     """simulate, admissibility_check and feynman_kac_estimate on the
     ``_sqrt_market`` started at y0.  ``strategy(market, sol, rp)`` builds
     the strategy."""
     market, spec, sol, rp = _sqrt_market()
     strategy = strategy(market, sol, rp)
-    cfg = SimulationConfig(dt=0.05, horizon=0.5, n_paths=30, seed=4,
+    cfg = SimulationConfig(dt=0.05, horizon=0.5, n_paths=n_paths, seed=4,
                            boundary_policy=policy, record_stride=record_stride)
     bundle = simulate(market, cfg, strategy, y0=[y0])
     report = admissibility_check(bundle, strategy)
@@ -263,7 +216,7 @@ def _engine_run(policy, record_stride=1, strategy=_perturbed_optimal, y0=0.05):
     return bundle, report, fk
 
 
-_BLOCK_RUNS = [   # (strategy, y0): the optimal map and one that ignores the step terms
+_ENGINE_RUNS = [   # (strategy, y0): the optimal map and one that ignores the step terms
     (_perturbed_optimal, 0.05),
     (lambda market, sol, rp: OptimalStrategy(sol, market, rp), 0.2),
     (lambda market, sol, rp: PerturbedStrategy(ConstantStrategy([0.3, 0.1]), -0.2), 0.2),
@@ -271,20 +224,17 @@ _BLOCK_RUNS = [   # (strategy, y0): the optimal map and one that ignores the ste
 
 
 @pytest.mark.parametrize("policy", BOUNDARY_POLICIES)
-def test_results_do_not_depend_on_the_block_size(monkeypatch, policy):
-    # Blocks of 7, 7, 7, 7 and 2 paths, each drawn into the one noise buffer;
-    # some paths leave the domain and, under absorb, die.
-    for strategy, y0 in _BLOCK_RUNS:
-        monkeypatch.setattr(sim, "_BLOCK_SIZE", 4096)
-        bundle, report, fk = _engine_run(policy, strategy=strategy, y0=y0)
-        assert np.isfinite(bundle.exit_time).any() and np.isnan(bundle.exit_time).any()
-        monkeypatch.setattr(sim, "_BLOCK_SIZE", 7)
-        small_bundle, small_report, small_fk = _engine_run(policy, strategy=strategy, y0=y0)
-        for name in _BUNDLE_ARRAYS:
-            assert getattr(small_bundle, name).tobytes() == getattr(bundle, name).tobytes(), name
-        assert small_bundle.diagnostics == bundle.diagnostics
-        assert small_report == report
-        assert small_fk == fk
+@settings(max_examples=15, deadline=None)
+@given(run=st.sampled_from(_ENGINE_RUNS), n_paths=st.integers(1, 29))
+def test_first_paths_do_not_depend_on_n_paths(policy, run, n_paths):
+    # Of the 30 paths some leave the domain and, under absorb, die.
+    strategy, y0 = run
+    bundle = _engine_run(policy, strategy=strategy, y0=y0)[0]
+    assert np.isfinite(bundle.exit_time).any() and np.isnan(bundle.exit_time).any()
+    first = _engine_run(policy, strategy=strategy, y0=y0, n_paths=n_paths)[0]
+    assert first.times.tobytes() == bundle.times.tobytes()
+    for name in _BUNDLE_ARRAYS[1:]:
+        assert getattr(first, name).tobytes() == getattr(bundle, name)[:n_paths].tobytes(), name
 
 
 @pytest.mark.parametrize("policy", BOUNDARY_POLICIES)
@@ -338,10 +288,10 @@ def test_step_hands_the_strategy_path_contiguous_stacks(policy):
 
 
 def _row_major_absorb(market, cfg, strategy, y0):
-    """(Y, S, X, exit_time) of ``simulate`` under absorb with one block,
-    written with C-ordered stacks and ``@``: every row is evaluated at its
-    state, killed ones included, and the updates of the killed rows are
-    masked out.  sigma must be constant."""
+    """(Y, S, X, exit_time) of ``simulate`` under absorb, written with
+    C-ordered stacks and ``@``: every row is evaluated at its state, killed
+    ones included, and the updates of the killed rows are masked out.  sigma
+    must be constant."""
     n_steps, dt, P = cfg.n_steps, cfg.dt_effective, cfg.n_paths
     noise = _noise_oracle(cfg.seed, 0, P, n_steps, market.d_W + market.d_Wperp)
     A = market.noise_mixer()
@@ -387,15 +337,15 @@ def test_absorb_matches_a_row_major_reference_step():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_require_finite_reports_the_first_non_finite_path():
     big = np.full((4, 2), 1e308)    # finite entries whose sum would overflow
-    sim._require_finite(10, 3, big, big[:, 0])
+    sim._require_finite(3, big, big[:, 0])
     with_inf = big.copy()
     with_inf[2, 1] = np.inf
     with_nan = np.zeros(4)
     with_nan[1] = np.nan
-    for arrays, path in (((big, with_nan), 11), ((with_inf, np.zeros(4)), 12),
-                         ((np.full((4, 1), -np.inf), np.full(4, np.inf)), 10)):
+    for arrays, path in (((big, with_nan), 1), ((with_inf, np.zeros(4)), 2),
+                         ((np.full((4, 1), -np.inf), np.full(4, np.inf)), 0)):
         with pytest.raises(SimulationError) as exc:
-            sim._require_finite(10, 3, *arrays)
+            sim._require_finite(3, *arrays)
         assert (exc.value.path, exc.value.step) == (path, 3)
 
 
@@ -417,13 +367,11 @@ def test_each_step_evaluates_mu_and_kappa_once(monkeypatch, canonical_2f):
 
 
 def test_multi_block_simulation_reads_phi_once_per_grid_time(monkeypatch, canonical_2f):
-    # Blocks of 7, 7 and 6 paths over 10 steps: Phi(t) is read at the first
-    # block's steps and reused by the others, and by admissibility_check on
-    # the recorded grid.
+    # Phi(t) is read once at each of the 10 steps and reused by
+    # admissibility_check on the recorded grid.
     market, spec, rp = canonical_2f
     sol = affine.solve_riccati_closed_form(spec, rp, 1.0, affine.FORWARD)
     strategy = OptimalStrategy(sol, market, rp)
-    monkeypatch.setattr(sim, "_BLOCK_SIZE", 7)
     phi_calls = count_calls(monkeypatch, sol, "Phi")
     cfg = SimulationConfig(dt=0.1, horizon=1.0, n_paths=20, seed=1)
     bundle = simulate(market, cfg, strategy, y0=[0.5, 0.5])
@@ -549,8 +497,8 @@ def test_simulation_is_deterministic_and_block_independent(canonical_1f):
     b2 = simulate(market, cfg, strat, y0=[1.0])
     for name in ("W", "Wperp", "B", "Y", "S", "X"):
         assert np.array_equal(getattr(b1, name), getattr(b2, name))
-    # Same paths appear regardless of how many are requested (Philox streams
-    # are keyed per pair of paths, not per run).
+    # Same paths appear regardless of how many are requested (each step's
+    # Philox stream is read pair-major, so a pair's normals come first).
     b3 = simulate(market, SimulationConfig(dt=0.01, horizon=0.5, n_paths=100,
                                            seed=99), strat, y0=[1.0])
     assert np.array_equal(b1.X[:100], b3.X)

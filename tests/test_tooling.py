@@ -117,26 +117,39 @@ def test_only_model_evaluates_the_market():
     assert not hasattr(fpplab.model, "sigma_terms")
 
 
+def _called_name(call):
+    """The name a call goes by: ``f`` of ``f(...)`` and of ``a.b.f(...)``."""
+    return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
 def _engine_sites(path):
-    """Top-level definitions that call ``_path_noise``, and those that compare
-    against a boundary-policy name."""
-    tree = ast.parse(path.read_text())
-    noise, policy = set(), set()
-    for node in tree.body:
+    """file:definition of the top-level definitions that build a Philox bit
+    generator and of those that call ``_step_noise``, and the names of those
+    that compare against a boundary-policy name."""
+    philox, noise, policy = set(), set(), set()
+    for node in ast.parse(path.read_text()).body:
         for sub in ast.walk(node):
-            if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "_path_noise":
-                noise.add(node.name)
+            if isinstance(sub, ast.Call) and _called_name(sub) == "Philox":
+                philox.add(f"{path.name}:{getattr(node, 'name', None)}")
+            if isinstance(sub, ast.Call) and _called_name(sub) == "_step_noise":
+                noise.add(f"{path.name}:{getattr(node, 'name', None)}")
             if isinstance(sub, ast.Compare) and any(
                     isinstance(c, ast.Constant) and c.value in BOUNDARY_POLICIES
                     for c in (sub.left, *sub.comparators)):
-                policy.add(node.name)
-    return noise, policy
+                policy.add(getattr(node, "name", None))
+    return philox, noise, policy
 
 
 def test_sim_has_one_block_loop_and_one_boundary_step():
-    noise, policy = _engine_sites(PACKAGE / "sim.py")
-    assert noise == {"_noise_blocks"}
-    assert policy == {"_eval_state", "_advance"}
+    # One noise helper keyed by (seed, step), called by the two Euler loops.
+    philox, noise = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        builds, calls, _ = _engine_sites(path)
+        philox |= builds
+        noise |= calls
+    assert philox == {"sim.py:_step_noise"}
+    assert noise == {"sim.py:simulate", "sim.py:feynman_kac_estimate"}
+    assert _engine_sites(PACKAGE / "sim.py")[2] == {"_eval_state", "_advance"}
 
 
 def _matmul_sites(path):
