@@ -143,6 +143,96 @@ def test_step_noise_matches_the_oracle(seed, step, n_paths, dims, path_contiguou
     assert out.tobytes() == np.ascontiguousarray(oracle).tobytes()
 
 
+@pytest.mark.parametrize("seed, pair_lo, pair_hi, n_steps, dims", [
+    (0, 0, 5, 4, 2),
+    (99, 4096, 4103, 10, 3),      # pairs far from pair 0
+    (2 ** 63 + 11, 0, 6, 5, 2),   # seed above the int64 range
+    (2 ** 64 + 3, 2, 6, 5, 2),    # seed reduced mod 2^64
+    (-7, 0, 4, 2, 1),
+    (5, 0, 9, 3, 1),              # an odd number of normals per step
+    (5, 17, 26, 1, 1),            # one normal per pair, read from pair 17 on
+])
+def test_path_noise_matches_one_philox_per_path(seed, pair_lo, pair_hi, n_steps, dims):
+    # Pairs pair_lo ... pair_hi - 1 at each step read their rows of one
+    # Philox keyed (seed mod 2^64, step): the even path copies the row and
+    # the odd path negates it.
+    for i in range(n_steps):
+        out = np.full((2 * pair_hi, dims), np.nan)
+        assert sim._step_noise(seed, i, out) is out
+        stream = np.random.Generator(np.random.Philox(key=np.array(
+            [seed & 0xFFFF_FFFF_FFFF_FFFF, i], dtype=np.uint64))).standard_normal((pair_hi, dims))
+        np.testing.assert_array_equal(out[2 * pair_lo::2], stream[pair_lo:])
+        np.testing.assert_array_equal(out[2 * pair_lo + 1::2], -stream[pair_lo:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(-2 ** 64, 2 ** 65), n_paths=st.integers(1, 40),
+       block=st.integers(1, 40), step=st.integers(0, 4), dims=st.integers(1, 3))
+def test_noise_blocks_match_the_pair_oracle_for_any_block_size(seed, n_paths, block,
+                                                               step, dims):
+    # The step noise of the first `block` paths, odd counts included (the
+    # last path then has no partner), is the head of that of all n_paths.
+    block = min(block, n_paths)
+    whole = sim._step_noise(seed, step, np.full((n_paths, dims), np.nan))
+    head = sim._step_noise(seed, step, np.full((block, dims), np.nan))
+    np.testing.assert_array_equal(head, whole[:block])
+    np.testing.assert_array_equal(whole, _noise_oracle(seed, 0, n_paths, step + 1, dims)[:, step])
+
+
+def _recording_step_noise(mp):
+    """Patch ``sim._step_noise`` to record (step, out, a copy of the draw)."""
+    drawn, real = [], sim._step_noise
+
+    def recording(seed, step, out):
+        real(seed, step, out)
+        drawn.append((step, out, out.copy()))
+        return out
+
+    mp.setattr(sim, "_step_noise", recording)
+    return drawn
+
+
+def test_noise_blocks_are_drawn_into_one_buffer(monkeypatch, canonical_2f):
+    # 11 paths, so the last has no partner: simulate draws every step's noise
+    # into one path-contiguous (P, dims) buffer.
+    market, _, _ = canonical_2f
+    drawn = _recording_step_noise(monkeypatch)
+    cfg = SimulationConfig(dt=0.1, horizon=0.4, n_paths=11, seed=3)
+    simulate(market, cfg, ZeroStrategy(market.n), y0=[0.5, 0.5])
+    dims = market.d_W + market.d_Wperp
+    oracle = _noise_oracle(3, 0, 11, cfg.n_steps, dims)
+    assert [step for step, _, _ in drawn] == list(range(cfg.n_steps))
+    buffer = drawn[0][1]
+    assert buffer.shape == (11, dims) and buffer.strides[0] == buffer.itemsize
+    for step, out, noise in drawn:
+        assert out is buffer
+        np.testing.assert_array_equal(noise, oracle[:, step])
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 64), n_paths=st.integers(1, 30))
+def test_noise_block_views_are_path_contiguous_for_any_tile_size(seed, n_paths):
+    # For any path count, the Feynman-Kac loop reads each step's noise from
+    # one path-contiguous buffer holding the oracle's step (d_B = 2).
+    rp = RiskParams(gamma=2.0, p=0.25)
+    market, spec = affine.canonical_affine_market(
+        M=[[-0.5, 0.0], [0.0, -0.8]], w=[0.4, 0.5], L=[0.2, 0.15],
+        Lambda=[0.16, 0.09], lambda0=0.04, H=[-0.3, 0.2], rp=rp)
+    cfg = SimulationConfig(dt=0.1, horizon=0.3, n_paths=n_paths, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        drawn = _recording_step_noise(mp)
+        feynman_kac_estimate(generator_coefficients(market, rp),
+                             lambda Y: np.exp(Y @ spec.H + spec.h0), 0.3, [0.5, 0.5], cfg,
+                             domain=market.domain)
+    assert [step for step, _, _ in drawn] == list(range(cfg.n_steps))
+    buffer = drawn[0][1]
+    oracle = _noise_oracle(seed, 0, n_paths, cfg.n_steps, buffer.shape[1])
+    assert buffer.shape == (n_paths, 2) and buffer.strides[0] == buffer.itemsize
+    for step, out, noise in drawn:
+        assert out is buffer
+        np.testing.assert_array_equal(noise, oracle[:, step])
+
+
 def test_simulate_builds_one_bit_generator_per_step(monkeypatch, canonical_1f):
     market, _, _ = canonical_1f
     built = []
