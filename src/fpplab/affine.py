@@ -528,7 +528,6 @@ def canonical_affine_market(M, w, L, Lambda, lambda0, H, rp: RiskParams,
     rho[:k, :] = root_p * np.eye(k)
 
     market = ModelSpec(
-        n=d_w, k=k, d_W=d_w, d_B=k, d_Wperp=k,
         mu=SqrtAffineField(mu_matrix, mu_offset),
         sigma=ConstantField(np.eye(d_w)),
         alpha=AffineField(M.T, w),

@@ -101,8 +101,18 @@ def _positive_int(text):
     return value
 
 
-def _parse_floats(text):
-    return np.array([float(v) for v in text.split(",")], dtype=float)
+def _parse_float(text, option):
+    """The number ``text`` given to ``option``; ``ConfigError`` naming the
+    option if it is not one."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"{option}: '{text}' is not a number") from None
+
+
+def _parse_floats(text, option):
+    """The comma-separated numbers ``text`` given to ``option``."""
+    return np.array([_parse_float(v, option) for v in text.split(",")], dtype=float)
 
 
 def _parse_grid(text):
@@ -153,7 +163,8 @@ def _make_strategy(args, model):
     if name == "zero":
         base = simmod.ZeroStrategy(model.n)
     elif name.startswith("constant:"):
-        base = simmod.ConstantStrategy(_parse_floats(name.split(":", 1)[1]))
+        pi = _parse_floats(name.split(":", 1)[1], "--strategy constant:pi1,pi2,...")
+        base = simmod.ConstantStrategy(pi)
     elif name == "affine-optimal":
         if not args.affine:
             raise ConfigError("affine-optimal strategy requires --affine")
@@ -206,7 +217,7 @@ def affine_solve(args, out_dir):
 def affine_portfolio(args, out_dir):
     model = ModelSpec.load(args.model)
     sol = _solve(args, _load_affine_spec(args.spec, model))
-    y = _parse_floats(args.y)
+    y = _parse_floats(args.y, "--y")
     pi = affine.optimal_portfolio_affine(sol, model, _risk_params(args), args.t, y)
     payload = {"t": args.t, "y": y.tolist(), "pi": pi.tolist()}
     path = _write_json(out_dir, "portfolio.json", payload)
@@ -216,7 +227,7 @@ def affine_portfolio(args, out_dir):
 
 def spectral_invert(args, out_dir):
     samples = _read_series(args.infile)
-    y0 = _parse_floats(args.y0) if args.y0 else np.array([0.0])
+    y0 = _parse_floats(args.y0, "--y0") if args.y0 else np.array([0.0])
     result = spectral.invert_laplace_discrete(samples, args.atoms, y0=y0)
     path = _write_json(out_dir, "measure.json", result.to_json())
     print(f"atoms={result.m_effective} residual={result.fit_residual:.3e}")
@@ -227,7 +238,7 @@ def spectral_evaluate(args, out_dir):
     nu = spectral.SpectralMeasure.from_json(read_json(args.measure))
     sel = spectral.EigenfunctionSelection.load(args.selection)
     ts = _parse_grid(args.t_grid)
-    Y = np.array([_parse_floats(v) for v in args.y.split(";")])
+    Y = np.array([_parse_floats(v, "--y") for v in args.y.split(";")])
     u = spectral.WidderFunction(nu, sel)
     rows = [[t, *y, v] for t in ts for y, v in zip(Y, u(t, Y))]
     header = "t," + ",".join(f"y{i}" for i in range(Y.shape[1])) + ",u"
@@ -253,7 +264,7 @@ def spectral_eigenfn_1d(args, out_dir):
 def spectral_radial(args, out_dir):
     if not args.potential.startswith("const:"):
         raise ConfigError(f"unknown potential '{args.potential}' (use const:VALUE)")
-    level = float(args.potential.split(":", 1)[1])
+    level = _parse_float(args.potential.split(":", 1)[1], "--potential const:VALUE")
     require_finite(level, "potential level")
     diag = spectral.radial_ode_diagnostic(lambda r: level, args.zeta, args.k, args.r_max)
     path = _write_csv(out_dir, "radial_g0.csv", "r,g0",
@@ -267,7 +278,7 @@ def sim_run(args, out_dir):
     model = ModelSpec.load(args.model)
     cfg = _sim_config(args)
     strategy = _make_strategy(args, model)
-    y0 = _parse_floats(args.y0) if args.y0 else None
+    y0 = _parse_floats(args.y0, "--y0") if args.y0 else None
     bundle = simmod.simulate(model, cfg, strategy, x0=args.x0, y0=y0)
     bundle_dir = os.path.join(out_dir, "paths")
     outputs = bundle.save(bundle_dir)
@@ -282,7 +293,7 @@ def sim_feynman_kac(args, out_dir):
     cfg = _sim_config(args)
     gen = generator_coefficients(model, _risk_params(args))
     spec = _load_affine_spec(args.affine, model) if args.affine else None
-    y = _parse_floats(args.y)
+    y = _parse_floats(args.y, "--y")
     h = spec.h if spec is not None else (lambda Y: np.ones(len(Y)))
     est, se = simmod.feynman_kac_estimate(gen, h, args.t, y, cfg, domain=model.domain)
     payload = {"t": args.t, "y": y.tolist(), "estimate": est, "std_error": se}

@@ -5,6 +5,10 @@ motion W, with a k-dimensional factor diffusion Y driven by a d_B-dimensional
 Brownian motion B correlated with W through a constant matrix rho.  Stock
 drift/volatility and factor drift/volatility are functions of the factor
 state, supplied either as parametric coefficient fields or tabulated grids.
+A ``ModelSpec`` states no dimension: k is its domain's, (d_W, d_B) is the
+shape of rho and n is the column count of sigma(y).  Its JSON form is its
+six fields (mu, sigma, alpha, kappa, rho, domain); a file of an earlier
+version that also states the dimensions still loads when they agree.
 
 ``market_terms`` is the one evaluator of the market at a stack of states:
 mu, sigma, sigma^-, lambda and, lazily (see ``MarketTerms``), alpha and kappa.
@@ -24,7 +28,7 @@ verification routine downstream.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from numbers import Real
 from typing import Callable, Optional
@@ -113,8 +117,9 @@ def require_finite(a, what: str) -> None:
 
 def _json_keys(cls):
     """Keys of the JSON form of ``cls`` in order, written and read alike: the
-    ``params`` it declares or else its dataclass fields."""
-    return getattr(cls, "params", None) or [f.name for f in fields(cls)]
+    ``params`` it declares or else its dataclass fields that its constructor
+    takes."""
+    return getattr(cls, "params", None) or [f.name for f in fields(cls) if f.init]
 
 
 def plain(value):
@@ -399,41 +404,70 @@ class Box:
 
 @dataclass(frozen=True)
 class ModelSpec(Fields):
-    """Dimensions and coefficient functions of the market/factor diffusion.
+    """Coefficient functions of the market/factor diffusion.
 
     dS^i/S^i = mu_i(Y) dt + (sigma(Y)^T dW)_i      (stocks,   i = 1..n)
     dY       = alpha(Y) dt + kappa(Y)^T dB          (factors,  in D)
-    B        = rho^T W + A^T Wperp,  A = (I - rho^T rho)^{1/2}  (d_Wperp = d_B)
+    B        = rho^T W + A^T Wperp,  A = (I - rho^T rho)^{1/2},
 
-    All coefficient fields map a point of D (shape (k,)) to arrays of shapes
-    mu: (n,), sigma: (d_W, n), alpha: (k,), kappa: (d_B, k).
+    with Wperp a d_B-dimensional Brownian motion independent of W.  The
+    dimensions are read off the fields, never stated: k is ``domain.dim``,
+    (d_W, d_B) is ``rho.shape`` and n is the column count of sigma(y) at the
+    domain's interior point ``domain.interior_grid(points_per_dim=1)``.
+    There each field is evaluated once and must have its shape, mu: (n,),
+    sigma: (d_W, n), alpha: (k,), kappa: (d_B, k); d_W >= n is required too.
+
+    The JSON form is the six fields.  A file that also carries n, k, d_W,
+    d_B or d_Wperp, as earlier versions wrote, loads when each is an integer
+    equal to the value read off the fields (d_Wperp to d_B's).
     """
 
-    n: int
-    k: int
-    d_W: int
-    d_B: int
-    d_Wperp: int
     mu: CoefficientField
     sigma: CoefficientField
     alpha: CoefficientField
     kappa: CoefficientField
     rho: np.ndarray
     domain: Box
+    n: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "rho", np.atleast_2d(np.asarray(self.rho, dtype=float)))
+        rho = np.atleast_2d(np.asarray(self.rho, dtype=float))
+        object.__setattr__(self, "rho", rho)
+        if rho.ndim != 2:
+            raise ConfigError(f"model spec: rho has shape {rho.shape}, not (d_W, d_B)")
+        y = self.domain.interior_grid(points_per_dim=1)[0]
+        try:
+            got = {"sigma": np.shape(self.sigma(y)), "mu": np.shape(self.mu(y)),
+                   "alpha": np.shape(self.alpha(y)), "kappa": np.shape(self.kappa(y))}
+        except ValueError as exc:     # e.g. an affine matrix whose width is not k
+            raise ConfigError(f"model spec: the fields cannot be evaluated at "
+                              f"y={y.tolist()} of the domain (k={self.k}): {exc}") from None
+        if len(got["sigma"]) != 2 or got["sigma"][0] != self.d_W:
+            raise ConfigError(f"model spec: sigma(y) has shape {got['sigma']}, "
+                              f"not (d_W, n) = ({self.d_W}, n)")
+        object.__setattr__(self, "n", got["sigma"][1])
+        for name, form, want in (("mu", "(n,)", (self.n,)), ("alpha", "(k,)", (self.k,)),
+                                 ("kappa", "(d_B, k)", (self.d_B, self.k))):
+            if got[name] != want:
+                raise ConfigError(f"model spec: {name}(y) has shape {got[name]}, "
+                                  f"not {form} = {want}")
         if self.d_W < self.n:
             raise ConfigError(f"d_W={self.d_W} must be >= n={self.n}")
-        if self.d_Wperp != self.d_B:
-            raise ConfigError(f"d_Wperp={self.d_Wperp} must equal d_B={self.d_B}")
-        if self.rho.shape != (self.d_W, self.d_B):
-            raise ConfigError(f"rho must be {self.d_W}x{self.d_B}, got {self.rho.shape}")
-        if self.domain.dim != self.k:
-            raise ConfigError("domain dimension must equal k")
-        sv = np.linalg.svd(self.rho, compute_uv=False)
+        sv = np.linalg.svd(rho, compute_uv=False)
         if sv.size and sv[0] > 1.0 + 1e-10:
             raise ConfigError(f"rho has singular value {sv[0]:.6g} > 1")
+
+    @property
+    def k(self) -> int:
+        return self.domain.dim
+
+    @property
+    def d_W(self) -> int:
+        return self.rho.shape[0]
+
+    @property
+    def d_B(self) -> int:
+        return self.rho.shape[1]
 
     def noise_mixer(self) -> np.ndarray:
         """A = (I - rho^T rho)^{1/2}, mixing Wperp into B.
@@ -451,11 +485,16 @@ class ModelSpec(Fields):
     @staticmethod
     def from_json(data: dict) -> "ModelSpec":
         require(data, _json_keys(ModelSpec), "model spec")
-        dims = {key: require_int(data, key, "model spec")
-                for key in ("n", "k", "d_W", "d_B", "d_Wperp")}
-        coefs = {key: CoefficientField.from_json(data[key])
-                 for key in ("mu", "sigma", "alpha", "kappa")}
-        return ModelSpec(**dims, **coefs, rho=data["rho"], domain=Box.from_json(data["domain"]))
+        spec = ModelSpec(**{key: CoefficientField.from_json(data[key])
+                            for key in ("mu", "sigma", "alpha", "kappa")},
+                         rho=data["rho"], domain=Box.from_json(data["domain"]))
+        # Dimension keys of files written by earlier versions.
+        for key, dim in (("n", "n"), ("k", "k"), ("d_W", "d_W"), ("d_B", "d_B"),
+                         ("d_Wperp", "d_B")):
+            if key in data and require_int(data, key, "model spec") != getattr(spec, dim):
+                raise ConfigError(f"model spec: field '{key}' is {data[key]}, but the fields "
+                                  f"give {dim}={getattr(spec, dim)}")
+        return spec
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,12 @@ the Philox stream keyed (seed mod 2^64, i) (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC'11), pair j = (2j, 2j + 1) reads its
 normals j*dims ... j*dims + dims - 1, path 2j copies them and path 2j + 1
 negates them (``_step_noise``).  The stream is read pair-major from its
-start, so a path's noise does not depend on the number of paths.  Monte
-Carlo standard errors are taken over pair means (``pair_se``); with an odd
-path count the last path has no partner and counts only in the mean.
+start, so a path's noise does not depend on the number of paths.  A step
+reads dims = d_W + d_B normals per path in ``simulate`` (dW, then dWperp:
+Wperp has d_B components, as B does) and dims = d_B in
+``feynman_kac_estimate`` (dB).  Monte Carlo standard errors are taken over
+pair means (``pair_se``); with an odd path count the last path has no
+partner and counts only in the mean.
 
 ``simulate`` and ``feynman_kac_estimate`` are each one loop over time that
 steps all P paths at once, so their working memory per step is O(P): the
@@ -225,7 +228,7 @@ class PathBundle:
 
     times: np.ndarray          # (m,)
     W: np.ndarray              # (P, m, d_W)
-    Wperp: np.ndarray          # (P, m, d_Wperp)
+    Wperp: np.ndarray          # (P, m, d_B): Wperp has d_B components, as B does
     B: np.ndarray              # (P, m, d_B)
     Y: np.ndarray              # (P, m, k)
     S: np.ndarray              # (P, m, n)
@@ -421,16 +424,16 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
 
     P, m = cfg.n_paths, rec_idx.size
     out = {name: np.empty((P, m) + shape, order="F") for name, shape in (
-        ("W", (model.d_W,)), ("Wperp", (model.d_Wperp,)), ("B", (model.d_B,)),
+        ("W", (model.d_W,)), ("Wperp", (model.d_B,)), ("B", (model.d_B,)),
         ("Y", (model.k,)), ("S", (model.n,)), ("X", ()))}
     W, Wp, B, logS = (np.zeros((P, d), order="F")
-                      for d in (model.d_W, model.d_Wperp, model.d_B, model.n))
+                      for d in (model.d_W, model.d_B, model.d_B, model.n))
     Y = np.full((P, model.k), y0, order="F")
     logX = np.full(P, np.log(x0))
     alive = np.ones(P, dtype=bool)
     left = ~model.domain.contains(Y)
     exit_time = np.full(P, np.nan)
-    xi = np.empty((model.d_W + model.d_Wperp, P)).T     # path-contiguous step noise
+    xi = np.empty((model.d_W + model.d_B, P)).T     # path-contiguous step noise (dW, dWperp)
     clipped = 0
 
     def record(step):

@@ -303,7 +303,9 @@ def martingale_test(bundle: PathBundle, fpp_eval: Callable,
     """Bucketed mean increments of U_t(X_t, Y_t) along the recorded grid.
 
     Within each time bucket the per-path increment telescopes to
-    U(bucket end) - U(bucket start).  The bucket mean is over all paths.
+    U(bucket end) - U(bucket start), so ``fpp_eval`` is called only at the
+    n_buckets + 1 bucket edges, not at every recorded time.  The bucket mean
+    is over all paths.
     Paths 2j and 2j + 1 are an antithetic pair (their noise is negated), so
     the paths are not independent but the pairs are: the bucket standard
     error is ``sim.pair_se``, std(pair means) / sqrt(n_paths // 2), and with
@@ -324,16 +326,16 @@ def martingale_test(bundle: PathBundle, fpp_eval: Callable,
     if m < n_buckets + 1:
         raise ConfigError(f"need at least {n_buckets + 1} recorded grid points")
 
-    U = np.empty((P, m))
-    for j in range(m):
-        U[:, j] = fpp_eval(float(bundle.times[j]), bundle.X[:, j], bundle.Y[:, j])
-
     edges = np.unique(np.round(np.linspace(0, m - 1, n_buckets + 1)).astype(int))
+    U = np.empty((P, edges.size))
+    for c, j in enumerate(edges):
+        U[:, c] = fpp_eval(float(bundle.times[j]), bundle.X[:, j], bundle.Y[:, j])
+
     buckets = []
     mart = supermart = True
     heavy = False
-    for b0, b1 in zip(edges[:-1], edges[1:]):
-        inc = U[:, b1] - U[:, b0]
+    for c, (b0, b1) in enumerate(zip(edges[:-1], edges[1:])):
+        inc = U[:, c + 1] - U[:, c]
         mean = float(np.mean(inc))
         se = float(pair_se(inc))
         z = mean / se if se > 0 else 0.0

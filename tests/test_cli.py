@@ -453,13 +453,33 @@ def test_missing_json_key_exits_one_and_names_it(workdir, capsys, name, path, ke
 
 @pytest.mark.parametrize("d_Wperp", [0, 3])
 def test_wperp_dimension_other_than_d_B_exits_one(workdir, capsys, d_Wperp):
+    # A model file of an earlier version states d_Wperp, which must be d_B.
     data = json.load(open(workdir / "model.json"))
     data["d_Wperp"] = d_Wperp
     with open(workdir / "wperp.json", "w") as fh:
         json.dump(data, fh)
     assert main(["sim", "run", "--model", "wperp.json", "--config", "simcfg.json",
                  "--out", "o"]) == 1
-    assert f"d_Wperp={d_Wperp} must equal d_B=1" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        f"error: model spec: field 'd_Wperp' is {d_Wperp}, but the fields give d_B=1\n"
+
+
+@pytest.mark.parametrize("n, sigma, message", [
+    (3, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], "field 'n' is 3, but the fields give n=2"),
+    (2, np.eye(3).tolist(), "mu(y) has shape (2,), not (n,) = (3,)"),
+], ids=["n_above_sigma", "n_below_sigma"])
+def test_a_stated_n_that_disagrees_with_sigma_exits_one(workdir, capsys, n, sigma, message):
+    # With n stated and checked against nothing, the first run ended in
+    # "sigma(y) rank 2 < n=3" (exit 2) and the second in numpy's "matmul:
+    # Input operand 1 has a mismatch".  n is now sigma's column count.
+    data = json.load(open(workdir / "model.json"))
+    data.update(n=n, d_W=3, sigma={"family": "constant", "value": sigma},
+                rho=[[0.5], [0.0], [0.0]])
+    with open(workdir / "n.json", "w") as fh:
+        json.dump(data, fh)
+    assert main(["sim", "run", "--model", "n.json", "--config", "simcfg.json",
+                 "--out", "o"]) == 1
+    assert capsys.readouterr().err == f"error: model spec: {message}\n"
 
 
 def test_numerical_failure_exits_two(workdir):
@@ -544,6 +564,23 @@ def test_non_finite_or_zero_flag_exits_one_and_names_it(workdir, capsys, argv, n
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert named in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([*_RADIAL, "--zeta", "0", "--potential", "const:abc"],
+     "--potential const:VALUE: 'abc' is not a number"),
+    ([*_RADIAL, "--zeta", "0", "--potential", "const:"],
+     "--potential const:VALUE: '' is not a number"),
+    (["affine", "portfolio", "--spec", "aspec.json", "--model", "model.json", "--gamma", "2.0",
+      "--horizon", "1.0", "--t", "0.4", "--y", "abc"], "--y: 'abc' is not a number"),
+    ([*_SIM_RUN, "--y0", "x"], "--y0: 'x' is not a number"),
+    ([*_SIM_RUN, "--strategy", "constant:a,b"],
+     "--strategy constant:pi1,pi2,...: 'a' is not a number"),
+], ids=["const_abc", "const_empty", "portfolio_y", "sim_y0", "constant_strategy"])
+def test_a_flag_that_is_not_a_number_exits_one_and_names_it(workdir, capsys, argv, message):
+    # float() alone said only "could not convert string to float: 'abc'".
+    assert main([*argv, "--out", "o_text"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def _cli_child(*argv):

@@ -29,7 +29,6 @@ def test_sharpe_scalar_division():
 
 def test_sharpe_identity_sigma():
     model = ModelSpec(
-        n=2, k=1, d_W=2, d_B=1, d_Wperp=1,
         mu=ConstantField([0.1, 0.2]), sigma=ConstantField(np.eye(2)),
         alpha=ConstantField([0.0]), kappa=ConstantField([[1.0]]),
         rho=np.array([[0.0], [0.0]]), domain=Box([-np.inf], [np.inf]))
@@ -43,7 +42,6 @@ def test_sharpe_matches_normal_equations_oracle():
         sig = rng.normal(size=(3, 2))
         mu = rng.normal(size=2)
         model = ModelSpec(
-            n=2, k=1, d_W=3, d_B=1, d_Wperp=1,
             mu=ConstantField(mu), sigma=ConstantField(sig),
             alpha=ConstantField([0.0]), kappa=ConstantField([[1.0]]),
             rho=np.zeros((3, 1)), domain=Box([-np.inf], [np.inf]))
@@ -55,7 +53,6 @@ def test_sharpe_matches_normal_equations_oracle():
 def test_sharpe_rank_deficient_sigma_errors():
     sig = np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])  # rank 1 < n = 2
     model = ModelSpec(
-        n=2, k=1, d_W=3, d_B=1, d_Wperp=1,
         mu=ConstantField([0.1, 0.1]), sigma=ConstantField(sig),
         alpha=ConstantField([0.0]), kappa=ConstantField([[1.0]]),
         rho=np.zeros((3, 1)), domain=Box([-np.inf], [np.inf]))
@@ -72,7 +69,6 @@ def test_sharpe_rotation_invariance():
 
     def lam_of(s):
         model = ModelSpec(
-            n=2, k=1, d_W=3, d_B=1, d_Wperp=1,
             mu=ConstantField(mu), sigma=ConstantField(s),
             alpha=ConstantField([0.0]), kappa=ConstantField([[1.0]]),
             rho=np.zeros((3, 1)), domain=Box([-np.inf], [np.inf]))
@@ -107,7 +103,6 @@ def test_constant_sigma_is_factored_once_per_field(monkeypatch):
     rng = np.random.default_rng(3)
     sig, mu = rng.normal(size=(3, 2)), rng.normal(size=2)
     model = ModelSpec(
-        n=2, k=1, d_W=3, d_B=1, d_Wperp=1,
         mu=ConstantField(mu), sigma=ConstantField(sig),
         alpha=ConstantField([0.0]), kappa=ConstantField([[1.0]]),
         rho=np.zeros((3, 1)), domain=Box([-np.inf], [np.inf]))
@@ -242,7 +237,6 @@ def _two_factor_market():
     axis = np.array([0.0, 1.5, 3.0])
     sigma = s0 + axis[:, None, None, None] * s1 + axis[None, :, None, None] * s2
     return ModelSpec(
-        n=2, k=2, d_W=3, d_B=2, d_Wperp=2,
         mu=SqrtAffineField([[0.2, 0.0], [0.0, 0.1]], [0.01, 0.02]),
         sigma=GridField([axis, axis], sigma),
         alpha=AffineField([[-0.5, 0.1], [0.0, -0.8]], [0.4, 0.5]),
@@ -347,7 +341,6 @@ def _eve_model():
     # rho^T rho = 0.5 I_2 with full-rank sigma.
     rho = np.sqrt(0.5) * np.eye(3)[:, :2]
     return ModelSpec(
-        n=3, k=2, d_W=3, d_B=2, d_Wperp=2,
         mu=ConstantField([0.1, 0.05, 0.0]), sigma=ConstantField(np.eye(3)),
         alpha=ConstantField([0.0, 0.0]), kappa=ConstantField(np.eye(2)),
         rho=rho, domain=Box([-np.inf, -np.inf], [np.inf, np.inf]))
@@ -365,7 +358,6 @@ def test_validate_flags_range_condition_failure():
     sigma = np.zeros((2, 1))
     sigma[0, 0] = 1.0
     model = ModelSpec(
-        n=1, k=1, d_W=2, d_B=1, d_Wperp=1,
         mu=ConstantField([0.1]), sigma=ConstantField(sigma),
         alpha=ConstantField([0.0]), kappa=ConstantField([[1.0]]),
         rho=np.array([[0.0], [0.5]]), domain=Box([-np.inf], [np.inf]))
@@ -376,7 +368,6 @@ def test_validate_flags_range_condition_failure():
 
 def test_validate_flags_ellipticity_failure():
     model = ModelSpec(
-        n=1, k=2, d_W=1, d_B=2, d_Wperp=2,
         mu=ConstantField([0.1]), sigma=ConstantField([[1.0]]),
         alpha=ConstantField([0.0, 0.0]),
         kappa=ConstantField([[1.0, 0.0], [0.0, 0.0]]),  # kappa^T kappa singular
@@ -428,17 +419,68 @@ def test_validate_rejects_empty_or_outside_grid(canonical_1f):
 
 def test_model_spec_rejects_dw_below_n():
     with pytest.raises(ConfigError, match="d_W"):
-        ModelSpec(n=2, k=1, d_W=1, d_B=1, d_Wperp=1,
-                  mu=ConstantField([0.1, 0.1]), sigma=ConstantField([[1.0, 0.0]]),
+        ModelSpec(mu=ConstantField([0.1, 0.1]), sigma=ConstantField([[1.0, 0.0]]),
                   alpha=ConstantField([0.0]), kappa=ConstantField([[1.0]]),
                   rho=np.zeros((1, 1)), domain=Box([-np.inf], [np.inf]))
 
 
 @pytest.mark.parametrize("d_Wperp", [0, 3])
 def test_model_spec_rejects_wperp_dimension_other_than_d_B(d_Wperp):
-    # A = (I - rho^T rho)^{1/2} is d_B x d_B, so Wperp must have d_B components.
-    with pytest.raises(ConfigError, match=f"d_Wperp={d_Wperp} must equal d_B=1"):
-        replace(make_scalar_model(), d_Wperp=d_Wperp)
+    # A = (I - rho^T rho)^{1/2} is d_B x d_B, so Wperp has d_B components; a
+    # file of an earlier version that states another d_Wperp is refused.
+    with pytest.raises(ConfigError) as err:
+        ModelSpec.from_json({**make_scalar_model().to_json(), "d_Wperp": d_Wperp})
+    assert str(err.value) == f"model spec: field 'd_Wperp' is {d_Wperp}, but the fields give d_B=1"
+
+
+def _three_stock_two_factor_fields():
+    return dict(mu=ConstantField([0.1, 0.05, 0.0]), sigma=ConstantField(np.eye(4)[:, :3]),
+                alpha=ConstantField([0.0, 0.0]), kappa=ConstantField(np.eye(2)),
+                rho=0.5 * np.eye(4)[:, :2], domain=Box([0.0, -1.0], [np.inf, 1.0]))
+
+
+def test_model_spec_reads_its_dimensions_off_the_fields(canonical_2f):
+    model = ModelSpec(**_three_stock_two_factor_fields())
+    assert (model.n, model.k, model.d_W, model.d_B) == (3, 2, 4, 2)
+    assert all(type(getattr(model, d)) is int for d in ("n", "k", "d_W", "d_B"))
+    assert replace(model, kappa=SqrtDiagField([0.2, 0.15])).d_B == 2
+    market, _, _ = canonical_2f
+    assert (market.n, market.k, market.d_W, market.d_B) == (3, 2, 3, 2)
+    # A tabulated sigma gives n by its value at the domain's interior point.
+    grid = make_rank_deficient_grid_model()
+    assert (grid.n, grid.k, grid.d_W, grid.d_B) == (2, 1, 2, 1)
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("mu", ConstantField([0.1, 0.05]), "mu(y) has shape (2,), not (n,) = (3,)"),
+    ("sigma", ConstantField(np.eye(3)), "sigma(y) has shape (3, 3), not (d_W, n) = (4, n)"),
+    ("sigma", ConstantField([0.2, 0.1, 0.0, 0.0]),
+     "sigma(y) has shape (4,), not (d_W, n) = (4, n)"),
+    ("alpha", ConstantField([0.0]), "alpha(y) has shape (1,), not (k,) = (2,)"),
+    ("kappa", ConstantField(np.eye(3)[:, :2]), "kappa(y) has shape (3, 2), not (d_B, k) = (2, 2)"),
+    ("rho", np.zeros((4, 2, 1)), "rho has shape (4, 2, 1), not (d_W, d_B)"),
+    ("alpha", AffineField([[1.0, 0.0, 0.0]], [0.0]),
+     "the fields cannot be evaluated at y=[0.2, -0.8] of the domain (k=2): "),
+], ids=["mu", "sigma", "sigma_vector", "alpha", "kappa", "rho", "alpha_width"])
+def test_model_spec_refuses_a_field_of_the_wrong_shape(name, value, message):
+    # Each field is evaluated once, at the domain's interior point, when the
+    # spec is built; the message names the field and both shapes.
+    fields = {**_three_stock_two_factor_fields(), name: value}
+    with pytest.raises(ConfigError) as err:
+        ModelSpec(**fields)
+    assert str(err.value).startswith(f"model spec: {message}")
+
+
+def test_model_spec_evaluates_each_field_once_when_built(monkeypatch):
+    fields = _three_stock_two_factor_fields()
+    seen = []
+    for name in ("mu", "sigma", "alpha", "kappa"):
+        field = fields[name]
+        monkeypatch.setattr(field, "batch",
+                            lambda Y, f=field, n=name: seen.append((n, Y.tolist())) or
+                            type(f).batch(f, Y))
+    ModelSpec(**fields)
+    assert sorted(seen) == sorted((n, [[0.2, -0.8]]) for n in ("mu", "sigma", "alpha", "kappa"))
 
 
 @pytest.mark.parametrize("data, message", [
@@ -461,7 +503,6 @@ def test_model_spec_rejects_rho_singular_value_above_one():
 def test_noise_mixer_squares_to_complement():
     rho = np.array([[0.6, 0.0], [0.0, 0.5], [0.3, 0.2]])
     model = ModelSpec(
-        n=3, k=2, d_W=3, d_B=2, d_Wperp=2,
         mu=ConstantField([0.1, 0.0, 0.0]), sigma=ConstantField(np.eye(3)),
         alpha=ConstantField([0.0, 0.0]), kappa=ConstantField(np.eye(2)),
         rho=rho, domain=Box([-np.inf, -np.inf], [np.inf, np.inf]))
@@ -511,15 +552,34 @@ def test_model_spec_json_round_trip(canonical_1f, tmp_path):
     assert loaded.domain.lower.tolist() == market.domain.lower.tolist()
 
 
+def _stated_dimensions(model):
+    """The dimension keys that model files of earlier versions carry."""
+    return {"n": model.n, "k": model.k, "d_W": model.d_W, "d_B": model.d_B,
+            "d_Wperp": model.d_B}
+
+
+def test_model_spec_json_form_is_the_six_fields(canonical_1f):
+    market, _, _ = canonical_1f
+    assert sorted(market.to_json()) == ["alpha", "domain", "kappa", "mu", "rho", "sigma"]
+
+
 @pytest.mark.parametrize("key", ["n", "k", "d_W", "d_B", "d_Wperp"])
 def test_model_spec_from_json_refuses_non_integral_dimensions(canonical_1f, key):
+    # Files of earlier versions state the dimensions: each must be an integer
+    # equal to the one read off the fields.
     market, _, _ = canonical_1f
-    data = market.to_json()
+    data = {**market.to_json(), **_stated_dimensions(market)}
     with pytest.raises(ConfigError) as err:
         ModelSpec.from_json({**data, key: data[key] + 0.5})
     assert str(err.value) == f"model spec: field '{key}' must be an integer"
     again = ModelSpec.from_json({**data, key: float(data[key])})
-    assert type(getattr(again, key)) is int and again.to_json() == data
+    assert again.to_json() == market.to_json()
+    assert _stated_dimensions(again) == _stated_dimensions(market)
+    dim = "d_B" if key == "d_Wperp" else key
+    with pytest.raises(ConfigError) as err:
+        ModelSpec.from_json({**data, key: data[key] + 1})
+    assert str(err.value) == (f"model spec: field '{key}' is {data[key] + 1}, but the fields "
+                              f"give {dim}={data[key]}")
 
 
 def test_box_contains_clip_reflect():

@@ -25,7 +25,6 @@ from conftest import (count_calls, make_heat_generator, make_rank_deficient_grid
 def _flat_market(mu=(0.0, 0.0), rho_val=0.4):
     rho = np.array([[rho_val], [0.0]])
     return ModelSpec(
-        n=2, k=1, d_W=2, d_B=1, d_Wperp=1,
         mu=ConstantField(list(mu)), sigma=ConstantField(np.eye(2)),
         alpha=ConstantField([0.0]), kappa=ConstantField([[0.3]]),
         rho=rho, domain=Box([-np.inf], [np.inf]))
@@ -167,15 +166,15 @@ def test_path_noise_matches_one_philox_per_path(seed, pair_lo, pair_hi, n_steps,
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(-2 ** 64, 2 ** 65), n_paths=st.integers(1, 40),
-       block=st.integers(1, 40), step=st.integers(0, 4), dims=st.integers(1, 3))
-def test_noise_blocks_match_the_pair_oracle_for_any_block_size(seed, n_paths, block,
-                                                               step, dims):
-    # The step noise of the first `block` paths, odd counts included (the
+       first=st.integers(1, 40), step=st.integers(0, 4), dims=st.integers(1, 3))
+def test_step_noise_of_the_first_paths_is_the_head_of_that_of_more(seed, n_paths, first,
+                                                                   step, dims):
+    # The step noise of the first `first` paths, odd counts included (the
     # last path then has no partner), is the head of that of all n_paths.
-    block = min(block, n_paths)
+    first = min(first, n_paths)
     whole = sim._step_noise(seed, step, np.full((n_paths, dims), np.nan))
-    head = sim._step_noise(seed, step, np.full((block, dims), np.nan))
-    np.testing.assert_array_equal(head, whole[:block])
+    head = sim._step_noise(seed, step, np.full((first, dims), np.nan))
+    np.testing.assert_array_equal(head, whole[:first])
     np.testing.assert_array_equal(whole, _noise_oracle(seed, 0, n_paths, step + 1, dims)[:, step])
 
 
@@ -192,14 +191,14 @@ def _recording_step_noise(mp):
     return drawn
 
 
-def test_noise_blocks_are_drawn_into_one_buffer(monkeypatch, canonical_2f):
+def test_simulate_draws_every_step_into_one_path_contiguous_buffer(monkeypatch, canonical_2f):
     # 11 paths, so the last has no partner: simulate draws every step's noise
     # into one path-contiguous (P, dims) buffer.
     market, _, _ = canonical_2f
     drawn = _recording_step_noise(monkeypatch)
     cfg = SimulationConfig(dt=0.1, horizon=0.4, n_paths=11, seed=3)
     simulate(market, cfg, ZeroStrategy(market.n), y0=[0.5, 0.5])
-    dims = market.d_W + market.d_Wperp
+    dims = market.d_W + market.d_B
     oracle = _noise_oracle(3, 0, 11, cfg.n_steps, dims)
     assert [step for step, _, _ in drawn] == list(range(cfg.n_steps))
     buffer = drawn[0][1]
@@ -211,7 +210,7 @@ def test_noise_blocks_are_drawn_into_one_buffer(monkeypatch, canonical_2f):
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2 ** 64), n_paths=st.integers(1, 30))
-def test_noise_block_views_are_path_contiguous_for_any_tile_size(seed, n_paths):
+def test_feynman_kac_draws_every_step_into_one_path_contiguous_buffer(seed, n_paths):
     # For any path count, the Feynman-Kac loop reads each step's noise from
     # one path-contiguous buffer holding the oracle's step (d_B = 2).
     rp = RiskParams(gamma=2.0, p=0.25)
@@ -266,7 +265,7 @@ def test_simulate_holds_no_noise_buffer(canonical_2f):
         return peak - sum(getattr(bundle, name).nbytes for name in _BUNDLE_ARRAYS)
 
     working_memory(0.1)     # first-call allocations
-    one_step = 4096 * (market.d_W + market.d_Wperp) * 8
+    one_step = 4096 * (market.d_W + market.d_B) * 8
     assert working_memory(1.0) - working_memory(0.1) <= one_step
 
 
@@ -383,7 +382,7 @@ def _row_major_absorb(market, cfg, strategy, y0):
     ones included, and the updates of the killed rows are masked out.  sigma
     must be constant."""
     n_steps, dt, P = cfg.n_steps, cfg.dt_effective, cfg.n_paths
-    noise = _noise_oracle(cfg.seed, 0, P, n_steps, market.d_W + market.d_Wperp)
+    noise = _noise_oracle(cfg.seed, 0, P, n_steps, market.d_W + market.d_B)
     A = market.noise_mixer()
     Y, logS, logX = np.tile(y0, (P, 1)), np.zeros((P, market.n)), np.zeros(P)
     alive, exit_time = np.ones(P, dtype=bool), np.full(P, np.nan)
@@ -456,7 +455,7 @@ def test_each_step_evaluates_mu_and_kappa_once(monkeypatch, canonical_2f):
     assert (len(mu_calls), len(kappa_calls), len(alpha_calls)) == (30, 20, 10)
 
 
-def test_multi_block_simulation_reads_phi_once_per_grid_time(monkeypatch, canonical_2f):
+def test_simulation_reads_phi_once_per_grid_time(monkeypatch, canonical_2f):
     # Phi(t) is read once at each of the 10 steps and reused by
     # admissibility_check on the recorded grid.
     market, spec, rp = canonical_2f
@@ -578,7 +577,7 @@ def test_brownian_mixing_identity_every_grid_point(canonical_1f):
     assert bundle.diagnostics["mixer_residual"] <= 1e-12
 
 
-def test_simulation_is_deterministic_and_block_independent(canonical_1f):
+def test_simulation_is_deterministic_and_independent_of_n_paths(canonical_1f):
     market, spec, rp = canonical_1f
     sol = affine.solve_riccati_closed_form(spec, rp, 0.5, affine.FORWARD)
     strat = OptimalStrategy(sol, market, rp)
@@ -612,10 +611,9 @@ def test_default_y0_is_the_lower_inset_point_of_each_axis():
     # interior_grid(points_per_dim=1) is linspace(lo + inset, hi - inset, 1),
     # i.e. the lower inset point, not the center of the domain.
     half_line = replace(_flat_market(), domain=Box([0.0], [np.inf]))
-    square = ModelSpec(n=1, k=2, d_W=1, d_B=2, d_Wperp=2, mu=ConstantField([0.0]),
-                       sigma=ConstantField([[1.0]]), alpha=ConstantField([0.0, 0.0]),
-                       kappa=ConstantField(0.1 * np.eye(2)), rho=np.zeros((1, 2)),
-                       domain=Box([-1.0, 0.0], [1.0, 2.0]))
+    square = ModelSpec(mu=ConstantField([0.0]), sigma=ConstantField([[1.0]]),
+                       alpha=ConstantField([0.0, 0.0]), kappa=ConstantField(0.1 * np.eye(2)),
+                       rho=np.zeros((1, 2)), domain=Box([-1.0, 0.0], [1.0, 2.0]))
     cfg = SimulationConfig(dt=0.1, horizon=0.2, n_paths=3, seed=1)
     for model, expected in ((half_line, [0.2]), (square, [-0.8, 0.2])):
         bundle = simulate(model, cfg, ZeroStrategy(model.n))
@@ -654,7 +652,6 @@ def test_boundary_absorb_freezes_paths():
     # Strong negative drift pushes Y out of [0, inf); absorbed paths freeze
     # and record their exit times.
     market = ModelSpec(
-        n=1, k=1, d_W=1, d_B=1, d_Wperp=1,
         mu=ConstantField([0.0]), sigma=ConstantField([[1.0]]),
         alpha=ConstantField([-4.0]), kappa=ConstantField([[0.05]]),
         rho=np.zeros((1, 1)), domain=Box([0.0], [np.inf]))
@@ -671,7 +668,6 @@ def test_boundary_absorb_freezes_paths():
 
 def test_boundary_reflect_stays_inside():
     market = ModelSpec(
-        n=1, k=1, d_W=1, d_B=1, d_Wperp=1,
         mu=ConstantField([0.0]), sigma=ConstantField([[1.0]]),
         alpha=ConstantField([-1.0]), kappa=ConstantField([[0.6]]),
         rho=np.zeros((1, 1)), domain=Box([0.0], [np.inf]))
@@ -835,7 +831,6 @@ def test_feynman_kac_steps_with_non_square_kappa():
     # d_B = 2 noises drive one factor: kappa = [[0.6], [0.8]] gives a = 1, so
     # Z is a standard Brownian motion and E[Z_t^2] = y^2 + t exactly.
     market = ModelSpec(
-        n=1, k=1, d_W=1, d_B=2, d_Wperp=2,
         mu=ConstantField([0.0]), sigma=ConstantField([[1.0]]),
         alpha=ConstantField([0.0]), kappa=ConstantField([[0.6], [0.8]]),
         rho=np.zeros((1, 2)), domain=Box([-np.inf], [np.inf]))

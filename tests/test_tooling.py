@@ -15,6 +15,7 @@ import pytest
 import fpplab.model
 import fpplab.sim
 from fpplab.affine import AffineSpec
+from fpplab.cli import main
 from fpplab.eve import EveProjection
 from fpplab.model import (_FIELD_FAMILIES, AffineField, Box, CheckResult, CoefficientField,
                           ConstantField, GridField, ModelSpec, SqrtAffineField, SqrtDiagField,
@@ -110,10 +111,11 @@ def test_only_model_evaluates_the_market():
                if path.name != "model.py" for _, line in _market_evaluations(path)]
     assert outside == []
     # Inside model.py: the evaluator and its lazy terms, the generator closures
-    # (kept off MarketTerms on their one-row path) and validate, whose SVD
-    # reports a rank-deficient sigma instead of raising.
+    # (kept off MarketTerms on their one-row path), validate, whose SVD
+    # reports a rank-deficient sigma instead of raising, and ModelSpec, whose
+    # shape check evaluates each field once when it is built.
     assert {name for name, _ in _market_evaluations(PACKAGE / "model.py")} == \
-        {"MarketTerms", "market_terms", "generator_coefficients", "validate"}
+        {"MarketTerms", "market_terms", "generator_coefficients", "validate", "ModelSpec"}
     assert not hasattr(fpplab.model, "sigma_terms")
 
 
@@ -424,7 +426,7 @@ KINDS = {
     "tabulated": TabulatedEigenfunction([[0.1, 0.0], [0.4, 1.0]], [1.2, 0.9], [0.0, 0.0]),
 }
 SPECS = {
-    "model": ModelSpec(n=2, k=1, d_W=2, d_B=1, d_Wperp=1, mu=ConstantField([0.1, 0.05]),
+    "model": ModelSpec(mu=ConstantField([0.1, 0.05]),
                        sigma=GridField([[0.0, 2.0]], [np.eye(2), 2.0 * np.eye(2)]),
                        alpha=AffineField([[-0.5]], [0.4]), kappa=SqrtDiagField([0.2]),
                        rho=[[0.3], [0.1]], domain=Box([0.0], [np.inf])),
@@ -462,10 +464,10 @@ PINNED = {
     "exp": '{"kind": "exp", "v": [0.5, -0.25]}',
     "expmix": '{"kind": "expmix", "rate_minus": -0.4, "rate_plus": 0.7, "weight_plus": 0.3}',
     "tabulated": '{"kind": "tabulated", "points": [[0.1, 0.0], [0.4, 1.0]], "values": [1.2, 0.9]}',
-    "model": '{"alpha": {"family": "affine", "matrix": [[-0.5]], "offset": [0.4]}, "d_B": 1,'
-             ' "d_W": 2, "d_Wperp": 1, "domain": {"lower": [0.0], "upper": [null]}, "k": 1,'
+    "model": '{"alpha": {"family": "affine", "matrix": [[-0.5]], "offset": [0.4]},'
+             ' "domain": {"lower": [0.0], "upper": [null]},'
              ' "kappa": {"family": "sqrt_diag", "scale": [0.2]},'
-             ' "mu": {"family": "constant", "value": [0.1, 0.05]}, "n": 2, "rho": [[0.3], [0.1]],'
+             ' "mu": {"family": "constant", "value": [0.1, 0.05]}, "rho": [[0.3], [0.1]],'
              ' "sigma": {"axes": [[0.0, 2.0]], "family": "grid",'
              ' "values": [[[1.0, 0.0], [0.0, 1.0]], [[2.0, 0.0], [0.0, 2.0]]]}}',
     "affine_spec": '{"H": [-0.3], "L": [0.2], "Lambda": [0.25], "M": [[-0.5]], "N": [[0.1]],'
@@ -517,6 +519,33 @@ def test_every_family_and_kind_declares_its_constructor_params():
         assert "to_json" not in vars(cls), cls.kind
 
 
+def test_model_spec_takes_the_six_fields_and_no_dimension():
+    assert _constructor_params(ModelSpec) == ("mu", "sigma", "alpha", "kappa", "rho", "domain")
+
+
+def _d_wperp_mentions(path):
+    """(top-level definition, kind) of each mention of d_Wperp in ``path``:
+    kind "name" for a variable, attribute, argument or keyword, "text" for a
+    string such as a key or a docstring."""
+    hits = []
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            ident = getattr(node, "id", None) or getattr(node, "attr", None) \
+                or getattr(node, "arg", None)
+            if ident == "d_Wperp":
+                hits.append((getattr(top, "name", None), "name"))
+            elif isinstance(node, ast.Constant) and "d_Wperp" in str(node.value):
+                hits.append((getattr(top, "name", None), "text"))
+    return hits
+
+
+def test_no_source_names_d_wperp():
+    # Wperp has d_B components.  Only ModelSpec speaks of d_Wperp, as a key
+    # that model files of earlier versions carry.
+    hits = {hit for path in sorted(PACKAGE.glob("*.py")) for hit in _d_wperp_mentions(path)}
+    assert hits == {("ModelSpec", "text")}
+
+
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_json_forms_match_the_pinned_literals(name):
     obj = {**FIELDS, **KINDS, **SPECS, **REPORTS}[name]
@@ -548,6 +577,36 @@ def test_spec_round_trips_are_exact():
     for spec in SPECS.values():
         again = type(spec).from_json(json.loads(json.dumps(spec.to_json())))
         assert again.to_json() == spec.to_json()
+
+
+# The "model" literal as written while ModelSpec still stated its dimensions.
+LEGACY_MODEL = (
+    '{"alpha": {"family": "affine", "matrix": [[-0.5]], "offset": [0.4]}, "d_B": 1,'
+    ' "d_W": 2, "d_Wperp": 1, "domain": {"lower": [0.0], "upper": [null]}, "k": 1,'
+    ' "kappa": {"family": "sqrt_diag", "scale": [0.2]},'
+    ' "mu": {"family": "constant", "value": [0.1, 0.05]}, "n": 2, "rho": [[0.3], [0.1]],'
+    ' "sigma": {"axes": [[0.0, 2.0]], "family": "grid",'
+    ' "values": [[[1.0, 0.0], [0.0, 1.0]], [[2.0, 0.0], [0.0, 2.0]]]}}')
+
+
+def test_the_model_literal_with_dimensions_still_loads():
+    again = ModelSpec.from_json(json.loads(LEGACY_MODEL))
+    assert again.to_json() == SPECS["model"].to_json()
+    assert (again.n, again.k, again.d_W, again.d_B) == (2, 1, 2, 1)
+
+
+@pytest.mark.parametrize("key", ["n", "k", "d_W", "d_B", "d_Wperp"])
+def test_a_dimension_of_the_model_literal_off_by_one_exits_one_and_is_named(tmp_path, capsys,
+                                                                           key):
+    data = json.loads(LEGACY_MODEL)
+    data[key] += 1
+    (tmp_path / "model.json").write_text(json.dumps(data))
+    SPECS["sim_config"].save(tmp_path / "sim.json")
+    assert main(["sim", "run", "--model", str(tmp_path / "model.json"),
+                 "--config", str(tmp_path / "sim.json"), "--out", str(tmp_path / "o")]) == 1
+    dim = "d_B" if key == "d_Wperp" else key
+    assert capsys.readouterr().err == (f"error: model spec: field '{key}' is {data[key]}, "
+                                       f"but the fields give {dim}={data[key] - 1}\n")
 
 
 def test_specs_and_the_selection_save_and_load_through_the_base(tmp_path):

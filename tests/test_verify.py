@@ -449,6 +449,28 @@ def test_martingale_verdicts_monotone_in_perturbation(low_noise_1f):
     assert downgraded
 
 
+def test_martingale_evaluates_u_only_at_the_bucket_edges(low_noise_1f):
+    # The increments telescope, so U is needed at the 11 bucket edges only,
+    # not at each of the 51 recorded times.
+    market, rp, cfg, feval, opt = _martingale_setup(low_noise_1f, n_paths=200, dt=0.01)
+    bundle = simulate(market, cfg, opt, y0=[1.0])
+    assert bundle.n_times == 51
+    seen = []
+
+    def counting(t, x, y):
+        seen.append(t)
+        return feval(t, x, y)
+
+    report = martingale_test(bundle, counting)
+    edges = [b.t_start for b in report.buckets] + [report.buckets[-1].t_end]
+    assert seen == edges and len(seen) == 11
+    for b in report.buckets:
+        j0, j1 = (int(np.argmax(bundle.times == t)) for t in (b.t_start, b.t_end))
+        inc = (feval(b.t_end, bundle.X[:, j1], bundle.Y[:, j1])
+               - feval(b.t_start, bundle.X[:, j0], bundle.Y[:, j0]))
+        assert b.mean == float(np.mean(inc))
+
+
 def test_martingale_requires_at_least_one_bucket(low_noise_1f):
     # Zero buckets would give an empty table and a vacuous verdict.
     market, rp, cfg, feval, opt = _martingale_setup(low_noise_1f, n_paths=100, dt=0.05)
