@@ -52,7 +52,7 @@ import numpy as np
 from .errors import (ClosedFormInapplicableError, ConfigError,
                      ExponentOverflowError, IntegrationError, RiccatiBlowUpError)
 from .model import (AffineField, Box, ConstantField, Fields, MarketTerms, ModelSpec, RiskParams,
-                    SqrtAffineField, SqrtDiagField, from_params, market_terms, require_finite,
+                    SqrtAffineField, SqrtDiagField, from_params, market_terms, reals,
                     require_shape, rowwise)
 
 BLOW_UP_THRESHOLD = 1e8
@@ -78,7 +78,8 @@ class AffineSpec(Fields):
     L : (k,) positive volatility scales, kappa^T kappa = diag(L_i y_i)
     Lambda, lambda0 : affine squared Sharpe ratio Lambda^T y + lambda0
     N, c : affine cross term N^T y + c = Gamma kappa^T rho^T lambda
-    H, h0 : exponent of the utility datum h(y) = exp(H^T y + h0)
+    H, h0 : exponent of the utility datum h(y) = exp(H^T y + h0),
+    each read through ``reals``.
     """
 
     M: np.ndarray
@@ -92,12 +93,11 @@ class AffineSpec(Fields):
     h0: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "lambda0", float(self.lambda0))
-        object.__setattr__(self, "h0", float(self.h0))
-        for name in ("M", "N"):
-            object.__setattr__(self, name, np.atleast_2d(np.asarray(getattr(self, name), dtype=float)))
-        for name in ("w", "L", "Lambda", "c", "H"):
-            object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=float)))
+        for name, form in (("lambda0", float), ("h0", float), ("M", np.atleast_2d),
+                           ("N", np.atleast_2d), ("w", np.atleast_1d), ("L", np.atleast_1d),
+                           ("Lambda", np.atleast_1d), ("c", np.atleast_1d), ("H", np.atleast_1d)):
+            object.__setattr__(self, name, form(reals(getattr(self, name), f"affine spec {name}",
+                                                      scalar=form is float)))
         k = self.L.shape[0]
         for name, want in (("M", (k, k)), ("N", (k, k)), ("w", (k,)),
                            ("Lambda", (k,)), ("c", (k,)), ("H", (k,))):
@@ -153,8 +153,8 @@ class ClosedFormComponent(Fields):
 def _clock(horizon: float, direction: str) -> Callable:
     """Validate a run and return its map from t to the time since the anchor
     tau (t forward, horizon - t backward).  The map is its own inverse."""
-    if not 0 < horizon < np.inf:     # false for NaN
-        raise ConfigError(f"horizon must be positive and finite, got {horizon}")
+    if not reals(horizon, "horizon", scalar=True) > 0:
+        raise ConfigError(f"horizon must be positive, got {horizon}")
     if direction not in (FORWARD, BACKWARD):
         raise ConfigError(f"direction must be '{FORWARD}' or '{BACKWARD}'")
     if direction == FORWARD:
@@ -213,11 +213,11 @@ class RiccatiSolution:
     def __call__(self, t, y):
         """u(t, y) = exp(Phi(t)^T y + Theta(t)) at one state y (k,) as a
         float, or at stacked states (P, k) as (P,), from one read of z;
-        ConfigError if y has another k, ExponentOverflowError if the
-        exponent exceeds 700."""
-        y = np.asarray(y, dtype=float)
+        ConfigError if t or y is not finite or y has another k,
+        ExponentOverflowError if the exponent exceeds 700."""
+        y = np.asarray(reals(y, "y"))
         require_shape(y, y.shape[:-1] + (self.spec.k,), owner="FPP")
-        z = self.state(t)
+        z = self.state(reals(t, "t", scalar=True))
         expo = y @ z[:-1] + z[-1]
         if np.any(expo > _EXP_LIMIT):
             raise ExponentOverflowError(f"exponent {np.max(expo):.6g} exceeds {_EXP_LIMIT:g}")
@@ -468,14 +468,13 @@ def optimal_portfolio_affine(u, model_spec: ModelSpec, rp: RiskParams, t: float,
     ------
     ConfigError
         If ``y`` or grad_y u / u does not have the model's k factors, or
-        ``y`` has an entry that is not finite.
+        ``y`` has an entry that is not a finite number.
     SingularModelError
         If sigma(y) has rank below n at some point.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    y = np.atleast_1d(reals(y, "y"))
     k = model_spec.k
     require_shape(y, (k,) if y.ndim == 1 else (len(y), k))
-    require_finite(y, "y")
     Y = np.atleast_2d(y)
     pi = optimal_portfolio_from_terms(market_terms(model_spec, Y), rp, u.log_gradient(t, Y))
     return pi[0] if y.ndim == 1 else pi
@@ -507,30 +506,27 @@ def canonical_affine_market(M, w, L, Lambda, lambda0, H, rp: RiskParams,
     rho = sqrt(p) [I_k; 0], so that rho^T rho = p I and the cross term is
     N = diag(Gamma sqrt(p) sqrt(L_i Lambda_i)), c = 0.
     """
-    L = np.atleast_1d(np.asarray(L, dtype=float))
-    Lambda = np.atleast_1d(np.asarray(Lambda, dtype=float))
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    H = np.atleast_1d(np.asarray(H, dtype=float))
+    L = np.atleast_1d(reals(L, "affine spec L"))
+    Lambda = np.atleast_1d(reals(Lambda, "affine spec Lambda"))
     k = L.shape[0]
 
     root_p = math.sqrt(rp.p)
     N = np.diag(rp.Gamma * root_p * np.sqrt(L * Lambda))
-    spec = AffineSpec(M=M, w=w, L=L, Lambda=Lambda, lambda0=float(lambda0),
+    spec = AffineSpec(M=M, w=w, L=L, Lambda=Lambda, lambda0=lambda0,
                       N=N, c=np.zeros(k), H=H, h0=h0)
 
     d_w = k + 1
     mu_matrix = np.zeros((d_w, k))
     mu_matrix[:k, :] = np.diag(Lambda)
     mu_offset = np.zeros(d_w)
-    mu_offset[k] = lambda0
+    mu_offset[k] = spec.lambda0
     rho = np.zeros((d_w, k))
     rho[:k, :] = root_p * np.eye(k)
 
     market = ModelSpec(
         mu=SqrtAffineField(mu_matrix, mu_offset),
         sigma=ConstantField(np.eye(d_w)),
-        alpha=AffineField(M.T, w),
+        alpha=AffineField(spec.M.T, spec.w),
         kappa=SqrtDiagField(L),
         rho=rho,
         domain=Box(np.zeros(k), np.full(k, np.inf)),

@@ -37,8 +37,8 @@ import numpy as np
 from . import __version__, affine, eve, spectral, verify
 from . import sim as simmod
 from .errors import ConfigError, InsufficientSampleError, NumericalError
-from .model import (ModelSpec, RiskParams, generator_coefficients, read_json, require,
-                    require_finite, require_real, write_json)
+from .model import (ModelSpec, RiskParams, generator_coefficients, read_json, reals, require,
+                    write_json)
 
 ENV_OUT_DIR = "FPPLAB_OUT"
 
@@ -77,7 +77,7 @@ def _write_csv(out_dir, name, header, rows):
 
 def _read_matrix(path):
     if path.endswith(".json"):
-        return np.asarray(read_json(path), dtype=float)
+        return read_json(path)
     return np.atleast_2d(np.loadtxt(path, delimiter=",", comments="#"))
 
 
@@ -115,12 +115,16 @@ def _parse_floats(text, option):
     return np.array([_parse_float(v, option) for v in text.split(",")], dtype=float)
 
 
-def _parse_grid(text):
+def _parse_grid(text, option):
+    """The grid 'lo:hi:n' given to ``option``: n >= 1 points, finite ends."""
     try:
         lo, hi, n = text.split(":")
-        return np.linspace(float(lo), float(hi), int(n))
+        lo, hi, n = float(lo), float(hi), int(n)
     except ValueError:
-        raise ConfigError(f"grid must be 'lo:hi:n', got '{text}'")
+        raise ConfigError(f"{option}: grid must be 'lo:hi:n', got '{text}'") from None
+    if n < 1:
+        raise ConfigError(f"{option}: grid needs at least 1 point, got n={n}")
+    return np.linspace(*reals([lo, hi], f"{option} ends"), n)
 
 
 def _load_affine_spec(path, model):
@@ -152,9 +156,8 @@ def _load_fpp_bundle(path):
     data = read_json(path)
     require(data, ["affine_spec", "gamma", "p", "horizon"], "fpp file")
     spec = affine.AffineSpec.from_json(data["affine_spec"])
-    gamma, p, horizon = (require_real(data, key, "fpp file") for key in ("gamma", "p", "horizon"))
-    rp = RiskParams(gamma=gamma, p=p)
-    sol = affine.solve_riccati(spec, rp, horizon, data.get("direction", affine.FORWARD))
+    rp = RiskParams(gamma=data["gamma"], p=data["p"])
+    sol = affine.solve_riccati(spec, rp, data["horizon"], data.get("direction", affine.FORWARD))
     return sol, rp
 
 
@@ -237,7 +240,7 @@ def spectral_invert(args, out_dir):
 def spectral_evaluate(args, out_dir):
     nu = spectral.SpectralMeasure.from_json(read_json(args.measure))
     sel = spectral.EigenfunctionSelection.load(args.selection)
-    ts = _parse_grid(args.t_grid)
+    ts = _parse_grid(args.t_grid, "--t-grid")
     Y = np.array([_parse_floats(v, "--y") for v in args.y.split(";")])
     u = spectral.WidderFunction(nu, sel)
     rows = [[t, *y, v] for t in ts for y, v in zip(Y, u(t, Y))]
@@ -250,7 +253,7 @@ def spectral_eigenfn_1d(args, out_dir):
     model = ModelSpec.load(args.model)
     gen = generator_coefficients(model, _risk_params(args))
     fn = spectral.solve_eigenfunction_1d(gen, args.zeta, args.y0_scalar, args.slope,
-                                         _parse_grid(args.grid))
+                                         _parse_grid(args.grid, "--grid"))
     path = _write_csv(out_dir, "eigenfunction.csv", "y,psi",
                       np.column_stack([fn.grid, fn.values]))
     info = {"zeta": args.zeta, "slope": args.slope,
@@ -264,8 +267,8 @@ def spectral_eigenfn_1d(args, out_dir):
 def spectral_radial(args, out_dir):
     if not args.potential.startswith("const:"):
         raise ConfigError(f"unknown potential '{args.potential}' (use const:VALUE)")
-    level = _parse_float(args.potential.split(":", 1)[1], "--potential const:VALUE")
-    require_finite(level, "potential level")
+    level = reals(_parse_float(args.potential.split(":", 1)[1], "--potential const:VALUE"),
+                  "potential level")
     diag = spectral.radial_ode_diagnostic(lambda r: level, args.zeta, args.k, args.r_max)
     path = _write_csv(out_dir, "radial_g0.csv", "r,g0",
                       np.column_stack([diag.r_samples, diag.g0_samples]))

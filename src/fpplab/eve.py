@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, SingularProjectionError
-from .model import Fields, require_finite
+from .model import Fields, reals
 
 _SV_FLOOR = 1e-12
 
@@ -59,8 +59,7 @@ def project_eve(rho_hat: np.ndarray) -> EveProjection:
     SingularProjectionError
         If the smallest singular value of rho_hat is at most 1e-12.
     """
-    rho_hat = np.atleast_2d(np.asarray(rho_hat, dtype=float))
-    require_finite(rho_hat, "rho_hat")
+    rho_hat = np.atleast_2d(reals(rho_hat, "rho_hat"))
     d_w, d_b = rho_hat.shape
     if d_w < d_b:
         raise DimensionError(f"need d_W >= d_B, got {d_w} < {d_b}")
@@ -91,8 +90,7 @@ def select_p(rho_hat: np.ndarray, norm: str = "frobenius") -> float:
     """
     if norm not in P_NORMS:
         raise ValueError(f"norm must be one of {P_NORMS}, got '{norm}'")
-    rho_hat = np.atleast_2d(np.asarray(rho_hat, dtype=float))
-    require_finite(rho_hat, "rho_hat")
+    rho_hat = np.atleast_2d(reals(rho_hat, "rho_hat"))
     sv = np.linalg.svd(rho_hat, compute_uv=False)
     if sv.size and sv[0] > 1.0 + 1e-10:
         raise ValueError(f"rho_hat has singular value {sv[0]:.6g} > 1")

@@ -17,6 +17,12 @@ The Euler step, pi* and the verification residuals read them from it.
 Every JSON file of the package is read by ``read_json`` and written by
 ``write_json`` in one format: indent 2, keys sorted, no trailing newline.
 
+Every number enters through ``reals``, which refuses strings, nulls, bools,
+ragged lists, NaN and +-inf: each constructor and each public entry point
+that takes a state, a time or a level reads its numbers through it, so the
+JSON readers hand raw values on.  ``Box`` alone allows +-inf (null in JSON);
+its reader sends every other entry through ``reals``, and it refuses NaN.
+
 The module also derives the second-order linear operator
 
     L = (1/2) sum_ij a_ij(y) d2/dy_i dy_j + sum_i b_i(y) d/dy_i + P(y)
@@ -28,6 +34,7 @@ verification routine downstream.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from numbers import Real
@@ -53,28 +60,12 @@ def require(data, keys, what: str) -> None:
             raise ConfigError(f"{what}: missing field '{key}'")
 
 
-def _is_number(value) -> bool:
-    """An int or a float of JSON; a bool is neither."""
-    return isinstance(value, Real) and not isinstance(value, bool)
-
-
 def require_int(data: dict, key: str, what: str) -> int:
     """``data[key]``, an integer or an integral float such as 5000.0, as an int."""
     value = data[key]
-    if not _is_number(value) or not float(value).is_integer():
+    if isinstance(value, bool) or not isinstance(value, Real) or not float(value).is_integer():
         raise ConfigError(f"{what}: field '{key}' must be an integer")
     return int(value)
-
-
-def require_real(data: dict, key: str, what: str) -> float:
-    """``data[key]``, an int or a float, as a float; JSON's NaN and
-    Infinity, and an int beyond the float range, are refused."""
-    value = data[key]
-    if not _is_number(value):
-        raise ConfigError(f"{what}: field '{key}' must be a number")
-    if not abs(value) <= np.finfo(float).max:     # false for NaN
-        raise ConfigError(f"{what}: field '{key}' must be a finite number")
-    return float(value)
 
 
 def require_list(data: dict, key: str, what: str) -> list:
@@ -85,15 +76,6 @@ def require_list(data: dict, key: str, what: str) -> list:
     return value
 
 
-def require_reals(data: dict, key: str, what: str) -> np.ndarray:
-    """``data[key]``, a JSON list of finite numbers, as a float array."""
-    values = data[key]
-    if not isinstance(values, list) or not all(
-            _is_number(v) and abs(v) <= np.finfo(float).max for v in values):   # NaN fails
-        raise ConfigError(f"{what}: field '{key}' must be a list of finite numbers")
-    return np.asarray(values, dtype=float)
-
-
 def require_shape(a, shape: tuple, what: str = "y", owner: str = "model") -> None:
     """Raise ``ConfigError`` unless ``a`` has ``shape``, whose last entry is
     the factor count k of the ``owner``; the message names both, as in
@@ -102,17 +84,32 @@ def require_shape(a, shape: tuple, what: str = "y", owner: str = "model") -> Non
         raise ConfigError(f"{what} has shape {np.shape(a)}; the {owner} has k={shape[-1]} factors")
 
 
-def require_finite(a, what: str) -> None:
-    """Raise ``ConfigError`` naming ``what`` unless every entry of the number,
-    state or stack of states ``a`` is finite; the message shows the value,
-    or the first row of a stack that is not finite."""
-    a = np.asarray(a, dtype=float)
-    finite = np.isfinite(a)
-    if not np.all(finite):
-        if a.ndim > 1:
-            row = int(np.argmin(finite.all(axis=1)))
-            what, a = f"{what}[{row}]", a[row]
-        raise ConfigError(f"{what} must be finite, got {a.tolist()}")
+def _holds_bool(value) -> bool:
+    return (any(map(_holds_bool, value)) if isinstance(value, (list, tuple))
+            else isinstance(value, (bool, np.bool_)))
+
+
+def reals(value, what: str, scalar: bool = False):
+    """``value`` as a float array, or as a float for one number; a
+    ``ConfigError`` naming ``what`` for a string, a null, a bool, a ragged
+    list, NaN or +-inf in it, or with ``scalar`` for more than one number.
+    A stack of states (ndim > 1) is named by its first row that is not
+    finite, as in "y[1] must be finite, got [inf, 0.5]"."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:      # a ragged list
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf" or (scalar and arr.ndim) or _holds_bool(value):
+        form = "a number" if scalar else "a number or a rectangular list of numbers"
+        raise ConfigError(f"{what} must be {form}, got {reprlib.repr(value)}")
+    arr = arr.astype(float, copy=False)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        if arr.ndim > 1:
+            row = int(np.argmin(finite.reshape(len(arr), -1).all(axis=1)))
+            what, arr = f"{what}[{row}]", arr[row]
+        raise ConfigError(f"{what} must be finite, got {arr.tolist()}")
+    return float(arr) if arr.ndim == 0 else arr
 
 
 def _json_keys(cls):
@@ -212,7 +209,7 @@ class ConstantField(CoefficientField):
     params = ("value",)
 
     def __init__(self, value):
-        self.value = np.asarray(value, dtype=float)
+        self.value = np.asarray(reals(value, "constant field value"))
 
     @cached_property
     def pinv_and_rank(self):
@@ -233,8 +230,8 @@ class AffineField(CoefficientField):
     params = ("matrix", "offset")
 
     def __init__(self, matrix, offset):
-        self.matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-        self.offset = np.atleast_1d(np.asarray(offset, dtype=float))
+        self.matrix = np.atleast_2d(reals(matrix, f"{self.family} field matrix"))
+        self.offset = np.atleast_1d(reals(offset, f"{self.family} field offset"))
         if self.matrix.shape[0] != self.offset.shape[0]:
             raise ConfigError(f"{self.family} field: matrix rows must match offset length")
 
@@ -266,7 +263,7 @@ class SqrtDiagField(CoefficientField):
     params = ("scale",)
 
     def __init__(self, scale):
-        self.scale = np.atleast_1d(np.asarray(scale, dtype=float))
+        self.scale = np.atleast_1d(reals(scale, "sqrt_diag field scale"))
         if np.any(self.scale <= 0):
             raise ConfigError("sqrt_diag field: scales must be positive")
 
@@ -296,8 +293,10 @@ class GridField(CoefficientField):
     def __init__(self, axes, values):
         from scipy.interpolate import RegularGridInterpolator
 
-        self.axes = tuple(np.asarray(ax, dtype=float) for ax in axes)
-        self.values = np.asarray(values, dtype=float)
+        if not isinstance(axes, (list, tuple, np.ndarray)):
+            raise ConfigError(f"grid field axes must be a list of axes, got {reprlib.repr(axes)}")
+        self.axes = tuple(reals(ax, "grid field axes") for ax in axes)
+        self.values = np.asarray(reals(values, "grid field values"))
         k = len(self.axes)
         self.out_shape = self.values.shape[k:]
         self._interp = RegularGridInterpolator(
@@ -327,7 +326,7 @@ class Box:
         object.__setattr__(self, "upper", np.atleast_1d(np.asarray(self.upper, dtype=float)))
         if self.lower.shape != self.upper.shape:
             raise ConfigError("box: lower/upper must have equal length")
-        if np.any(self.lower >= self.upper):
+        if not np.all(self.lower < self.upper):     # false for NaN
             raise ConfigError("box: lower bounds must be strictly below upper bounds")
 
     @property
@@ -392,10 +391,11 @@ class Box:
 
     @staticmethod
     def from_json(data):
-        def dec(vals, sign):
-            return [sign * np.inf if v is None else float(v) for v in vals]
+        def dec(key, sign):
+            return [sign * np.inf if v is None else reals(v, f"domain {key}", scalar=True)
+                    for v in require_list(data, key, "domain")]
         require(data, ["lower", "upper"], "domain")
-        return Box(dec(data["lower"], -1), dec(data["upper"], +1))
+        return Box(dec("lower", -1), dec("upper", +1))
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +431,7 @@ class ModelSpec(Fields):
     n: int = field(init=False)
 
     def __post_init__(self):
-        rho = np.atleast_2d(np.asarray(self.rho, dtype=float))
+        rho = np.atleast_2d(reals(self.rho, "model spec rho"))
         object.__setattr__(self, "rho", rho)
         if rho.ndim != 2:
             raise ConfigError(f"model spec: rho has shape {rho.shape}, not (d_W, d_B)")
@@ -509,6 +509,8 @@ class RiskParams:
     p: float = 0.0
 
     def __post_init__(self):
+        for key in ("gamma", "p"):
+            object.__setattr__(self, key, reals(getattr(self, key), key, scalar=True))
         if not (self.gamma > 0) or self.gamma == 1.0:
             raise ConfigError(f"gamma must be in (0, inf) \\ {{1}}, got {self.gamma}")
         if not (0.0 <= self.p <= 1.0):

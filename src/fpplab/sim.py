@@ -62,8 +62,8 @@ import numpy as np
 from .affine import optimal_portfolio_from_terms
 from .errors import ConfigError, SimulationError
 from .model import (Box, Fields, GeneratorCoefficients, MarketTerms, ModelSpec, RiskParams,
-                    market_terms, plain, read_json, require, require_finite, require_int,
-                    require_real, require_shape, rowwise, write_json)
+                    market_terms, plain, read_json, reals, require, require_int, require_shape,
+                    rowwise, write_json)
 
 BOUNDARY_POLICIES = ("full-truncation", "absorb", "reflect")
 _MAX_FLAGS = 100   # nonfinite locations kept by admissibility_check
@@ -74,7 +74,8 @@ class SimulationConfig(Fields):
     """Discretization and sampling parameters.
 
     ``record_stride`` keeps every stride-th grid point in the output bundle
-    (the step itself always uses dt); stride 1 retains everything.
+    (the step itself always uses dt); stride 1 retains everything.  dt and
+    horizon are read through ``reals``.
     """
 
     dt: float
@@ -86,8 +87,10 @@ class SimulationConfig(Fields):
 
     def __post_init__(self):
         for key in ("dt", "horizon"):
-            if not 0 < getattr(self, key) < np.inf:     # false for NaN
-                raise ConfigError(f"{key} must be positive and finite")
+            value = reals(getattr(self, key), f"simulation config {key}", scalar=True)
+            if not value > 0:
+                raise ConfigError(f"{key} must be positive, got {value}")
+            object.__setattr__(self, key, value)
         if self.dt > self.horizon + 1e-15:
             raise ConfigError("need 0 < dt <= horizon")
         if self.n_paths < 1:
@@ -115,8 +118,7 @@ class SimulationConfig(Fields):
             raise ConfigError(f"unknown scheme '{scheme}'")
         data = {"seed": 0, "boundary_policy": "full-truncation", "record_stride": 1, **data}
         return SimulationConfig(
-            boundary_policy=data["boundary_policy"],
-            **{key: require_real(data, key, "simulation config") for key in ("dt", "horizon")},
+            boundary_policy=data["boundary_policy"], dt=data["dt"], horizon=data["horizon"],
             **{key: require_int(data, key, "simulation config")
                for key in ("n_paths", "seed", "record_stride")})
 
@@ -149,8 +151,7 @@ class ConstantStrategy(Strategy):
     name = "constant"
 
     def __init__(self, pi):
-        self.pi = np.atleast_1d(np.asarray(pi, dtype=float))
-        require_finite(self.pi, "constant strategy pi")
+        self.pi = np.atleast_1d(reals(pi, "constant strategy pi"))
 
     def allocations(self, t, terms):
         return np.broadcast_to(self.pi, (terms.Y.shape[0], self.pi.shape[0])).copy()
@@ -198,9 +199,8 @@ class PerturbedStrategy(Strategy):
     name = "perturbed"
 
     def __init__(self, base: Strategy, delta):
-        require_finite(delta, "delta")
         self.base = base
-        self.delta = delta
+        self.delta = reals(delta, "delta")
         self.name = f"{base.name}+{delta}"
 
     def allocations(self, t, terms):
@@ -397,8 +397,8 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
     Raises
     ------
     ConfigError
-        If x0 is not positive and finite, y0 has an entry that is not finite,
-        or the strategy's allocations are not shaped (P, n).
+        If x0 is not positive and finite, y0 has an entry that is not a
+        finite number, or the strategy's allocations are not shaped (P, n).
     SimulationError
         On the first non-finite increment of Y, log S or log X, reporting
         (path, step).  sigma has full column rank, so a non-finite allocation
@@ -406,9 +406,8 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
     """
     if y0 is None:
         y0 = model.domain.interior_grid(points_per_dim=1)[0]
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+    y0 = np.atleast_1d(reals(y0, "y0"))
     require_shape(y0, (model.k,), "y0")
-    require_finite(y0, "y0")
     if not 0 < x0 < np.inf:     # false for NaN
         raise ConfigError(f"initial wealth x0 must be positive and finite, got {x0}")
 
@@ -518,9 +517,8 @@ def feynman_kac_estimate(gen: GeneratorCoefficients, h: Callable, t: float,
     if gen.kappa_batch is None:
         raise ConfigError("generator carries no kappa_batch; Feynman-Kac steps "
                           "with kappa^T dB")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    y = np.atleast_1d(reals(y, "y"))
     require_shape(y, (gen.k,), owner="generator")
-    require_finite(y, "y")
     if domain is None:
         domain = Box(np.full(y.size, -np.inf), np.full(y.size, np.inf))
     d_B = gen.kappa_batch(y[None]).shape[1]

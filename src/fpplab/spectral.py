@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import (ConditioningError, ConfigError, InconsistentDataError,
                      IntegrationError, NonRepresentableError, PositivityError)
-from .model import (Fields, GeneratorCoefficients, from_params, require, require_list,
-                    require_finite, require_real, require_reals, require_shape)
+from .model import (Fields, GeneratorCoefficients, from_params, reals, require, require_list,
+                    require_shape)
 
 _COND_LIMIT = 1e12
 MATCH_TOL = 1e-9            # TabulatedEigenfunction: max-norm distance of a match
@@ -46,7 +46,8 @@ RADIAL_TAIL_FACTOR = 10.0   # radial_ode_diagnostic: inner integral cut at this 
 class SpectralMeasure:
     """Finite atomic measure {(zeta_i, w_i)} with normalization point y0.
 
-    Atoms are kept sorted with strictly increasing zeta and positive weights.
+    zetas, weights and y0 are read through ``reals``; zeta must strictly
+    increase from atom to atom and the weights must be positive.
     """
 
     zetas: np.ndarray
@@ -54,17 +55,15 @@ class SpectralMeasure:
     y0: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "zetas", np.atleast_1d(np.asarray(self.zetas, dtype=float)))
-        object.__setattr__(self, "weights", np.atleast_1d(np.asarray(self.weights, dtype=float)))
-        object.__setattr__(self, "y0", np.atleast_1d(np.asarray(self.y0, dtype=float)))
-        if self.zetas.shape != self.weights.shape:
-            raise ConfigError("zetas and weights must have equal length")
+        for key, what in (("zetas", "atom zeta"), ("weights", "atom weight"), ("y0", "y0")):
+            object.__setattr__(self, key, np.atleast_1d(reals(getattr(self, key),
+                                                              f"spectral measure {what}")))
+        if self.zetas.ndim != 1 or self.zetas.shape != self.weights.shape:
+            raise ConfigError("zetas and weights must be lists of equal length")
         if np.any(np.diff(self.zetas) <= 0):
             raise ConfigError("atoms must be sorted with strictly increasing zeta")
         if np.any(self.weights <= 0):
             raise ConfigError("atom weights must be positive")
-        if not np.all(np.isfinite(self.weights)) or not np.all(np.isfinite(self.zetas)):
-            raise ConfigError("atoms must be finite")
 
     @property
     def m(self) -> int:
@@ -90,13 +89,14 @@ class SpectralMeasure:
     @staticmethod
     def from_json(data):
         require(data, ["y0", "atoms"], "spectral measure")
-        what, atoms = "spectral measure atom", []
-        for atom in require_list(data, "atoms", "spectral measure"):
-            require(atom, ["zeta", "weight"], what)
-            atoms.append((require_real(atom, "zeta", what), require_real(atom, "weight", what)))
-        atoms.sort()
-        return SpectralMeasure(zetas=[z for z, _ in atoms], weights=[w for _, w in atoms],
-                               y0=require_reals(data, "y0", "spectral measure"))
+        atoms = require_list(data, "atoms", "spectral measure")
+        for atom in atoms:
+            require(atom, ["zeta", "weight"], "spectral measure atom")
+        # A file may list the atoms in any order; the measure takes them sorted.
+        atoms = sorted(atoms, key=lambda atom: reals(atom["zeta"], "spectral measure atom zeta",
+                                                     scalar=True))
+        return SpectralMeasure(zetas=[atom["zeta"] for atom in atoms],
+                               weights=[atom["weight"] for atom in atoms], y0=data["y0"])
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +140,7 @@ class _ExpSum(Eigenfunction):
     rates r (J, k); exact derivatives of all orders."""
 
     def __init__(self, coefficients, rates, y0):
-        self.y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+        self.y0 = np.atleast_1d(reals(y0, f"{self.kind} eigenfunction y0"))
         self._c = np.asarray(coefficients, dtype=float)
         self._r = np.asarray(rates, dtype=float).reshape(len(self._c), -1)
 
@@ -163,7 +163,7 @@ class ExpEigenfunction(_ExpSum):
     params = ("v",)
 
     def __init__(self, v, y0):
-        self.v = np.atleast_1d(np.asarray(v, dtype=float))
+        self.v = np.atleast_1d(reals(v, "exp eigenfunction v"))
         super().__init__([1.0], [self.v], y0)
 
 
@@ -178,9 +178,9 @@ class ExpMixEigenfunction(_ExpSum):
     params = ("weight_plus", "rate_plus", "rate_minus")
 
     def __init__(self, weight_plus, rate_plus, rate_minus, y0):
-        self.weight_plus = float(weight_plus)
-        self.rate_plus = float(rate_plus)
-        self.rate_minus = float(rate_minus)
+        for key, value in (("weight_plus", weight_plus), ("rate_plus", rate_plus),
+                           ("rate_minus", rate_minus)):
+            setattr(self, key, reals(value, f"expmix eigenfunction {key}", scalar=True))
         super().__init__([self.weight_plus, 1.0 - self.weight_plus],
                          [self.rate_plus, self.rate_minus], y0)
 
@@ -250,9 +250,9 @@ class TabulatedEigenfunction(Eigenfunction):
     params = ("points", "values")
 
     def __init__(self, points, values, y0):
-        self.points = np.atleast_2d(np.asarray(points, dtype=float))
-        self.values = np.atleast_1d(np.asarray(values, dtype=float))
-        self.y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+        self.points = np.atleast_2d(reals(points, "tabulated eigenfunction points"))
+        self.values = np.atleast_1d(reals(values, "tabulated eigenfunction values"))
+        self.y0 = np.atleast_1d(reals(y0, "tabulated eigenfunction y0"))
         if self.points.shape[0] != self.values.shape[0]:
             raise ConfigError("points and values must align")
 
@@ -272,13 +272,14 @@ _KINDS = {cls.kind: cls for cls in
 
 @dataclass(frozen=True)
 class EigenfunctionSelection(Fields):
-    """One positive eigenfunction per atom, all normalized at y0."""
+    """One positive eigenfunction per atom, all normalized at y0, which is
+    read through ``reals``."""
 
     functions: tuple
     y0: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "y0", np.atleast_1d(np.asarray(self.y0, dtype=float)))
+        object.__setattr__(self, "y0", np.atleast_1d(reals(self.y0, "eigenfunction selection y0")))
         object.__setattr__(self, "functions", tuple(self.functions))
         for f in self.functions:    # psi_i(y0) = 1 needs each psi_i normalized at y0
             if not np.array_equal(f.y0, self.y0):
@@ -319,15 +320,14 @@ class EigenfunctionSelection(Fields):
     @staticmethod
     def from_json(data):
         require(data, ["y0", "functions"], "eigenfunction selection")
-        y0 = require_reals(data, "y0", "eigenfunction selection")
         funcs = []
         for fd in require_list(data, "functions", "eigenfunction selection"):
             require(fd, ["kind"], "eigenfunction")
             cls = _KINDS.get(fd["kind"])
             if cls is None:
                 raise ConfigError(f"unknown eigenfunction kind '{fd['kind']}'")
-            funcs.append(from_params(cls, fd, f"{cls.kind} eigenfunction", y0))
-        return EigenfunctionSelection(tuple(funcs), y0)
+            funcs.append(from_params(cls, fd, f"{cls.kind} eigenfunction", data["y0"]))
+        return EigenfunctionSelection(tuple(funcs), data["y0"])
 
 
 # ---------------------------------------------------------------------------
@@ -353,17 +353,20 @@ class WidderFunction:
 
     def __call__(self, t, y):
         """u at one state y (k,) as a float, or at stacked states Y (P, k) as
-        (P,); ConfigError if y has another k."""
-        if t < 0:
+        (P,); ConfigError if t or y is not finite or y has another k."""
+        if reals(t, "t", scalar=True) < 0:
             raise ValueError("t must be >= 0")
-        y = np.asarray(y, dtype=float)
+        y = np.asarray(reals(y, "y"))
         require_shape(y, y.shape[:-1] + self.sel.y0.shape, owner="FPP")
         u = self.sel.values(np.atleast_2d(y)) @ self._coeff(t)
         return float(u[0]) if y.ndim < 2 else u
 
     def derivatives(self, t, Y):
         """(du/dt (P,), u (P,), grad_y u (P, k), Hess_y u (P, k, k)) at the
-        stacked states Y (P, k); ConfigError if Y has another k."""
+        stacked states Y (P, k); ConfigError if t, Y are not finite or Y has another k."""
+        return self._derivatives(reals(t, "t", scalar=True), reals(Y, "Y"))
+
+    def _derivatives(self, t, Y):
         require_shape(Y, (len(Y),) + self.sel.y0.shape, owner="FPP")
         c = self._coeff(t)
         psi, grad, hess = (np.stack(d, axis=-1) for d in
@@ -371,8 +374,9 @@ class WidderFunction:
         return psi @ (-self.nu.zetas * c), psi @ c, grad @ c, hess @ c
 
     def log_gradient(self, t, Y):
-        """grad_y u / u at the stacked states Y (P, k), shape (P, k)."""
-        _, u, grad, _ = self.derivatives(t, Y)
+        """grad_y u / u at stacked states Y (P, k), shape (P, k); ungated, as the
+        Euler loop reads it every step."""
+        _, u, grad, _ = self._derivatives(t, Y)
         return grad / u[:, None]
 
 
@@ -393,8 +397,7 @@ def solve_eigenfunction_1d(gen: GeneratorCoefficients, zeta: float, y0: float,
 
     if gen.k != 1:
         raise ConfigError("one-factor routine requires k = 1")
-    require_finite(zeta, "zeta")
-    require_finite(slope_s, "slope")
+    zeta, slope_s = reals(zeta, "zeta", scalar=True), reals(slope_s, "slope", scalar=True)
     grid = np.sort(np.asarray(grid, dtype=float))
     y0 = float(np.atleast_1d(y0)[0])
     if not (grid[0] <= y0 <= grid[-1]):
@@ -437,8 +440,8 @@ class InversionResult(Fields):
 
 
 def _parse_samples(samples):
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
+    arr = reals(samples, "samples")
+    if np.ndim(arr) != 2 or arr.shape[1] != 2:
         raise ConfigError("samples must be a sequence of (t, u) pairs")
     order = np.argsort(arr[:, 0])
     t, u = arr[order, 0], arr[order, 1]
@@ -625,7 +628,7 @@ def radial_ode_diagnostic(P0_tilde: Callable[[float], float], zeta: float,
         raise ConfigError("radial diagnostic requires k >= 2")
     if not 1.0 < r_max < np.inf:     # false for NaN
         raise ConfigError(f"r_max must be finite and exceed 1, got {r_max}")
-    require_finite(zeta, "zeta")
+    zeta = reals(zeta, "zeta", scalar=True)
 
     r_start = 1e-6
     R = RADIAL_TAIL_FACTOR * r_max

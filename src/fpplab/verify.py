@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (ConcavityViolationError, ConfigError,
                      InsufficientSampleError, PositivityError)
-from .model import (Fields, GeneratorCoefficients, ModelSpec, RiskParams, market_terms,
+from .model import (Fields, GeneratorCoefficients, ModelSpec, RiskParams, market_terms, reals,
                     require_shape, rowwise)
 from .sim import PathBundle, pair_se
 
@@ -53,9 +53,8 @@ def _fd_grid(f, T, Z, H, fd_step, order, it, point):
     one call on Z per time offset."""
     if order not in _D1:
         raise ConfigError(f"stencil order must be 2 or 4, got {order}")
-    if not 0 < fd_step < np.inf:     # false for NaN
-        raise ConfigError(f"finite-difference step fd_step must be positive and finite, "
-                          f"got {fd_step}")
+    if not reals(fd_step, "finite-difference step fd_step", scalar=True) > 0:
+        raise ConfigError(f"finite-difference step fd_step must be positive, got {fd_step}")
     P, d = Z.shape
     E = np.eye(d, dtype=int)
     columns = {(0,) * d: 0}                  # node displacement in steps -> column of F

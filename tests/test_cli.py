@@ -43,6 +43,12 @@ def workdir(tmp_path, monkeypatch):
     u = 0.3 * np.exp(-0.5 * t) + 0.7 * np.exp(-2.0 * t)
     np.savetxt(tmp_path / "samples.csv", np.column_stack([t, u]),
                delimiter=",", header="t,u", comments="")
+    nu = SpectralMeasure([0.3, 1.1], [0.6, 0.4], [0.0])
+    sel = EigenfunctionSelection((ExpEigenfunction([0.5], [0.0]),
+                                  ExpEigenfunction([-0.8], [0.0])), [0.0])
+    for name, content in (("measure.json", nu.to_json()), ("selection.json", sel.to_json())):
+        with open(tmp_path / name, "w") as fh:
+            json.dump(content, fh)
     return tmp_path
 
 
@@ -286,6 +292,8 @@ _SIM_RUN = ["sim", "run", "--model", "model.json", "--config", "simcfg.json", "-
 _EIGENFN_1D = ["spectral", "eigenfn-1d", "--model", "model.json", "--gamma", "2.0", "--p",
                "0.25", "--y0", "1.0", "--grid", "0.2:2.0:19"]
 _RADIAL = ["spectral", "radial", "--k", "3", "--r-max", "8"]
+_EVALUATE = ["spectral", "evaluate", "--measure", "measure.json", "--selection",
+             "selection.json"]
 _VERIFY_MARTINGALE = ["verify", "martingale", "--paths", "o7/paths", "--fpp", "fpp.json",
                       "--out", "o8"]
 
@@ -299,15 +307,16 @@ _VERIFY_MARTINGALE = ["verify", "martingale", "--paths", "o7/paths", "--fpp", "f
 def test_wrongly_typed_json_number_exits_one_and_names_it(workdir, capsys, name, key, value,
                                                           argv):
     # Before the check, float() raised an uncaught TypeError on a list or
-    # None and read a str or a bool as a number.
+    # None and read a str or a bool as a number.  The constructors read the
+    # raw values through model.reals, which names the owner and the key.
     assert main(_SIM_RUN) == 0
     data = json.load(open(workdir / name))
     (workdir / name).write_text(json.dumps({**data, key: value}))
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
-    what = "simulation config" if name == "simcfg.json" else "fpp file"
-    assert f"{what}: field '{key}' must be a number" in err
+    what = "simulation config " if name == "simcfg.json" else ""
+    assert f"error: {what}{key} must be a number, got {value!r}\n" == err
 
 
 @pytest.mark.parametrize("name, key, value, argv", [
@@ -326,8 +335,8 @@ def test_non_finite_json_number_exits_one_and_names_it(workdir, capsys, name, ke
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
-    what = "simulation config" if name == "simcfg.json" else "fpp file"
-    assert f"{what}: field '{key}' must be a finite number" in err
+    what = "simulation config " if name == "simcfg.json" else ""
+    assert f"error: {what}{key} must be finite, got {value}\n" == err
 
 
 @pytest.mark.parametrize("edit, named", [
@@ -523,13 +532,13 @@ _AFFINE_FLAGS = ["--model", "model.json", "--affine", "aspec.json", "--gamma", "
 
 @pytest.mark.parametrize("argv, named", [
     (["affine", "solve", "--spec", "aspec.json", "--gamma", "2.0", "--horizon", "nan"],
-     "horizon must be positive and finite"),
+     "horizon must be finite, got nan"),
     (["affine", "portfolio", "--spec", "aspec.json", "--model", "model.json", "--gamma", "2.0",
       "--horizon", "1.0", "--t", "nan", "--y", "0.9"], "time outside solved horizon"),
     ([*_SIM_RUN, "--x0", "nan"], "x0 must be positive and finite"),
     ([*_SIM_RUN, "--x0", "inf"], "x0 must be positive and finite"),
     ([*_SIM_RUN, "--y0", "nan"], "y0 must be finite"),
-    ([*_SIM_RUN, "--dt", "nan"], "dt must be positive and finite"),
+    ([*_SIM_RUN, "--dt", "nan"], "simulation config dt must be finite, got nan"),
     (["sim", "feynman-kac", "--model", "model.json", "--config", "simcfg.json",
       "--gamma", "2.0", "--t", "nan", "--y", "0.5"], "time-to-go t must be positive"),
     (["verify", "residual", "--which", "linear", *_AFFINE_FLAGS, "--tol-step", "0"], "fd_step"),
@@ -549,17 +558,32 @@ _AFFINE_FLAGS = ["--model", "model.json", "--affine", "aspec.json", "--gamma", "
     ([*_RADIAL, "--zeta", "nan"], "zeta must be finite, got nan"),
     ([*_RADIAL, "--zeta", "0", "--potential", "const:nan"],
      "potential level must be finite, got nan"),
+    ([*_EVALUATE, "--t-grid", "0:1:3", "--y", "nan"], "y[0] must be finite, got [nan]"),
+    ([*_EVALUATE, "--t-grid", "0:1:3", "--y", "inf"], "y[0] must be finite, got [inf]"),
+    ([*_EVALUATE, "--t-grid", "nan:1:3", "--y", "0.1"],
+     "--t-grid ends must be finite, got [nan, 1.0]"),
+    ([*_EVALUATE, "--t-grid", "0:1:0", "--y", "0.1"],
+     "--t-grid: grid needs at least 1 point, got n=0"),
+    ([*_EIGENFN_1D[:-1], "0.2:2.0:0", "--zeta", "0.0", "--slope", "0.2"],
+     "--grid: grid needs at least 1 point, got n=0"),
+    (["affine", "solve", "--spec", "aspec.json", "--gamma", "inf", "--horizon", "1.0"],
+     "gamma must be finite, got inf"),
+    (["affine", "portfolio", "--spec", "aspec.json", "--model", "model.json", "--gamma", "inf",
+      "--horizon", "1.0", "--t", "0.4", "--y", "0.9"], "gamma must be finite, got inf"),
 ], ids=["horizon_nan", "t_nan", "x0_nan", "x0_inf", "y0_nan", "dt_nan", "fk_t_nan",
         "linear_step_0", "nonlinear_step_0", "hjb_step_0", "hjb_step_nan", "portfolio_y_nan",
         "fk_y_nan", "delta_nan", "constant_nan", "zeta_inf", "slope_nan", "radial_zeta_nan",
-        "potential_nan"])
+        "potential_nan", "evaluate_y_nan", "evaluate_y_inf", "t_grid_nan", "t_grid_no_point",
+        "grid_no_point", "solve_gamma_inf", "portfolio_gamma_inf"])
 def test_non_finite_or_zero_flag_exits_one_and_names_it(workdir, capsys, argv, named):
     # Before the checks NaN passed every range test: these runs exited 0 with
-    # NaN or inf outputs (the portfolio of y = nan among them), 2 ("numerical
-    # failure") for y0, the Feynman-Kac y, delta, a constant strategy and an
-    # infinite zeta, or 1 with a numpy or scipy message that names no field
-    # or the wrong one ("cannot convert float NaN to integer", "`y0` must be
-    # finite").
+    # NaN or inf outputs (the portfolio of y = nan among them; spectral
+    # evaluate at y or t = nan or inf; gamma = inf), 2 ("numerical failure")
+    # for y0, the Feynman-Kac y, delta, a constant strategy and an infinite
+    # zeta, or 1 with a numpy or scipy message that names no field or the
+    # wrong one ("cannot convert float NaN to integer", "`y0` must be
+    # finite").  A grid of 0 points wrote a CSV with only its header
+    # (--t-grid) or ended in an IndexError traceback (--grid).
     assert main([*argv, "--out", "o_bad"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
@@ -583,14 +607,14 @@ def test_a_flag_that_is_not_a_number_exits_one_and_names_it(workdir, capsys, arg
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def _cli_child(*argv):
+def _cli_child(*argv, timeout=60):
     """``fpplab.cli`` run in a child with a timeout, so a hang fails the test
     instead of stalling the suite."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(
         fpplab.__file__)), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "fpplab.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 @pytest.mark.parametrize("r_max", ["nan", "inf"])
@@ -636,7 +660,7 @@ def test_spectral_evaluate_names_a_non_numeric_atom(workdir, capsys):
                  "--y", "0.1", "--out", "o_atom"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
-    assert "spectral measure atom: field 'zeta' must be a number" in err
+    assert "spectral measure atom zeta must be a number, got 'a'" in err
 
 
 @pytest.mark.parametrize("name, data, named", [
@@ -661,14 +685,19 @@ def test_spectral_evaluate_names_a_field_that_is_not_a_list(workdir, capsys, nam
     assert named in err
 
 
-@pytest.mark.parametrize("name, y0, owner", [
-    ("measure.json", "abc", "spectral measure"),
-    ("measure.json", [float("nan")], "spectral measure"),
-    ("selection.json", "abc", "eigenfunction selection"),
-    ("selection.json", [0.0, "abc"], "eigenfunction selection"),
+# Each eigenfunction reads the selection's y0 before the selection does, so
+# the first one names it.
+@pytest.mark.parametrize("name, y0, named", [
+    ("measure.json", "abc", "spectral measure y0 must be a number or a rectangular list of "
+                            "numbers, got 'abc'"),
+    ("measure.json", [float("nan")], "spectral measure y0 must be finite, got [nan]"),
+    ("selection.json", "abc", "exp eigenfunction y0 must be a number or a rectangular list "
+                              "of numbers, got 'abc'"),
+    ("selection.json", [0.0, "abc"], "exp eigenfunction y0 must be a number or a rectangular "
+                                     "list of numbers, got [0.0, 'abc']"),
 ], ids=["measure-string", "measure-nan", "selection-string", "selection-entry"])
 def test_spectral_evaluate_names_a_y0_that_is_not_finite_numbers(workdir, capsys, name, y0,
-                                                                 owner):
+                                                                 named):
     # numpy's "could not convert string to float" named neither file nor field.
     nu = SpectralMeasure([0.3, 1.1], [0.6, 0.4], [0.0])
     sel = EigenfunctionSelection((ExpEigenfunction([0.5], [0.0]),
@@ -683,7 +712,7 @@ def test_spectral_evaluate_names_a_y0_that_is_not_finite_numbers(workdir, capsys
                  "--y", "0.1", "--out", "o_y0"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
-    assert f"{owner}: field 'y0' must be a list of finite numbers" in err
+    assert f"error: {named}\n" == err
 
 
 def test_constant_strategy_of_the_wrong_width_exits_one_and_names_it(workdir, capsys):
@@ -852,3 +881,86 @@ def test_cli_surface_is_pinned():
                    if a.option_strings and not isinstance(a, argparse._HelpAction)}
         assert "--out" in options, name
         assert options == _SURFACE[name], name
+
+
+# ---------------------------------------------------------------------------
+# Every number through model.reals
+# ---------------------------------------------------------------------------
+
+def _write_edited(workdir, name, path, value):
+    """Write ``bad_<name>``: the JSON file ``name`` with the entry at ``path``
+    (keys and list indices) replaced by ``value``."""
+    data = json.load(open(workdir / name))
+    *parents, last = path
+    node = data
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    (workdir / f"bad_{name}").write_text(json.dumps(data))
+
+
+_BAD_SIM_RUN = ["sim", "run", "--model", "bad_model.json", "--config", "simcfg.json",
+                "--y0", "1.0"]
+_BAD_AFFINE_SOLVE = ["affine", "solve", "--spec", "bad_aspec.json", "--gamma", "2.0",
+                     "--horizon", "1.0"]
+_BAD_EVALUATE = ["spectral", "evaluate", "--measure", "measure.json", "--selection",
+                 "bad_selection.json", "--t-grid", "0:1:3", "--y", "0.1"]
+_STRING = "must be a number or a rectangular list of numbers, got"
+
+
+@pytest.mark.parametrize("name, path, value, argv, named", [
+    ("model.json", ("domain", "lower"), 3, _BAD_SIM_RUN,
+     "domain: field 'lower' must be a list"),
+    ("model.json", ("domain", "lower", 0), math.nan, _BAD_SIM_RUN,
+     "domain lower must be finite, got nan"),
+    ("model.json", ("rho", 1, 0), None, _BAD_SIM_RUN, f"model spec rho {_STRING} [[0.5], [None]]"),
+    ("model.json", ("sigma", "value", 0, 0), math.nan, _BAD_SIM_RUN,
+     "constant field value[0] must be finite, got [nan, 0.0]"),
+    ("model.json", ("alpha", "offset", 0), math.nan, _BAD_SIM_RUN,
+     "affine field offset must be finite, got [nan]"),
+    ("model.json", ("kappa", "scale", 0), math.nan, _BAD_SIM_RUN,
+     "sqrt_diag field scale must be finite, got [nan]"),
+    ("model.json", ("rho",), "abc", _BAD_SIM_RUN, f"model spec rho {_STRING} 'abc'"),
+    ("model.json", ("sigma", "value"), "x", _BAD_SIM_RUN, f"constant field value {_STRING} 'x'"),
+    ("aspec.json", ("w", 0), math.nan, _BAD_AFFINE_SOLVE,
+     "affine spec w must be finite, got [nan]"),
+    ("aspec.json", ("h0",), "abc", _BAD_AFFINE_SOLVE, "affine spec h0 must be a number, got 'abc'"),
+    ("selection.json", ("functions", 0, "v", 0), math.nan, _BAD_EVALUATE,
+     "exp eigenfunction v must be finite, got [nan]"),
+    ("selection.json", ("functions", 0, "v"), "abc", _BAD_EVALUATE,
+     f"exp eigenfunction v {_STRING} 'abc'"),
+], ids=["domain_not_a_list", "domain_nan", "rho_null", "sigma_nan", "alpha_offset_nan",
+        "kappa_scale_nan", "rho_string", "field_value_string", "affine_w_nan",
+        "affine_h0_string", "eigenfunction_v_nan", "eigenfunction_v_string"])
+def test_a_bad_number_in_a_file_exits_one_and_names_its_field(workdir, capsys, name, path,
+                                                              value, argv, named):
+    # Before every constructor read its numbers through model.reals these
+    # ended in a TypeError traceback (lower: 3), exited 0 with NaN output
+    # (domain, w, v), exited 2 with "SVD did not converge" or "non-finite
+    # value in path update" (rho, sigma, alpha, kappa), or exited 1 with
+    # numpy's "could not convert string to float", which names no field.
+    _write_edited(workdir, name, path, value)
+    assert main([*argv, "--out", "o_bad"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert named in err
+
+
+@pytest.mark.parametrize("value, method", [(None, "auto"), (math.nan, "numeric")],
+                         ids=["null_auto", "nan_numeric"])
+def test_affine_solve_refuses_a_bad_m_at_once(workdir, value, method):
+    # Both solves were still running after 20 s: the numeric Riccati solve of
+    # a NaN coupling never returns.
+    _write_edited(workdir, "aspec.json", ("M", 0, 0), value)
+    out = _cli_child(*_BAD_AFFINE_SOLVE, "--method", method, "--out", "o_m", timeout=30)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+    assert "affine spec M" in out.stderr
+
+
+def test_spectral_invert_refuses_a_nan_sample(workdir, capsys):
+    # A NaN sample passed the positivity test and the Hankel SVD failed to
+    # converge: exit 2 ("numerical failure") for bad input.
+    (workdir / "nan.csv").write_text("t,u\n0,1\n0.1,nan\n0.2,0.8\n0.3,0.7\n0.4,0.6\n0.5,0.5\n")
+    assert main(["spectral", "invert", "--in", "nan.csv", "--atoms", "1", "--out", "o_inv"]) == 1
+    assert capsys.readouterr().err == "error: samples[1] must be finite, got [0.1, nan]\n"

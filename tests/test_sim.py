@@ -52,7 +52,7 @@ def test_config_validation():
                                         ("horizon", math.inf), ("dt", -math.inf)])
 def test_config_refuses_non_finite_times_and_names_them(key, value):
     # NaN passed dt <= 0 and later failed in n_steps naming no field.
-    with pytest.raises(ConfigError, match=f"^{key} must be positive and finite$"):
+    with pytest.raises(ConfigError, match=f"^simulation config {key} must be finite, got {value}$"):
         SimulationConfig(**{"dt": 0.1, "horizon": 1.0, "n_paths": 10, key: value})
 
 
@@ -151,7 +151,7 @@ def test_step_noise_matches_the_oracle(seed, step, n_paths, dims, path_contiguou
     (5, 0, 9, 3, 1),              # an odd number of normals per step
     (5, 17, 26, 1, 1),            # one normal per pair, read from pair 17 on
 ])
-def test_path_noise_matches_one_philox_per_path(seed, pair_lo, pair_hi, n_steps, dims):
+def test_step_noise_matches_one_philox_per_step(seed, pair_lo, pair_hi, n_steps, dims):
     # Pairs pair_lo ... pair_hi - 1 at each step read their rows of one
     # Philox keyed (seed mod 2^64, step): the even path copies the row and
     # the odd path negates it.

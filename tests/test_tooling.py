@@ -4,7 +4,9 @@ once: a value's form is its fields (or declared ``params``) through
 import ast
 import inspect
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +18,7 @@ import fpplab.model
 import fpplab.sim
 from fpplab.affine import AffineSpec
 from fpplab.cli import main
+from fpplab.errors import ConfigError
 from fpplab.eve import EveProjection
 from fpplab.model import (_FIELD_FAMILIES, AffineField, Box, CheckResult, CoefficientField,
                           ConstantField, GridField, ModelSpec, SqrtAffineField, SqrtDiagField,
@@ -142,7 +145,7 @@ def _engine_sites(path):
     return philox, noise, policy
 
 
-def test_sim_has_one_block_loop_and_one_boundary_step():
+def test_sim_has_one_noise_helper_and_one_boundary_step():
     # One noise helper keyed by (seed, step), called by the two Euler loops.
     philox, noise = set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
@@ -688,3 +691,81 @@ def _key_error_handlers(path):
 def test_no_module_catches_key_error():
     # Missing JSON keys are named by model.require; no reader catches KeyError.
     assert [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _key_error_handlers(path)] == []
+
+
+# ---------------------------------------------------------------------------
+# One gate for numbers
+# ---------------------------------------------------------------------------
+
+_OLD_NUMBER_CHECKS = {"_is_number", "require_real", "require_reals", "require_finite"}
+
+
+def test_reals_is_the_one_number_check():
+    defined = {node.name for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert "reals" in defined and not defined & _OLD_NUMBER_CHECKS
+    # Outside model.py, a name imported from .model that speaks of numbers,
+    # reals or finiteness is reals itself.
+    imported = {alias.name for path in sorted(PACKAGE.glob("*.py")) if path.name != "model.py"
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom) and node.module == "model"
+                for alias in node.names if re.search("real|finite|number", alias.name)}
+    assert imported == {"reals"}
+
+
+def _numeric_leaves(value, path=()):
+    """Paths (keys and list indices) of the int and float leaves of a JSON value."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _numeric_leaves(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _numeric_leaves(item, path + (i,))
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield path
+
+
+def _replaced(data, path, value):
+    data = json.loads(json.dumps(data))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+def _kind_reader(name):
+    y0 = KINDS[name].y0.tolist()
+    return lambda data: EigenfunctionSelection.from_json({"functions": [data], "y0": y0})
+
+
+_MEASURE = '{"atoms": [{"weight": 0.3, "zeta": 0.5}, {"weight": 0.7, "zeta": 2.0}], "y0": [0.0]}'
+_READERS = {**{name: CoefficientField.from_json for name in FIELDS},
+            **{name: _kind_reader(name) for name in KINDS},
+            "model": ModelSpec.from_json, "affine_spec": AffineSpec.from_json,
+            "sim_config": SimulationConfig.from_json,
+            "selection": EigenfunctionSelection.from_json, "measure": SpectralMeasure.from_json}
+
+
+@pytest.mark.parametrize("name", sorted(_READERS))
+def test_every_json_number_is_refused_by_name_when_it_is_not_one(name):
+    # Each numeric leaf in turn becomes a string, a null, a bool, NaN or
+    # Infinity; the reader refuses each with a ConfigError naming its key.
+    # Only a domain bound may be null: it means infinity.
+    literal = _MEASURE if name == "measure" else PINNED[name]
+    data, read = json.loads(literal), _READERS[name]
+    read(data)
+    leaves = list(_numeric_leaves(data))
+    assert leaves
+    for path in leaves:
+        key = next(k for k in reversed(path) if isinstance(k, str))
+        for value in ("x", None, True, math.nan, math.inf):
+            edited = _replaced(data, path, value)
+            if value is None and path[0] == "domain":
+                read(edited)
+                continue
+            with pytest.raises(ConfigError) as exc:
+                read(edited)
+            assert re.search(rf"\b{re.escape(key)}'?(\[\d+\])? must be ", str(exc.value)), \
+                (path, value, str(exc.value))
