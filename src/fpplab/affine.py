@@ -53,7 +53,7 @@ from .errors import (ClosedFormInapplicableError, ConfigError,
                      ExponentOverflowError, IntegrationError, RiccatiBlowUpError)
 from .model import (AffineField, Box, ConstantField, Fields, MarketTerms, ModelSpec, RiskParams,
                     SqrtAffineField, SqrtDiagField, from_params, market_terms, reals,
-                    require_shape, rowwise)
+                    require_shape, rowwise, states)
 
 BLOW_UP_THRESHOLD = 1e8
 DIAGONAL_TOL = 1e-12      # AffineSpec.is_diagonal: relative off-diagonal tolerance
@@ -99,7 +99,7 @@ class AffineSpec(Fields):
             object.__setattr__(self, name, form(reals(getattr(self, name), f"affine spec {name}",
                                                       scalar=form is float)))
         k = self.L.shape[0]
-        for name, want in (("M", (k, k)), ("N", (k, k)), ("w", (k,)),
+        for name, want in (("L", (k,)), ("M", (k, k)), ("N", (k, k)), ("w", (k,)),
                            ("Lambda", (k,)), ("c", (k,)), ("H", (k,))):
             if getattr(self, name).shape != want:
                 raise ConfigError(f"AffineSpec.{name} must have shape {want}")
@@ -132,9 +132,9 @@ class AffineSpec(Fields):
     def h(self, y):
         """The utility datum h(y) = exp(H^T y + h0) at one state (k,) as a
         float, or at a stack of states (P, k) as (P,)."""
-        y = np.asarray(y, dtype=float)
-        out = np.exp(y @ self.H + self.h0)
-        return float(out) if y.ndim < 2 else out
+        Y, one = states(y, self.k, owner="affine spec")
+        out = np.exp(Y @ self.H + self.h0)
+        return float(out[0]) if one else out
 
     @staticmethod
     def from_json(data: dict) -> "AffineSpec":
@@ -213,15 +213,14 @@ class RiccatiSolution:
     def __call__(self, t, y):
         """u(t, y) = exp(Phi(t)^T y + Theta(t)) at one state y (k,) as a
         float, or at stacked states (P, k) as (P,), from one read of z;
-        ConfigError if t or y is not finite or y has another k,
         ExponentOverflowError if the exponent exceeds 700."""
-        y = np.asarray(reals(y, "y"))
-        require_shape(y, y.shape[:-1] + (self.spec.k,), owner="FPP")
+        Y, one = states(y, self.spec.k, owner="FPP")
         z = self.state(reals(t, "t", scalar=True))
-        expo = y @ z[:-1] + z[-1]
+        expo = Y @ z[:-1] + z[-1]
         if np.any(expo > _EXP_LIMIT):
             raise ExponentOverflowError(f"exponent {np.max(expo):.6g} exceeds {_EXP_LIMIT:g}")
-        return np.exp(expo) if y.ndim > 1 else float(np.exp(expo))
+        u = np.exp(expo)
+        return float(u[0]) if one else u
 
     def log_gradient(self, t, Y):
         """grad_y u / u at the stacked states Y (P, k): Phi(t) broadcast to a
@@ -466,18 +465,12 @@ def optimal_portfolio_affine(u, model_spec: ModelSpec, rp: RiskParams, t: float,
 
     Raises
     ------
-    ConfigError
-        If ``y`` or grad_y u / u does not have the model's k factors, or
-        ``y`` has an entry that is not a finite number.
     SingularModelError
         If sigma(y) has rank below n at some point.
     """
-    y = np.atleast_1d(reals(y, "y"))
-    k = model_spec.k
-    require_shape(y, (k,) if y.ndim == 1 else (len(y), k))
-    Y = np.atleast_2d(y)
+    Y, one = states(y, model_spec.k)
     pi = optimal_portfolio_from_terms(market_terms(model_spec, Y), rp, u.log_gradient(t, Y))
-    return pi[0] if y.ndim == 1 else pi
+    return pi[0] if one else pi
 
 
 def optimal_portfolio_from_terms(terms: MarketTerms, rp: RiskParams,

@@ -241,10 +241,10 @@ def spectral_evaluate(args, out_dir):
     nu = spectral.SpectralMeasure.from_json(read_json(args.measure))
     sel = spectral.EigenfunctionSelection.load(args.selection)
     ts = _parse_grid(args.t_grid, "--t-grid")
-    Y = np.array([_parse_floats(v, "--y") for v in args.y.split(";")])
+    Y = [_parse_floats(v, "--y").tolist() for v in args.y.split(";")]
     u = spectral.WidderFunction(nu, sel)
     rows = [[t, *y, v] for t in ts for y, v in zip(Y, u(t, Y))]
-    header = "t," + ",".join(f"y{i}" for i in range(Y.shape[1])) + ",u"
+    header = "t," + ",".join(f"y{i}" for i in range(len(Y[0]))) + ",u"
     path = _write_csv(out_dir, "widder_values.csv", header, rows)
     return [args.measure, args.selection], [path], None
 

@@ -19,9 +19,14 @@ Every JSON file of the package is read by ``read_json`` and written by
 
 Every number enters through ``reals``, which refuses strings, nulls, bools,
 ragged lists, NaN and +-inf: each constructor and each public entry point
-that takes a state, a time or a level reads its numbers through it, so the
-JSON readers hand raw values on.  ``Box`` alone allows +-inf (null in JSON);
-its reader sends every other entry through ``reals``, and it refuses NaN.
+that takes a time or a level reads its numbers through it, and each that
+takes factor states, one (k,) or a stack (P, k), reads them through
+``states``, which calls ``reals``; the JSON readers hand raw values on.
+``market_terms``, ``CoefficientField.batch``, the generator closures,
+``Strategy.allocations`` and ``log_gradient`` take no gate: the Euler loop
+calls them every step on states it built, and ``require_shape`` alone checks
+a computed stack there.  ``Box`` alone allows +-inf (null in JSON); its
+reader sends every other entry through ``reals``, and it refuses NaN.
 
 The module also derives the second-order linear operator
 
@@ -112,6 +117,17 @@ def reals(value, what: str, scalar: bool = False):
     return float(arr) if arr.ndim == 0 else arr
 
 
+def states(y, k: int, what: str = "y", owner: str = "model", start: Box | None = None):
+    """``(Y, one)``: the states ``y``, one (k,) or a stack (P, k), read through
+    ``reals`` as a stack Y, (1, k) for one state, which sets ``one``; with
+    ``start``, one state inside that box.  Other shapes are refused."""
+    Y = np.asarray(reals(y, what))
+    require_shape(Y, (len(Y), k) if Y.ndim == 2 and start is None else (k,), what, owner)
+    if start is not None and not start.contains(Y):
+        raise ConfigError(f"{what} {Y.tolist()} lies outside the domain {start}")
+    return (Y[None], True) if Y.ndim == 1 else (Y, False)
+
+
 def _json_keys(cls):
     """Keys of the JSON form of ``cls`` in order, written and read alike: the
     ``params`` it declares or else its dataclass fields that its constructor
@@ -196,9 +212,10 @@ class CoefficientField(Fields):
     @staticmethod
     def from_json(data: dict) -> "CoefficientField":
         require(data, ["family"], "coefficient field")
-        cls = _FIELD_FAMILIES.get(data["family"])
+        family = data["family"]
+        cls = _FIELD_FAMILIES.get(family) if isinstance(family, str) else None
         if cls is None:
-            raise ConfigError(f"coefficient field: unknown family '{data['family']}'")
+            raise ConfigError(f"coefficient field: unknown family {family!r}")
         return from_params(cls, data, f"{cls.family} field")
 
 
@@ -335,6 +352,9 @@ class Box:
 
     # contains, clip and reflect loop over the k columns: on short rows that
     # is several times faster than broadcasting over a last axis of length k.
+
+    def __str__(self):
+        return " x ".join(f"[{lo:g}, {hi:g}]" for lo, hi in zip(self.lower, self.upper))
 
     def contains(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -485,9 +505,13 @@ class ModelSpec(Fields):
     @staticmethod
     def from_json(data: dict) -> "ModelSpec":
         require(data, _json_keys(ModelSpec), "model spec")
-        spec = ModelSpec(**{key: CoefficientField.from_json(data[key])
-                            for key in ("mu", "sigma", "alpha", "kappa")},
-                         rho=data["rho"], domain=Box.from_json(data["domain"]))
+        coefficients = {}
+        for key in ("mu", "sigma", "alpha", "kappa"):
+            try:
+                coefficients[key] = CoefficientField.from_json(data[key])
+            except ConfigError as exc:
+                raise ConfigError(f"model spec {key}: {exc}") from None
+        spec = ModelSpec(**coefficients, rho=data["rho"], domain=Box.from_json(data["domain"]))
         # Dimension keys of files written by earlier versions.
         for key, dim in (("n", "n"), ("k", "k"), ("d_W", "d_W"), ("d_B", "d_B"),
                          ("d_Wperp", "d_B")):
@@ -731,7 +755,7 @@ def validate(spec: ModelSpec, grid: np.ndarray,
     The report never raises; failures are carried as entries.  Pure function:
     identical inputs produce identical reports.
     """
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    grid, _ = states(grid, spec.k, "grid")
     if grid.shape[0] == 0:
         raise ConfigError("validation grid is empty")
     if not np.all(spec.domain.contains(grid)):

@@ -62,8 +62,8 @@ import numpy as np
 from .affine import optimal_portfolio_from_terms
 from .errors import ConfigError, SimulationError
 from .model import (Box, Fields, GeneratorCoefficients, MarketTerms, ModelSpec, RiskParams,
-                    market_terms, plain, read_json, reals, require, require_int, require_shape,
-                    rowwise, write_json)
+                    market_terms, plain, read_json, reals, require, require_int, rowwise, states,
+                    write_json)
 
 BOUNDARY_POLICIES = ("full-truncation", "absorb", "reflect")
 _MAX_FLAGS = 100   # nonfinite locations kept by admissibility_check
@@ -397,8 +397,8 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
     Raises
     ------
     ConfigError
-        If x0 is not positive and finite, y0 has an entry that is not a
-        finite number, or the strategy's allocations are not shaped (P, n).
+        If x0 is not positive and finite, or the strategy's allocations are
+        not shaped (P, n).
     SimulationError
         On the first non-finite increment of Y, log S or log X, reporting
         (path, step).  sigma has full column rank, so a non-finite allocation
@@ -406,8 +406,7 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
     """
     if y0 is None:
         y0 = model.domain.interior_grid(points_per_dim=1)[0]
-    y0 = np.atleast_1d(reals(y0, "y0"))
-    require_shape(y0, (model.k,), "y0")
+    y0, _ = states(y0, model.k, "y0", start=model.domain)
     if not 0 < x0 < np.inf:     # false for NaN
         raise ConfigError(f"initial wealth x0 must be positive and finite, got {x0}")
 
@@ -475,7 +474,7 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
     return PathBundle(times=rec_idx * dt, exit_time=exit_time, model=model, config=cfg,
                       diagnostics={"mixer_residual": mix_residual,
                                    "strategy": strategy.name,
-                                   "x0": x0, "y0": y0.tolist(),
+                                   "x0": x0, "y0": y0[0].tolist(),
                                    "exited_paths": int(np.count_nonzero(~np.isnan(exit_time))),
                                    "clipped_states": clipped},
                       **out)
@@ -517,11 +516,10 @@ def feynman_kac_estimate(gen: GeneratorCoefficients, h: Callable, t: float,
     if gen.kappa_batch is None:
         raise ConfigError("generator carries no kappa_batch; Feynman-Kac steps "
                           "with kappa^T dB")
-    y = np.atleast_1d(reals(y, "y"))
-    require_shape(y, (gen.k,), owner="generator")
     if domain is None:
-        domain = Box(np.full(y.size, -np.inf), np.full(y.size, np.inf))
-    d_B = gen.kappa_batch(y[None]).shape[1]
+        domain = Box(np.full(gen.k, -np.inf), np.full(gen.k, np.inf))
+    y, _ = states(y, gen.k, owner="generator", start=domain)
+    d_B = gen.kappa_batch(y).shape[1]
     n_steps = max(1, int(round(t / cfg.dt)))
     dt = t / n_steps
     sqdt = np.sqrt(dt)

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import (ConditioningError, ConfigError, InconsistentDataError,
                      IntegrationError, NonRepresentableError, PositivityError)
 from .model import (Fields, GeneratorCoefficients, from_params, reals, require, require_list,
-                    require_shape)
+                    require_shape, states)
 
 _COND_LIMIT = 1e12
 MATCH_TOL = 1e-9            # TabulatedEigenfunction: max-norm distance of a match
@@ -323,9 +323,9 @@ class EigenfunctionSelection(Fields):
         funcs = []
         for fd in require_list(data, "functions", "eigenfunction selection"):
             require(fd, ["kind"], "eigenfunction")
-            cls = _KINDS.get(fd["kind"])
+            cls = _KINDS.get(fd["kind"]) if isinstance(fd["kind"], str) else None
             if cls is None:
-                raise ConfigError(f"unknown eigenfunction kind '{fd['kind']}'")
+                raise ConfigError(f"unknown eigenfunction kind {fd['kind']!r}")
             funcs.append(from_params(cls, fd, f"{cls.kind} eigenfunction", data["y0"]))
         return EigenfunctionSelection(tuple(funcs), data["y0"])
 
@@ -353,21 +353,22 @@ class WidderFunction:
 
     def __call__(self, t, y):
         """u at one state y (k,) as a float, or at stacked states Y (P, k) as
-        (P,); ConfigError if t or y is not finite or y has another k."""
+        (P,)."""
         if reals(t, "t", scalar=True) < 0:
             raise ValueError("t must be >= 0")
-        y = np.asarray(reals(y, "y"))
-        require_shape(y, y.shape[:-1] + self.sel.y0.shape, owner="FPP")
-        u = self.sel.values(np.atleast_2d(y)) @ self._coeff(t)
-        return float(u[0]) if y.ndim < 2 else u
+        Y, one = states(y, self.sel.y0.size, owner="FPP")
+        u = self.sel.values(Y) @ self._coeff(t)
+        return float(u[0]) if one else u
 
-    def derivatives(self, t, Y):
+    def derivatives(self, t, y):
         """(du/dt (P,), u (P,), grad_y u (P, k), Hess_y u (P, k, k)) at the
-        stacked states Y (P, k); ConfigError if t, Y are not finite or Y has another k."""
-        return self._derivatives(reals(t, "t", scalar=True), reals(Y, "Y"))
+        stacked states y (P, k); at one state (k,) each is its one row, du/dt
+        and u floats."""
+        Y, one = states(y, self.sel.y0.size, owner="FPP")
+        out = self._derivatives(reals(t, "t", scalar=True), Y)
+        return tuple(v[0] for v in out) if one else out
 
     def _derivatives(self, t, Y):
-        require_shape(Y, (len(Y),) + self.sel.y0.shape, owner="FPP")
         c = self._coeff(t)
         psi, grad, hess = (np.stack(d, axis=-1) for d in
                            zip(*(f.derivatives(Y) for f in self.sel.functions)))
@@ -375,7 +376,8 @@ class WidderFunction:
 
     def log_gradient(self, t, Y):
         """grad_y u / u at stacked states Y (P, k), shape (P, k); ungated, as the
-        Euler loop reads it every step."""
+        Euler loop reads it every step, but Y must have the FPP's k."""
+        require_shape(Y, (len(Y), self.sel.y0.size), owner="FPP")
         _, u, grad, _ = self._derivatives(t, Y)
         return grad / u[:, None]
 
@@ -389,6 +391,8 @@ def solve_eigenfunction_1d(gen: GeneratorCoefficients, zeta: float, y0: float,
     """Integrate (1/2) a psi'' + b psi' + (P - zeta) psi = 0 from
     psi(y0) = 1, psi'(y0) = slope_s across the grid (both directions).
 
+    y0 is a number like zeta and slope_s, and the grid a list of numbers.
+
     Positivity is checked on the grid only: the returned object carries psi on
     the grid as ``values`` and the sign change nearest y0, if any, as
     ``first_sign_change`` (location by linear interpolation).
@@ -397,9 +401,12 @@ def solve_eigenfunction_1d(gen: GeneratorCoefficients, zeta: float, y0: float,
 
     if gen.k != 1:
         raise ConfigError("one-factor routine requires k = 1")
-    zeta, slope_s = reals(zeta, "zeta", scalar=True), reals(slope_s, "slope", scalar=True)
-    grid = np.sort(np.asarray(grid, dtype=float))
-    y0 = float(np.atleast_1d(y0)[0])
+    zeta, slope_s, y0 = (reals(v, what, scalar=True) for v, what in
+                         ((zeta, "zeta"), (slope_s, "slope"), (y0, "y0")))
+    grid = reals(grid, "grid")
+    if np.ndim(grid) != 1:
+        raise ConfigError(f"grid must be a list of numbers, got shape {np.shape(grid)}")
+    grid = np.sort(grid)
     if not (grid[0] <= y0 <= grid[-1]):
         raise ConfigError("y0 must lie inside the grid span")
     if np.any(gen.a_batch(grid[:, None]) <= 0):

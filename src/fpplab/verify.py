@@ -23,7 +23,7 @@ import numpy as np
 from .errors import (ConcavityViolationError, ConfigError,
                      InsufficientSampleError, PositivityError)
 from .model import (Fields, GeneratorCoefficients, ModelSpec, RiskParams, market_terms, reals,
-                    require_shape, rowwise)
+                    require_shape, rowwise, states)
 from .sim import PathBundle, pair_se
 
 
@@ -187,9 +187,9 @@ def hjb_residual(V: Callable, model: ModelSpec, rp: RiskParams,
     ConcavityViolationError
         At the first grid point, in table order, with d2V/dx2 >= 0.
     """
+    Y, _ = states(y_points, model.k, "y_points")
     T = np.atleast_1d(np.asarray(t_vals, dtype=float))
     X = np.atleast_1d(np.asarray(x_vals, dtype=float))
-    Y = np.atleast_2d(np.asarray(y_points, dtype=float))
     # Spatial points z = (x, y), y outer and x inner; the x step scales with |x|.
     Z = np.column_stack([np.tile(X, len(Y)), np.repeat(Y, len(X), axis=0)])
     H = np.full(Z.shape, float(fd_step))
@@ -246,8 +246,8 @@ def distortion_roundtrip(u: Callable, rp: RiskParams, gen: GeneratorCoefficients
     """
     q, Gamma, p = rp.q, rp.Gamma, rp.p
     exact = hasattr(u, "derivatives")
+    Y, _ = states(y_points, gen.k, "y_points", "generator")
     T = np.atleast_1d(np.asarray(t_vals, dtype=float))
-    Y = np.atleast_2d(np.asarray(y_points, dtype=float))
     iy, it = np.indices((len(Y), len(T))).reshape(2, -1)
 
     if exact:
@@ -360,24 +360,20 @@ def optimal_portfolio_residual(model: ModelSpec, rp: RiskParams, u, t: float, y,
                                pi) -> float:
     """Largest row norm of sigma(y) pi - (lambda + q rho kappa grad_y u / u) / gamma
     for the FPP u at one state y (k,) with pi (n,), or at a stack (P, k) with
-    (P, n), from one evaluation of the market and of ``u.log_gradient``;
-    ``ConfigError`` if y or grad_y u / u lacks the model's k factors or pi
-    does not have one row per state.
+    (P, n), from one evaluation of the market and of ``u.log_gradient``.
 
     The target is re-derived here on purpose, not taken from
     ``affine.optimal_portfolio_from_terms``: an identity check that called the
     code building pi* would certify that code against itself."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    require_shape(y, (model.k,) if y.ndim == 1 else (len(y), model.k))
-    Y = np.atleast_2d(y)
+    Y, one = states(y, model.k)
     terms = market_terms(model, Y)
     phi = u.log_gradient(t, Y)
     require_shape(phi, (len(Y), model.k), "grad_y u / u")
     hedge = np.einsum("pbk,pk->pb", terms.kappa, phi) @ model.rho.T
     target = (terms.lam + rp.q * hedge) / rp.gamma
-    pi = np.asarray(pi, dtype=float)
-    if pi.shape != y.shape[:-1] + (model.n,):
-        raise ConfigError(f"pi has shape {pi.shape}; y has shape {y.shape} and the "
+    pi = np.asarray(reals(pi, "pi"))
+    if pi.shape != ((model.n,) if one else (len(Y), model.n)):
+        raise ConfigError(f"pi has shape {pi.shape}; y has shape {np.shape(y)} and the "
                           f"model n={model.n}")
     return float(np.max(np.linalg.norm(rowwise(terms.sigma, np.atleast_2d(pi)) - target, axis=1)))
 

@@ -915,13 +915,14 @@ _STRING = "must be a number or a rectangular list of numbers, got"
      "domain lower must be finite, got nan"),
     ("model.json", ("rho", 1, 0), None, _BAD_SIM_RUN, f"model spec rho {_STRING} [[0.5], [None]]"),
     ("model.json", ("sigma", "value", 0, 0), math.nan, _BAD_SIM_RUN,
-     "constant field value[0] must be finite, got [nan, 0.0]"),
+     "model spec sigma: constant field value[0] must be finite, got [nan, 0.0]"),
     ("model.json", ("alpha", "offset", 0), math.nan, _BAD_SIM_RUN,
-     "affine field offset must be finite, got [nan]"),
+     "model spec alpha: affine field offset must be finite, got [nan]"),
     ("model.json", ("kappa", "scale", 0), math.nan, _BAD_SIM_RUN,
-     "sqrt_diag field scale must be finite, got [nan]"),
+     "model spec kappa: sqrt_diag field scale must be finite, got [nan]"),
     ("model.json", ("rho",), "abc", _BAD_SIM_RUN, f"model spec rho {_STRING} 'abc'"),
-    ("model.json", ("sigma", "value"), "x", _BAD_SIM_RUN, f"constant field value {_STRING} 'x'"),
+    ("model.json", ("sigma", "value"), "x", _BAD_SIM_RUN,
+     f"model spec sigma: constant field value {_STRING} 'x'"),
     ("aspec.json", ("w", 0), math.nan, _BAD_AFFINE_SOLVE,
      "affine spec w must be finite, got [nan]"),
     ("aspec.json", ("h0",), "abc", _BAD_AFFINE_SOLVE, "affine spec h0 must be a number, got 'abc'"),
@@ -964,3 +965,57 @@ def test_spectral_invert_refuses_a_nan_sample(workdir, capsys):
     (workdir / "nan.csv").write_text("t,u\n0,1\n0.1,nan\n0.2,0.8\n0.3,0.7\n0.4,0.6\n0.5,0.5\n")
     assert main(["spectral", "invert", "--in", "nan.csv", "--atoms", "1", "--out", "o_inv"]) == 1
     assert capsys.readouterr().err == "error: samples[1] must be finite, got [0.1, nan]\n"
+
+
+# ---------------------------------------------------------------------------
+# Factor states and tags
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, named", [
+    (["sim", "run", "--y0", "0.5,-3"],
+     "y0 [0.5, -3.0] lies outside the domain [0, inf] x [0, inf]"),
+    (["sim", "feynman-kac", "--gamma", "2.0", "--t", "0.5", "--y", "0.5,-3"],
+     "y [0.5, -3.0] lies outside the domain [0, inf] x [0, inf]"),
+])
+def test_a_start_outside_the_domain_exits_one(workdir, capsys, argv, named):
+    # Both exited 0, the paths starting at y_2 = -3 on the model [0, inf)^2.
+    market, _ = affine.canonical_affine_market(
+        M=np.diag([-0.5, -0.8]), w=[0.4, 0.5], L=[0.2, 0.15], Lambda=[0.16, 0.09],
+        lambda0=0.04, H=[-0.3, 0.2], rp=RiskParams(gamma=2.0, p=0.25))
+    market.save(workdir / "model2f.json")
+    assert main([*argv, "--model", "model2f.json", "--config", "simcfg.json",
+                 "--out", "o"]) == 1
+    assert capsys.readouterr().err == f"error: {named}\n"
+
+
+def test_a_ragged_list_of_states_exits_one_naming_y(workdir, capsys):
+    # numpy's "setting an array element with a sequence" named no argument.
+    assert main(["spectral", "evaluate", "--measure", "measure.json", "--selection",
+                 "selection.json", "--t-grid", "0:1:3", "--y", "0.5;0.5,0.3", "--out", "o"]) == 1
+    assert capsys.readouterr().err == ("error: y must be a number or a rectangular list of "
+                                       "numbers, got [[0.5], [0.5, 0.3]]\n")
+
+
+def test_an_affine_spec_whose_l_is_a_matrix_exits_one_naming_l(workdir, capsys):
+    # An uncaught IndexError ("too many indices for array") before L was checked.
+    _write_edited(workdir, "aspec.json", ("L",), [[0.2]])
+    assert main([*_BAD_AFFINE_SOLVE, "--out", "o"]) == 1
+    assert capsys.readouterr().err == "error: AffineSpec.L must have shape (1,)\n"
+
+
+@pytest.mark.parametrize("name, path, argv, message", [
+    ("model.json", ("mu", "family"), _BAD_SIM_RUN,
+     "model spec mu: coefficient field: unknown family ['sqrt_affine']"),
+    ("selection.json", ("functions", 0, "kind"), _BAD_EVALUATE,
+     "unknown eigenfunction kind ['exp']"),
+])
+def test_a_tag_that_is_not_a_string_exits_one_naming_its_key(workdir, capsys, name, path, argv,
+                                                             message):
+    # Both ended in an uncaught TypeError: unhashable type: 'list'.
+    data = json.load(open(workdir / name))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    _write_edited(workdir, name, path, [node[path[-1]]])
+    assert main([*argv, "--out", "o"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
