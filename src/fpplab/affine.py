@@ -52,7 +52,7 @@ import numpy as np
 from .errors import (ClosedFormInapplicableError, ConfigError,
                      ExponentOverflowError, IntegrationError, RiccatiBlowUpError)
 from .model import (AffineField, Box, ConstantField, Fields, MarketTerms, ModelSpec, RiskParams,
-                    SqrtAffineField, SqrtDiagField, from_params, market_terms, reals,
+                    SqrtAffineField, SqrtDiagField, from_params, instants, market_terms, reals,
                     require_shape, rowwise, states)
 
 BLOW_UP_THRESHOLD = 1e8
@@ -97,14 +97,12 @@ class AffineSpec(Fields):
                            ("N", np.atleast_2d), ("w", np.atleast_1d), ("L", np.atleast_1d),
                            ("Lambda", np.atleast_1d), ("c", np.atleast_1d), ("H", np.atleast_1d)):
             object.__setattr__(self, name, form(reals(getattr(self, name), f"affine spec {name}",
-                                                      scalar=form is float)))
+                                                      form is float, name == "L")))
         k = self.L.shape[0]
         for name, want in (("L", (k,)), ("M", (k, k)), ("N", (k, k)), ("w", (k,)),
                            ("Lambda", (k,)), ("c", (k,)), ("H", (k,))):
             if getattr(self, name).shape != want:
                 raise ConfigError(f"AffineSpec.{name} must have shape {want}")
-        if np.any(self.L <= 0):
-            raise ConfigError("AffineSpec.L entries must be positive")
         off = self.M - np.diag(np.diag(self.M))
         if np.any(off < -1e-12):
             raise ConfigError("AffineSpec.M must have non-negative off-diagonals")
@@ -153,8 +151,7 @@ class ClosedFormComponent(Fields):
 def _clock(horizon: float, direction: str) -> Callable:
     """Validate a run and return its map from t to the time since the anchor
     tau (t forward, horizon - t backward).  The map is its own inverse."""
-    if not reals(horizon, "horizon", scalar=True) > 0:
-        raise ConfigError(f"horizon must be positive, got {horizon}")
+    horizon = reals(horizon, "horizon", scalar=True, positive=True)
     if direction not in (FORWARD, BACKWARD):
         raise ConfigError(f"direction must be '{FORWARD}' or '{BACKWARD}'")
     if direction == FORWARD:
@@ -169,10 +166,10 @@ def _clock(horizon: float, direction: str) -> Callable:
 class RiccatiSolution:
     """Immutable solution z(t) = (Phi(t), Theta(t)) on [0, horizon].
 
-    ``state(t)`` accepts a scalar or 1-D array of times and returns z with
-    shape (k+1,) or (len(t), k+1); ``Phi(t)`` and ``Theta(t)`` are its first k
-    columns and its last one (a float for scalar t).  The solvers hand over
-    ``state_impl`` as a function of a 1-D array of times tau since the anchor.
+    ``state(t)`` reads a scalar or 1-D array of times through ``instants`` and
+    returns z with shape (k+1,) or (len(t), k+1); ``Phi(t)`` and ``Theta(t)``
+    are its first k columns and its last one (a float for scalar t).  The
+    solvers hand over ``state_impl``, z at a 1-D array of times tau since the anchor.
 
     ``solver`` holds the ODE solver's nfev, accepted steps, status and message
     for the numeric route, None for the closed form.  ``fallback_reason`` is
@@ -195,13 +192,10 @@ class RiccatiSolution:
         self._state_impl = state_impl
         self._phi_seen = {}      # t -> Phi(t), read-only; see log_gradient
 
-    def state(self, t):
-        t = np.asarray(t, dtype=float)
-        if not np.all((t >= -1e-12) & (t <= self.horizon + 1e-12)):     # false for NaN
-            raise ValueError(f"time outside solved horizon [0, {self.horizon}]")
-        tau = self._tau(np.clip(t, 0.0, self.horizon))
-        out = self._state_impl(np.atleast_1d(tau))
-        return out[0] if tau.ndim == 0 else out
+    def state(self, t, scalar: bool = False):
+        t = instants(t, horizon=self.horizon, scalar=scalar)
+        out = self._state_impl(np.atleast_1d(self._tau(t)))
+        return out if np.ndim(t) else out[0]
 
     def Phi(self, t):
         return self.state(t)[..., :-1]
@@ -215,7 +209,7 @@ class RiccatiSolution:
         float, or at stacked states (P, k) as (P,), from one read of z;
         ExponentOverflowError if the exponent exceeds 700."""
         Y, one = states(y, self.spec.k, owner="FPP")
-        z = self.state(reals(t, "t", scalar=True))
+        z = self.state(t, scalar=True)
         expo = Y @ z[:-1] + z[-1]
         if np.any(expo > _EXP_LIMIT):
             raise ExponentOverflowError(f"exponent {np.max(expo):.6g} exceeds {_EXP_LIMIT:g}")
@@ -398,7 +392,7 @@ def riccati_residual(sol: RiccatiSolution, times=None):
     """
     if times is None:
         times = np.linspace(0.0, sol.horizon, 100)
-    t = np.atleast_1d(np.asarray(times, dtype=float))
+    t = np.atleast_1d(instants(times, "times", sol.horizon))
     h = RESIDUAL_FD_STEP
 
     # Stencil rows: central inside, second-order one-sided forward and
@@ -432,9 +426,7 @@ def evaluate_u_affine(sol: RiccatiSolution, t: float, y) -> float | np.ndarray:
 
 def power_utility_prefactor(rp: RiskParams, x) -> np.ndarray:
     """gamma^gamma x^{1-gamma} / (1-gamma) for wealth x > 0."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("wealth must be positive")
+    x = np.asarray(reals(x, "wealth x", positive=True))
     g = rp.gamma
     return g ** g * x ** (1.0 - g) / (1.0 - g)
 
@@ -469,7 +461,8 @@ def optimal_portfolio_affine(u, model_spec: ModelSpec, rp: RiskParams, t: float,
         If sigma(y) has rank below n at some point.
     """
     Y, one = states(y, model_spec.k)
-    pi = optimal_portfolio_from_terms(market_terms(model_spec, Y), rp, u.log_gradient(t, Y))
+    phi = u.log_gradient(instants(t, scalar=True), Y)
+    pi = optimal_portfolio_from_terms(market_terms(model_spec, Y), rp, phi)
     return pi[0] if one else pi
 
 
@@ -499,7 +492,7 @@ def canonical_affine_market(M, w, L, Lambda, lambda0, H, rp: RiskParams,
     rho = sqrt(p) [I_k; 0], so that rho^T rho = p I and the cross term is
     N = diag(Gamma sqrt(p) sqrt(L_i Lambda_i)), c = 0.
     """
-    L = np.atleast_1d(reals(L, "affine spec L"))
+    L = np.atleast_1d(reals(L, "affine spec L", positive=True))
     Lambda = np.atleast_1d(reals(Lambda, "affine spec Lambda"))
     k = L.shape[0]
 

@@ -17,16 +17,17 @@ The Euler step, pi* and the verification residuals read them from it.
 Every JSON file of the package is read by ``read_json`` and written by
 ``write_json`` in one format: indent 2, keys sorted, no trailing newline.
 
-Every number enters through ``reals``, which refuses strings, nulls, bools,
-ragged lists, NaN and +-inf: each constructor and each public entry point
-that takes a time or a level reads its numbers through it, and each that
-takes factor states, one (k,) or a stack (P, k), reads them through
-``states``, which calls ``reals``; the JSON readers hand raw values on.
-``market_terms``, ``CoefficientField.batch``, the generator closures,
+Every constructor and public entry point reads its input through one of
+three gates: numbers through ``reals`` (no string, null, bool, ragged list,
+NaN or +-inf; with ``positive``, no entry <= 0), factor states, one (k,) or
+a stack (P, k), through ``states`` and times, kept in [0, horizon], through
+``instants``; both call ``reals``.  The JSON readers hand raw values
+on.  ``market_terms``, ``CoefficientField.batch``, the generator closures,
 ``Strategy.allocations`` and ``log_gradient`` take no gate: the Euler loop
-calls them every step on states it built, and ``require_shape`` alone checks
-a computed stack there.  ``Box`` alone allows +-inf (null in JSON); its
-reader sends every other entry through ``reals``, and it refuses NaN.
+calls them every step on states and times it built, and ``require_shape``
+alone checks a computed stack there.  ``Box`` alone allows +-inf (null in
+JSON); its reader sends every other entry through ``reals``, and it
+refuses NaN.
 
 The module also derives the second-order linear operator
 
@@ -94,10 +95,11 @@ def _holds_bool(value) -> bool:
             else isinstance(value, (bool, np.bool_)))
 
 
-def reals(value, what: str, scalar: bool = False):
+def reals(value, what: str, scalar: bool = False, positive: bool = False):
     """``value`` as a float array, or as a float for one number; a
     ``ConfigError`` naming ``what`` for a string, a null, a bool, a ragged
-    list, NaN or +-inf in it, or with ``scalar`` for more than one number.
+    list, NaN or +-inf in it, with ``scalar`` for more than one number, and
+    with ``positive`` for an entry <= 0 ("dt must be positive, got 0.0").
     A stack of states (ndim > 1) is named by its first row that is not
     finite, as in "y[1] must be finite, got [inf, 0.5]"."""
     try:
@@ -114,7 +116,22 @@ def reals(value, what: str, scalar: bool = False):
             row = int(np.argmin(finite.reshape(len(arr), -1).all(axis=1)))
             what, arr = f"{what}[{row}]", arr[row]
         raise ConfigError(f"{what} must be finite, got {arr.tolist()}")
+    if positive and not (arr > 0).all():
+        raise ConfigError(f"{what} must be positive, got {arr.tolist()}")
     return float(arr) if arr.ndim == 0 else arr
+
+
+def instants(t, what: str = "t", horizon: float = np.inf, scalar: bool = False,
+             positive: bool = False):
+    """The times ``t`` read through ``reals``, in [0, horizon]: one within
+    1e-12 outside an end is that end, any other is refused naming ``what``
+    and the interval, as in "t must lie in [0, 1], got 1.2"."""
+    T = reals(t, what, scalar, positive)
+    one = isinstance(T, float)
+    lo, hi = (T, T) if one else (T.min(initial=0.0), T.max(initial=0.0))
+    if not (-1e-12 <= lo and hi <= horizon + 1e-12):
+        raise ConfigError(f"{what} must lie in [0, {horizon:g}], got {lo if lo < -1e-12 else hi}")
+    return min(max(T, 0.0), horizon) if one else np.clip(T, 0.0, horizon)
 
 
 def states(y, k: int, what: str = "y", owner: str = "model", start: Box | None = None):
@@ -280,9 +297,7 @@ class SqrtDiagField(CoefficientField):
     params = ("scale",)
 
     def __init__(self, scale):
-        self.scale = np.atleast_1d(reals(scale, "sqrt_diag field scale"))
-        if np.any(self.scale <= 0):
-            raise ConfigError("sqrt_diag field: scales must be positive")
+        self.scale = np.atleast_1d(reals(scale, "sqrt_diag field scale", positive=True))
 
     def batch(self, Y):
         Y = np.atleast_2d(Y)

@@ -62,8 +62,8 @@ import numpy as np
 from .affine import optimal_portfolio_from_terms
 from .errors import ConfigError, SimulationError
 from .model import (Box, Fields, GeneratorCoefficients, MarketTerms, ModelSpec, RiskParams,
-                    market_terms, plain, read_json, reals, require, require_int, rowwise, states,
-                    write_json)
+                    instants, market_terms, plain, read_json, reals, require, require_int, rowwise,
+                    states, write_json)
 
 BOUNDARY_POLICIES = ("full-truncation", "absorb", "reflect")
 _MAX_FLAGS = 100   # nonfinite locations kept by admissibility_check
@@ -75,7 +75,7 @@ class SimulationConfig(Fields):
 
     ``record_stride`` keeps every stride-th grid point in the output bundle
     (the step itself always uses dt); stride 1 retains everything.  dt and
-    horizon are read through ``reals``.
+    horizon are read through ``reals`` as positive numbers.
     """
 
     dt: float
@@ -87,10 +87,8 @@ class SimulationConfig(Fields):
 
     def __post_init__(self):
         for key in ("dt", "horizon"):
-            value = reals(getattr(self, key), f"simulation config {key}", scalar=True)
-            if not value > 0:
-                raise ConfigError(f"{key} must be positive, got {value}")
-            object.__setattr__(self, key, value)
+            object.__setattr__(self, key, reals(getattr(self, key), f"simulation config {key}",
+                                                scalar=True, positive=True))
         if self.dt > self.horizon + 1e-15:
             raise ConfigError("need 0 < dt <= horizon")
         if self.n_paths < 1:
@@ -397,8 +395,7 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
     Raises
     ------
     ConfigError
-        If x0 is not positive and finite, or the strategy's allocations are
-        not shaped (P, n).
+        If the strategy's allocations are not shaped (P, n).
     SimulationError
         On the first non-finite increment of Y, log S or log X, reporting
         (path, step).  sigma has full column rank, so a non-finite allocation
@@ -407,8 +404,7 @@ def simulate(model: ModelSpec, cfg: SimulationConfig, strategy: Strategy,
     if y0 is None:
         y0 = model.domain.interior_grid(points_per_dim=1)[0]
     y0, _ = states(y0, model.k, "y0", start=model.domain)
-    if not 0 < x0 < np.inf:     # false for NaN
-        raise ConfigError(f"initial wealth x0 must be positive and finite, got {x0}")
+    x0 = reals(x0, "x0", scalar=True, positive=True)
 
     n_steps, dt, policy = cfg.n_steps, cfg.dt_effective, cfg.boundary_policy
     sqdt = np.sqrt(dt)
@@ -509,10 +505,7 @@ def feynman_kac_estimate(gen: GeneratorCoefficients, h: Callable, t: float,
     O(P): about 0.2 KB per path at k = 2 (a 36 MB tracemalloc peak at 200k
     paths of a two-factor affine generator).
     """
-    if not t > 0:       # true for NaN
-        raise ConfigError(f"time-to-go t must be positive, got {t}")
-    if t > cfg.horizon + 1e-12:
-        raise ConfigError("time-to-go exceeds configured horizon")
+    t = instants(t, horizon=cfg.horizon, scalar=True, positive=True)
     if gen.kappa_batch is None:
         raise ConfigError("generator carries no kappa_batch; Feynman-Kac steps "
                           "with kappa^T dB")

@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import (ConditioningError, ConfigError, InconsistentDataError,
                      IntegrationError, NonRepresentableError, PositivityError)
-from .model import (Fields, GeneratorCoefficients, from_params, reals, require, require_list,
-                    require_shape, states)
+from .model import (Box, Fields, GeneratorCoefficients, from_params, instants, reals, require,
+                    require_list, require_shape, states)
 
 _COND_LIMIT = 1e12
 MATCH_TOL = 1e-9            # TabulatedEigenfunction: max-norm distance of a match
@@ -46,8 +46,8 @@ RADIAL_TAIL_FACTOR = 10.0   # radial_ode_diagnostic: inner integral cut at this 
 class SpectralMeasure:
     """Finite atomic measure {(zeta_i, w_i)} with normalization point y0.
 
-    zetas, weights and y0 are read through ``reals``; zeta must strictly
-    increase from atom to atom and the weights must be positive.
+    zetas, weights (positive) and y0 are read through ``reals``; zeta must
+    strictly increase from atom to atom.
     """
 
     zetas: np.ndarray
@@ -56,14 +56,12 @@ class SpectralMeasure:
 
     def __post_init__(self):
         for key, what in (("zetas", "atom zeta"), ("weights", "atom weight"), ("y0", "y0")):
-            object.__setattr__(self, key, np.atleast_1d(reals(getattr(self, key),
-                                                              f"spectral measure {what}")))
+            object.__setattr__(self, key, np.atleast_1d(reals(
+                getattr(self, key), f"spectral measure {what}", positive=key == "weights")))
         if self.zetas.ndim != 1 or self.zetas.shape != self.weights.shape:
             raise ConfigError("zetas and weights must be lists of equal length")
         if np.any(np.diff(self.zetas) <= 0):
             raise ConfigError("atoms must be sorted with strictly increasing zeta")
-        if np.any(self.weights <= 0):
-            raise ConfigError("atom weights must be positive")
 
     @property
     def m(self) -> int:
@@ -302,15 +300,18 @@ class EigenfunctionSelection(Fields):
         return max((abs(f(self.y0) - 1.0) for f in self.functions), default=0.0)
 
     def defect(self, gen: GeneratorCoefficients, zetas, grid) -> float:
-        """max over atoms and grid points of |(L - zeta_i) psi_i|.
+        """max over atoms and grid points of |(L - zeta_i) psi_i|, one zeta per atom.
 
         Requires derivative-capable eigenfunctions (exp, expmix, ode); any
         other kind raises ``ConfigError``.
         """
-        Y = np.atleast_2d(grid)
+        Y, _ = states(grid, gen.k, "grid", "generator")
+        zetas = np.atleast_1d(reals(zetas, "zetas"))
+        if zetas.shape != (self.m,):
+            raise ConfigError(f"zetas has shape {zetas.shape}; the selection has m={self.m} atoms")
         a, b, P = gen.a_batch(Y), gen.b_batch(Y), gen.P_batch(Y)
         worst = 0.0
-        for f, zeta in zip(self.functions, np.atleast_1d(np.asarray(zetas, dtype=float))):
+        for f, zeta in zip(self.functions, zetas):
             psi, grad, hess = f.derivatives(Y)
             res = 0.5 * np.einsum("pij,pij->p", a, hess) + np.einsum("pi,pi->p", b, grad) \
                 + (P - zeta) * psi
@@ -354,10 +355,8 @@ class WidderFunction:
     def __call__(self, t, y):
         """u at one state y (k,) as a float, or at stacked states Y (P, k) as
         (P,)."""
-        if reals(t, "t", scalar=True) < 0:
-            raise ValueError("t must be >= 0")
         Y, one = states(y, self.sel.y0.size, owner="FPP")
-        u = self.sel.values(Y) @ self._coeff(t)
+        u = self.sel.values(Y) @ self._coeff(instants(t, scalar=True))
         return float(u[0]) if one else u
 
     def derivatives(self, t, y):
@@ -365,7 +364,7 @@ class WidderFunction:
         stacked states y (P, k); at one state (k,) each is its one row, du/dt
         and u floats."""
         Y, one = states(y, self.sel.y0.size, owner="FPP")
-        out = self._derivatives(reals(t, "t", scalar=True), Y)
+        out = self._derivatives(instants(t, scalar=True), Y)
         return tuple(v[0] for v in out) if one else out
 
     def _derivatives(self, t, Y):
@@ -390,8 +389,6 @@ def solve_eigenfunction_1d(gen: GeneratorCoefficients, zeta: float, y0: float,
                            slope_s: float, grid) -> OdeEigenfunction:
     """Integrate (1/2) a psi'' + b psi' + (P - zeta) psi = 0 from
     psi(y0) = 1, psi'(y0) = slope_s across the grid (both directions).
-
-    y0 is a number like zeta and slope_s, and the grid a list of numbers.
 
     Positivity is checked on the grid only: the returned object carries psi on
     the grid as ``values`` and the sign change nearest y0, if any, as
@@ -558,20 +555,23 @@ def invert_laplace_discrete(samples, m: int, y0=0.0) -> InversionResult:
 def recover_selection(samples_by_point, nu: SpectralMeasure) -> EigenfunctionSelection:
     """Recover psi_i(y) = w_i(y) / w_i(y0) against the fixed exponents of nu.
 
-    ``samples_by_point`` is a dict from states y (a tuple or a scalar) to
-    (t, u) series.  Weights at each state are fitted by non-negative least
-    squares; a relative fit residual above ``RECOVERY_TOL`` (1e-6) raises
-    InconsistentDataError.  psi_i(y0) is set to exactly 1 when y0 is among
-    the states.
+    ``samples_by_point`` is a dict from states y (a tuple or a scalar, read
+    through ``states``) to (t, u) series.  Weights at each state are fitted
+    by non-negative least squares; a relative fit residual above
+    ``RECOVERY_TOL`` (1e-6) raises InconsistentDataError.  psi_i(y0) is set
+    to exactly 1 when y0 is among the states.
     """
     from scipy.optimize import nnls
 
     if not samples_by_point:
         raise ConfigError("no sample series supplied")
 
+    # A start box makes ``states`` admit one state only; the measure has no domain.
+    anywhere = Box(np.full(nu.y0.size, -np.inf), np.full(nu.y0.size, np.inf))
     points, psi_cols = [], []
     for y, series in samples_by_point.items():
-        y_arr = np.atleast_1d(np.asarray(y, dtype=float))
+        y_arr = states(y if np.ndim(y) else [y], nu.y0.size, "samples_by_point key",
+                       "spectral measure", start=anywhere)[0][0]
         t, u, _ = _parse_samples(series)
         E = np.exp(-np.outer(t, nu.zetas))
         what, rnorm = nnls(E, u)
@@ -633,9 +633,9 @@ def radial_ode_diagnostic(P0_tilde: Callable[[float], float], zeta: float,
 
     if k < 2:
         raise ConfigError("radial diagnostic requires k >= 2")
-    if not 1.0 < r_max < np.inf:     # false for NaN
-        raise ConfigError(f"r_max must be finite and exceed 1, got {r_max}")
-    zeta = reals(zeta, "zeta", scalar=True)
+    r_max, zeta = (reals(v, what, scalar=True) for v, what in ((r_max, "r_max"), (zeta, "zeta")))
+    if not 1.0 < r_max:
+        raise ConfigError(f"r_max must exceed 1, got {r_max}")
 
     r_start = 1e-6
     R = RADIAL_TAIL_FACTOR * r_max

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import (ConcavityViolationError, ConfigError,
                      InsufficientSampleError, PositivityError)
-from .model import (Fields, GeneratorCoefficients, ModelSpec, RiskParams, market_terms, reals,
-                    require_shape, rowwise, states)
+from .model import (Fields, GeneratorCoefficients, ModelSpec, RiskParams, instants,
+                    market_terms, reals, require_shape, rowwise, states)
 from .sim import PathBundle, pair_se
 
 
@@ -46,15 +46,14 @@ def _values(fn, n, *args):
     return np.broadcast_to(np.asarray(fn(*args), dtype=float), (n,))
 
 
-def _fd_grid(f, T, Z, H, fd_step, order, it, point):
+def _fd_grid(f, T, Z, scale, fd_step, order, it, point):
     """[df/dt, f, grad f, Hess f] of f(t, z) on the rows (T[it], Z[point])
-    for points Z (P, d) with spatial steps H (P, d).  Each time costs one
-    call of f on the stacked (P * nodes, d) stencil nodes of every point and
-    one call on Z per time offset."""
+    for points Z (P, d) with spatial steps fd_step * scale (P, d).  Each time
+    costs one call of f on the stacked (P * nodes, d) stencil nodes of every
+    point and one call on Z per time offset."""
     if order not in _D1:
         raise ConfigError(f"stencil order must be 2 or 4, got {order}")
-    if not reals(fd_step, "finite-difference step fd_step", scalar=True) > 0:
-        raise ConfigError(f"finite-difference step fd_step must be positive, got {fd_step}")
+    H = reals(fd_step, "finite-difference step fd_step", scalar=True, positive=True) * scale
     P, d = Z.shape
     E = np.eye(d, dtype=int)
     columns = {(0,) * d: 0}                  # node displacement in steps -> column of F
@@ -188,14 +187,14 @@ def hjb_residual(V: Callable, model: ModelSpec, rp: RiskParams,
         At the first grid point, in table order, with d2V/dx2 >= 0.
     """
     Y, _ = states(y_points, model.k, "y_points")
-    T = np.atleast_1d(np.asarray(t_vals, dtype=float))
-    X = np.atleast_1d(np.asarray(x_vals, dtype=float))
+    T = np.atleast_1d(instants(t_vals, "t_vals"))
+    X = np.atleast_1d(reals(x_vals, "x_vals"))
     # Spatial points z = (x, y), y outer and x inner; the x step scales with |x|.
     Z = np.column_stack([np.tile(X, len(Y)), np.repeat(Y, len(X), axis=0)])
-    H = np.full(Z.shape, float(fd_step))
-    H[:, 0] *= np.maximum(np.abs(Z[:, 0]), 1.0)
+    scale = np.ones(Z.shape)
+    scale[:, 0] = np.maximum(np.abs(Z[:, 0]), 1.0)
     iy, it, ix = np.indices((len(Y), len(T), len(X))).reshape(3, -1)
-    dVdt, _, grad, hess = _fd_grid(lambda t, z: V(t, z[:, 0], z[:, 1:]), T, Z, H,
+    dVdt, _, grad, hess = _fd_grid(lambda t, z: V(t, z[:, 0], z[:, 1:]), T, Z, scale,
                                    fd_step, order, it, iy * len(X) + ix)
     d2Vdx2 = hess[:, 0, 0]
     bad = d2Vdx2 >= 0
@@ -247,15 +246,14 @@ def distortion_roundtrip(u: Callable, rp: RiskParams, gen: GeneratorCoefficients
     q, Gamma, p = rp.q, rp.Gamma, rp.p
     exact = hasattr(u, "derivatives")
     Y, _ = states(y_points, gen.k, "y_points", "generator")
-    T = np.atleast_1d(np.asarray(t_vals, dtype=float))
+    T = np.atleast_1d(instants(t_vals, "t_vals"))
     iy, it = np.indices((len(Y), len(T))).reshape(2, -1)
 
     if exact:
         rows = [u.derivatives(t, Y) for t in T]
         u_t, u0, grad_u, hess_u = [np.array(v)[it, iy] for v in zip(*rows)]
     else:
-        u_t, u0, grad_u, hess_u = _fd_grid(u, T, Y, np.full(Y.shape, float(fd_step)),
-                                           fd_step, order, it, iy)
+        u_t, u0, grad_u, hess_u = _fd_grid(u, T, Y, np.ones(Y.shape), fd_step, order, it, iy)
     bad = u0 <= 0
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -367,7 +365,7 @@ def optimal_portfolio_residual(model: ModelSpec, rp: RiskParams, u, t: float, y,
     code building pi* would certify that code against itself."""
     Y, one = states(y, model.k)
     terms = market_terms(model, Y)
-    phi = u.log_gradient(t, Y)
+    phi = u.log_gradient(instants(t, scalar=True), Y)
     require_shape(phi, (len(Y), model.k), "grad_y u / u")
     hedge = np.einsum("pbk,pk->pb", terms.kappa, phi) @ model.rho.T
     target = (terms.lam + rp.q * hedge) / rp.gamma

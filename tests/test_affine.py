@@ -500,7 +500,7 @@ def test_fpp_strictly_increasing_in_wealth(canonical_1f):
 def test_fpp_rejects_nonpositive_wealth(canonical_1f):
     _, spec, rp = canonical_1f
     sol = solve_riccati_closed_form(spec, rp, 1.0, FORWARD)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match=r"^wealth x must be positive, got 0.0$"):
         evaluate_fpp(sol, rp, 0.5, 0.0, [1.0])
 
 
@@ -700,9 +700,9 @@ def test_two_factor_riccati_u_refuses_one_factor_states(canonical_2f):
 def test_solution_rejects_times_outside_horizon(canonical_1f):
     _, spec, rp = canonical_1f
     sol = solve_riccati_closed_form(spec, rp, 1.0, FORWARD)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match=r"^t must lie in \[0, 1\], got 1.2$"):
         sol.Phi(1.2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match=r"^t must lie in \[0, 1\], got -0.5$"):
         sol.Theta(-0.5)
 
 
@@ -713,6 +713,6 @@ def test_riccati_time_checks_refuse_nan(canonical_1f):
         with pytest.raises(ConfigError, match=f"^horizon must be finite, got {horizon}$"):
             solve_riccati_closed_form(spec, rp, horizon, FORWARD)
     sol = solve_riccati_closed_form(spec, rp, 1.0, FORWARD)
-    for t in (math.nan, [0.5, math.nan]):
-        with pytest.raises(ValueError, match="time outside solved horizon"):
+    for t, got in ((math.nan, "nan"), ([0.5, math.nan], r"\[0.5, nan\]")):
+        with pytest.raises(ConfigError, match=rf"^t must be finite, got {got}$"):
             sol.state(t)

@@ -59,13 +59,13 @@ def test_config_refuses_non_finite_times_and_names_them(key, value):
 def test_non_finite_start_and_time_to_go_are_refused():
     market = _flat_market()
     cfg = SimulationConfig(dt=0.1, horizon=0.5, n_paths=4, seed=2)
-    for x0 in (math.nan, math.inf, 0.0):
-        with pytest.raises(ConfigError, match="x0 must be positive and finite"):
+    for x0, rule in ((math.nan, "finite"), (math.inf, "finite"), (0.0, "positive")):
+        with pytest.raises(ConfigError, match=f"^x0 must be {rule}, got {x0}$"):
             simulate(market, cfg, ZeroStrategy(market.n), x0=x0, y0=[0.0])
     for y0 in ([math.nan], [math.inf]):
         with pytest.raises(ConfigError, match="y0 must be finite"):
             simulate(market, cfg, ZeroStrategy(market.n), y0=y0)
-    with pytest.raises(ConfigError, match="time-to-go t must be positive"):
+    with pytest.raises(ConfigError, match="^t must be finite, got nan$"):
         feynman_kac_estimate(make_heat_generator(), lambda Y: np.ones(len(Y)), math.nan,
                              [0.0], cfg)
     with pytest.raises(ConfigError, match=r"^y must be finite, got \[nan\]$"):

@@ -105,7 +105,7 @@ def test_widder_rejects_negative_time():
     y0 = np.array([0.0])
     nu = SpectralMeasure([0.5], [1.0], y0)
     sel = EigenfunctionSelection((ExpEigenfunction([0.0], y0),), y0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match=r"^t must lie in \[0, inf\], got -0.1$"):
         WidderFunction(nu, sel)(-0.1, [0.0])
 
 

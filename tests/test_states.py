@@ -176,7 +176,8 @@ def test_states_is_the_gate_and_require_shape_checks_computed_stacks_only():
     assert _calls_by_function("states") == {
         "affine.py:AffineSpec.h", "affine.py:RiccatiSolution.__call__",
         "affine.py:optimal_portfolio_affine", "spectral.py:WidderFunction.__call__",
-        "spectral.py:WidderFunction.derivatives", "verify.py:hjb_residual",
+        "spectral.py:WidderFunction.derivatives", "spectral.py:EigenfunctionSelection.defect",
+        "spectral.py:recover_selection", "verify.py:hjb_residual",
         "verify.py:distortion_roundtrip", "verify.py:optimal_portfolio_residual",
         "model.py:validate", "sim.py:simulate", "sim.py:feynman_kac_estimate"}
     # Besides the gate's own wording: grad_y u / u for pi* and the identity,

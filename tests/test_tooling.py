@@ -769,3 +769,27 @@ def test_every_json_number_is_refused_by_name_when_it_is_not_one(name):
                 read(edited)
             assert re.search(rf"\b{re.escape(key)}'?(\[\d+\])? must be ", str(exc.value)), \
                 (path, value, str(exc.value))
+
+
+# reader -> the keys of its leaves that must be strictly positive numbers.
+_POSITIVE_KEYS = {"sqrt_diag": {"scale"}, "model": {"scale"}, "affine_spec": {"L"},
+                  "measure": {"weight"}, "sim_config": {"dt", "horizon"}}
+
+
+@pytest.mark.parametrize("name", sorted(_POSITIVE_KEYS))
+def test_every_positive_json_number_is_refused_by_name_at_zero_and_below(name):
+    # Each such leaf in turn becomes 0, then -1; the reader refuses each with
+    # a ConfigError naming its key.
+    literal = _MEASURE if name == "measure" else PINNED[name]
+    data, read = json.loads(literal), _READERS[name]
+    leaves = [path for path in _numeric_leaves(data)
+              if next(k for k in reversed(path) if isinstance(k, str)) in _POSITIVE_KEYS[name]]
+    assert {next(k for k in reversed(p) if isinstance(k, str)) for p in leaves} \
+        == _POSITIVE_KEYS[name]
+    for path in leaves:
+        key = next(k for k in reversed(path) if isinstance(k, str))
+        for value in (0, -1):
+            with pytest.raises(ConfigError) as exc:
+                read(_replaced(data, path, value))
+            assert re.search(rf"\b{re.escape(key)} must be positive, got ", str(exc.value)), \
+                (path, value, str(exc.value))
