@@ -18,11 +18,13 @@ Every JSON file of the package is read by ``read_json`` and written by
 ``write_json`` in one format: indent 2, keys sorted, no trailing newline.
 
 Every constructor and public entry point reads its input through one of
-three gates: numbers through ``reals`` (no string, null, bool, ragged list,
+four gates: numbers through ``reals`` (no string, null, bool, ragged list,
 NaN or +-inf; with ``positive``, no entry <= 0), factor states, one (k,) or
-a stack (P, k), through ``states`` and times, kept in [0, horizon], through
-``instants``; both call ``reals``.  The JSON readers hand raw values
-on.  ``market_terms``, ``CoefficientField.batch``, the generator closures,
+a stack (P, k), through ``states``, times, one or a 1-D list kept in
+[0, horizon], through ``instants`` (both call ``reals``) and counts and
+seeds through ``integer``.  The JSON readers hand raw values on, apart from
+the integers that ``require_int`` reads.  ``market_terms``,
+``CoefficientField.batch``, the generator's closures and ``coefficients``,
 ``Strategy.allocations`` and ``log_gradient`` take no gate: the Euler loop
 calls them every step on states and times it built, and ``require_shape``
 alone checks a computed stack there.  ``Box`` alone allows +-inf (null in
@@ -66,11 +68,27 @@ def require(data, keys, what: str) -> None:
             raise ConfigError(f"{what}: missing field '{key}'")
 
 
+def _integral(value) -> bool:
+    """An integer or an integral float such as 5000.0, but not a bool."""
+    return not isinstance(value, bool) and isinstance(value, Real) and float(value).is_integer()
+
+
 def require_int(data: dict, key: str, what: str) -> int:
     """``data[key]``, an integer or an integral float such as 5000.0, as an int."""
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, Real) or not float(value).is_integer():
+    if not _integral(data[key]):
         raise ConfigError(f"{what}: field '{key}' must be an integer")
+    return int(data[key])
+
+
+def integer(value, what: str, least: int | None = None) -> int:
+    """The count or seed ``value`` of a caller, an integer or an integral
+    float such as 5000.0, as an int; a ``ConfigError`` naming ``what`` for
+    anything else ("n_paths must be an integer, got 2.5") and for a value
+    below ``least`` ("n_buckets must be >= 1, got 0")."""
+    if not _integral(value):
+        raise ConfigError(f"{what} must be an integer, got {reprlib.repr(value)}")
+    if least is not None and value < least:
+        raise ConfigError(f"{what} must be >= {least}, got {int(value)}")
     return int(value)
 
 
@@ -123,10 +141,13 @@ def reals(value, what: str, scalar: bool = False, positive: bool = False):
 
 def instants(t, what: str = "t", horizon: float = np.inf, scalar: bool = False,
              positive: bool = False):
-    """The times ``t`` read through ``reals``, in [0, horizon]: one within
-    1e-12 outside an end is that end, any other is refused naming ``what``
-    and the interval, as in "t must lie in [0, 1], got 1.2"."""
+    """The times ``t``, one or a 1-D list, read through ``reals``, in
+    [0, horizon]: one within 1e-12 outside an end is that end, any other is
+    refused naming ``what`` and the interval, as in "t must lie in [0, 1],
+    got 1.2"."""
     T = reals(t, what, scalar, positive)
+    if np.ndim(T) > 1:
+        raise ConfigError(f"{what} must be one time or a list of times, got shape {np.shape(T)}")
     one = isinstance(T, float)
     lo, hi = (T, T) if one else (T.min(initial=0.0), T.max(initial=0.0))
     if not (-1e-12 <= lo and hi <= horizon + 1e-12):
@@ -568,22 +589,35 @@ class RiskParams:
 
 @dataclass(frozen=True)
 class GeneratorCoefficients:
-    """Coefficient closures (a, b, P) of the second-order linear operator.
+    """Coefficients (a, b, P) of the second-order linear operator.
 
     a(y) = kappa^T kappa                 (k x k diffusion matrix)
     b(y) = alpha + Gamma kappa^T rho^T lambda   (k drift)
     P(y) = (Gamma / 2q) lambda^T lambda  (scalar potential)
 
-    ``*_batch`` closures evaluate stacks of points with shape (P, k); those
-    built by ``generator_coefficients`` are the only implementation.  The
-    library reads only the ``*_batch`` closures; ``a``, ``b``, ``P`` are their
-    one-row views at a single point (k,), kept for callers.
+    ``coefficients(Y)`` gives (a, b, P, kappa) at a stack of states (P, k).
+    For a generator built by ``generator_coefficients`` it is one evaluation
+    of the market (one ``market_terms``, one kappa, one alpha) through
+    ``fused``; the eigenfunction ODE, ``EigenfunctionSelection.defect``,
+    ``distortion_roundtrip`` and ``feynman_kac_estimate`` read it.
+    ``validate`` reads ``a_batch``, ``b_batch`` and ``P_batch`` apart,
+    because it evaluates a on states where sigma is singular and
+    ``market_terms`` refuses those; the ODE's positivity check of a on its
+    grid reads ``a_batch`` too.  The ``*_batch`` closures share their
+    formulas with ``fused``; ``a``, ``b``, ``P`` are their one-row views at a
+    single point (k,), kept for callers.
+
+    A generator given by its closures alone (such as a pure heat operator)
+    has no ``fused``: ``coefficients`` then returns the closures' values,
+    with kappa None when ``kappa_batch`` is None.  That branch is
+    transitional; it goes with the closures once no caller builds a
+    generator from them.
 
     ``kappa_batch`` maps states (P, k) to the factor volatility kappa
     (P, d_B, k), a square root of a = kappa^T kappa that Feynman-Kac steps
     with.  It defaults to None so that a generator given by its six closures
-    alone (such as a pure heat operator) stays valid for every other use;
-    ``feynman_kac_estimate`` refuses such a generator.
+    alone stays valid for every other use; ``feynman_kac_estimate`` refuses
+    such a generator.
     """
 
     k: int
@@ -594,6 +628,15 @@ class GeneratorCoefficients:
     b_batch: Callable[[np.ndarray], np.ndarray]
     P_batch: Callable[[np.ndarray], np.ndarray]
     kappa_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    fused: Optional[Callable[[np.ndarray], tuple]] = None
+
+    def coefficients(self, Y):
+        """(a (P, k, k), b (P, k), P (P,), kappa (P, d_B, k) or None) at the
+        states Y (P, k)."""
+        if self.fused is not None:
+            return self.fused(Y)
+        return (self.a_batch(Y), self.b_batch(Y), self.P_batch(Y),
+                None if self.kappa_batch is None else self.kappa_batch(Y))
 
 
 # ---------------------------------------------------------------------------
@@ -703,30 +746,41 @@ def sharpe_ratio_batch(spec: ModelSpec, Y: np.ndarray) -> np.ndarray:
 
 
 def generator_coefficients(spec: ModelSpec, rp: RiskParams) -> GeneratorCoefficients:
-    """Closures (a, b, P) of the linear operator attached to (spec, rp), and
-    the factor volatility kappa with a = kappa^T kappa."""
+    """Closures (a, b, P) of the linear operator attached to (spec, rp), the
+    factor volatility kappa with a = kappa^T kappa, and ``fused``, all four
+    from one evaluation of the market."""
     Gamma, q = rp.Gamma, rp.q
     rho = spec.rho
+
+    # Each formula once, shared by the closures and ``fused``.
+    def diffusion(kap):
+        return np.einsum("pbi,pbj->pij", kap, kap)
+
+    def drift(alpha, kap, lam):
+        return alpha + Gamma * np.einsum("pbk,pb->pk", kap, rowwise(rho.T, lam))
+
+    def potential(lam):
+        return (Gamma / (2.0 * q)) * np.einsum("pw,pw->p", lam, lam)
 
     # kappa and alpha are evaluated here, not through ``MarketTerms``: on the
     # one-row calls of the eigenfunction ODE that would double their cost.
     def a_batch(Y):
-        kap = spec.kappa.batch(Y)
-        return np.einsum("pbi,pbj->pij", kap, kap)
+        return diffusion(spec.kappa.batch(Y))
 
     def b_batch(Y):
-        kap = spec.kappa.batch(Y)
-        lam = sharpe_ratio_batch(spec, Y)
-        return spec.alpha.batch(Y) + Gamma * np.einsum("pbk,pb->pk", kap, rowwise(rho.T, lam))
+        return drift(spec.alpha.batch(Y), spec.kappa.batch(Y), sharpe_ratio_batch(spec, Y))
 
     def P_batch(Y):
-        lam = sharpe_ratio_batch(spec, Y)
-        return (Gamma / (2.0 * q)) * np.einsum("pw,pw->p", lam, lam)
+        return potential(sharpe_ratio_batch(spec, Y))
+
+    def fused(Y):
+        kap, lam = spec.kappa.batch(Y), market_terms(spec, Y).lam
+        return diffusion(kap), drift(spec.alpha.batch(Y), kap, lam), potential(lam), kap
 
     return GeneratorCoefficients(k=spec.k, a=_one_row(a_batch), b=_one_row(b_batch),
                                  P=_one_row(P_batch), a_batch=a_batch,
                                  b_batch=b_batch, P_batch=P_batch,
-                                 kappa_batch=spec.kappa.batch)
+                                 kappa_batch=spec.kappa.batch, fused=fused)
 
 
 @dataclass(frozen=True)

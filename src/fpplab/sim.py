@@ -62,8 +62,8 @@ import numpy as np
 from .affine import optimal_portfolio_from_terms
 from .errors import ConfigError, SimulationError
 from .model import (Box, Fields, GeneratorCoefficients, MarketTerms, ModelSpec, RiskParams,
-                    instants, market_terms, plain, read_json, reals, require, require_int, rowwise,
-                    states, write_json)
+                    instants, integer, market_terms, plain, read_json, reals, require, require_int,
+                    rowwise, states, write_json)
 
 BOUNDARY_POLICIES = ("full-truncation", "absorb", "reflect")
 _MAX_FLAGS = 100   # nonfinite locations kept by admissibility_check
@@ -75,7 +75,8 @@ class SimulationConfig(Fields):
 
     ``record_stride`` keeps every stride-th grid point in the output bundle
     (the step itself always uses dt); stride 1 retains everything.  dt and
-    horizon are read through ``reals`` as positive numbers.
+    horizon are read through ``reals`` as positive numbers, n_paths, seed and
+    record_stride through ``integer`` (n_paths and record_stride >= 1).
     """
 
     dt: float
@@ -91,12 +92,11 @@ class SimulationConfig(Fields):
                                                 scalar=True, positive=True))
         if self.dt > self.horizon + 1e-15:
             raise ConfigError("need 0 < dt <= horizon")
-        if self.n_paths < 1:
-            raise ConfigError("n_paths must be >= 1")
+        for key, least in (("n_paths", 1), ("seed", None), ("record_stride", 1)):
+            object.__setattr__(self, key, integer(getattr(self, key), f"simulation config {key}",
+                                                  least))
         if self.boundary_policy not in BOUNDARY_POLICIES:
             raise ConfigError(f"boundary_policy must be one of {BOUNDARY_POLICIES}")
-        if self.record_stride < 1:
-            raise ConfigError("record_stride must be >= 1")
 
     @property
     def n_steps(self) -> int:
@@ -524,9 +524,10 @@ def feynman_kac_estimate(gen: GeneratorCoefficients, h: Callable, t: float,
     xi = np.empty((d_B, P)).T       # path-contiguous step noise
     for i in range(n_steps):
         Zeval = _eval_state(domain, policy, Z)
-        log_weight += gen.P_batch(Zeval) * dt   # a killed path counts 0 below
+        _, b, pot, kap = gen.coefficients(Zeval)
+        log_weight += pot * dt   # a killed path counts 0 below
         _step_noise(cfg.seed, i, xi)
-        dZ = gen.b_batch(Zeval) * dt + np.einsum("pbk,pb->pk", gen.kappa_batch(Zeval), xi) * sqdt
+        dZ = b * dt + np.einsum("pbk,pb->pk", kap, xi) * sqdt
         _require_finite(i, dZ)
         Z, alive, _ = _advance(domain, policy, Z, dZ, alive)
     h_vals = np.asarray(h(_eval_state(domain, policy, Z)), dtype=float)

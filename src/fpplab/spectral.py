@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import (ConditioningError, ConfigError, InconsistentDataError,
                      IntegrationError, NonRepresentableError, PositivityError)
-from .model import (Box, Fields, GeneratorCoefficients, from_params, instants, reals, require,
-                    require_list, require_shape, states)
+from .model import (Box, Fields, GeneratorCoefficients, from_params, instants, integer, reals,
+                    require, require_list, require_shape, states)
 
 _COND_LIMIT = 1e12
 MATCH_TOL = 1e-9            # TabulatedEigenfunction: max-norm distance of a match
@@ -75,8 +75,9 @@ class SpectralMeasure:
         return SpectralMeasure(self.zetas, factor * self.weights, self.y0)
 
     def laplace(self, t) -> np.ndarray:
-        """sum_i w_i exp(-zeta_i t) for scalar or array t."""
-        t = np.asarray(t, dtype=float)
+        """sum_i w_i exp(-zeta_i t) for one time t or a 1-D list, read through
+        ``instants``."""
+        t = instants(t)
         return np.exp(-np.multiply.outer(t, self.zetas)) @ self.weights
 
     def to_json(self):
@@ -186,22 +187,25 @@ class ExpMixEigenfunction(_ExpSum):
 class OdeEigenfunction(Eigenfunction):
     """One-factor eigenfunction integrated from (psi(y0), psi'(y0)) = (1, s).
 
-    Values and first derivatives come from the dense ODE solution; second
-    derivatives by a central difference of the dense first derivative, so the
-    defect (L - zeta) psi stays an honest diagnostic.  ``values`` holds psi on
-    the grid and ``first_sign_change`` the sign change nearest y0 (linear
-    interpolation between grid points), or None.
+    ``dense`` is the one dense solution of ``solve_eigenfunction_1d``: at
+    s in [0, 1] it gives (psi, psi') at y0 + s (end - y0) on the right side
+    (end the last grid point) and on the left side (end the first), in the
+    order (psi_right, psi_left, psi'_right, psi'_left).  Values and first
+    derivatives come from it; second derivatives by a central difference of
+    the dense first derivative, so the defect (L - zeta) psi stays an honest
+    diagnostic.  ``values`` holds psi on the grid and ``first_sign_change``
+    the sign change nearest y0 (linear interpolation between grid points),
+    or None.
     """
 
     kind = "ode"
 
-    def __init__(self, zeta, y0, slope, grid, dense_left, dense_right):
+    def __init__(self, zeta, y0, slope, grid, dense):
         self.zeta = float(zeta)
         self.y0 = np.atleast_1d(np.asarray(y0, dtype=float))
         self.slope = float(slope)
         self.grid = np.asarray(grid, dtype=float)
-        self._dense_left = dense_left
-        self._dense_right = dense_right
+        self._dense = dense
         self.values = self.batch(self.grid[:, None])
         v, g = self.values, self.grid
         i = np.flatnonzero(np.diff(v > 0))
@@ -215,15 +219,13 @@ class OdeEigenfunction(Eigenfunction):
 
     def _state(self, y):
         """(psi, psi') at the points y (P,), clipped to the grid span, shape
-        (2, P).  A side without a dense solution is the single point y0, where
-        the state is the initial (1, s)."""
+        (2, P).  Each y is read on its side at s = (y - y0) / (end - y0); a
+        side of length zero holds only y0, at s = 0."""
         y = np.clip(y, self.grid[0], self.grid[-1])
-        out = np.empty((2, len(y)))
-        right = y >= self.y0[0]
-        for side, dense in ((right, self._dense_right), (~right, self._dense_left)):
-            if side.any():
-                out[:, side] = dense(y[side]) if dense is not None else [[1.0], [self.slope]]
-        return out
+        left = y < self.y0[0]
+        span = np.where(left, self.grid[0], self.grid[-1]) - self.y0[0]
+        s = np.divide(y - self.y0[0], span, out=np.zeros_like(y), where=span != 0)
+        return self._dense(s).reshape(2, 2, -1)[:, left.astype(int), np.arange(len(y))]
 
     def batch(self, Y):
         return self._state(np.atleast_2d(Y)[:, 0])[0]
@@ -309,7 +311,7 @@ class EigenfunctionSelection(Fields):
         zetas = np.atleast_1d(reals(zetas, "zetas"))
         if zetas.shape != (self.m,):
             raise ConfigError(f"zetas has shape {zetas.shape}; the selection has m={self.m} atoms")
-        a, b, P = gen.a_batch(Y), gen.b_batch(Y), gen.P_batch(Y)
+        a, b, P, _ = gen.coefficients(Y)
         worst = 0.0
         for f, zeta in zip(self.functions, zetas):
             psi, grad, hess = f.derivatives(Y)
@@ -388,7 +390,18 @@ class WidderFunction:
 def solve_eigenfunction_1d(gen: GeneratorCoefficients, zeta: float, y0: float,
                            slope_s: float, grid) -> OdeEigenfunction:
     """Integrate (1/2) a psi'' + b psi' + (P - zeta) psi = 0 from
-    psi(y0) = 1, psi'(y0) = slope_s across the grid (both directions).
+    psi(y0) = 1, psi'(y0) = slope_s across the grid, both sides of y0 in one
+    solve.
+
+    The two sides are one first-order system on s in [0, 1], with
+    y = y0 + s (end - y0) for the right end (the last grid point) and the
+    left end (the first).  The state is (psi_right, psi_left, psi'_right,
+    psi'_left), psi' being d psi / dy, and each side's rate in s is its rate
+    in y times its signed length end - y0.  DOP853 (rtol 1e-10, atol 1e-12)
+    then takes as many steps as the harder side needs, and each right-hand
+    side reads ``gen.coefficients`` once, on the 2-row stack of both sides'
+    states.  A side of length zero (y0 at a grid end) has rate zero, so its
+    state stays (1, slope_s) exactly.
 
     Positivity is checked on the grid only: the returned object carries psi on
     the grid as ``values`` and the sign change nearest y0, if any, as
@@ -408,23 +421,19 @@ def solve_eigenfunction_1d(gen: GeneratorCoefficients, zeta: float, y0: float,
         raise ConfigError("y0 must lie inside the grid span")
     if np.any(gen.a_batch(grid[:, None]) <= 0):
         raise ConfigError("a(y) must be positive on the grid")
+    span = np.array([grid[-1], grid[0]]) - y0      # signed lengths (right, left)
 
-    def odefun(y, state):
-        Y = np.array([[y]])
-        a, b, P = gen.a_batch(Y)[0, 0, 0], gen.b_batch(Y)[0, 0], gen.P_batch(Y)[0]
-        psi, dpsi = state
-        return [dpsi, -2.0 / a * (b * dpsi + (P - zeta) * psi)]
+    def odefun(s, state):
+        a, b, P, _ = gen.coefficients((y0 + s * span)[:, None])
+        psi, dpsi = state[:2], state[2:]
+        return np.concatenate([span * dpsi,
+                               span * (-2.0 / a[:, 0, 0] * (b[:, 0] * dpsi + (P - zeta) * psi))])
 
-    dense = {}
-    for side, end in (("right", grid[-1]), ("left", grid[0])):
-        if end != y0:
-            sol = solve_ivp(odefun, (y0, end), [1.0, float(slope_s)], method="DOP853",
-                            rtol=1e-10, atol=1e-12, dense_output=True)
-            if not sol.success:
-                raise IntegrationError(f"{side}ward integration failed: {sol.message}")
-            dense[side] = sol.sol
-    return OdeEigenfunction(zeta=zeta, y0=[y0], slope=slope_s, grid=grid,
-                            dense_left=dense.get("left"), dense_right=dense.get("right"))
+    sol = solve_ivp(odefun, (0.0, 1.0), [1.0, 1.0, slope_s, slope_s], method="DOP853",
+                    rtol=1e-10, atol=1e-12, dense_output=True)
+    if not sol.success:
+        raise IntegrationError(f"integration failed: {sol.message}")
+    return OdeEigenfunction(zeta=zeta, y0=[y0], slope=slope_s, grid=grid, dense=sol.sol)
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +498,7 @@ def invert_laplace_discrete(samples, m: int, y0=0.0) -> InversionResult:
 
     t, u, dt = _parse_samples(samples)
     n = t.shape[0]
-    if m < 1:
-        raise ConfigError("m must be >= 1")
+    m = integer(m, "m", least=1)
     if n < 2 * m + 2:
         raise ConfigError(f"need at least 2m+2={2 * m + 2} samples, got {n}")
     scale = float(np.max(np.abs(u)))
@@ -631,8 +639,7 @@ def radial_ode_diagnostic(P0_tilde: Callable[[float], float], zeta: float,
     """
     from scipy.integrate import solve_ivp
 
-    if k < 2:
-        raise ConfigError("radial diagnostic requires k >= 2")
+    k = integer(k, "k", least=2)
     r_max, zeta = (reals(v, what, scalar=True) for v, what in ((r_max, "r_max"), (zeta, "zeta")))
     if not 1.0 < r_max:
         raise ConfigError(f"r_max must exceed 1, got {r_max}")

@@ -80,6 +80,7 @@ TIME_SITES = {
     "feynman_kac_estimate": (lambda t: feynman_kac_estimate(GEN, SPEC.h, t, Y, CFG,
                                                             domain=MARKET.domain),
                              "t", CFG.horizon, True),
+    "SpectralMeasure.laplace": (WIDDER.nu.laplace, "t", math.inf, False),
 }
 
 BAD_TIMES = {"NaN": math.nan, "inf": math.inf, "string": "a", "-1": -1.0}
@@ -98,6 +99,16 @@ def test_a_list_where_one_time_is_expected_is_refused_by_name(site):
     call, what, _, _ = TIME_SITES[site]
     with pytest.raises(ConfigError, match=rf"^{what} must be a number, got \[0.5\]$"):
         call([0.5])
+
+
+@pytest.mark.parametrize("site", sorted(s for s in TIME_SITES if not TIME_SITES[s][3]))
+def test_a_stack_of_times_is_refused_by_name(site):
+    # Every time site takes one time or a 1-D list; a 2-D list ended in a
+    # numpy broadcasting or concatenation message.
+    call, what, _, _ = TIME_SITES[site]
+    with pytest.raises(ConfigError, match=rf"^{what} must be one time or a list of times, "
+                                          rf"got shape \(1, 2\)$"):
+        call([[0.1, 0.2]])
 
 
 @pytest.mark.parametrize("site", sorted(s for s in TIME_SITES if TIME_SITES[s][2] < math.inf))
@@ -339,7 +350,7 @@ _TIME_CALLERS = {
     "affine.py:optimal_portfolio_affine", "spectral.py:WidderFunction.__call__",
     "spectral.py:WidderFunction.derivatives", "verify.py:hjb_residual",
     "verify.py:distortion_roundtrip", "verify.py:optimal_portfolio_residual",
-    "sim.py:feynman_kac_estimate"}
+    "sim.py:feynman_kac_estimate", "spectral.py:SpectralMeasure.laplace"}
 
 
 def test_instants_is_the_one_time_gate():

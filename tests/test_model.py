@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fpplab import affine
 from fpplab import model as model_module
 from fpplab.errors import ConfigError, SingularModelError
 from fpplab.model import (AffineField, Box, CoefficientField, ConstantField, GridField,
@@ -13,7 +14,8 @@ from fpplab.model import (AffineField, Box, CoefficientField, ConstantField, Gri
                           generator_coefficients, market_terms, sharpe_ratio,
                           sharpe_ratio_batch, validate)
 
-from conftest import make_rank_deficient_grid_model, make_scalar_model
+from conftest import (count_calls, make_heat_generator, make_rank_deficient_grid_model,
+                      make_scalar_model)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +215,53 @@ def test_generator_diffusion_is_kappa_gram(request, market_name, seed):
     assert kap.shape == (len(Y), market.d_B, market.k)
     np.testing.assert_allclose(gen.a_batch(Y), np.swapaxes(kap, -1, -2) @ kap,
                                rtol=1e-14, atol=0)
+
+
+_RP = RiskParams(gamma=2.0, p=0.25)
+_CANONICAL_2F = dict(M=[[-0.5, 0.0], [0.0, -0.8]], w=[0.4, 0.5], L=[0.2, 0.15],
+                     Lambda=[0.16, 0.09], lambda0=0.04, H=[-0.3, 0.2])
+_GENERATOR_MARKETS = {
+    "canonical_1f": affine.canonical_affine_market(
+        M=[[-0.5]], w=[0.4], L=[0.2], Lambda=[0.25], lambda0=0.05, H=[-0.3], rp=_RP)[0],
+    "canonical_2f": affine.canonical_affine_market(**_CANONICAL_2F, rp=_RP)[0],
+    "coupled_2f": affine.canonical_affine_market(
+        **dict(_CANONICAL_2F, M=[[-0.5, 0.1], [0.05, -0.8]]), rp=_RP)[0]}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(_GENERATOR_MARKETS)), rows=st.integers(1, 8),
+       data=st.data())
+def test_coefficients_equal_the_closures_bitwise(name, rows, data):
+    market = _GENERATOR_MARKETS[name]
+    gen = generator_coefficients(market, _RP)
+    Y = data.draw(arrays(np.float64, (rows, market.k), elements=st.floats(0.0, 3.0)))
+    a, b, P, kappa = gen.coefficients(Y)
+    for got, closure in ((a, gen.a_batch), (b, gen.b_batch), (P, gen.P_batch),
+                         (kappa, gen.kappa_batch)):
+        want = closure(Y)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_coefficients_of_a_closure_built_generator_are_the_closures():
+    gen = make_heat_generator()
+    Y = np.linspace(-1.0, 1.0, 5).reshape(-1, 1)
+    got = gen.coefficients(Y)
+    want = (gen.a_batch(Y), gen.b_batch(Y), gen.P_batch(Y), gen.kappa_batch(Y))
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    # Without kappa_batch there is no kappa.
+    bare = replace(gen, kappa_batch=None)
+    assert bare.fused is None and bare.coefficients(Y)[3] is None
+
+
+def test_coefficients_evaluate_the_market_once(monkeypatch):
+    market = _GENERATOR_MARKETS["canonical_2f"]
+    gen = generator_coefficients(market, _RP)
+    terms = count_calls(monkeypatch, model_module, "market_terms")
+    fields = {key: count_calls(monkeypatch, getattr(market, key), "batch")
+              for key in ("mu", "alpha", "kappa")}
+    gen.coefficients(np.array([[0.5, 0.7], [1.0, 0.2]]))
+    assert len(terms) == 1 and {key: len(c) for key, c in fields.items()} == \
+        {"mu": 1, "alpha": 1, "kappa": 1}
 
 
 def _field_families():

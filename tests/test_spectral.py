@@ -297,8 +297,8 @@ def test_ode_eigenfunction_selection_has_no_json_form(heat_gen):
 
 @pytest.mark.parametrize("y0", [1.0, -1.0])
 def test_ode_eigenfunction_evaluates_at_its_grid_end_y0(heat_gen, y0):
-    # y0 at a grid end leaves one side without a dense solution; there the
-    # state is the initial (1, s).  The Hessian at y0 is one-sided, O(h).
+    # y0 at a grid end leaves one side of length zero, whose state stays the
+    # initial (1, s).  The Hessian at y0 is one-sided, O(h).
     grid = np.linspace(-1.0, 1.0, 11)
     f = solve_eigenfunction_1d(heat_gen, 0.5, y0, 1.0, grid)
     assert f(y0) == 1.0
@@ -308,6 +308,76 @@ def test_ode_eigenfunction_evaluates_at_its_grid_end_y0(heat_gen, y0):
     sel = EigenfunctionSelection((f,), np.array([y0]))
     assert sel.normalization_residual() == 0.0
     assert sel.defect(heat_gen, [0.5], grid.reshape(-1, 1)) <= 1e-5
+
+
+@settings(max_examples=60, deadline=None)
+@given(zeta=st.floats(0.05, 2.0), lo=st.floats(-2.0, 0.5), width=st.floats(0.2, 3.0),
+       at=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+       n=st.integers(2, 61), tilt=st.floats(-1.0, 1.0))
+def test_one_solve_matches_the_analytic_heat_eigenfunctions(zeta, lo, width, at, n, tilt):
+    # psi'' = 2 zeta psi from (1, s): cosh(r d) + (s / r) sinh(r d), d = y - y0,
+    # r = sqrt(2 zeta), a positive mix of e^{+-r d} for |s| <= r.  Both sides of
+    # y0, either of them possibly of length zero, come from the one solve.
+    r = math.sqrt(2.0 * zeta)
+    slope, y0 = tilt * r, lo + at * width
+    grid = np.linspace(lo, lo + width, n)
+    f = solve_eigenfunction_1d(make_heat_generator(), zeta, y0, slope, grid)
+    d = grid - y0
+    exact = np.cosh(r * d) + slope / r * np.sinh(r * d)
+    assert np.max(np.abs(f.values - exact) / exact) <= 1e-8
+    _, grad, _ = f.derivatives(grid[:, None])
+    dexact = r * np.sinh(r * d) + slope * np.cosh(r * d)
+    assert np.max(np.abs(grad[:, 0] - dexact) / (np.abs(dexact) + r * exact)) <= 1e-8
+
+
+def _canonical_1f_eigenfunction_data():
+    """(generator, zeta, slope z+) of psi = exp(z+ (y - y0)) on canonical 1f."""
+    rp = RiskParams(gamma=2.0, p=0.25)
+    market, spec = affine.canonical_affine_market(
+        M=[[-0.5]], w=[0.4], L=[0.2], Lambda=[0.25], lambda0=0.05, H=[-0.3], rp=rp)
+    v = affine.solve_riccati_closed_form(spec, rp, 1.0).components[0].z_plus
+    zeta = float((spec.w + spec.c)[0] * v + rp.Gamma / (2 * rp.q) * spec.lambda0)
+    return generator_coefficients(market, rp), zeta, v
+
+
+def test_one_solve_takes_at_most_sixty_percent_of_the_two_sided_evaluations(monkeypatch):
+    # Two solves, one per side of y0, took 484 right-hand-side evaluations
+    # here; one solve takes as many steps as the harder side needs.
+    import scipy.integrate
+    real, nfev = scipy.integrate.solve_ivp, []
+
+    def counting(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", counting)
+    gen, zeta, v = _canonical_1f_eigenfunction_data()
+    grid = np.linspace(0.3, 2.0, 41)
+    f = solve_eigenfunction_1d(gen, zeta, 1.0, v, grid)
+    assert sum(nfev) <= 0.6 * 484
+    exact = np.exp(v * (grid - 1.0))
+    assert np.max(np.abs(f.values - exact) / exact) <= 1e-9
+
+
+@pytest.mark.parametrize("where", ["left end", "right end", "one point"])
+@pytest.mark.parametrize("generator", ["heat", "canonical_1f"])
+def test_a_side_of_length_zero_keeps_the_initial_state_exactly(where, generator):
+    if generator == "heat":
+        gen, zeta, slope = make_heat_generator(), 0.5, 0.7
+    else:
+        gen, zeta, slope = _canonical_1f_eigenfunction_data()
+    y0, grid = 1.0, {"left end": np.linspace(1.0, 2.0, 11),
+                     "right end": np.linspace(0.3, 1.0, 11), "one point": np.array([1.0])}[where]
+    f = solve_eigenfunction_1d(gen, zeta, y0, slope, grid)
+    assert f(y0) == 1.0 and f(np.array([y0])) == 1.0
+    with np.errstate(invalid="ignore"):     # the one-point grid has no difference step
+        psi, grad, _ = f.derivatives(np.array([[y0]]))
+    assert (psi[0], grad[0, 0]) == (1.0, slope)
+    assert f.values[grid == y0].tolist() == [1.0]
+    # A state past the side of length zero is clipped to y0 and keeps its state.
+    for step in {"left end": [-0.5], "right end": [0.5], "one point": [-0.5, 0.5]}[where]:
+        assert f(y0 + step) == 1.0
 
 
 def _random_eigenfunction(kind, rng, heat_gen):

@@ -793,3 +793,29 @@ def test_every_positive_json_number_is_refused_by_name_at_zero_and_below(name):
                 read(_replaced(data, path, value))
             assert re.search(rf"\b{re.escape(key)} must be positive, got ", str(exc.value)), \
                 (path, value, str(exc.value))
+
+
+def _attribute_readers(attrs):
+    """{"file:Class.function"} of every function of the package reading one
+    of the attributes ``attrs`` (``<...>.name``)."""
+    hits = set()
+
+    def visit(node, scope, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + [child.name], path)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr in attrs:
+                hits.add(f"{path.name}:{'.'.join(scope)}")
+            visit(child, scope, path)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), [], path)
+    return hits
+
+
+def test_only_the_fused_reader_and_validate_read_b_and_p_apart():
+    # The library reads (a, b, P, kappa) through ``coefficients``; validate
+    # evaluates a where sigma is singular, so it reads b and P apart.
+    assert _attribute_readers({"b_batch", "P_batch"}) == {
+        "model.py:GeneratorCoefficients.coefficients", "model.py:validate"}
