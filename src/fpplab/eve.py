@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, SingularProjectionError
+from .errors import ConfigError, DimensionError, SingularProjectionError
 from .model import Fields, reals
 
 _SV_FLOOR = 1e-12
@@ -89,11 +89,11 @@ def select_p(rho_hat: np.ndarray, norm: str = "frobenius") -> float:
       central values (any point between them is also a minimizer).
     """
     if norm not in P_NORMS:
-        raise ValueError(f"norm must be one of {P_NORMS}, got '{norm}'")
+        raise ConfigError(f"norm must be one of {P_NORMS}, got '{norm}'")
     rho_hat = np.atleast_2d(reals(rho_hat, "rho_hat"))
     sv = np.linalg.svd(rho_hat, compute_uv=False)
     if sv.size and sv[0] > 1.0 + 1e-10:
-        raise ValueError(f"rho_hat has singular value {sv[0]:.6g} > 1")
+        raise ConfigError(f"rho_hat has singular value {sv[0]:.6g} > 1")
     theta = np.sort(sv ** 2)
     if norm == "operator":
         return float((theta[0] + theta[-1]) / 2.0)

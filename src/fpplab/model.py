@@ -22,8 +22,8 @@ four gates: numbers through ``reals`` (no string, null, bool, ragged list,
 NaN or +-inf; with ``positive``, no entry <= 0), factor states, one (k,) or
 a stack (P, k), through ``states``, times, one or a 1-D list kept in
 [0, horizon], through ``instants`` (both call ``reals``) and counts and
-seeds through ``integer``.  The JSON readers hand raw values on, apart from
-the integers that ``require_int`` reads.  ``market_terms``,
+seeds through ``integer``.  The JSON readers hand raw values on to the
+constructor that gates them.  ``market_terms``,
 ``CoefficientField.batch``, the generator's closures and ``coefficients``,
 ``Strategy.allocations`` and ``log_gradient`` take no gate: the Euler loop
 calls them every step on states and times it built, and ``require_shape``
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import json
 import reprlib
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cached_property
 from numbers import Real
 from typing import Callable, Optional
@@ -68,24 +68,12 @@ def require(data, keys, what: str) -> None:
             raise ConfigError(f"{what}: missing field '{key}'")
 
 
-def _integral(value) -> bool:
-    """An integer or an integral float such as 5000.0, but not a bool."""
-    return not isinstance(value, bool) and isinstance(value, Real) and float(value).is_integer()
-
-
-def require_int(data: dict, key: str, what: str) -> int:
-    """``data[key]``, an integer or an integral float such as 5000.0, as an int."""
-    if not _integral(data[key]):
-        raise ConfigError(f"{what}: field '{key}' must be an integer")
-    return int(data[key])
-
-
 def integer(value, what: str, least: int | None = None) -> int:
     """The count or seed ``value`` of a caller, an integer or an integral
-    float such as 5000.0, as an int; a ``ConfigError`` naming ``what`` for
-    anything else ("n_paths must be an integer, got 2.5") and for a value
-    below ``least`` ("n_buckets must be >= 1, got 0")."""
-    if not _integral(value):
+    float such as 5000.0 (not a bool), as an int; a ``ConfigError`` naming
+    ``what`` for anything else ("n_paths must be an integer, got 2.5") and
+    for a value below ``least`` ("n_buckets must be >= 1, got 0")."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not float(value).is_integer():
         raise ConfigError(f"{what} must be an integer, got {reprlib.repr(value)}")
     if least is not None and value < least:
         raise ConfigError(f"{what} must be >= {least}, got {int(value)}")
@@ -184,12 +172,15 @@ def plain(value):
     return value.tolist() if isinstance(value, np.ndarray) else value
 
 
-def from_params(cls, data: dict, what: str, *extra):
-    """``cls(*data[keys], *extra)`` for the ``_json_keys`` of ``cls``, the
-    key list that ``Fields.to_json`` writes."""
+def from_params(cls, data: dict, what: str, **extra):
+    """``cls(**data[keys], **extra)`` for the ``_json_keys`` of ``cls``, the
+    key list that ``Fields.to_json`` writes.  A key whose dataclass field has
+    a default may be absent; the constructor gates every value."""
     keys = _json_keys(cls)
-    require(data, keys, what)
-    return cls(*(data[key] for key in keys), *extra)
+    optional = ({f.name for f in fields(cls) if f.default is not MISSING}
+                if is_dataclass(cls) else ())
+    require(data, [key for key in keys if key not in optional], what)
+    return cls(**{key: data[key] for key in keys if key in data}, **extra)
 
 
 def read_json(path):
@@ -425,7 +416,9 @@ class Box:
     def interior_grid(self, points_per_dim: int = 5) -> np.ndarray:
         """Regular grid inset GRID_MARGIN (0.1) of each axis' width from its ends;
         unbounded sides are cut at ``finite_bound + GRID_SPAN`` (2.0), or at
-        [-GRID_SPAN/2, GRID_SPAN/2] for a doubly infinite axis."""
+        [-GRID_SPAN/2, GRID_SPAN/2] for a doubly infinite axis.  The count
+        ``points_per_dim`` (>= 1) is read through ``integer``."""
+        points_per_dim = integer(points_per_dim, "points_per_dim", least=1)
         axes = []
         for i in range(self.dim):
             lo, hi = self.lower[i], self.upper[i]
@@ -551,7 +544,8 @@ class ModelSpec(Fields):
         # Dimension keys of files written by earlier versions.
         for key, dim in (("n", "n"), ("k", "k"), ("d_W", "d_W"), ("d_B", "d_B"),
                          ("d_Wperp", "d_B")):
-            if key in data and require_int(data, key, "model spec") != getattr(spec, dim):
+            if key in data and (integer(data[key], f"model spec field '{key}'")
+                                != getattr(spec, dim)):
                 raise ConfigError(f"model spec: field '{key}' is {data[key]}, but the fields "
                                   f"give {dim}={getattr(spec, dim)}")
         return spec
@@ -599,13 +593,13 @@ class GeneratorCoefficients:
     For a generator built by ``generator_coefficients`` it is one evaluation
     of the market (one ``market_terms``, one kappa, one alpha) through
     ``fused``; the eigenfunction ODE, ``EigenfunctionSelection.defect``,
-    ``distortion_roundtrip`` and ``feynman_kac_estimate`` read it.
-    ``validate`` reads ``a_batch``, ``b_batch`` and ``P_batch`` apart,
-    because it evaluates a on states where sigma is singular and
-    ``market_terms`` refuses those; the ODE's positivity check of a on its
-    grid reads ``a_batch`` too.  The ``*_batch`` closures share their
-    formulas with ``fused``; ``a``, ``b``, ``P`` are their one-row views at a
-    single point (k,), kept for callers.
+    ``distortion_roundtrip``, ``feynman_kac_estimate`` and, on the states
+    where sigma is regular, ``validate`` read it.  ``b_batch`` and
+    ``P_batch`` are views of ``fused``; ``a_batch`` evaluates kappa alone,
+    because ``validate`` needs a on states where sigma is singular and
+    ``market_terms`` refuses those, and the ODE's positivity check of a on
+    its grid reads it too.  ``a``, ``b``, ``P`` are the one-row views of the
+    ``*_batch`` closures at a single point (k,), kept for callers.
 
     A generator given by its closures alone (such as a pure heat operator)
     has no ``fused``: ``coefficients`` then returns the closures' values,
@@ -715,7 +709,7 @@ def market_terms(spec: ModelSpec, Y: np.ndarray) -> MarketTerms:
     const = isinstance(spec.sigma, ConstantField)
     sig = spec.sigma.value if const else spec.sigma.batch(Y)
     pinv, rank = spec.sigma.pinv_and_rank if const else _pinv_and_rank(sig)
-    if rank.min() < spec.n:
+    if rank.min(initial=spec.n) < spec.n:
         rank = np.broadcast_to(rank, Y.shape[:1])
         i = int(np.argmax(rank < spec.n))
         raise SingularModelError(
@@ -746,36 +740,32 @@ def sharpe_ratio_batch(spec: ModelSpec, Y: np.ndarray) -> np.ndarray:
 
 
 def generator_coefficients(spec: ModelSpec, rp: RiskParams) -> GeneratorCoefficients:
-    """Closures (a, b, P) of the linear operator attached to (spec, rp), the
-    factor volatility kappa with a = kappa^T kappa, and ``fused``, all four
-    from one evaluation of the market."""
+    """The generator (a, b, P) of the linear operator attached to (spec, rp)
+    and the factor volatility kappa with a = kappa^T kappa, all four from one
+    evaluation of the market through ``fused``; ``b_batch`` and ``P_batch``
+    are its views, and ``a_batch`` evaluates kappa alone."""
     Gamma, q = rp.Gamma, rp.q
     rho = spec.rho
 
-    # Each formula once, shared by the closures and ``fused``.
     def diffusion(kap):
         return np.einsum("pbi,pbj->pij", kap, kap)
 
-    def drift(alpha, kap, lam):
-        return alpha + Gamma * np.einsum("pbk,pb->pk", kap, rowwise(rho.T, lam))
-
-    def potential(lam):
-        return (Gamma / (2.0 * q)) * np.einsum("pw,pw->p", lam, lam)
-
-    # kappa and alpha are evaluated here, not through ``MarketTerms``: on the
-    # one-row calls of the eigenfunction ODE that would double their cost.
     def a_batch(Y):
         return diffusion(spec.kappa.batch(Y))
 
-    def b_batch(Y):
-        return drift(spec.alpha.batch(Y), spec.kappa.batch(Y), sharpe_ratio_batch(spec, Y))
-
-    def P_batch(Y):
-        return potential(sharpe_ratio_batch(spec, Y))
-
+    # kappa and alpha are evaluated here, not through ``MarketTerms``: on the
+    # one-row calls of the eigenfunction ODE that would double their cost.
     def fused(Y):
         kap, lam = spec.kappa.batch(Y), market_terms(spec, Y).lam
-        return diffusion(kap), drift(spec.alpha.batch(Y), kap, lam), potential(lam), kap
+        b = spec.alpha.batch(Y) + Gamma * np.einsum("pbk,pb->pk", kap, rowwise(rho.T, lam))
+        P = (Gamma / (2.0 * q)) * np.einsum("pw,pw->p", lam, lam)
+        return diffusion(kap), b, P, kap
+
+    def b_batch(Y):
+        return fused(Y)[1]
+
+    def P_batch(Y):
+        return fused(Y)[2]
 
     return GeneratorCoefficients(k=spec.k, a=_one_row(a_batch), b=_one_row(b_batch),
                                  P=_one_row(P_batch), a_batch=a_batch,
@@ -849,8 +839,8 @@ def validate(spec: ModelSpec, grid: np.ndarray,
 
     # b and P need lambda, which is undefined where sigma(y) has rank < n.
     singular = rank < spec.n
-    ok = grid[~singular]
-    a, b, P = a[~singular], gen.b_batch(ok), gen.P_batch(ok)
+    _, b, P, _ = gen.coefficients(grid[~singular])
+    a = a[~singular]
     sup_a, sup_b, sup_P = (float(np.max(np.abs(v), initial=0.0)) for v in (a, b, P))
     finite = bool(not np.any(singular) and np.all(np.isfinite(a))
                   and np.all(np.isfinite(b)) and np.all(np.isfinite(P)))

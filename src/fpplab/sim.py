@@ -62,7 +62,7 @@ import numpy as np
 from .affine import optimal_portfolio_from_terms
 from .errors import ConfigError, SimulationError
 from .model import (Box, Fields, GeneratorCoefficients, MarketTerms, ModelSpec, RiskParams,
-                    instants, integer, market_terms, plain, read_json, reals, require, require_int,
+                    from_params, instants, integer, market_terms, plain, read_json, reals, require,
                     rowwise, states, write_json)
 
 BOUNDARY_POLICIES = ("full-truncation", "absorb", "reflect")
@@ -109,16 +109,11 @@ class SimulationConfig(Fields):
 
     @staticmethod
     def from_json(data):
-        require(data, ["dt", "horizon", "n_paths"], "simulation config")
+        config = from_params(SimulationConfig, data, "simulation config")
         # Euler-Maruyama is the only scheme; a file naming another is refused.
-        scheme = data.get("scheme", "euler-maruyama")
-        if scheme != "euler-maruyama":
-            raise ConfigError(f"unknown scheme '{scheme}'")
-        data = {"seed": 0, "boundary_policy": "full-truncation", "record_stride": 1, **data}
-        return SimulationConfig(
-            boundary_policy=data["boundary_policy"], dt=data["dt"], horizon=data["horizon"],
-            **{key: require_int(data, key, "simulation config")
-               for key in ("n_paths", "seed", "record_stride")})
+        if data.get("scheme", "euler-maruyama") != "euler-maruyama":
+            raise ConfigError(f"unknown scheme '{data['scheme']}'")
+        return config
 
 
 # ---------------------------------------------------------------------------

@@ -262,7 +262,7 @@ class TabulatedEigenfunction(Eigenfunction):
         idx = np.argmin(dist, axis=1)
         miss = dist[np.arange(len(Y)), idx] > MATCH_TOL
         if np.any(miss):
-            raise ValueError(f"state {Y[np.argmax(miss)]} not among tabulated points")
+            raise ConfigError(f"state {Y[np.argmax(miss)]} not among tabulated points")
         return self.values[idx]
 
 
@@ -298,7 +298,7 @@ class EigenfunctionSelection(Fields):
         return np.array([f.batch(Y) for f in self.functions]).T
 
     def normalization_residual(self) -> float:
-        """max_i |psi_i(y0) - 1|; raises where some psi_i is unknown at y0."""
+        """max_i |psi_i(y0) - 1|; a ``ConfigError`` where some psi_i is unknown at y0."""
         return max((abs(f(self.y0) - 1.0) for f in self.functions), default=0.0)
 
     def defect(self, gen: GeneratorCoefficients, zetas, grid) -> float:
@@ -329,7 +329,7 @@ class EigenfunctionSelection(Fields):
             cls = _KINDS.get(fd["kind"]) if isinstance(fd["kind"], str) else None
             if cls is None:
                 raise ConfigError(f"unknown eigenfunction kind {fd['kind']!r}")
-            funcs.append(from_params(cls, fd, f"{cls.kind} eigenfunction", data["y0"]))
+            funcs.append(from_params(cls, fd, f"{cls.kind} eigenfunction", y0=data["y0"]))
         return EigenfunctionSelection(tuple(funcs), data["y0"])
 
 

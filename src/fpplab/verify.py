@@ -289,11 +289,12 @@ _KURTOSIS_LIMIT = 1e3
 
 
 def _excess_kurtosis(x) -> float:
-    """m4 / m2^2 - 3 with central sample moments (the biased Fisher form)."""
+    """m4 / m2^2 - 3 with central sample moments (the biased Fisher form);
+    0.0 for a sample without spread, m2 == 0 (or m2^2 below the float range)."""
     d = x - np.mean(x)
     d2 = d * d      # d ** 4 would go through libm pow, about 50 times slower
     m2 = np.mean(d2)
-    return float(np.mean(d2 * d2) / (m2 * m2) - 3.0)
+    return float(np.mean(d2 * d2) / (m2 * m2) - 3.0) if m2 * m2 > 0 else 0.0
 
 
 def martingale_test(bundle: PathBundle, fpp_eval: Callable,

@@ -689,6 +689,18 @@ def test_affine_spec_json_round_trip(tmp_path, canonical_2f):
     assert loaded.h0 == spec.h0
 
 
+def test_affine_spec_file_without_h0_loads_with_h0_zero(canonical_2f):
+    # h0 has a default in the constructor, so a file may leave it out; every
+    # other key is required.
+    _, spec, _ = canonical_2f
+    data = {key: value for key, value in spec.to_json().items() if key != "h0"}
+    loaded = AffineSpec.from_json(data)
+    assert loaded.h0 == 0.0
+    assert loaded.to_json() == {**data, "h0": 0.0}
+    with pytest.raises(ConfigError, match="^affine spec: missing field 'H'$"):
+        AffineSpec.from_json({key: value for key, value in data.items() if key != "H"})
+
+
 def test_two_factor_riccati_u_refuses_one_factor_states(canonical_2f):
     _, spec, rp = canonical_2f
     sol = solve_riccati(spec, rp, 1.0, FORWARD)

@@ -283,7 +283,7 @@ def test_non_integral_path_count_exits_one(workdir, capsys):
                  "--out", "o"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
-    assert "simulation config: field 'n_paths' must be an integer" in err
+    assert "simulation config n_paths must be an integer, got 200.5" in err
 
 
 # A bundle under the one-factor model of the workdir, for verify martingale.

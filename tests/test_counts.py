@@ -1,19 +1,22 @@
 """One gate for counts: every count or seed a caller passes to the API is
 read through ``model.integer``, which takes an integer or an integral float
 and refuses anything else, or a value below the count's least one, with a
-``ConfigError`` naming the argument.  JSON files keep ``require_int``."""
+``ConfigError`` naming the argument.  The JSON readers hand their counts to
+the constructor that reads them, so a file's count meets the same gate."""
+import ast
 import math
 
 import numpy as np
 import pytest
 
 from fpplab.errors import ConfigError
+from fpplab.model import Box
 from fpplab.sim import SimulationConfig, ZeroStrategy, simulate
 from fpplab.spectral import invert_laplace_discrete, radial_ode_diagnostic
 from fpplab.verify import martingale_test
 
 from conftest import make_scalar_model
-from test_states import _calls_by_function
+from test_states import PACKAGE, _calls_by_function
 
 _MARKET = make_scalar_model()
 _BUNDLE = simulate(_MARKET, SimulationConfig(dt=0.1, horizon=1.0, n_paths=200, seed=4),
@@ -42,6 +45,8 @@ COUNT_SITES = {
     "invert_laplace_discrete.m": (lambda v: invert_laplace_discrete(_SAMPLES, v), "m", 1, 2),
     "radial_ode_diagnostic.k": (lambda v: radial_ode_diagnostic(lambda r: 0.0, 0.0, v, 3.0),
                                 "k", 2, 3),
+    "Box.interior_grid.points_per_dim": (lambda v: Box([0.0, -1.0], [1.0, 1.0]).interior_grid(v)
+                                         .tolist(), "points_per_dim", 1, 3),
 }
 
 BAD_COUNTS = {"string": ("a", "'a'"), "fraction": (2.5, "2.5"), "null": (None, "None"),
@@ -89,6 +94,10 @@ def test_the_config_keeps_its_counts_as_ints():
 def test_integer_is_the_one_count_gate():
     assert _calls_by_function("integer") == {
         "sim.py:SimulationConfig.__post_init__", "verify.py:martingale_test",
-        "spectral.py:invert_laplace_discrete", "spectral.py:radial_ode_diagnostic"}
-    # The JSON reader and the gate share one test of an integer.
-    assert _calls_by_function("_integral") == {"model.py:require_int", "model.py:integer"}
+        "spectral.py:invert_laplace_discrete", "spectral.py:radial_ode_diagnostic",
+        "model.py:ModelSpec.from_json", "model.py:Box.interior_grid"}
+    # No second integer check stands beside it.
+    defined = {node.name for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    assert "integer" in defined and not defined & {"require_int", "_integral"}

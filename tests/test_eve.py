@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpplab.errors import DimensionError, SingularProjectionError
+from fpplab.errors import ConfigError, DimensionError, SingularProjectionError
 from fpplab.eve import P_NORMS, project_eve, select_p
 
 
@@ -179,7 +179,7 @@ def test_select_p_frobenius_equals_r_star_squared_iff_equal_spectrum():
 
 
 def test_select_p_rejects_bad_norm_and_scale():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="norm must be one of"):
         select_p(0.5 * np.eye(2), "nuclear")
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="singular value 1.5 > 1"):
         select_p(1.5 * np.eye(2), "frobenius")

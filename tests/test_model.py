@@ -435,6 +435,9 @@ def test_validate_reports_rank_deficient_points():
     # The full-rank points are still measured.
     assert check.worst == pytest.approx(0.01)
     assert validate(model, grid[:2])["boundedness"].passed
+    # A grid that is singular everywhere is reported too, not raised.
+    check = validate(model, grid[2:])["boundedness"]
+    assert not check.passed and "rank < n=2 at 3 of 3 points" in check.detail
 
 
 def test_validate_reports_positive_zero_for_zero_rho():
@@ -620,7 +623,7 @@ def test_model_spec_from_json_refuses_non_integral_dimensions(canonical_1f, key)
     data = {**market.to_json(), **_stated_dimensions(market)}
     with pytest.raises(ConfigError) as err:
         ModelSpec.from_json({**data, key: data[key] + 0.5})
-    assert str(err.value) == f"model spec: field '{key}' must be an integer"
+    assert str(err.value) == f"model spec field '{key}' must be an integer, got {data[key] + 0.5}"
     again = ModelSpec.from_json({**data, key: float(data[key])})
     assert again.to_json() == market.to_json()
     assert _stated_dimensions(again) == _stated_dimensions(market)

@@ -89,7 +89,7 @@ def test_config_from_json_refuses_non_integral_counts(key, value):
     data = {"dt": 0.1, "horizon": 1.0, "n_paths": 300, key: value}
     with pytest.raises(ConfigError) as err:
         SimulationConfig.from_json(data)
-    assert str(err.value) == f"simulation config: field '{key}' must be an integer"
+    assert str(err.value) == f"simulation config {key} must be an integer, got {value!r}"
 
 
 def test_config_from_json_accepts_integral_floats():

@@ -551,7 +551,7 @@ def test_normalization_residual_raises_when_y0_is_not_tabulated():
     # One series away from y0 = 1: psi_i(y0) is unknown, not perfect.
     nu, _, _, series = _recovery_setup()
     rec = recover_selection({(0.6,): series[(0.6,)]}, nu)
-    with pytest.raises(ValueError, match="not among tabulated points"):
+    with pytest.raises(ConfigError, match="not among tabulated points"):
         rec.normalization_residual()
 
 

@@ -814,8 +814,17 @@ def _attribute_readers(attrs):
     return hits
 
 
-def test_only_the_fused_reader_and_validate_read_b_and_p_apart():
-    # The library reads (a, b, P, kappa) through ``coefficients``; validate
-    # evaluates a where sigma is singular, so it reads b and P apart.
+def test_only_the_closure_branch_reads_b_and_p_apart():
+    # The library reads (a, b, P, kappa) through ``coefficients``, validate
+    # too; only a generator given by its closures is read through them.
     assert _attribute_readers({"b_batch", "P_batch"}) == {
-        "model.py:GeneratorCoefficients.coefficients", "model.py:validate"}
+        "model.py:GeneratorCoefficients.coefficients"}
+
+
+def test_no_input_is_refused_with_a_bare_value_error():
+    # Bad input raises ConfigError, which the CLI maps to exit code 1.
+    raised = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Raise) and node.exc is not None
+              and getattr(getattr(node.exc, "func", node.exc), "id", None) == "ValueError"]
+    assert raised == []

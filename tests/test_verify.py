@@ -1,4 +1,6 @@
+import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +21,7 @@ from fpplab.spectral import (EigenfunctionSelection, ExpEigenfunction, ExpMixEig
 from fpplab.verify import (_excess_kurtosis, distortion_roundtrip, hjb_residual,
                            martingale_test, optimal_portfolio_residual)
 
-from conftest import count_calls, make_tabulated_sigma_model
+from conftest import count_calls, make_scalar_model, make_tabulated_sigma_model
 
 
 def _affine_setup(fixture):
@@ -671,3 +673,17 @@ def test_excess_kurtosis_matches_scipy(draw):
 
     x = draw(np.random.default_rng(3))
     assert _excess_kurtosis(x) == pytest.approx(kurtosis(x), rel=1e-12)
+
+
+def test_equal_increments_give_a_finite_kurtosis_without_warning():
+    # Under the zero strategy wealth stays put, so U = x (1 + t) has the same
+    # increment on every path; the bucket SE reads roundoff, not zero.
+    market = make_scalar_model()
+    bundle = simulate(market, SimulationConfig(dt=0.1, horizon=1.0, n_paths=200, seed=4),
+                      ZeroStrategy(market.n), y0=[0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = martingale_test(bundle, lambda t, x, y: x * (1.0 + t))
+    assert all(math.isfinite(b.excess_kurtosis) for b in report.buckets)
+    json.dumps(report.to_json(), allow_nan=False)
+    assert _excess_kurtosis(np.full(8, 0.25)) == 0.0
